@@ -196,7 +196,13 @@ def load_cached_corpus(cache_dir: Optional[str], dims: Dims) -> Optional[Corpus]
     if not os.path.exists(path):
         return None
     with open(path) as fh:
-        return corpus_from_dict(_loads(fh.read()))
+        corpus = corpus_from_dict(_loads(fh.read()))
+    if corpus.dims != Dims(*dims):
+        raise ParseError(
+            f"cached corpus {path} holds {corpus.dims.m}x{corpus.dims.n},"
+            f" not {dims[0]}x{dims[1]}"
+        )
+    return corpus
 
 
 def store_corpus(cache_dir: Optional[str], corpus: Corpus) -> str:

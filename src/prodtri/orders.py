@@ -16,6 +16,7 @@ collection; chains never leave it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
@@ -25,7 +26,7 @@ from .core import (
     components,
     row_neighbors,
 )
-from .triangulation import LocalTriangulation
+from .triangulation import LocalTriangulation, proper
 
 LESS, EQUIVALENT, GREATER = -1, 0, 1
 
@@ -202,8 +203,6 @@ class AdjacencyMove:
 
 def classify_adjacency(tau: Simplex, tau2: Simplex) -> Optional[AdjacencyMove]:
     """Labelled partition of the shared facet of two adjacent trees, or None."""
-    from .triangulation import proper
-
     m, n = tau.dims
     sigma = tau.intersection(tau2)
     if tau == tau2 or len(sigma) != m + n - 2:
@@ -362,18 +361,35 @@ class PrecedenceDigraph:
 
 
 def build_precedence(tri, move_filter: MoveFilter) -> PrecedenceDigraph:
-    """Digraph over the collection's maximal simplices with the accepted moves."""
+    """Digraph over the collection's maximal simplices with the accepted moves.
+
+    The members must be tree-sized (m+n-1 edges each); ValueError otherwise.
+    Two such trees are adjacent only if they share a facet, the tree minus
+    one edge, so a facet index hands ``classify_adjacency`` just the pairs
+    that share one, in the (a, b) order of the all-pairs scan: O(T(m+n))
+    instead of O(T^2), with the same arcs.
+    """
     nodes = tri.maximal
+    size = tri.dims.m + tri.dims.n - 1
+    facets: dict[int, list[int]] = {}
+    for p, t in enumerate(nodes):
+        mask = rest = t.mask
+        if bin(mask).count("1") != size:
+            raise ValueError(f"{t!r} is not tree-sized: {size} edges expected")
+        while rest:
+            low = rest & -rest
+            facets.setdefault(mask ^ low, []).append(p)
+            rest ^= low
+    pairs = sorted(pair for ps in facets.values() for pair in combinations(ps, 2))
     arcs = []
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            move = classify_adjacency(nodes[a], nodes[b])
-            if move is None:
-                continue
-            if move_filter(move):
-                arcs.append((a, b))
-            if move_filter(move.reversed_()):
-                arcs.append((b, a))
+    for a, b in pairs:
+        move = classify_adjacency(nodes[a], nodes[b])
+        if move is None:
+            continue
+        if move_filter(move):
+            arcs.append((a, b))
+        if move_filter(move.reversed_()):
+            arcs.append((b, a))
     return PrecedenceDigraph(nodes, arcs)
 
 

@@ -30,8 +30,11 @@ def proper(s1: Simplex, s2: Simplex) -> bool:
     """No circuit has its plus part in s1 and its minus part in s2.
 
     Equivalently the convex hulls meet exactly in the hull of the shared
-    vertices.  Orient s1's edges row-to-column and s2's column-to-row; an
-    offending circuit is then a directed cycle through at least two rows.
+    vertices.  Orient s1's edges row-to-column and s2's column-to-row: the
+    simplices meet properly iff this oriented union has no directed cycle of
+    length at least 4 (Postnikov, *Permutohedra, associahedra, and beyond*,
+    2009, Lemma 12.6).  ``_has_split_circuit`` decides that from the strongly
+    connected components of the oriented union.
     """
     if s1.dims != s2.dims:
         raise ValueError("dimension mismatch")
@@ -47,36 +50,73 @@ def proper(s1: Simplex, s2: Simplex) -> bool:
 
 
 def _has_split_circuit(dims: Dims, mask1: int, mask2: int) -> bool:
+    """Whether mask1 row-to-column plus mask2 column-to-row has a directed
+    cycle of length >= 4, for any two edge masks (forests or not).
+
+    Such a cycle lies inside one strongly connected component (SCC), and an
+    SCC holds one exactly when
+    * it contains an arc whose reverse is absent (an edge of only one mask):
+      the arc and a shortest way back close a cycle of length >= 4; or
+    * its shared edges (arcs in both directions) contain a cycle.  With every
+      arc reversible the SCC is connected by its k vertices' shared edges,
+      so it has a cycle iff it has at least k of them.
+    Every cycle passes through two rows, so only SCCs with two rows or more
+    can hold one, and SCCs are read off the rows: row b is one step from row
+    a when a column is joined to a in mask1 and to b in mask2, and an SCC's
+    columns are those joined to its rows in both masks.
+    """
     m, n = dims
-    union = Simplex(dims, mask1 | mask2)
-    if len(union) + len(components(union)) == m + n:
-        return False  # union is a forest: no cycle at all
-    nv = m + n
-    out = [0] * nv
-    for i, j in Simplex(dims, mask1):
-        out[i] |= 1 << (m + j)
-    for i, j in Simplex(dims, mask2):
-        out[m + j] |= 1 << i
-    row_mask_above = [((1 << m) - 1) & ~((1 << (s + 1)) - 1) for s in range(m)]
-
-    def dfs(v: int, visited: int, depth: int, start: int) -> bool:
-        targets = out[v]
-        if depth >= 3 and targets >> start & 1:
+    full = (1 << n) - 1
+    out = []  # columns that row i enters (mask1)
+    back = []  # columns that return to row i (mask2)
+    x1, x2 = mask1, mask2
+    for _ in range(m):
+        out.append(x1 & full)
+        back.append(x2 & full)
+        x1 >>= n
+        x2 >>= n
+    rows = range(m)
+    reach = []  # rows reachable from row a: one step each, then closed
+    for a in rows:
+        oa = out[a]
+        r = 1 << a
+        for b in rows:
+            if oa & back[b]:
+                r |= 1 << b
+        reach.append(r)
+    for k in rows:
+        bit = 1 << k
+        rk = reach[k]
+        for a in rows:
+            if reach[a] & bit:
+                reach[a] |= rk
+    done = 0
+    for a in rows:
+        if done >> a & 1:
+            continue
+        ra = reach[a]
+        scc = 0
+        for b in rows:
+            if ra >> b & 1 and reach[b] >> a & 1:
+                scc |= 1 << b
+        done |= scc
+        if scc & (scc - 1) == 0:
+            continue  # a single row
+        k = 0
+        cols_out = cols_back = 0
+        for b in rows:
+            if scc >> b & 1:
+                k += 1
+                cols_out |= out[b]
+                cols_back |= back[b]
+        cols = cols_out & cols_back
+        block = 0  # every edge between the SCC's rows and columns
+        for b in rows:
+            if scc >> b & 1:
+                block |= cols << (b * n)
+        if (mask1 ^ mask2) & block:
             return True
-        allowed = targets & ~visited
-        if v >= m:  # leaving a column: only rows above the start row
-            allowed &= row_mask_above[start] | (1 << start)
-        allowed &= ~(1 << start)
-        while allowed:
-            low = allowed & -allowed
-            w = low.bit_length() - 1
-            if dfs(w, visited | low, depth + 1, start):
-                return True
-            allowed ^= low
-        return False
-
-    for s in range(m):
-        if out[s] and dfs(s, 1 << s, 0, s):
+        if bin(mask1 & mask2 & block).count("1") >= k + bin(cols).count("1"):
             return True
     return False
 
@@ -216,15 +256,40 @@ def star(tri, xi: Simplex):
 
 def validate(tri: Triangulation) -> ValidityReport:
     """Spanning trees, pairwise proper, and the unimodular count."""
+    return _check(tri, range(len(tri.maximal)))
+
+
+def validate_incremental(tri: Triangulation, added: Iterable[Simplex]) -> ValidityReport:
+    """``validate`` for a triangulation reached from a certified one.
+
+    Precondition: every tree of tri outside ``added`` belongs to a
+    triangulation that passed ``validate`` (or this check) before, as after
+    a flip that removes some trees and adds ``added``.  Those trees were
+    spanning and pairwise proper, so only the added trees need the spanning
+    test and the proper test against every tree, added ones included; the
+    verdict then equals ``validate(tri).ok``.
+    """
+    added = set(added)
+    fresh = [p for p, t in enumerate(tri.maximal) if t in added]
+    if len(fresh) != len(added):
+        raise ValueError("added simplices are not all maximal in the triangulation")
+    return _check(tri, fresh)
+
+
+def _check(tri: Triangulation, fresh) -> ValidityReport:
+    """The spanning test on the trees at positions ``fresh`` (ascending) and
+    the proper test on every pair holding one of them, then the count."""
     violations: list[tuple[str, object]] = []
-    for t in tri.maximal:
-        if not is_spanning_tree(t):
-            violations.append(("not_spanning", t))
     trees = tri.maximal
-    for a in range(len(trees)):
-        for b in range(a + 1, len(trees)):
-            if not proper(trees[a], trees[b]):
-                violations.append(("improper_pair", (trees[a], trees[b])))
+    for p in fresh:
+        if not is_spanning_tree(trees[p]):
+            violations.append(("not_spanning", trees[p]))
+    marked = set(fresh)
+    for a, t in enumerate(trees):
+        partners = range(a + 1, len(trees)) if a in marked else (b for b in fresh if b > a)
+        for b in partners:
+            if not proper(t, trees[b]):
+                violations.append(("improper_pair", (t, trees[b])))
     expected = comb(tri.dims.m + tri.dims.n - 2, tri.dims.m - 1)
     if len(trees) != expected:
         violations.append(("cardinality", (len(trees), expected)))

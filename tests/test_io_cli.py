@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -64,6 +65,16 @@ def test_corpus_roundtrip(tmp_path, corpus22):
     assert loaded is not None
     assert loaded.digests() == corpus22.digests()
     assert stored.endswith("corpus_2x2.json")
+
+
+def test_cached_corpus_with_other_dims_is_refused(tmp_path, corpus33):
+    cache = tmp_path / "cache"
+    path = pio.cache_path(str(cache), Dims(4, 3))
+    os.makedirs(os.path.dirname(path))
+    with open(path, "w") as fh:
+        json.dump(pio.corpus_to_dict(corpus33), fh)
+    with pytest.raises(pio.ParseError, match="3x3"):
+        pio.load_cached_corpus(str(cache), Dims(4, 3))
 
 
 def test_cache_env_default(tmp_path, monkeypatch):
