@@ -32,7 +32,7 @@ from .orders import (
     toward_row_free,
     unique_minimal,
 )
-from .triangulation import Triangulation, star, validate, validate_incremental
+from .triangulation import Triangulation, star, swap_rows, validate, validate_incremental
 
 
 class WrongDims(ValueError):
@@ -83,20 +83,19 @@ class FlipSequence:
 def apply_sequence(tri: Triangulation, seq: FlipSequence, check: bool = True) -> Triangulation:
     """Replay a flip sequence, certifying every step against the current state.
 
-    With check, the state after the first step gets the full ``validate`` and
-    each later one the incremental check, which gives the same verdict."""
+    With check, each step's result gets ``validate_incremental``: the full
+    ``validate`` after the first step unless the input is certified, the
+    incremental check after later ones, with the same verdict."""
     if tri.digest() != seq.start:
         raise ValueError("sequence does not start at this triangulation")
-    certified = False
     for step in seq.steps:
         res = supports_flip(tri, step.circuit)
         if not isinstance(res, FlipCertificate):
             raise ProofGap("replayed circuit is not a flip", circuit=step.circuit)
-        tri = apply_flip(tri, res)
-        if check:
-            if not _certify(tri, res, certified):
-                raise ProofGap("replay produced an invalid triangulation")
-            certified = True
+        new = apply_flip(tri, res)
+        if check and not validate_incremental(new, res.added, tri).ok:
+            raise ProofGap("replay produced an invalid triangulation")
+        tri = new
     if tri.digest() != seq.end:
         raise ProofGap("replay did not reach the recorded endpoint")
     return tri
@@ -219,30 +218,22 @@ def staircase(n: int) -> Triangulation:
     return Triangulation(dims, trees)
 
 
-def _certify(new: Triangulation, cert: FlipCertificate, certified: bool) -> bool:
-    """Whether the flip's result validates: the incremental check when the
-    state it was applied to is certified, the full ``validate`` otherwise."""
-    if certified:
-        return validate_incremental(new, cert.added).ok
-    return validate(new).ok
-
-
 class _Driver:
     """Applies certified flips to a working triangulation, recording steps.
 
-    With check, every flip's result is validated.  ``certified`` says that
-    the working triangulation has passed a full ``validate``, directly or
-    through flips each of which passed the incremental check from a
-    certified state; a flip from a certified state then needs only the
-    incremental check.  An uncertified driver runs the full ``validate`` on
-    its first flip.  A row-swapped sub-driver inherits the status, since
-    swapping rows maps circuits to circuits and so keeps properness.
+    With check, every flip's result goes through ``validate_incremental``
+    from the working triangulation.  Once that is certified (see
+    ``Triangulation``), a flip needs only the incremental check, and its
+    result is certified in turn; an uncertified start, such as the input of
+    ``phase_two`` or ``phase_three`` called directly, gets the full
+    ``validate`` on its first flip.  ``phase_one`` validates its input, so
+    the states ``connect`` hands on are certified.  A row-swapped
+    sub-driver works on a ``swap_rows`` copy, which keeps the status.
     """
 
-    def __init__(self, tri: Triangulation, check: bool = True, certified: bool = False):
+    def __init__(self, tri: Triangulation, check: bool = True):
         self.T = tri
         self.check = check
-        self.certified = certified
         self.steps: list[FlipStep] = []
 
     def flip(self, X: Circuit, phase: str, **inner: int) -> None:
@@ -256,36 +247,24 @@ class _Driver:
                 digest=self.T.digest(),
             )
         new = apply_flip(self.T, res)
-        if self.check:
-            if not _certify(new, res, self.certified):
-                raise ProofGap("flip produced an invalid triangulation", circuit=X)
-            self.certified = True
+        if self.check and not validate_incremental(new, res.added, self.T).ok:
+            raise ProofGap("flip produced an invalid triangulation", circuit=X)
         self.T = new
         measures = {"tI": len(compute_TI(new)), "tII": len(compute_TII(new))}
         measures.update(inner)
         self.steps.append(FlipStep(X, phase, tuple(sorted(measures.items()))))
-
-    def mirrored(self, a: int, b: int) -> "_Driver":
-        """A driver on the copy with rows a and b swapped, sharing check and
-        certification status; hand it back with ``absorb_mirrored``."""
-        return _Driver(_swap_tri(self.T, a, b), self.check, self.certified)
 
     def absorb_mirrored(self, sub: "_Driver", a: int, b: int) -> None:
         for step in sub.steps:
             self.steps.append(
                 FlipStep(_swap_circuit(step.circuit, a, b), step.phase, step.measures)
             )
-        self.T = _swap_tri(sub.T, a, b)
-        self.certified = sub.certified
+        self.T = swap_rows(sub.T, a, b)
 
 
 def _swap_simplex(s: Simplex, a: int, b: int) -> Simplex:
     swap = {a: b, b: a}
     return Simplex.from_edges(s.dims, [(swap.get(i, i), j) for i, j in s])
-
-
-def _swap_tri(tri: Triangulation, a: int, b: int) -> Triangulation:
-    return Triangulation(tri.dims, [_swap_simplex(t, a, b) for t in tri.maximal])
 
 
 def _swap_circuit(X: Circuit, a: int, b: int) -> Circuit:
@@ -332,7 +311,7 @@ def phase_one(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Tri
     _require_m4(tri)
     if check:
         _ensure(validate(tri).ok, "input does not validate")
-    drv = _Driver(tri, check, certified=check)
+    drv = _Driver(tri, check)
     while True:
         defect = compute_TI(drv.T)
         if not defect:
@@ -394,7 +373,7 @@ def _dispatch_mirrorable(drv: _Driver, mirrored: bool, fn, tau_sel: Simplex, *co
     if not mirrored:
         fn(drv, tau_sel, *cols)
         return
-    sub = drv.mirrored(0, 1)
+    sub = _Driver(swap_rows(drv.T, 0, 1), drv.check)
     fn(sub, _swap_simplex(tau_sel, 0, 1), *cols)
     drv.absorb_mirrored(sub, 0, 1)
 
@@ -634,7 +613,7 @@ def _case_three(drv: _Driver, tau_sel: Simplex, c1: int, c2: int) -> None:
         if side1:
             _case_three_claim(drv, X, tau_I, sigma_I, ctx, c1, c2)
         else:
-            sub = drv.mirrored(0, 1)
+            sub = _Driver(swap_rows(drv.T, 0, 1), drv.check)
             _case_three_claim(
                 sub,
                 X,
@@ -845,15 +824,12 @@ def _case_three_subclaim(
 # ---------------------------------------------------------------- phase two
 
 
-def phase_two(
-    tri: Triangulation, check: bool = True, *, certified: bool = False
-) -> tuple[FlipSequence, Triangulation]:
+def phase_two(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Triangulation]:
     """Empty the weak defect set; the reduction mirrors case 1 with the
-    roles of rows 2 and 3 reversed.  ``certified`` promises that tri has
-    passed ``validate`` (see ``_Driver``)."""
+    roles of rows 2 and 3 reversed."""
     _require_m4(tri)
     _ensure(not compute_TI(tri), "phase two requires an empty strong defect set")
-    drv = _Driver(tri, check, certified)
+    drv = _Driver(tri, check)
     while True:
         defect = compute_TII(drv.T)
         if not defect:
@@ -981,11 +957,8 @@ def _transpose_upper(drv: _Driver, j: int, j2: int) -> None:
     _ensure(not compute_TII(drv.T), "phase three: defect set reappeared after macro")
 
 
-def phase_three(
-    tri: Triangulation, check: bool = True, *, certified: bool = False
-) -> tuple[FlipSequence, Triangulation]:
-    """Sort both column orders to the identity and land on the staircase.
-    ``certified`` promises that tri has passed ``validate`` (see ``_Driver``)."""
+def phase_three(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Triangulation]:
+    """Sort both column orders to the identity and land on the staircase."""
     _require_m4(tri)
     _ensure(not compute_TII(tri), "phase three requires an empty weak defect set")
     o12 = _total_order(tri, 0, 1)
@@ -995,7 +968,7 @@ def phase_three(
             "phase three: the five upper orders disagree",
             pair=(i1, i2),
         )
-    drv = _Driver(tri, check, certified)
+    drv = _Driver(tri, check)
     identity = tuple(range(tri.dims.n))
     while True:
         _sync_lower_pair(drv)
@@ -1016,10 +989,8 @@ def connect(tri: Triangulation, check: bool = True) -> FlipSequence:
     """Flip sequence from the given triangulation to the staircase.
 
     Concatenates the three phases; to connect two arbitrary triangulations,
-    chain one sequence with the reversal of the other.  With check, phase
-    one validates the input and each flip's result is validated, so phases
-    two and three start from certified states."""
+    chain one sequence with the reversal of the other."""
     seq1, t1 = phase_one(tri, check)
-    seq2, t2 = phase_two(t1, check, certified=check)
-    seq3, _ = phase_three(t2, check, certified=check)
+    seq2, t2 = phase_two(t1, check)
+    seq3, _ = phase_three(t2, check)
     return seq1 + seq2 + seq3

@@ -131,9 +131,14 @@ class ValidityReport:
 
 
 class Triangulation:
-    """Canonically ordered set of maximal simplices plus an edge index."""
+    """Canonically ordered set of maximal simplices plus an edge index.
 
-    __slots__ = ("dims", "maximal", "index", "_digest")
+    A triangulation is *certified* once ``validate`` has passed on it, or
+    once it came from a certified one by ``swap_rows`` or by a flip that
+    passed ``validate_incremental``; only these three functions set it.
+    """
+
+    __slots__ = ("dims", "maximal", "index", "_digest", "_certified")
 
     def __init__(self, dims: Dims, maximal: Iterable[Simplex]):
         dims = Dims(*dims).check()
@@ -150,6 +155,7 @@ class Triangulation:
             self, "index", {e: tuple(ps) for e, ps in index.items()}
         )
         object.__setattr__(self, "_digest", None)
+        object.__setattr__(self, "_certified", False)
 
     def __setattr__(self, *a):
         raise AttributeError("Triangulation is immutable")
@@ -256,24 +262,59 @@ def star(tri, xi: Simplex):
 
 def validate(tri: Triangulation) -> ValidityReport:
     """Spanning trees, pairwise proper, and the unimodular count."""
-    return _check(tri, range(len(tri.maximal)))
+    return _certify(tri, _check(tri, range(len(tri.maximal))))
 
 
-def validate_incremental(tri: Triangulation, added: Iterable[Simplex]) -> ValidityReport:
-    """``validate`` for a triangulation reached from a certified one.
+def validate_incremental(
+    tri: Triangulation, added: Iterable[Simplex], before: Triangulation
+) -> ValidityReport:
+    """``validate(tri)`` for tri made from ``before`` by a flip that added
+    ``added`` and kept every other tree of tri.
 
-    Precondition: every tree of tri outside ``added`` belongs to a
-    triangulation that passed ``validate`` (or this check) before, as after
-    a flip that removes some trees and adds ``added``.  Those trees were
+    When ``before`` is certified (see ``Triangulation``), its trees are
     spanning and pairwise proper, so only the added trees need the spanning
-    test and the proper test against every tree, added ones included; the
-    verdict then equals ``validate(tri).ok``.
+    test and the proper test against every tree, added ones included.
+    Otherwise this runs the full ``validate``.  Either way the verdict
+    equals ``validate(tri).ok``.
     """
+    if not before._certified:
+        return validate(tri)
     added = set(added)
     fresh = [p for p, t in enumerate(tri.maximal) if t in added]
     if len(fresh) != len(added):
         raise ValueError("added simplices are not all maximal in the triangulation")
-    return _check(tri, fresh)
+    kept = set(before.maximal)
+    if any(t not in kept for t in tri.maximal if t not in added):
+        raise ValueError("a tree outside added is not in before")
+    return _certify(tri, _check(tri, fresh))
+
+
+def _certify(tri: Triangulation, report: ValidityReport) -> ValidityReport:
+    if report.ok:
+        object.__setattr__(tri, "_certified", True)
+    return report
+
+
+def swap_rows(tri: Triangulation, a: int, b: int) -> Triangulation:
+    """tri with rows a and b exchanged.  The swap maps spanning trees to
+    spanning trees and circuits to circuits, so the copy is certified when
+    tri is."""
+    n = tri.dims.n
+    full = (1 << n) - 1
+    sa, sb = a * n, b * n
+    keep = ~((full << sa) | (full << sb))
+    swapped = Triangulation(
+        tri.dims,
+        [
+            Simplex(
+                tri.dims,
+                t.mask & keep | (t.mask >> sa & full) << sb | (t.mask >> sb & full) << sa,
+            )
+            for t in tri.maximal
+        ],
+    )
+    object.__setattr__(swapped, "_certified", tri._certified)
+    return swapped
 
 
 def _check(tri: Triangulation, fresh) -> ValidityReport:

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from prodtri import phases
+from prodtri import phases, triangulation
 from prodtri.core import Dims, Simplex, is_spanning_tree
 from prodtri.flips import FlipCertificate, apply_flip, enumerate_flips, supports_flip
 from prodtri.oracle import spanning_trees
@@ -23,6 +23,7 @@ from prodtri.phases import (
     FlipStep,
     ProofGap,
     _Driver,
+    _swap_simplex,
     apply_sequence,
     connect,
     phase_one,
@@ -35,6 +36,7 @@ from prodtri.triangulation import (
     Triangulation,
     proper,
     star,
+    swap_rows,
     validate,
     validate_incremental,
 )
@@ -56,15 +58,16 @@ def walk48():
 
 class _CrossCheck:
     """Wraps the incremental check so that every verdict is compared with
-    the full ``validate`` of the same triangulation."""
+    the full ``validate`` of the same triangulation, and counts the full
+    checks that phases and the incremental check's fallback run."""
 
     def __init__(self):
         self.compared = 0
         self.full = 0
 
     def install(self, monkeypatch):
-        def incremental(tri, added):
-            report = validate_incremental(tri, added)
+        def incremental(tri, added, before):
+            report = validate_incremental(tri, added, before)
             assert report.ok == validate(tri).ok
             self.compared += 1
             return report
@@ -75,6 +78,7 @@ class _CrossCheck:
 
         monkeypatch.setattr(phases, "validate_incremental", incremental)
         monkeypatch.setattr(phases, "validate", full)
+        monkeypatch.setattr(triangulation, "validate", full)
 
 
 def test_incremental_matches_full_on_corpus(corpus43, monkeypatch):
@@ -93,24 +97,26 @@ def test_incremental_matches_full_on_corpus(corpus43, monkeypatch):
 def test_incremental_matches_full_on_committed_walk(walk48, monkeypatch):
     cross = _CrossCheck()
     cross.install(monkeypatch)
-    mirrors = []
-    mirrored = _Driver.mirrored
+    swaps = []
 
-    def counting(self, a, b):
-        mirrors.append((a, b))
-        return mirrored(self, a, b)
+    def counting(tri, a, b):
+        swaps.append(tri._certified)
+        return swap_rows(tri, a, b)
 
-    monkeypatch.setattr(_Driver, "mirrored", counting)
-    seq = connect(walk48, check=True)
-    assert mirrors, "the walk no longer reaches a mirrored branch"
+    monkeypatch.setattr(phases, "swap_rows", counting)
+    seq = connect(Triangulation(walk48.dims, walk48.maximal), check=True)
+    assert swaps, "the walk no longer reaches a mirrored branch"
+    assert all(swaps)
     assert cross.full == 1
     assert cross.compared == len(seq) > 0
-    assert apply_sequence(walk48, seq, check=True) == staircase(8)
+    cross.full = cross.compared = 0
+    fresh = Triangulation(walk48.dims, walk48.maximal)
+    assert apply_sequence(fresh, seq, check=True) == staircase(8)
+    assert (cross.full, cross.compared) == (1, len(seq))
 
 
 @pytest.mark.parametrize("phase", ["two", "three"])
-def test_phases_called_directly_validate_fully_on_their_first_flip(phase, corpus43, monkeypatch):
-    """Only a caller that has validated the input may pass certified."""
+def test_phases_called_directly_trust_only_a_certified_input(phase, corpus43, monkeypatch):
     rng = random.Random(12)
     for tri in rng.sample(corpus43.triangulations, 200):
         _, start = phase_one(tri, check=False)
@@ -121,13 +127,26 @@ def test_phases_called_directly_validate_fully_on_their_first_flip(phase, corpus
             break
     else:
         raise AssertionError(f"no sample member flips in phase {phase}")
+    assert not start._certified  # nothing checked it
     cross = _CrossCheck()
     cross.install(monkeypatch)
     seq, _ = run(start, check=True)
-    assert (cross.full, cross.compared) == (1, len(seq) - 1)
+    assert (cross.full, cross.compared) == (1, len(seq))
     cross.full = cross.compared = 0
-    run(start, check=True, certified=True)
+    assert validate(start).ok and start._certified
+    run(start, check=True)
     assert (cross.full, cross.compared) == (0, len(seq))
+
+
+def test_swap_rows_keeps_trees_and_status(walk48):
+    T = Triangulation(walk48.dims, walk48.maximal)
+    for a, b in ((0, 1), (1, 3), (2, 2)):
+        swapped = swap_rows(T, a, b)
+        assert swapped == Triangulation(T.dims, [_swap_simplex(t, a, b) for t in T.maximal])
+        assert swap_rows(swapped, a, b) == T
+        assert not swapped._certified
+    assert validate(T).ok
+    assert swap_rows(T, 0, 1)._certified
 
 
 def _forge(T: Triangulation, removed, added) -> FlipCertificate:
@@ -164,6 +183,7 @@ def _cyclic_replacement(T: Triangulation):
 @pytest.mark.parametrize("kind", ["improper_pair", "not_spanning", "cardinality"])
 def test_forged_certificates_are_rejected_by_both_checks(kind, monkeypatch):
     T = staircase(3)
+    assert validate(T).ok  # certified, so the check below is incremental
     if kind == "improper_pair":
         out, into = _improper_replacement(T)
         forged = _forge(T, [out], [into])
@@ -173,20 +193,22 @@ def test_forged_certificates_are_rejected_by_both_checks(kind, monkeypatch):
     else:
         forged = _forge(T, [T.maximal[0]], [])
     new = apply_flip(T, forged)
+    assert not validate_incremental(new, forged.added, T).ok
+    assert not new._certified
     full = validate(new)
     assert not full.ok and kind in {tag for tag, _ in full.violations}
-    assert not validate_incremental(new, forged.added).ok
     # and through the driver, from a certified and from an uncertified state
     monkeypatch.setattr(phases, "supports_flip", lambda tri, X: forged)
-    for certified in (True, False):
-        drv = _Driver(T, check=True, certified=certified)
+    for start in (T, Triangulation(T.dims, T.maximal)):
+        drv = _Driver(start, check=True)
         with pytest.raises(ProofGap, match="flip produced an invalid triangulation"):
             drv.flip(forged.circuit, "I")
 
 
-def test_replay_validates_fully_after_its_first_step():
+def test_replay_validates_fully_unless_its_input_is_certified():
     """An improper pair that a replayed flip never touches is caught only by
-    a full check, so replay must run one before going incremental."""
+    a full check, so replay from an unchecked input must run one before
+    going incremental."""
     T = staircase(3)
     for cert in enumerate_flips(T):
         for t in T.maximal:
@@ -201,12 +223,18 @@ def test_replay_validates_fully_after_its_first_step():
                 if not isinstance(there, FlipCertificate) or u in there.removed:
                     continue
                 after = apply_flip(bad, there)
-                if validate(after).ok or not validate_incremental(after, there.added).ok:
+                if validate(after).ok:
+                    continue
+                # wrongly trusted, bad would pass the incremental check
+                trusted = Triangulation(bad.dims, bad.maximal)
+                object.__setattr__(trusted, "_certified", True)
+                if not validate_incremental(after, there.added, trusted).ok:
                     continue
                 seq = FlipSequence(
                     T.dims, bad.digest(), after.digest(), (FlipStep(cert.circuit, "I", ()),)
                 )
                 assert apply_sequence(bad, seq, check=False) == after
+                assert not bad._certified
                 with pytest.raises(ProofGap, match="replay produced an invalid triangulation"):
                     apply_sequence(bad, seq, check=True)
                 return
@@ -215,17 +243,22 @@ def test_replay_validates_fully_after_its_first_step():
 
 def test_genuine_flips_pass_both_checks():
     T = staircase(3)
+    assert validate(T).ok
     for cert in enumerate_flips(T):
         new = apply_flip(T, cert)
+        assert validate_incremental(new, cert.added, T).ok and new._certified
         assert validate(new).ok
-        assert validate_incremental(new, cert.added).ok
 
 
-def test_incremental_refuses_absent_added_trees():
+def test_incremental_refuses_a_mismatched_flip():
     T = staircase(3)
+    assert validate(T).ok
     stranger = next(u for u in spanning_trees(T.dims) if u not in T.maximal)
-    with pytest.raises(ValueError):
-        validate_incremental(T, [stranger])
+    with pytest.raises(ValueError, match="added"):
+        validate_incremental(T, [stranger], T)
+    other = apply_flip(T, enumerate_flips(T)[0])
+    with pytest.raises(ValueError, match="not in before"):
+        validate_incremental(other, [], T)
 
 
 # ------------------------------------------------------------ facet index
