@@ -62,29 +62,6 @@ def simplex_volume(simplex: Simplex) -> int:
     return abs(det_bareiss(rows))
 
 
-def affinely_independent(simplex: Simplex) -> bool:
-    """Rank check of the homogenised point vectors."""
-    dims = simplex.dims
-    pts = [point(dims, i, j) + (1,) for i, j in simplex]
-    if not pts:
-        return True
-    cols = len(pts[0])
-    a = [[Fraction(x) for x in p] for p in pts]
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(a)) if a[r][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][c]
-        for r in range(len(a)):
-            if r != rank and a[r][c] != 0:
-                f = a[r][c] / inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank == len(pts)
-
-
 def feasible_eq_nonneg(A: list[list[Fraction]], b: list[Fraction]) -> bool:
     """Is there x >= 0 with Ax = b?  Phase-one simplex with Bland's rule."""
     m = len(A)

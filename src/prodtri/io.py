@@ -174,13 +174,26 @@ def corpus_to_dict(corpus: Corpus) -> dict:
 
 
 def corpus_from_dict(doc: dict) -> Corpus:
+    """The corpus of a document, every member checked by ``validate``; a
+    malformed document or an invalid member raises ParseError."""
     dims = _dims_of(doc)
-    tris = tuple(
-        Triangulation(dims, [_edges_in(e, dims) for e in payload])
-        for payload in doc["triangulations"]
-    )
-    if len(tris) != int(doc.get("count", len(tris))):
+    try:
+        tris = tuple(
+            Triangulation(dims, [_edges_in(e, dims) for e in payload])
+            for payload in doc["triangulations"]
+        )
+        count = int(doc.get("count", len(tris)))
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad corpus: {type(exc).__name__}: {exc}") from exc
+    if len(tris) != count:
         raise ParseError("corpus count disagrees with payload")
+    for k, tri in enumerate(tris):
+        report = validate(tri)
+        if not report.ok:
+            kinds = sorted({kind for kind, _ in report.violations})
+            raise ParseError(f"corpus member {k} is not a triangulation: {', '.join(kinds)}")
     return Corpus(dims=dims, triangulations=tris)
 
 

@@ -33,9 +33,6 @@ class Corpus:
     def digests(self) -> tuple[str, ...]:
         return tuple(t.digest() for t in self.triangulations)
 
-    def index_of(self, tri: Triangulation) -> int:
-        return self.triangulations.index(tri)
-
 
 @dataclass(frozen=True)
 class FlipGraph:

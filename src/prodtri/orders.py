@@ -19,14 +19,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import (
-    Simplex,
-    alternating_path,
-    col_neighbors,
-    components,
-    row_neighbors,
-)
-from .triangulation import LocalTriangulation, proper
+from .core import Dims, Simplex, _popcount, alternating_path, row_neighbors
+from .triangulation import LocalTriangulation, _maximal_members, proper
 
 LESS, EQUIVALENT, GREATER = -1, 0, 1
 
@@ -76,28 +70,41 @@ class ColumnQuasiorder:
         return ColumnQuasiorder(tuple(reversed(self.strata)))
 
 
-def _label_of(tau: Simplex) -> int:
-    """The unique column joined to both rows of a two-row spanning tree."""
-    full = [j for j in range(tau.dims.n) if len(col_neighbors(tau, j)) == 2]
-    if len(full) != 1:
-        raise MalformedLocal(f"{tau!r} is not a spanning tree of a segment product")
-    return full[0]
+def _bits(x: int) -> frozenset[int]:
+    """Positions of the set bits of x."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return frozenset(out)
 
 
-def _segment_walk(maximal: Sequence[Simplex]) -> SegmentDecomposition:
-    """Order the trees of a segment product by shrinking first-row degree
-    and verify the single-swap chain between consecutive ones."""
-    taus = sorted(maximal, key=lambda t: -len(row_neighbors(t, 0)))
-    labels = [_label_of(t) for t in taus]
+def _segment_walk(dims, masks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Order the edge masks of a segment product's trees (two rows, given
+    in canonical order) by shrinking first-row degree, verify the
+    single-swap chain between consecutive ones, and return the ordered
+    masks with each one's label: the column joined to both rows."""
+    n = dims.n
+    full = (1 << n) - 1
+    taus = sorted(masks, key=lambda x: -_popcount(x & full))
+    labels = []
+    for x in taus:
+        both = x & (x >> n) & full
+        if not both or both & (both - 1):
+            tau = Simplex(dims, x)
+            raise MalformedLocal(f"{tau!r} is not a spanning tree of a segment product")
+        labels.append(both.bit_length() - 1)
     for r in range(len(taus) - 1):
-        expect = taus[r].without_edge(0, labels[r]).with_edge(1, labels[r + 1])
+        expect = taus[r] & ~(1 << labels[r]) | 1 << (n + labels[r + 1])
         if expect != taus[r + 1]:
             raise MalformedLocal("maximal simplices do not chain into a segment")
     for a in range(len(taus)):
+        facet = _popcount(taus[a]) - 1
         for b in range(a + 2, len(taus)):
-            if len(taus[a].intersection(taus[b])) == len(taus[a]) - 1:
+            if _popcount(taus[a] & taus[b]) == facet:
                 raise MalformedLocal("non-consecutive simplices are adjacent")
-    return SegmentDecomposition(tuple(taus), tuple(labels))
+    return taus, labels
 
 
 def segment_decompose(local: LocalTriangulation) -> SegmentDecomposition:
@@ -108,7 +115,8 @@ def segment_decompose(local: LocalTriangulation) -> SegmentDecomposition:
     allowed = Simplex.from_edges(local.dims, [(0, 0), (1, 1)] if local.dims.n > 1 else [(0, 0)])
     if not local.base.issubset(allowed):
         raise MalformedLocal(f"base {local.base!r} is not of the required form")
-    seg = _segment_walk(local.maximal)
+    taus, labels = _segment_walk(local.dims, [t.mask for t in local.maximal])
+    seg = SegmentDecomposition(tuple(Simplex(local.dims, x) for x in taus), tuple(labels))
     if len(seg.simplices) > 1:
         if (0, 0) in local.base:
             if seg.labels[-1] != 0:
@@ -123,49 +131,42 @@ def segment_decompose(local: LocalTriangulation) -> SegmentDecomposition:
     return seg
 
 
-def _column_quasiorder_of_segment(local: LocalTriangulation) -> ColumnQuasiorder:
-    seg = _segment_walk(local.maximal)
-    first, last = seg.simplices[0], seg.simplices[-1]
-    low = row_neighbors(first, 1) - {seg.labels[0]}
-    high = row_neighbors(last, 0) - {seg.labels[-1]}
-    strata: list[frozenset[int]] = []
-    if low:
-        strata.append(frozenset(low))
-    strata.extend(frozenset((j,)) for j in seg.labels)
-    if high:
-        strata.append(frozenset(high))
-    if sorted(j for s in strata for j in s) != list(range(local.dims.n)):
-        raise MalformedLocal("column classes do not partition the columns")
-    return ColumnQuasiorder(tuple(strata))
+def _two_row_images(tri, i1: int, i2: int) -> list[int]:
+    """Maximal images of the trees on rows (i1, i2), ascending, as masks of
+    the two-row product: a tree's row-i1 slice below its row-i2 slice."""
+    n = tri.dims.n
+    full = (1 << n) - 1
+    s1, s2 = i1 * n, i2 * n
+    masks = (t.mask for t in tri.maximal)
+    return _maximal_members({(x >> s1) & full | ((x >> s2) & full) << n for x in masks})
 
 
 def restriction_order(tri, i1: int, i2: int) -> ColumnQuasiorder:
     """Column quasiorder read off the restriction to rows {i1, i2},
-    with i1 playing the first-row role and i2 the second."""
+    with i1 playing the first-row role and i2 the second: the maximal
+    two-row images are the trees of a segment product."""
     if i1 == i2:
         raise ValueError("rows must be distinct")
-    dims = tri.dims
-    sub = type(dims)(2, dims.n)
-    keep = {i1: 0, i2: 1}
-
-    def image(simplex: Simplex) -> Simplex:
-        return Simplex.from_edges(
-            sub, [(keep[i], j) for i, j in simplex if i in keep]
-        )
-
-    base = Simplex(sub)
+    m, n = tri.dims
+    if not (0 <= i1 < m and 0 <= i2 < m):
+        raise ValueError(f"rows {i1}, {i2} out of range for {m} rows")
     if isinstance(tri, LocalTriangulation):
-        if any(i not in keep for i, _ in tri.base):
+        if any(i not in (i1, i2) for i, _ in tri.base):
             raise ValueError("local base must lie inside the two rows")
-        base = image(tri.base)
-    cuts = {image(t).mask for t in tri.maximal}
-    order = sorted(cuts, key=lambda x: -bin(x).count("1"))
-    top: list[int] = []
-    for x in order:
-        if not any(x & ~y == 0 for y in top):
-            top.append(x)
-    local = LocalTriangulation(sub, base, [Simplex(sub, x) for x in top])
-    return _column_quasiorder_of_segment(local)
+    full = (1 << n) - 1
+    taus, labels = _segment_walk(Dims(2, n), _two_row_images(tri, i1, i2))
+    first, last = taus[0], taus[-1]
+    low = (first >> n) & full & ~(1 << labels[0])
+    high = last & full & ~(1 << labels[-1])
+    strata: list[frozenset[int]] = []
+    if low:
+        strata.append(_bits(low))
+    strata.extend(frozenset((j,)) for j in labels)
+    if high:
+        strata.append(_bits(high))
+    if sorted(j for s in strata for j in s) != list(range(n)):
+        raise MalformedLocal("column classes do not partition the columns")
+    return ColumnQuasiorder(tuple(strata))
 
 
 def compare_columns(tri, i1: int, i2: int, j: int, j2: int) -> int:
@@ -201,38 +202,56 @@ class AdjacencyMove:
         )
 
 
+def _edge_blocks(dims, mask: int) -> tuple[list[int], list[int]]:
+    """The connected components of an edge mask that have edges, as a list
+    of row bits and the matching list of column bits, read off the row
+    slices: a row joins every block whose columns meet its slice.  Blocks
+    keep pairwise disjoint columns, so one pass over the rows closes them."""
+    m, n = dims
+    full = (1 << n) - 1
+    rows_of: list[int] = []
+    cols_of: list[int] = []
+    for i in range(m):
+        cols = (mask >> (i * n)) & full
+        if not cols:
+            continue
+        rows = 1 << i
+        k = len(cols_of)
+        while k:
+            k -= 1
+            if cols_of[k] & cols:
+                rows |= rows_of.pop(k)
+                cols |= cols_of.pop(k)
+        rows_of.append(rows)
+        cols_of.append(cols)
+    return rows_of, cols_of
+
+
 def classify_adjacency(tau: Simplex, tau2: Simplex) -> Optional[AdjacencyMove]:
     """Labelled partition of the shared facet of two adjacent trees, or None."""
     m, n = tau.dims
-    sigma = tau.intersection(tau2)
-    if tau == tau2 or len(sigma) != m + n - 2:
+    a, b = tau.mask, tau2.mask
+    sigma = a & b
+    if a == b and tau.dims == tau2.dims or bin(sigma).count("1") != m + n - 2:
         return None
     if not proper(tau, tau2):
         return None
-    comps = [c for c in components(sigma)]
-    with_edges = [
-        c
-        for c in comps
-        if any(v < m for v in c) and any(v >= m for v in c)
-    ]
-    if len(with_edges) != 2:
+    rows_of, cols_of = _edge_blocks(tau.dims, sigma)
+    if len(rows_of) != 2:
         return None
-    ((li, lj),) = tau.difference(sigma).edges
-    ((ei, ej),) = tau2.difference(sigma).edges
-    side1 = next(c for c in with_edges if li in c)
-    side2 = next(c for c in with_edges if c is not side1)
-    if m + lj not in side2 or ei not in side2 or m + ej not in side1:
+    leaving, entering = a & ~sigma, b & ~sigma
+    if leaving & (leaving - 1) or entering & (entering - 1) or not leaving or not entering:
+        raise ValueError("each simplex must have one edge outside the shared face")
+    li, lj = divmod(leaving.bit_length() - 1, n)
+    ei, ej = divmod(entering.bit_length() - 1, n)
+    # side 1 holds the leaving row (it lies in neither only if tau has a cycle)
+    r1, r2 = rows_of
+    c1, c2 = cols_of
+    if not r1 >> li & 1:
+        r1, r2, c1, c2 = r2, r1, c2, c1
+    if not (r1 >> li & 1 and c2 >> lj & 1 and r2 >> ei & 1 and c1 >> ej & 1):
         return None
-    rows = lambda c: frozenset(v for v in c if v < m)
-    cols = lambda c: frozenset(v - m for v in c if v >= m)
-    return AdjacencyMove(
-        I1=rows(side1),
-        I2=rows(side2),
-        J1=cols(side1),
-        J2=cols(side2),
-        leaving=(li, lj),
-        entering=(ei, ej),
-    )
+    return AdjacencyMove(_bits(r1), _bits(r2), _bits(c1), _bits(c2), (li, lj), (ei, ej))
 
 
 MoveFilter = Callable[[AdjacencyMove], bool]
@@ -250,8 +269,10 @@ def toward_row(i: int) -> MoveFilter:
 def toward_row_free(i1: int, i2: int) -> MoveFilter:
     """Moves toward row i2, plus free moves across ({i1}, the rest)."""
 
+    alone = frozenset((i1,))
+
     def accept(move: AdjacencyMove) -> bool:
-        return i2 in move.I2 or move.I1 == frozenset((i1,)) or move.I2 == frozenset((i1,))
+        return i2 in move.I2 or move.I1 == alone or move.I2 == alone
 
     return accept
 
@@ -353,12 +374,6 @@ class PrecedenceDigraph:
     def is_acyclic(self) -> bool:
         return self.scc_count == len(self.nodes)
 
-    def scc_classes(self) -> tuple[frozenset[Simplex], ...]:
-        groups: dict[int, list[Simplex]] = {}
-        for p, c in enumerate(self.scc_of):
-            groups.setdefault(c, []).append(self.nodes[p])
-        return tuple(frozenset(g) for g in groups.values())
-
 
 def build_precedence(tri, move_filter: MoveFilter) -> PrecedenceDigraph:
     """Digraph over the collection's maximal simplices with the accepted moves.
@@ -415,10 +430,10 @@ def unique_minimal(local: LocalTriangulation, i0: int) -> Simplex:
 def free_equivalent(tau: Simplex, tau2: Simplex, i1: int) -> bool:
     """Whether the shared face keeps all rows but i1 in one component,
     which characterises equivalence under the order with row i1 free."""
-    m = tau.dims.m
-    sigma = tau.intersection(tau2)
-    others = frozenset(range(m)) - {i1}
-    return any(others <= comp for comp in components(sigma))
+    others = ((1 << tau.dims.m) - 1) & ~(1 << i1)
+    if others & (others - 1) == 0:
+        return True  # at most one row, which lies in some component
+    return any(others & ~rows == 0 for rows in _edge_blocks(tau.dims, tau.mask & tau2.mask)[0])
 
 
 def select_extremal(

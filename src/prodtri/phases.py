@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .core import Circuit, Dims, Simplex, col_neighbors, connecting_edges, shape, tree_path
+from .core import Circuit, Dims, Simplex, connecting_edges, shape, tree_path
 from .flips import FlipCertificate, apply_flip, supports_flip
 from .orders import (
     build_precedence,
@@ -106,30 +106,34 @@ def _require_m4(tri):
         raise WrongDims(f"phase algorithms need four rows, got {tri.dims}")
 
 
+# The defect tests read a tree's edge mask x row by row: row i is the slice
+# (x >> i*n) & full, so bit j of each expression below is column j's verdict.
+
+
+def _strong_defect(x: int, n: int, full: int) -> int:
+    """Columns joined to rows 0 and 1 but not to row 3."""
+    return x & (x >> n) & ~(x >> 3 * n) & full
+
+
+def _weak_defect(x: int, n: int, full: int) -> int:
+    """Columns joined to rows 0 and 1 but not to both of rows 2 and 3."""
+    return x & (x >> n) & ~((x >> 2 * n) & (x >> 3 * n)) & full
+
+
 def compute_TI(tri: Triangulation) -> tuple[Simplex, ...]:
     """Trees with a column joined to rows {0,1} but not to row 3."""
     _require_m4(tri)
-    out = []
-    for t in tri.maximal:
-        for j in range(tri.dims.n):
-            nb = col_neighbors(t, j)
-            if 0 in nb and 1 in nb and 3 not in nb:
-                out.append(t)
-                break
-    return tuple(out)
+    n = tri.dims.n
+    full = (1 << n) - 1
+    return tuple(t for t in tri.maximal if _strong_defect(t.mask, n, full))
 
 
 def compute_TII(tri: Triangulation) -> tuple[Simplex, ...]:
     """Trees with a column joined to {0,1} but missing one of rows {2,3}."""
     _require_m4(tri)
-    out = []
-    for t in tri.maximal:
-        for j in range(tri.dims.n):
-            nb = col_neighbors(t, j)
-            if 0 in nb and 1 in nb and not (2 in nb and 3 in nb):
-                out.append(t)
-                break
-    return tuple(out)
+    n = tri.dims.n
+    full = (1 << n) - 1
+    return tuple(t for t in tri.maximal if _weak_defect(t.mask, n, full))
 
 
 @dataclass(frozen=True)
@@ -147,48 +151,38 @@ class GoodnessContext:
 def goodness(tri: Triangulation, ctx: GoodnessContext) -> bool:
     """Literal evaluation of the goodness predicate; vacuously true when
     the supporting face has already left the triangulation."""
-    dims = tri.dims
+    n = tri.dims.n
+    full = (1 << n) - 1
     X = ctx.circuit
-    xminus = Simplex(dims, X.minus_mask)
+    xm = X.minus_mask
     if ctx.kind in ("tauI", "tauII"):
-        if not tri.contains(xminus):
-            return True
-        members = [t for t in tri.maximal if xminus.issubset(t)]
+        members = [t.mask for t in tri.maximal if not xm & ~t.mask]
         c1, c2 = ctx.cols
-        for t in members:
-            for j in range(dims.n):
-                if j in (c1, c2):
-                    continue
-                nb = col_neighbors(t, j)
-                if 0 in nb and 1 in nb:
-                    return False
+        others = full & ~(1 << c1) & ~(1 << c2)
+        for x in members:
+            if x & (x >> n) & others:  # another column joined to rows 0 and 1
+                return False
+        if members:
+            _require_m4(tri)  # where compute_TI/compute_TII would check it
         if ctx.kind == "tauI":
-            defect = set(compute_TI(tri))
-            for t in members:
-                if t in defect and not ctx.sigma.issubset(t):
+            for x in members:
+                if _strong_defect(x, n, full) and ctx.sigma.mask & ~x:
                     return False
         else:
-            defect = set(compute_TII(tri))
-            for t in members:
-                if t in defect and t != ctx.anchor:
+            for x in members:
+                if _weak_defect(x, n, full) and x != ctx.anchor.mask:
                     return False
         return True
     if ctx.kind == "tau0":
-        Y = ctx.second
-        yminus = Simplex(dims, Y.minus_mask)
-        if not tri.contains(yminus):
-            return True
+        ym = ctx.second.minus_mask
         c1, _ = ctx.cols
+        row1_c1, row0_c1 = 1 << (n + c1), 1 << c1
         for t in tri.maximal:
-            if not yminus.issubset(t):
+            x = t.mask
+            if ym & ~x:
                 continue
-            in_x1 = (
-                xminus.issubset(t)
-                and (1, c1) in t
-                and (0, c1) not in t
-                and t.mask & X.plus_mask == 0
-            )
-            if in_x1 and not ctx.sigma.issubset(t):
+            in_x1 = not xm & ~x and x & row1_c1 and not x & row0_c1 and not x & X.plus_mask
+            if in_x1 and ctx.sigma.mask & ~x:
                 return False
         return True
     raise ValueError(f"unknown goodness kind {ctx.kind!r}")
@@ -281,13 +275,18 @@ def _ensure(cond: bool, message: str, **context):
 
 
 def _star_count(tri: Triangulation, xminus: Simplex) -> int:
-    return sum(1 for t in tri.maximal if xminus.issubset(t))
+    x = xminus.mask
+    return sum(1 for t in tri.maximal if not x & ~t.mask)
 
 
 def _shape_cols(tau: Simplex) -> dict[int, frozenset[int]]:
+    """Columns joined to two rows or more, with those rows."""
+    m, n = tau.dims
+    full = (1 << n) - 1
+    rows = [(tau.mask >> (i * n)) & full for i in range(m)]
     out = {}
-    for j in range(tau.dims.n):
-        nb = col_neighbors(tau, j)
+    for j in range(n):
+        nb = frozenset(i for i in range(m) if rows[i] >> j & 1)
         if len(nb) > 1:
             out[j] = nb
     return out
@@ -386,7 +385,7 @@ def _anchor_minimal(drv, xminus: Simplex, row: int, label: str) -> Simplex:
         raise ProofGap(f"{label}: no unique minimal anchor", error=str(exc))
 
 
-def _path_to_form(drv, tau: Simplex, start: int, end: int, *, label: str):
+def _path_to_form(tau: Simplex, start: int, end: int, *, label: str):
     """Classify the start-to-end path of the tree by its visited rows."""
     path = tree_path(tau, start, end)
     _ensure(path is not None, f"{label}: path missing", tau=tau)
@@ -456,12 +455,12 @@ def _inner_reduction_case1(
             return
         prev_star = _star_count(drv.T, xminus)
         prev_defect = defect_count(drv.T)
-        members = [t for t in drv.T.maximal if xminus.issubset(t)]
-        S = [t for t in members if t.mask & X.plus_mask == 0]
+        xm, xp = X.minus_mask, X.plus_mask
+        S = [t for t in drv.T.maximal if not xm & ~t.mask and not t.mask & xp]
         _ensure(S, "inner: no obstructing tree although flip unsupported")
         dg = build_precedence(drv.T, toward_row_free(free_row, minimal_row))
         tau = select_extremal(S, dg, "max")
-        rows, cols = _path_to_form(drv, tau, minimal_row, end_row, label="inner")
+        rows, cols = _path_to_form(tau, minimal_row, end_row, label="inner")
         _ensure(
             len(rows) >= 3 and rows[1] == mid_row,
             "inner: path does not pass the middle row first",
@@ -536,16 +535,16 @@ def _case_two(drv: _Driver, tau_sel: Simplex, c1: int, c2: int, c3: int) -> None
             return
         prev_star = _star_count(drv.T, xminus)
         prev_defect = len(compute_TI(drv.T))
-        members = [t for t in drv.T.maximal if xminus.issubset(t)]
+        xm, xp, row3_c1 = X.minus_mask, X.plus_mask, 1 << (3 * dims.n + c1)
         S = [
             t
-            for t in members
-            if bin(t.mask & X.plus_mask).count("1") <= 1 and (3, c1) not in t
+            for t in drv.T.maximal
+            if not xm & ~t.mask and bin(t.mask & xp).count("1") <= 1 and not t.mask & row3_c1
         ]
         _ensure(S, "case 2: no obstructing tree although flip unsupported")
         dg24 = build_precedence(drv.T, toward_row_free(1, 3))
         tau = select_extremal(S, dg24, "max")
-        rows, cols = _path_to_form(drv, tau, 0, 3, label="case 2")
+        rows, cols = _path_to_form(tau, 0, 3, label="case 2")
         _ensure(
             len(rows) >= 3 and rows[1] == 2 and cols[0] == c3,
             "case 2: path must leave through the third anchor column",
@@ -635,14 +634,13 @@ def _case_three(drv: _Driver, tau_sel: Simplex, c1: int, c2: int) -> None:
 def _case_three_side(tri, X: Circuit, c1: int, swapped: bool) -> list[Simplex]:
     """Obstructing trees carrying row 1 x c1 (or row 0 x c1 when swapped)."""
     a, b = (1, 0) if not swapped else (0, 1)
-    xminus = Simplex(tri.dims, X.minus_mask)
+    n = tri.dims.n
+    xm, xp = X.minus_mask, X.plus_mask
+    has, lacks = 1 << (a * n + c1), 1 << (b * n + c1)
     return [
         t
         for t in tri.maximal
-        if xminus.issubset(t)
-        and (a, c1) in t
-        and (b, c1) not in t
-        and t.mask & X.plus_mask == 0
+        if not xm & ~t.mask and t.mask & has and not t.mask & lacks and not t.mask & xp
     ]
 
 
@@ -657,7 +655,7 @@ def _case_three_claim(drv, X, tau_I, sigma_I, ctx, c1, c2) -> None:
     _ensure(side1, "case 3 claim: side set emptied unexpectedly")
     dg14 = build_precedence(drv.T, toward_row_free(0, 3))
     tau0 = select_extremal(side1, dg14, "max")
-    rows, cols = _path_to_form(drv, tau0, 2, 3, label="case 3")
+    rows, cols = _path_to_form(tau0, 2, 3, label="case 3")
     if len(rows) == 2:
         two_step = False
         g1 = cols[0]
@@ -741,19 +739,21 @@ def _case_three_subclaim(
         "defect": len(compute_TI(drv.T)),
     }
     ysize = len(Y)
+    ym, yall = Y.minus_mask, Y.minus_mask | Y.plus_mask
+    row3_c1, row0_g1 = 1 << (3 * dims.n + c1), 1 << g1
     S = [
         t
         for t in drv.T.maximal
-        if yminus_s.issubset(t)
-        and bin(t.mask & (Y.minus_mask | Y.plus_mask)).count("1") <= ysize - 2
-        and (3, c1) not in t
+        if not ym & ~t.mask
+        and bin(t.mask & yall).count("1") <= ysize - 2
+        and not t.mask & row3_c1
     ]
     _ensure(S, "case 3 inner: no obstructing tree although flip unsupported")
-    Sp = [t for t in S if (0, g1) in t]
+    Sp = [t for t in S if t.mask & row0_g1]
     _ensure(Sp, "case 3 inner: no obstructing tree keeps the row-0 edge")
     dg23 = build_precedence(drv.T, toward_row_free(1, 2))
     tau = select_extremal(Sp, dg23, "max")
-    rows, cols = _path_to_form(drv, tau, 2, 3, label="case 3 inner")
+    rows, cols = _path_to_form(tau, 2, 3, label="case 3 inner")
     _ensure(rows[1] != 0, "case 3 inner: path through row 0 contradicts side goodness", rows=rows)
     banned = {c1, c2, g1} | ({g2} if two_step else set())
     if len(rows) == 2:

@@ -13,13 +13,20 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from math import comb
+from operator import attrgetter
 from typing import Iterable
 
 from .core import Dims, Simplex, components, is_spanning_tree
 
 # proper-intersection results keyed by (n, mask_lo, mask_hi); tree pairs recur
-# constantly across flip walks, so this cache does most of the work
+# constantly across flip walks, so this cache does most of the work.  It is
+# emptied whenever it reaches the cap, which lies above the 93,096 tree pairs
+# an enumeration of the 4x3 product asks.
 _proper_cache: dict[tuple[int, int, int], bool] = {}
+_PROPER_CACHE_CAP = 1 << 17
+
+# sort key giving the canonical simplex order without Simplex.__lt__ calls
+_by_mask = attrgetter("mask")
 
 
 class NotInComplex(LookupError):
@@ -45,6 +52,8 @@ def proper(s1: Simplex, s2: Simplex) -> bool:
     hit = _proper_cache.get(key)
     if hit is None:
         hit = not _has_split_circuit(s1.dims, a, b)
+        if len(_proper_cache) >= _PROPER_CACHE_CAP:
+            _proper_cache.clear()
         _proper_cache[key] = hit
     return hit
 
@@ -131,31 +140,37 @@ class ValidityReport:
 
 
 class Triangulation:
-    """Canonically ordered set of maximal simplices plus an edge index.
+    """Canonically ordered set of maximal simplices.
 
     A triangulation is *certified* once ``validate`` has passed on it, or
     once it came from a certified one by ``swap_rows`` or by a flip that
     passed ``validate_incremental``; only these three functions set it.
     """
 
-    __slots__ = ("dims", "maximal", "index", "_digest", "_certified")
+    __slots__ = ("dims", "maximal", "_index", "_digest", "_certified")
 
     def __init__(self, dims: Dims, maximal: Iterable[Simplex]):
         dims = Dims(*dims).check()
-        trees = sorted(set(maximal))
+        trees = sorted(set(maximal), key=_by_mask)
         if any(t.dims != dims for t in trees):
             raise ValueError("simplex dims disagree with triangulation dims")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "maximal", tuple(trees))
-        index: dict[tuple[int, int], list[int]] = {}
-        for pos, t in enumerate(trees):
-            for e in t:
-                index.setdefault(e, []).append(pos)
-        object.__setattr__(
-            self, "index", {e: tuple(ps) for e, ps in index.items()}
-        )
+        object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_digest", None)
         object.__setattr__(self, "_certified", False)
+
+    @property
+    def index(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Edge -> positions of the maximal simplices holding it, built on
+        first use."""
+        if self._index is None:
+            index: dict[tuple[int, int], list[int]] = {}
+            for pos, t in enumerate(self.maximal):
+                for e in t:
+                    index.setdefault(e, []).append(pos)
+            object.__setattr__(self, "_index", {e: tuple(ps) for e, ps in index.items()})
+        return self._index
 
     def __setattr__(self, *a):
         raise AttributeError("Triangulation is immutable")
@@ -181,13 +196,13 @@ class Triangulation:
         return self._digest
 
     def contains(self, sigma: Simplex) -> bool:
-        if sigma.mask == 0:
+        x = sigma.mask
+        if x == 0:
             return True
-        edges = sigma.edges
-        cands = self.index.get(edges[0])
-        if not cands:
-            return False
-        return any(sigma.issubset(self.maximal[p]) for p in cands)
+        for t in self.maximal:
+            if not x & ~t.mask:
+                return True
+        return False
 
     def star(self, xi: Simplex) -> "LocalTriangulation":
         return star(self, xi)
@@ -203,7 +218,7 @@ class LocalTriangulation:
 
     def __init__(self, dims: Dims, base: Simplex, maximal: Iterable[Simplex]):
         dims = Dims(*dims).check()
-        trees = sorted(set(maximal))
+        trees = sorted(set(maximal), key=_by_mask)
         if any(not base.issubset(t) for t in trees):
             raise ValueError("some maximal simplex does not contain the base")
         object.__setattr__(self, "dims", dims)
@@ -238,10 +253,6 @@ class LocalTriangulation:
             f"LocalTriangulation({self.dims.m}x{self.dims.n}, base={self.base!r},"
             f" {len(self.maximal)} maximal)"
         )
-
-
-def contains(tri, sigma: Simplex) -> bool:
-    return tri.contains(sigma)
 
 
 def link_maximal(tri: Triangulation, sigma: Simplex) -> frozenset[Simplex]:
@@ -337,13 +348,14 @@ def _check(tri: Triangulation, fresh) -> ValidityReport:
     return ValidityReport(not violations, tuple(violations))
 
 
-def _maximal_members(masks: Iterable[int], dims: Dims) -> list[Simplex]:
+def _maximal_members(masks: Iterable[int]) -> list[int]:
+    """The masks that no other mask contains, in ascending order."""
     masks = sorted(set(masks), key=lambda x: (-bin(x).count("1"), x))
     keep: list[int] = []
     for x in masks:
         if not any(x & ~y == 0 for y in keep):
             keep.append(x)
-    return [Simplex(dims, x) for x in keep]
+    return sorted(keep)
 
 
 def restrict(tri, rows: Iterable[int], cols: Iterable[int]):
@@ -366,7 +378,7 @@ def restrict(tri, rows: Iterable[int], cols: Iterable[int]):
         )
 
     cut = [image(t) for t in tri.maximal]
-    top = _maximal_members([s.mask for s in cut], sub)
+    top = [Simplex(sub, x) for x in _maximal_members([s.mask for s in cut])]
     if isinstance(tri, LocalTriangulation):
         base = tri.base
         if any(i not in rmap or j not in cmap for i, j in base):

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they
 complete.  Criterion 5 consumes the flip traces produced by criterion 1,
-so this module keeps them in a module-level cache.
+so this module keeps them in a module-level cache.  Every criterion is
+marked ``slow``, so `pytest -m "not slow"` leaves the suite out.
 """
 
 import random
@@ -50,6 +51,8 @@ from prodtri.triangulation import (
     star,
     validate,
 )
+
+pytestmark = pytest.mark.slow
 
 _traces: dict[int, list] = {}
 

@@ -226,3 +226,42 @@ def test_cli_error_is_json(tmp_path, capsys):
     assert code == 1
     payload = json.loads(err)
     assert payload["error"] == "FileNotFoundError"
+
+
+def _corpus_doc(corpus):
+    return json.loads(json.dumps(pio.corpus_to_dict(corpus)))
+
+
+def test_corpus_with_an_improper_member_is_refused(corpus22):
+    doc = _corpus_doc(corpus22)
+    # one triangle on each diagonal of the square: they overlap
+    doc["triangulations"][0] = [[[1, 1], [1, 2], [2, 1]], [[1, 1], [2, 1], [2, 2]]]
+    with pytest.raises(pio.ParseError, match="member 0 .*improper_pair"):
+        pio.corpus_from_dict(doc)
+
+
+def test_corpus_without_triangulations_is_refused(corpus22):
+    doc = _corpus_doc(corpus22)
+    del doc["triangulations"]
+    with pytest.raises(pio.ParseError, match="KeyError"):
+        pio.corpus_from_dict(doc)
+
+
+@pytest.mark.parametrize("count", ["two", [2], None])
+def test_corpus_with_a_non_integer_count_is_refused(corpus22, count):
+    doc = _corpus_doc(corpus22)
+    doc["count"] = count
+    with pytest.raises(pio.ParseError, match="bad corpus"):
+        pio.corpus_from_dict(doc)
+
+
+def test_malformed_cached_corpus_gives_parse_error_not_traceback(tmp_path, corpus22, capsys):
+    cache = tmp_path / "cache"
+    path = pio.cache_path(str(cache), corpus22.dims)
+    os.makedirs(os.path.dirname(path))
+    doc = _corpus_doc(corpus22)
+    doc["triangulations"][1] = [[[1, 1], [1, 9], [2, 1]]]  # column out of range
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(pio.ParseError):
+        pio.load_cached_corpus(str(cache), corpus22.dims)

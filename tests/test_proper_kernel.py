@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from prodtri import triangulation
 from prodtri.core import Dims, Simplex, components
 from prodtri.oracle import spanning_trees
 from prodtri.triangulation import _has_split_circuit, proper
@@ -141,3 +142,18 @@ def _exchange(rng: random.Random, dims: Dims, mask: int) -> int:
         return mask
     r, c = rng.choice(options)
     return rest.mask | 1 << (r * n + c)
+
+
+def test_proper_cache_stays_under_its_cap(monkeypatch):
+    """The cache is emptied when it reaches the cap, and its verdicts are the
+    kernel's; the real cap holds a whole 4x3 enumeration (93,096 pairs)."""
+    assert triangulation._PROPER_CACHE_CAP > 93_096
+    monkeypatch.setattr(triangulation, "_PROPER_CACHE_CAP", 50)
+    triangulation._proper_cache.clear()
+    dims = Dims(3, 3)
+    trees = spanning_trees(dims)[:30]
+    for _ in range(2):  # the second pass mixes hits and misses
+        for s1, s2 in product(trees, trees):
+            assert proper(s1, s2) == (not _reference_split_circuit(dims, s1.mask, s2.mask))
+            assert len(triangulation._proper_cache) <= 50
+    triangulation._proper_cache.clear()
