@@ -232,7 +232,7 @@ def classify_adjacency(tau: Simplex, tau2: Simplex) -> Optional[AdjacencyMove]:
     m, n = tau.dims
     a, b = tau.mask, tau2.mask
     sigma = a & b
-    if a == b and tau.dims == tau2.dims or bin(sigma).count("1") != m + n - 2:
+    if (a == b and tau.dims == tau2.dims) or _popcount(sigma) != m + n - 2:
         return None
     if not proper(tau, tau2):
         return None

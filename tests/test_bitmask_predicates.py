@@ -16,7 +16,7 @@ from prodtri.core import (
     components,
     row_neighbors,
 )
-from prodtri.flips import FlipCertificate, all_circuits, apply_flip, supports_flip
+from prodtri.flips import all_circuits, apply_flip, supports_flip
 from prodtri.oracle import spanning_trees
 from prodtri.orders import (
     AdjacencyMove,
