@@ -3,8 +3,11 @@ sha256 of each input's ``connect`` sequence.
 
     PYTHONPATH=src python tests/data/make_golden_digests.py
 
-The inputs are stored as hex tree masks, so the test needs neither the
-enumeration nor a walk generator.  A sequence digest is the sha256 of
+The branch witnesses are seeded walks, each reaching a reduction branch
+(case-2 loop, case-3 side path and subclaim, case-1 long path in phase two)
+that the corpus members and the first walks never enter.  The inputs are
+stored as hex tree masks, so the test needs neither the enumeration nor a
+walk generator.  A sequence digest is the sha256 of
 ``io.sequence_to_dict(connect(tri, check=True))`` as compact JSON with sorted
 keys, the format the benchmark also digests.  Rerun only for a change that is
 meant to change the sequences ``connect`` emits.
@@ -28,6 +31,18 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 OUT = os.path.join(HERE, "golden_digests.json")
 CORPUS_MEMBERS = 200
 WALKS = ((5, 30, "walk:5:0"), (5, 30, "walk:5:1"), (6, 30, "walk:6:0"), (6, 30, "walk:6:1"))
+# Branch witnesses: seeded walks of mult * n steps, each the first found to
+# reach a branch of the case analysis that no input above enters.
+WITNESSES = (
+    (5, 10, "witness:5:10:7"),  # case-1 long path, phase two
+    (5, 10, "witness:5:10:84"),  # case-2 loop, short form
+    (5, 10, "witness:5:10:15"),  # case-2 long form
+    (5, 10, "witness:5:10:206"),  # case-3 two-step side path
+    (5, 10, "witness:5:10:28"),  # case-3 subclaim, short
+    (5, 10, "witness:5:10:310"),  # subclaim, long
+    (6, 20, "witness:6:20:385"),  # subclaim short with two-step side
+    (7, 10, "witness:7:10:232"),  # subclaim long with two-step side
+)
 
 
 def sequence_digest(seq) -> str:
@@ -70,6 +85,8 @@ def main() -> None:
     inputs += [(f"corpus_4x3[{k}]", corpus[k]) for k in picks]
     for n, steps, seed in WALKS:
         inputs.append((seed, random_walk(random.Random(seed), n, steps)))
+    for n, mult, seed in WITNESSES:
+        inputs.append((seed, random_walk(random.Random(seed), n, mult * n)))
     entries = [entry(name, tri) for name, tri in inputs]
     with open(OUT, "w") as fh:
         # one input per line
