@@ -2,6 +2,8 @@
 with a flip engine, flip-connectivity drivers for the tetrahedron case,
 and an exhaustive enumeration oracle for desk-scale verification."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     Circuit,
     Dims,
@@ -97,5 +99,9 @@ from .oracle import (
 )
 from .mixed import MixedCell, export_mixed, mixed_cell, render_svg, star_members
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]
 __version__ = "0.1.0"

@@ -32,7 +32,14 @@ from .orders import (
     toward_row_free,
     unique_minimal,
 )
-from .triangulation import Triangulation, star, swap_rows, validate, validate_incremental
+from .triangulation import (
+    Triangulation,
+    _swap_slices,
+    star,
+    swap_rows,
+    validate,
+    validate_incremental,
+)
 
 
 class WrongDims(ValueError):
@@ -256,17 +263,9 @@ class _Driver:
         self.T = swap_rows(sub.T, a, b)
 
 
-def _swap_simplex(s: Simplex, a: int, b: int) -> Simplex:
-    swap = {a: b, b: a}
-    return Simplex.from_edges(s.dims, [(swap.get(i, i), j) for i, j in s])
-
-
 def _swap_circuit(X: Circuit, a: int, b: int) -> Circuit:
-    return Circuit(
-        X.dims,
-        _swap_simplex(Simplex(X.dims, X.minus_mask), a, b).mask,
-        _swap_simplex(Simplex(X.dims, X.plus_mask), a, b).mask,
-    )
+    n = X.dims.n
+    return Circuit(X.dims, _swap_slices(X.minus_mask, n, a, b), _swap_slices(X.plus_mask, n, a, b))
 
 
 def _ensure(cond: bool, message: str, **context):
@@ -367,13 +366,21 @@ def phase_one(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Tri
     return seq, drv.T
 
 
-def _dispatch_mirrorable(drv: _Driver, mirrored: bool, fn, tau_sel: Simplex, *cols) -> None:
-    """Run a canonical case, on a rows-0/1 swapped copy when mirrored."""
+def _dispatch_mirrorable(drv: _Driver, mirrored: bool, fn, *args) -> None:
+    """Run a canonical case, on a rows-0/1 swapped copy when mirrored; every
+    simplex and circuit among the arguments is swapped with it."""
     if not mirrored:
-        fn(drv, tau_sel, *cols)
+        fn(drv, *args)
         return
+    n = drv.T.dims.n
+    swapped = [
+        Simplex(a.dims, _swap_slices(a.mask, n, 0, 1))
+        if isinstance(a, Simplex)
+        else _swap_circuit(a, 0, 1) if isinstance(a, Circuit) else a
+        for a in args
+    ]
     sub = _Driver(swap_rows(drv.T, 0, 1), drv.check)
-    fn(sub, _swap_simplex(tau_sel, 0, 1), *cols)
+    fn(sub, *swapped)
     drv.absorb_mirrored(sub, 0, 1)
 
 
@@ -385,12 +392,69 @@ def _anchor_minimal(drv, xminus: Simplex, row: int, label: str) -> Simplex:
         raise ProofGap(f"{label}: no unique minimal anchor", error=str(exc))
 
 
-def _path_to_form(tau: Simplex, start: int, end: int, *, label: str):
-    """Classify the start-to-end path of the tree by its visited rows."""
-    path = tree_path(tau, start, end)
+def _extremal_path(drv, trees, move, ends: tuple[int, int], label: str):
+    """The extremal tree under the move filter, with the rows and columns of
+    its path between the two end rows."""
+    tau = select_extremal(trees, build_precedence(drv.T, move), "max")
+    path = tree_path(tau, *ends)
     _ensure(path is not None, f"{label}: path missing", tau=tau)
-    rows, cols = _path_rows_cols(path)
-    return rows, cols
+    return (tau, *_path_rows_cols(path))
+
+
+def _reduce(
+    drv: _Driver,
+    X: Circuit,
+    phase: str,
+    label: str,
+    *,
+    filters,
+    move,
+    ends: tuple[int, int],
+    replacement,
+    stars: dict[str, Simplex],
+    outer: bool,
+    kept,
+    good,
+    shrinks,
+    bounded,
+) -> None:
+    """Flip the target circuit X, first clearing the trees that obstruct it.
+
+    While X is unsupported, the trees of its star that pass each of the
+    (predicate on the mask, message) ``filters`` in turn obstruct it; the
+    extremal one under ``move`` is flipped away by the circuit that
+    ``replacement(tau, rows, cols)`` builds from its path between the rows
+    ``ends``.  After each such flip every (tree, message) of ``kept`` must
+    survive, every (context, message) of ``good`` must stay good, every
+    (measure, message) of ``shrinks`` must shrink and none of ``bounded``
+    may grow.  Every flip records the star count of each face of ``stars``
+    under its name, and the flip of X also ``outer=1`` when ``outer``.
+    """
+    xm = X.minus_mask
+
+    def star_counts():
+        return {name: _star_count(drv.T, face) for name, face in stars.items()}
+
+    while True:
+        if isinstance(supports_flip(drv.T, X), FlipCertificate):
+            drv.flip(X, phase, **star_counts(), **({"outer": 1} if outer else {}))
+            return
+        shrink_from = [measure(drv.T) for measure, _ in shrinks]
+        bound_by = [measure(drv.T) for measure, _ in bounded]
+        S = [t for t in drv.T.maximal if not xm & ~t.mask]
+        for keep, message in filters:
+            S = [t for t in S if keep(t.mask)]
+            _ensure(S, message)
+        tau, rows, cols = _extremal_path(drv, S, move, ends, label)
+        drv.flip(replacement(tau, rows, cols), phase, **star_counts())
+        for t, message in kept:
+            _ensure(drv.T.contains(t), message)
+        for ctx, message in good:
+            _ensure(goodness(drv.T, ctx), message)
+        for (measure, message), prev in zip(shrinks, shrink_from):
+            _ensure(measure(drv.T) < prev, message)
+        for (measure, message), prev in zip(bounded, bound_by):
+            _ensure(measure(drv.T) <= prev, message)
 
 
 def _case_one(drv: _Driver, tau_sel: Simplex, c1: int, c2: int) -> None:
@@ -408,59 +472,25 @@ def _case_one(drv: _Driver, tau_sel: Simplex, c1: int, c2: int) -> None:
     )
     ctx = GoodnessContext("tauI", tau_I, sigma_I, X, cols=(c1, c2))
     _ensure(goodness(drv.T, ctx), "case 1: star is not anchor-good")
-    _inner_reduction_case1(
-        drv,
-        X,
-        tau_I,
-        ctx,
-        c1,
-        c2,
-        mid_row=2,
-        end_row=3,
-        minimal_row=0,
-        free_row=1,
-        phase="I",
-    )
+    _reduce_case_one(drv, X, tau_I, ctx, c2, mid_row=2, end_row=3, phase="I")
 
 
-def _inner_reduction_case1(
-    drv,
-    X: Circuit,
-    tau_anchor: Simplex,
-    ctx: GoodnessContext,
-    c1: int,
-    c2: int,
-    *,
-    mid_row: int,
-    end_row: int,
-    minimal_row: int,
-    free_row: int,
-    phase: str,
+def _reduce_case_one(
+    drv, X: Circuit, tau_anchor: Simplex, ctx: GoodnessContext, c2: int,
+    *, mid_row: int, end_row: int, phase: str,
 ) -> None:
-    """Shared reduction for phase-one case 1 and its phase-two mirror.
+    """The reduction of phase-one case 1 and of its phase-two mirror.
 
-    The circuit runs minimal_row x c1 .. end_row x c2; obstructing trees
-    are cleared by flips on circuits read off their minimal_row-to-end_row
-    path, which must pass mid_row first.
+    The circuit runs 0 x c1 .. end_row x c2; obstructing trees are cleared
+    by flips on circuits read off their row-0-to-end_row path, which must
+    pass mid_row first and may pass the free row 1 next.
     """
     dims = drv.T.dims
     xminus = Simplex(dims, X.minus_mask)
-    defect_count = (lambda t: len(compute_TI(t))) if phase == "I" else (
-        lambda t: len(compute_TII(t))
-    )
-    while True:
-        res = supports_flip(drv.T, X)
-        if isinstance(res, FlipCertificate):
-            drv.flip(X, phase, star_X=_star_count(drv.T, xminus), outer=1)
-            return
-        prev_star = _star_count(drv.T, xminus)
-        prev_defect = defect_count(drv.T)
-        xm, xp = X.minus_mask, X.plus_mask
-        S = [t for t in drv.T.maximal if not xm & ~t.mask and not t.mask & xp]
-        _ensure(S, "inner: no obstructing tree although flip unsupported")
-        dg = build_precedence(drv.T, toward_row_free(free_row, minimal_row))
-        tau = select_extremal(S, dg, "max")
-        rows, cols = _path_to_form(tau, minimal_row, end_row, label="inner")
+    xp = X.plus_mask
+    defects = compute_TI if phase == "I" else compute_TII
+
+    def replacement(tau: Simplex, rows, cols) -> Circuit:
         _ensure(
             len(rows) >= 3 and rows[1] == mid_row,
             "inner: path does not pass the middle row first",
@@ -470,47 +500,55 @@ def _inner_reduction_case1(
         if len(rows) == 3:
             g1, g2 = cols
             _ensure(g2 != c2, "inner: short path ends in the anchor column")
-            yminus = [(minimal_row, g1), (mid_row, g2), (end_row, c2)]
-            yplus = [(mid_row, g1), (end_row, g2), (minimal_row, c2)]
-            xi = xminus.union(Simplex.from_edges(dims, [(minimal_row, g1), (mid_row, g1), (mid_row, g2), (end_row, g2)]))
-            tau_star = _anchor_minimal(drv, xi, minimal_row, "inner")
+            yminus = [(0, g1), (mid_row, g2), (end_row, c2)]
+            yplus = [(mid_row, g1), (end_row, g2), (0, c2)]
+            xi = xminus.union(
+                Simplex.from_edges(dims, [(0, g1), (mid_row, g1), (mid_row, g2), (end_row, g2)])
+            )
+            tau_star = _anchor_minimal(drv, xi, 0, "inner")
             _ensure(
-                (free_row, g2) in tau_star,
+                (1, g2) in tau_star,
                 "inner: minimal tree misses the predicted free-row edge",
                 tau=tau_star,
             )
             Y = Circuit.from_edges(dims, yminus, yplus)
             _ensure(
-                tau_star
-                == _anchor_minimal(drv, Simplex(dims, Y.minus_mask), minimal_row, "inner"),
+                tau_star == _anchor_minimal(drv, Simplex(dims, Y.minus_mask), 0, "inner"),
                 "inner: minimal trees of the two stars disagree",
             )
             _ensure(
-                free_equivalent(tau, tau_star, free_row),
+                free_equivalent(tau, tau_star, 1),
                 "inner: replacement is not equivalent to the extremal tree",
             )
         else:
-            _ensure(len(rows) == 4 and rows[2] == free_row, "inner: unexpected path form", rows=rows)
+            _ensure(len(rows) == 4 and rows[2] == 1, "inner: unexpected path form", rows=rows)
             g1, g2, g3 = cols
             _ensure(g3 != c2 and g2 != c2, "inner: long path touches the anchor column")
-            yminus = [(minimal_row, g1), (mid_row, g2), (free_row, g3), (end_row, c2)]
-            yplus = [(mid_row, g1), (free_row, g2), (end_row, g3), (minimal_row, c2)]
+            yminus = [(0, g1), (mid_row, g2), (1, g3), (end_row, c2)]
+            yplus = [(mid_row, g1), (1, g2), (end_row, g3), (0, c2)]
             Y = Circuit.from_edges(dims, yminus, yplus)
             _ensure(
-                tau == _anchor_minimal(drv, Simplex(dims, Y.minus_mask), minimal_row, "inner"),
+                tau == _anchor_minimal(drv, Simplex(dims, Y.minus_mask), 0, "inner"),
                 "inner: obstructing tree is not the minimal tree of its star",
             )
-        drv.flip(Y, phase, star_X=_star_count(drv.T, xminus))
-        _ensure(drv.T.contains(tau_anchor), "inner: anchor tree was flipped away")
-        _ensure(goodness(drv.T, ctx), "inner: goodness lost after flip")
-        _ensure(
-            _star_count(drv.T, xminus) < prev_star,
-            "inner: star did not shrink",
-        )
-        _ensure(
-            defect_count(drv.T) <= prev_defect,
-            "inner: defect set grew",
-        )
+        return Y
+
+    _reduce(
+        drv,
+        X,
+        phase,
+        "inner",
+        filters=((lambda x: not x & xp, "inner: no obstructing tree although flip unsupported"),),
+        move=toward_row_free(1, 0),
+        ends=(0, end_row),
+        replacement=replacement,
+        stars={"star_X": xminus},
+        outer=True,
+        kept=((tau_anchor, "inner: anchor tree was flipped away"),),
+        good=((ctx, "inner: goodness lost after flip"),),
+        shrinks=((lambda T: _star_count(T, xminus), "inner: star did not shrink"),),
+        bounded=((lambda T: len(defects(T)), "inner: defect set grew"),),
+    )
 
 
 def _case_two(drv: _Driver, tau_sel: Simplex, c1: int, c2: int, c3: int) -> None:
@@ -528,23 +566,9 @@ def _case_two(drv: _Driver, tau_sel: Simplex, c1: int, c2: int, c3: int) -> None
     _ensure(sigma_I.issubset(tau_I), "case 2: anchor lost its connector")
     ctx = GoodnessContext("tauI", tau_I, sigma_I, X, cols=(c1, c2))
     _ensure(goodness(drv.T, ctx), "case 2: star is not anchor-good")
-    while True:
-        res = supports_flip(drv.T, X)
-        if isinstance(res, FlipCertificate):
-            drv.flip(X, "I", star_X=_star_count(drv.T, xminus), outer=1)
-            return
-        prev_star = _star_count(drv.T, xminus)
-        prev_defect = len(compute_TI(drv.T))
-        xm, xp, row3_c1 = X.minus_mask, X.plus_mask, 1 << (3 * dims.n + c1)
-        S = [
-            t
-            for t in drv.T.maximal
-            if not xm & ~t.mask and bin(t.mask & xp).count("1") <= 1 and not t.mask & row3_c1
-        ]
-        _ensure(S, "case 2: no obstructing tree although flip unsupported")
-        dg24 = build_precedence(drv.T, toward_row_free(1, 3))
-        tau = select_extremal(S, dg24, "max")
-        rows, cols = _path_to_form(tau, 0, 3, label="case 2")
+    xp, row3_c1 = X.plus_mask, 1 << (3 * dims.n + c1)
+
+    def replacement(tau: Simplex, rows, cols) -> Circuit:
         _ensure(
             len(rows) >= 3 and rows[1] == 2 and cols[0] == c3,
             "case 2: path must leave through the third anchor column",
@@ -573,7 +597,9 @@ def _case_two(drv: _Driver, tau_sel: Simplex, c1: int, c2: int, c3: int) -> None
         else:
             _ensure(len(rows) == 4 and rows[2] == 1, "case 2: unexpected path form", rows=rows)
             g2, g3 = cols[1], cols[2]
-            _ensure(g3 not in (c1, c2) and g2 not in (c1, c2), "case 2: path reuses an anchor column")
+            _ensure(
+                g3 not in (c1, c2) and g2 not in (c1, c2), "case 2: path reuses an anchor column"
+            )
             yminus = [(0, c1), (3, g3), (1, g2), (2, c3)]
             yplus = [(3, c1), (1, g3), (2, g2), (0, c3)]
             Y = Circuit.from_edges(dims, yminus, yplus)
@@ -581,11 +607,29 @@ def _case_two(drv: _Driver, tau_sel: Simplex, c1: int, c2: int, c3: int) -> None
                 tau == _anchor_minimal(drv, Simplex(dims, Y.minus_mask), 3, "case 2"),
                 "case 2: obstructing tree is not the minimal tree of its star",
             )
-        drv.flip(Y, "I", star_X=_star_count(drv.T, xminus))
-        _ensure(drv.T.contains(tau_I), "case 2: anchor tree was flipped away")
-        _ensure(goodness(drv.T, ctx), "case 2: goodness lost after flip")
-        _ensure(_star_count(drv.T, xminus) < prev_star, "case 2: star did not shrink")
-        _ensure(len(compute_TI(drv.T)) <= prev_defect, "case 2: defect set grew")
+        return Y
+
+    _reduce(
+        drv,
+        X,
+        "I",
+        "case 2",
+        filters=(
+            (
+                lambda x: bin(x & xp).count("1") <= 1 and not x & row3_c1,
+                "case 2: no obstructing tree although flip unsupported",
+            ),
+        ),
+        move=toward_row_free(1, 3),
+        ends=(0, 3),
+        replacement=replacement,
+        stars={"star_X": xminus},
+        outer=True,
+        kept=((tau_I, "case 2: anchor tree was flipped away"),),
+        good=((ctx, "case 2: goodness lost after flip"),),
+        shrinks=((lambda T: _star_count(T, xminus), "case 2: star did not shrink"),),
+        bounded=((lambda T: len(compute_TI(T)), "case 2: defect set grew"),),
+    )
 
 
 def _case_three(drv: _Driver, tau_sel: Simplex, c1: int, c2: int) -> None:
@@ -609,26 +653,7 @@ def _case_three(drv: _Driver, tau_sel: Simplex, c1: int, c2: int) -> None:
         side1 = _case_three_side(drv.T, X, c1, swapped=False)
         side2 = _case_three_side(drv.T, X, c1, swapped=True)
         _ensure(side1 or side2, "case 3: both side sets empty but flip unsupported")
-        if side1:
-            _case_three_claim(drv, X, tau_I, sigma_I, ctx, c1, c2)
-        else:
-            sub = _Driver(swap_rows(drv.T, 0, 1), drv.check)
-            _case_three_claim(
-                sub,
-                X,
-                _swap_simplex(tau_I, 0, 1),
-                _swap_simplex(sigma_I, 0, 1),
-                GoodnessContext(
-                    "tauI",
-                    _swap_simplex(tau_I, 0, 1),
-                    _swap_simplex(sigma_I, 0, 1),
-                    X,
-                    cols=(c1, c2),
-                ),
-                c1,
-                c2,
-            )
-            drv.absorb_mirrored(sub, 0, 1)
+        _dispatch_mirrorable(drv, not side1, _case_three_claim, X, tau_I, sigma_I, c1, c2)
 
 
 def _case_three_side(tri, X: Circuit, c1: int, swapped: bool) -> list[Simplex]:
@@ -644,18 +669,18 @@ def _case_three_side(tri, X: Circuit, c1: int, swapped: bool) -> list[Simplex]:
     ]
 
 
-def _case_three_claim(drv, X, tau_I, sigma_I, ctx, c1, c2) -> None:
-    """Clear one extremal member of the side set with its own inner loop."""
+def _case_three_claim(drv, X: Circuit, tau_I: Simplex, sigma_I: Simplex, c1: int, c2: int) -> None:
+    """Clear one extremal member of the side set: reduce the star of the
+    circuit read off its path, then flip that circuit."""
     dims = drv.T.dims
     xminus = Simplex(dims, X.minus_mask)
+    ctx = GoodnessContext("tauI", tau_I, sigma_I, X, cols=(c1, c2))
     entry_star = _star_count(drv.T, xminus)
     entry_side2 = len(_case_three_side(drv.T, X, c1, swapped=True))
     entry_defect = len(compute_TI(drv.T))
     side1 = _case_three_side(drv.T, X, c1, swapped=False)
     _ensure(side1, "case 3 claim: side set emptied unexpectedly")
-    dg14 = build_precedence(drv.T, toward_row_free(0, 3))
-    tau0 = select_extremal(side1, dg14, "max")
-    rows, cols = _path_to_form(tau0, 2, 3, label="case 3")
+    tau0, rows, cols = _extremal_path(drv, side1, toward_row_free(0, 3), (2, 3), "case 3")
     if len(rows) == 2:
         two_step = False
         g1 = cols[0]
@@ -704,17 +729,94 @@ def _case_three_claim(drv, X, tau_I, sigma_I, ctx, c1, c2) -> None:
         )
     ctx0 = GoodnessContext("tau0", tau0, sigma_0, X, second=Y, cols=(c1, c2))
     _ensure(goodness(drv.T, ctx0), "case 3: side star is not side-anchor-good")
-    while True:
-        res = supports_flip(drv.T, Y)
-        if isinstance(res, FlipCertificate):
-            drv.flip(
-                Y,
-                "I",
-                star_X=_star_count(drv.T, xminus),
-                star_Y=_star_count(drv.T, yminus_s),
+    ysize = len(Y)
+    yall = Y.minus_mask | Y.plus_mask
+    row3_c1, row0_g1 = 1 << (3 * dims.n + c1), 1 << g1
+    banned = {c1, c2, g1} | ({g2} if two_step else set())
+
+    def replacement(tau: Simplex, rows, cols) -> Circuit:
+        _ensure(
+            rows[1] != 0,
+            "case 3 inner: path through row 0 contradicts side goodness",
+            rows=rows,
+        )
+        if len(rows) == 2:
+            h1 = cols[0]
+            _ensure(h1 not in banned, "case 3 inner: path reuses a protected column")
+            zminus = [(2, h1), (3, g1)]
+            zplus = [(3, h1), (2, g1)]
+            if two_step:
+                zminus.append((0, g2))
+                zplus = [(3, h1), (0, g1), (2, g2)]
+            Z = Circuit.from_edges(dims, zminus, zplus)
+            xi = xminus.union(yminus_s).union(
+                Simplex.from_edges(dims, [(2, h1), (3, h1), (0, g1)])
             )
-            break
-        _case_three_subclaim(drv, X, Y, tau_I, tau0, ctx, ctx0, c1, c2, g1, g2, two_step)
+            tau_star = _anchor_minimal(drv, xi, 2, "case 3 inner")
+            _ensure((1, h1) in tau_star, "case 3 inner: minimal tree misses the row-1 edge")
+            _ensure(
+                tau_star == _anchor_minimal(drv, Simplex(dims, Z.minus_mask), 2, "case 3 inner"),
+                "case 3 inner: minimal trees of the two stars disagree",
+            )
+            _ensure(free_equivalent(tau, tau_star, 1), "case 3 inner: replacement not equivalent")
+        else:
+            _ensure(
+                len(rows) == 3 and rows[1] == 1,
+                "case 3 inner: unexpected path form",
+                rows=rows,
+            )
+            h1, h2 = cols
+            _ensure(
+                h1 not in banned and h2 not in banned and h1 != c1 and h2 != c2,
+                "case 3 inner: path reuses a protected column",
+            )
+            zminus = [(2, h1), (1, h2), (3, g1)]
+            zplus = [(1, h1), (3, h2), (2, g1)]
+            if two_step:
+                zminus.append((0, g2))
+                zplus = [(1, h1), (3, h2), (0, g1), (2, g2)]
+            Z = Circuit.from_edges(dims, zminus, zplus)
+            _ensure(
+                tau == _anchor_minimal(drv, Simplex(dims, Z.minus_mask), 2, "case 3 inner"),
+                "case 3 inner: obstructing tree is not the minimal tree of its star",
+            )
+        return Z
+
+    _reduce(
+        drv,
+        Y,
+        "I",
+        "case 3 inner",
+        filters=(
+            (
+                lambda x: bin(x & yall).count("1") <= ysize - 2 and not x & row3_c1,
+                "case 3 inner: no obstructing tree although flip unsupported",
+            ),
+            (lambda x: x & row0_g1, "case 3 inner: no obstructing tree keeps the row-0 edge"),
+        ),
+        move=toward_row_free(1, 2),
+        ends=(2, 3),
+        replacement=replacement,
+        stars={"star_X": xminus, "star_Y": yminus_s},
+        outer=False,
+        kept=(
+            (tau_I, "case 3 inner: anchor tree lost"),
+            (tau0, "case 3 inner: side anchor lost"),
+        ),
+        good=(
+            (ctx, "case 3 inner: goodness lost"),
+            (ctx0, "case 3 inner: side goodness lost"),
+        ),
+        shrinks=((lambda T: _star_count(T, yminus_s), "case 3 inner: side star did not shrink"),),
+        bounded=(
+            (lambda T: _star_count(T, xminus), "case 3 inner: main star grew"),
+            (
+                lambda T: len(_case_three_side(T, X, c1, swapped=True)),
+                "case 3 inner: opposite side set grew",
+            ),
+            (lambda T: len(compute_TI(T)), "case 3 inner: defect set grew"),
+        ),
+    )
     _ensure(drv.T.contains(tau_I), "case 3 claim: anchor tree lost")
     _ensure(goodness(drv.T, ctx), "case 3 claim: goodness lost")
     _ensure(_star_count(drv.T, xminus) < entry_star, "case 3 claim: star did not shrink")
@@ -723,102 +825,6 @@ def _case_three_claim(drv, X, tau_I, sigma_I, ctx, c1, c2) -> None:
         "case 3 claim: opposite side set grew",
     )
     _ensure(len(compute_TI(drv.T)) <= entry_defect, "case 3 claim: defect set grew")
-
-
-def _case_three_subclaim(
-    drv, X, Y, tau_I, tau0, ctx, ctx0, c1, c2, g1, g2, two_step
-) -> None:
-    """One flip that shrinks the side star while preserving all anchors."""
-    dims = drv.T.dims
-    xminus = Simplex(dims, X.minus_mask)
-    yminus_s = Simplex(dims, Y.minus_mask)
-    prev = {
-        "star_X": _star_count(drv.T, xminus),
-        "star_Y": _star_count(drv.T, yminus_s),
-        "side2": len(_case_three_side(drv.T, X, c1, swapped=True)),
-        "defect": len(compute_TI(drv.T)),
-    }
-    ysize = len(Y)
-    ym, yall = Y.minus_mask, Y.minus_mask | Y.plus_mask
-    row3_c1, row0_g1 = 1 << (3 * dims.n + c1), 1 << g1
-    S = [
-        t
-        for t in drv.T.maximal
-        if not ym & ~t.mask
-        and bin(t.mask & yall).count("1") <= ysize - 2
-        and not t.mask & row3_c1
-    ]
-    _ensure(S, "case 3 inner: no obstructing tree although flip unsupported")
-    Sp = [t for t in S if t.mask & row0_g1]
-    _ensure(Sp, "case 3 inner: no obstructing tree keeps the row-0 edge")
-    dg23 = build_precedence(drv.T, toward_row_free(1, 2))
-    tau = select_extremal(Sp, dg23, "max")
-    rows, cols = _path_to_form(tau, 2, 3, label="case 3 inner")
-    _ensure(rows[1] != 0, "case 3 inner: path through row 0 contradicts side goodness", rows=rows)
-    banned = {c1, c2, g1} | ({g2} if two_step else set())
-    if len(rows) == 2:
-        h1 = cols[0]
-        _ensure(h1 not in banned, "case 3 inner: path reuses a protected column")
-        zminus = [(2, h1), (3, g1)]
-        zplus = [(3, h1), (2, g1)]
-        if two_step:
-            zminus.append((0, g2))
-            zplus = [(3, h1), (0, g1), (2, g2)]
-        Z = Circuit.from_edges(dims, zminus, zplus)
-        xi = xminus.union(yminus_s).union(
-            Simplex.from_edges(dims, [(2, h1), (3, h1), (0, g1)])
-        )
-        tau_star = _anchor_minimal(drv, xi, 2, "case 3 inner")
-        _ensure((1, h1) in tau_star, "case 3 inner: minimal tree misses the row-1 edge")
-        _ensure(
-            tau_star == _anchor_minimal(drv, Simplex(dims, Z.minus_mask), 2, "case 3 inner"),
-            "case 3 inner: minimal trees of the two stars disagree",
-        )
-        _ensure(free_equivalent(tau, tau_star, 1), "case 3 inner: replacement not equivalent")
-    else:
-        _ensure(
-            len(rows) == 3 and rows[1] == 1,
-            "case 3 inner: unexpected path form",
-            rows=rows,
-        )
-        h1, h2 = cols
-        _ensure(
-            h1 not in banned and h2 not in banned and h1 != c1 and h2 != c2,
-            "case 3 inner: path reuses a protected column",
-        )
-        zminus = [(2, h1), (1, h2), (3, g1)]
-        zplus = [(1, h1), (3, h2), (2, g1)]
-        if two_step:
-            zminus.append((0, g2))
-            zplus = [(1, h1), (3, h2), (0, g1), (2, g2)]
-        Z = Circuit.from_edges(dims, zminus, zplus)
-        _ensure(
-            tau == _anchor_minimal(drv, Simplex(dims, Z.minus_mask), 2, "case 3 inner"),
-            "case 3 inner: obstructing tree is not the minimal tree of its star",
-        )
-    drv.flip(
-        Z,
-        "I",
-        star_X=_star_count(drv.T, xminus),
-        star_Y=_star_count(drv.T, yminus_s),
-    )
-    _ensure(drv.T.contains(tau_I), "case 3 inner: anchor tree lost")
-    _ensure(drv.T.contains(tau0), "case 3 inner: side anchor lost")
-    _ensure(goodness(drv.T, ctx), "case 3 inner: goodness lost")
-    _ensure(goodness(drv.T, ctx0), "case 3 inner: side goodness lost")
-    _ensure(
-        _star_count(drv.T, yminus_s) < prev["star_Y"],
-        "case 3 inner: side star did not shrink",
-    )
-    _ensure(
-        _star_count(drv.T, xminus) <= prev["star_X"],
-        "case 3 inner: main star grew",
-    )
-    _ensure(
-        len(_case_three_side(drv.T, X, c1, swapped=True)) <= prev["side2"],
-        "case 3 inner: opposite side set grew",
-    )
-    _ensure(len(compute_TI(drv.T)) <= prev["defect"], "case 3 inner: defect set grew")
 
 
 # ---------------------------------------------------------------- phase two
@@ -880,19 +886,7 @@ def _phase_two_case(drv: _Driver, tau_sel: Simplex) -> None:
     )
     ctx = GoodnessContext("tauII", tau_II, None, X, cols=(c1, c2))
     _ensure(goodness(drv.T, ctx), "phase two: star is not anchor-good")
-    _inner_reduction_case1(
-        drv,
-        X,
-        tau_II,
-        ctx,
-        c1,
-        c2,
-        mid_row=3,
-        end_row=2,
-        minimal_row=0,
-        free_row=1,
-        phase="II",
-    )
+    _reduce_case_one(drv, X, tau_II, ctx, c2, mid_row=3, end_row=2, phase="II")
 
 
 # -------------------------------------------------------------- phase three

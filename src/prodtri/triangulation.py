@@ -147,7 +147,7 @@ class Triangulation:
     passed ``validate_incremental``; only these three functions set it.
     """
 
-    __slots__ = ("dims", "maximal", "_index", "_digest", "_certified")
+    __slots__ = ("dims", "maximal", "_digest", "_certified")
 
     def __init__(self, dims: Dims, maximal: Iterable[Simplex]):
         dims = Dims(*dims).check()
@@ -156,21 +156,8 @@ class Triangulation:
             raise ValueError("simplex dims disagree with triangulation dims")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "maximal", tuple(trees))
-        object.__setattr__(self, "_index", None)
         object.__setattr__(self, "_digest", None)
         object.__setattr__(self, "_certified", False)
-
-    @property
-    def index(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Edge -> positions of the maximal simplices holding it, built on
-        first use."""
-        if self._index is None:
-            index: dict[tuple[int, int], list[int]] = {}
-            for pos, t in enumerate(self.maximal):
-                for e in t:
-                    index.setdefault(e, []).append(pos)
-            object.__setattr__(self, "_index", {e: tuple(ps) for e, ps in index.items()})
-        return self._index
 
     def __setattr__(self, *a):
         raise AttributeError("Triangulation is immutable")
@@ -306,23 +293,20 @@ def _certify(tri: Triangulation, report: ValidityReport) -> ValidityReport:
     return report
 
 
+def _swap_slices(x: int, n: int, a: int, b: int) -> int:
+    """Edge mask x with its row slices a and b exchanged."""
+    full = (1 << n) - 1
+    sa, sb = a * n, b * n
+    return x & ~((full << sa) | (full << sb)) | (x >> sa & full) << sb | (x >> sb & full) << sa
+
+
 def swap_rows(tri: Triangulation, a: int, b: int) -> Triangulation:
     """tri with rows a and b exchanged.  The swap maps spanning trees to
     spanning trees and circuits to circuits, so the copy is certified when
     tri is."""
     n = tri.dims.n
-    full = (1 << n) - 1
-    sa, sb = a * n, b * n
-    keep = ~((full << sa) | (full << sb))
     swapped = Triangulation(
-        tri.dims,
-        [
-            Simplex(
-                tri.dims,
-                t.mask & keep | (t.mask >> sa & full) << sb | (t.mask >> sb & full) << sa,
-            )
-            for t in tri.maximal
-        ],
+        tri.dims, [Simplex(tri.dims, _swap_slices(t.mask, n, a, b)) for t in tri.maximal]
     )
     object.__setattr__(swapped, "_certified", tri._certified)
     return swapped

@@ -225,7 +225,7 @@ def test_criterion_4_proposition_suite(corpus42, corpus43):
 
     # (e) one all-alternating tree per single-edge star
     for T in members:
-        for edge in T.index:
+        for edge in dict.fromkeys(e for t in T.maximal for e in t):
             local = star(T, Simplex.from_edges(T.dims, [edge]))
             tau = unique_minimal(local, edge[0])
             assert local.base.issubset(tau)

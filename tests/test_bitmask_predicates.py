@@ -2,6 +2,7 @@
 and per flip against the column-by-column and component-based versions they
 replaced, kept here as references."""
 
+import functools
 import json
 import os
 import random
@@ -43,12 +44,22 @@ WALK_PATH = os.path.join(os.path.dirname(__file__), "data", "walk_4x8.json")
 # ------------------------------------------------------------- references
 
 
+@functools.lru_cache(maxsize=16)
+def _edge_index(tri) -> dict[tuple[int, int], list[int]]:
+    """Edge -> positions of the maximal simplices holding it."""
+    index: dict[tuple[int, int], list[int]] = {}
+    for pos, t in enumerate(tri.maximal):
+        for e in t:
+            index.setdefault(e, []).append(pos)
+    return index
+
+
 def _ref_contains(tri, sigma: Simplex) -> bool:
     if isinstance(tri, LocalTriangulation):
         return any(sigma.issubset(t) for t in tri.maximal)
     if sigma.mask == 0:
         return True
-    cands = tri.index.get(sigma.edges[0])
+    cands = _edge_index(tri).get(sigma.edges[0])
     return bool(cands) and any(sigma.issubset(tri.maximal[p]) for p in cands)
 
 

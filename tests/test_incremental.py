@@ -23,7 +23,6 @@ from prodtri.phases import (
     FlipStep,
     ProofGap,
     _Driver,
-    _swap_simplex,
     apply_sequence,
     connect,
     phase_one,
@@ -138,11 +137,17 @@ def test_phases_called_directly_trust_only_a_certified_input(phase, corpus43, mo
     assert (cross.full, cross.compared) == (0, len(seq))
 
 
+def _swap_edges(s: Simplex, a: int, b: int) -> Simplex:
+    """Reference row swap, edge by edge."""
+    swap = {a: b, b: a}
+    return Simplex.from_edges(s.dims, [(swap.get(i, i), j) for i, j in s])
+
+
 def test_swap_rows_keeps_trees_and_status(walk48):
     T = Triangulation(walk48.dims, walk48.maximal)
     for a, b in ((0, 1), (1, 3), (2, 2)):
         swapped = swap_rows(T, a, b)
-        assert swapped == Triangulation(T.dims, [_swap_simplex(t, a, b) for t in T.maximal])
+        assert swapped == Triangulation(T.dims, [_swap_edges(t, a, b) for t in T.maximal])
         assert swap_rows(swapped, a, b) == T
         assert not swapped._certified
     assert validate(T).ok
