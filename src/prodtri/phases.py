@@ -373,14 +373,14 @@ def _dispatch_mirrorable(drv: _Driver, mirrored: bool, fn, *args) -> None:
         fn(drv, *args)
         return
     n = drv.T.dims.n
-    swapped = [
-        Simplex(a.dims, _swap_slices(a.mask, n, 0, 1))
-        if isinstance(a, Simplex)
-        else _swap_circuit(a, 0, 1) if isinstance(a, Circuit) else a
-        for a in args
-    ]
+
+    def swap(a):
+        if isinstance(a, Simplex):
+            return Simplex(a.dims, _swap_slices(a.mask, n, 0, 1))
+        return _swap_circuit(a, 0, 1) if isinstance(a, Circuit) else a
+
     sub = _Driver(swap_rows(drv.T, 0, 1), drv.check)
-    fn(sub, *swapped)
+    fn(sub, *map(swap, args))
     drv.absorb_mirrored(sub, 0, 1)
 
 
