@@ -41,20 +41,70 @@ class Obstruction:
     deficiency: int
 
 
+def _faces(full: int, side: int) -> tuple[int, ...]:
+    """Masks of the cycle ``full`` minus one edge of ``side`` each, ascending."""
+    out = []
+    while side:
+        low = side & -side
+        out.append(full ^ low)
+        side ^= low
+    out.sort()
+    return tuple(out)
+
+
+def _simplices(dims: Dims, masks) -> tuple[Simplex, ...]:
+    return tuple(Simplex(dims, x) for x in masks)
+
+
 def circuit_triangulations(X: Circuit) -> tuple[tuple[Simplex, ...], tuple[Simplex, ...]]:
     """Maximal simplices of the two triangulations of the circuit itself.
 
     The plus side consists of X minus one plus edge each; dually for minus.
     """
     full = X.minus_mask | X.plus_mask
-    n = X.dims.n
-    plus_side = tuple(
-        sorted(Simplex(X.dims, full & ~(1 << (i * n + j))) for i, j in X.plus)
+    return (
+        _simplices(X.dims, _faces(full, X.plus_mask)),
+        _simplices(X.dims, _faces(full, X.minus_mask)),
     )
-    minus_side = tuple(
-        sorted(Simplex(X.dims, full & ~(1 << (i * n + j))) for i, j in X.minus)
-    )
-    return plus_side, minus_side
+
+
+def _flip_kernel(
+    dims: Dims, trees: list[int], X: Circuit, plus_faces: tuple[int, ...]
+) -> Union[FlipCertificate, Obstruction, None]:
+    """``supports_flip`` on the ascending tree masks of a triangulation,
+    given the plus-face masks of X.
+
+    A tree contains a face of X exactly when its intersection with X is that
+    face or, if it is no forest, the whole cycle; so one set of
+    intersections rejects X before any link is built.  ``Simplex`` objects
+    are built only for the result.
+    """
+    full = X.minus_mask | X.plus_mask
+    held = {t & full for t in trees}
+    if full not in held:
+        for f in plus_faces:
+            if f not in held:
+                return None
+    # the link of each face, ascending because the trees are
+    links = {f: [t & ~f for t in trees if not f & ~t] for f in plus_faces}
+    link = links[plus_faces[0]]
+    if all(links[f] == link for f in plus_faces[1:]):
+        minus_faces = _faces(full, X.minus_mask)
+        return FlipCertificate(
+            circuit=X,
+            link=_simplices(dims, link),
+            removed=_simplices(dims, sorted(r | f for r in link for f in plus_faces)),
+            added=_simplices(dims, sorted(r | f for r in link for f in minus_faces)),
+        )
+    # links differ: produce the witness promised for the minus-side star
+    xminus = X.minus_mask
+    size = len(X)
+    for t in trees:
+        if not xminus & ~t:
+            inter = bin(t & full).count("1")
+            if inter <= size - 2:
+                return Obstruction(witness=Simplex(dims, t), deficiency=size - inter)
+    raise ValueError("links differ but no obstruction witness: invalid input")
 
 
 def supports_flip(
@@ -62,42 +112,20 @@ def supports_flip(
 ) -> Union[FlipCertificate, Obstruction, None]:
     """Certificate if X flips tri, an Obstruction if only the links fail,
     None when the plus-side faces are not all present."""
-    plus_side, minus_side = circuit_triangulations(X)
-    links = []
-    for sigma in plus_side:
-        hosts = [t for t in tri.maximal if sigma.issubset(t)]
-        if not hosts:
-            return None
-        links.append(frozenset(t.difference(sigma) for t in hosts))
-    if all(lk == links[0] for lk in links[1:]):
-        link = tuple(sorted(links[0]))
-        removed = tuple(
-            sorted(rho.union(s) for rho in link for s in plus_side)
-        )
-        added = tuple(
-            sorted(rho.union(s) for rho in link for s in minus_side)
-        )
-        return FlipCertificate(circuit=X, link=link, removed=removed, added=added)
-    # links differ: produce the witness promised for the minus-side star
-    xminus = Simplex(X.dims, X.minus_mask)
-    size = len(X)
-    best = None
-    for t in tri.maximal:
-        if xminus.issubset(t):
-            inter = bin(t.mask & (X.minus_mask | X.plus_mask)).count("1")
-            if inter <= size - 2 and (best is None or t < best[0]):
-                best = (t, size - inter)
-    if best is None:
-        raise ValueError("links differ but no obstruction witness: invalid input")
-    return Obstruction(witness=best[0], deficiency=best[1])
+    return _flip_kernel(
+        tri.dims,
+        [t.mask for t in tri.maximal],
+        X,
+        _faces(X.minus_mask | X.plus_mask, X.plus_mask),
+    )
 
 
 def apply_flip(tri: Triangulation, cert: FlipCertificate) -> Triangulation:
-    current = set(tri.maximal)
-    removed = set(cert.removed)
-    if not removed.issubset(current):
+    removed = {s.mask for s in cert.removed}
+    kept = [t for t in tri.maximal if t.mask not in removed]
+    if len(kept) + len(removed) != len(tri.maximal):
         raise StaleCertificate("certificate's removed simplices are not all present")
-    return Triangulation(tri.dims, (current - removed) | set(cert.added))
+    return Triangulation(tri.dims, kept + list(cert.added))
 
 
 @lru_cache(maxsize=None)
@@ -129,14 +157,27 @@ def all_circuits(dims: Dims) -> tuple[Circuit, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _circuit_faces(dims: Dims) -> tuple[tuple[Circuit, tuple[int, ...]], ...]:
+    """Every circuit of ``all_circuits`` with its plus-face masks."""
+    return tuple(
+        (X, _faces(X.minus_mask | X.plus_mask, X.plus_mask)) for X in all_circuits(dims)
+    )
+
+
 def enumerate_flips(tri: Triangulation) -> tuple[FlipCertificate, ...]:
-    """All supported flips, deduplicated and in canonical circuit order."""
+    """All supported flips, deduplicated and in canonical circuit order.
+
+    Every circuit is tried, so the result rests on no lemma about which
+    circuits can flip; ``all_circuits`` is sorted, and so is the result.
+    """
+    dims = tri.dims
+    trees = [t.mask for t in tri.maximal]
     certs = []
-    for X in all_circuits(tri.dims):
-        res = supports_flip(tri, X)
+    for X, plus_faces in _circuit_faces(dims):
+        res = _flip_kernel(dims, trees, X, plus_faces)
         if isinstance(res, FlipCertificate):
             certs.append(res)
-    certs.sort(key=lambda c: (c.circuit.minus_mask, c.circuit.plus_mask))
     return tuple(certs)
 
 

@@ -50,18 +50,19 @@ def _loads(text: str) -> dict:
 def _dims_of(doc: dict) -> Dims:
     try:
         return Dims(int(doc["m"]), int(doc["n"])).check()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad dimensions: {exc}") from exc
 
 
 def _edges_in(doc_edges, dims: Dims) -> Simplex:
     try:
         pairs = [(int(r) - 1, int(c) - 1) for r, c in doc_edges]
-    except (TypeError, ValueError) as exc:
+        simplex = Simplex.from_edges(dims, pairs)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad edge list: {exc}") from exc
-    simplex = Simplex.from_edges(dims, pairs)
     if not is_forest(simplex):
-        raise NotAForest(f"simplex {sorted(doc_edges)} contains a cycle")
+        listed = sorted([i + 1, j + 1] for i, j in pairs)
+        raise NotAForest(f"simplex {listed} contains a cycle")
     return simplex
 
 
@@ -83,7 +84,11 @@ def triangulation_from_dict(doc: dict, require_valid: bool = True) -> Triangulat
         raw = doc["maximal_simplices"]
     except KeyError as exc:
         raise ParseError("missing maximal_simplices") from exc
-    tri = Triangulation(dims, [_edges_in(e, dims) for e in raw])
+    try:
+        simplices = [_edges_in(e, dims) for e in raw]
+    except TypeError as exc:  # raw is no list
+        raise ParseError(f"bad maximal_simplices: {exc}") from exc
+    tri = Triangulation(dims, simplices)
     if require_valid:
         report = validate(tri)
         if not report.ok:
@@ -113,9 +118,9 @@ def circuit_from_dict(doc: dict, dims: Dims) -> Circuit:
     try:
         minus = [(int(r) - 1, int(c) - 1) for r, c in doc["minus"]]
         plus = [(int(r) - 1, int(c) - 1) for r, c in doc["plus"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        return Circuit.from_edges(dims, minus, plus)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # NotACycle too
         raise ParseError(f"bad circuit: {exc}") from exc
-    return Circuit.from_edges(dims, minus, plus)
 
 
 def sequence_to_dict(seq: FlipSequence) -> dict:
@@ -147,7 +152,8 @@ def sequence_from_dict(doc: dict) -> FlipSequence:
             for s in doc["steps"]
         )
         return FlipSequence(dims, str(doc["start"]), str(doc["end"]), steps)
-    except (KeyError, TypeError, ValueError) as exc:
+    # AttributeError: measures that are no mapping
+    except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ParseError(f"bad sequence: {exc}") from exc
 
 
@@ -185,7 +191,7 @@ def corpus_from_dict(doc: dict) -> Corpus:
         count = int(doc.get("count", len(tris)))
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad corpus: {type(exc).__name__}: {exc}") from exc
     if len(tris) != count:
         raise ParseError("corpus count disagrees with payload")

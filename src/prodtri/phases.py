@@ -319,8 +319,10 @@ def phase_one(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Tri
         tau_I = select_extremal(defect, dg34, "max")
         blocks = _shape_cols(tau_I)
         c1 = next(
-            j for j, nb in blocks.items() if 0 in nb and 1 in nb and 3 not in nb
+            (j for j, nb in blocks.items() if 0 in nb and 1 in nb and 3 not in nb),
+            None,
         )
+        _ensure(c1 is not None, "no shape case matches the anchor", anchor=tau_I)
         case1_col = next(
             (
                 j
@@ -333,7 +335,8 @@ def phase_one(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Tri
             mirrored = not {0, 3} <= blocks[case1_col]
             _dispatch_mirrorable(drv, mirrored, _case_one, tau_I, c1, case1_col)
         elif blocks[c1] == frozenset((0, 1)):
-            c2 = next(j for j, nb in blocks.items() if nb == frozenset((2, 3)))
+            c2 = next((j for j, nb in blocks.items() if nb == frozenset((2, 3))), None)
+            _ensure(c2 is not None, "no shape case matches the anchor", anchor=tau_I)
             c3 = next(
                 (
                     j
@@ -385,9 +388,8 @@ def _dispatch_mirrorable(drv: _Driver, mirrored: bool, fn, *args) -> None:
 
 
 def _anchor_minimal(drv, xminus: Simplex, row: int, label: str) -> Simplex:
-    st = star(drv.T, xminus)
     try:
-        return unique_minimal(st, row)
+        return unique_minimal(star(drv.T, xminus), row)
     except Exception as exc:
         raise ProofGap(f"{label}: no unique minimal anchor", error=str(exc))
 
@@ -872,8 +874,13 @@ def phase_two(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Tri
 def _phase_two_case(drv: _Driver, tau_sel: Simplex) -> None:
     dims = drv.T.dims
     blocks = _shape_cols(tau_sel)
-    c1 = next(j for j, nb in blocks.items() if nb == frozenset((0, 1, 3)))
-    c2 = next(j for j, nb in blocks.items() if nb == frozenset((0, 2)))
+    c1 = next((j for j, nb in blocks.items() if nb == frozenset((0, 1, 3))), None)
+    c2 = next((j for j, nb in blocks.items() if nb == frozenset((0, 2))), None)
+    _ensure(
+        c1 is not None and c2 is not None,
+        "phase two: anchor shape outside the two allowed shapes",
+        shape=shape(tau_sel),
+    )
     X = Circuit.from_edges(dims, [(0, c1), (2, c2)], [(2, c1), (0, c2)])
     xminus = Simplex(dims, X.minus_mask)
     tau_II = _anchor_minimal(drv, xminus, 2, "phase two")

@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import prodtri.io as pio
 from prodtri.cli import main
@@ -265,3 +266,125 @@ def test_malformed_cached_corpus_gives_parse_error_not_traceback(tmp_path, corpu
         json.dump(doc, fh)
     with pytest.raises(pio.ParseError):
         pio.load_cached_corpus(str(cache), corpus22.dims)
+
+
+@pytest.mark.parametrize("m", [float("inf"), float("nan"), 0, [4]])
+def test_malformed_dimensions_give_parse_error(m):
+    with pytest.raises(pio.ParseError, match="bad dimensions"):
+        pio.triangulation_from_dict({"m": m, "n": 3, "maximal_simplices": []})
+
+
+@pytest.mark.parametrize(
+    "simplices",
+    [5, [[[9, 1]]], [[[0, 1]]], [[[1, 1], ["x", 2]]], [[[1, 1], [2, float("inf")]]]],
+)
+def test_malformed_maximal_simplices_give_parse_error(simplices):
+    with pytest.raises(pio.ParseError):
+        pio.triangulation_from_dict({"m": 4, "n": 3, "maximal_simplices": simplices})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"minus": [[1, 1], [2, 2]], "plus": [[1, 2], [2, 3]]},  # no cycle
+        {"minus": [[1, 1], [1, 2]], "plus": [[2, 1], [2, 2]]},  # does not alternate
+        {"minus": [[1, 1], [5, 2]], "plus": [[1, 2], [5, 1]]},  # row out of range
+    ],
+)
+def test_malformed_circuit_gives_parse_error(doc):
+    with pytest.raises(pio.ParseError):
+        pio.circuit_from_dict(doc, Dims(4, 3))
+
+
+@pytest.mark.parametrize("measures", [[1, 2], {"star_X": float("inf")}, {"star_X": "two"}])
+def test_malformed_measures_give_parse_error(measures):
+    seq = pio.sequence_to_dict(connect(staircase(2)))
+    seq["steps"] = [{"minus": [[1, 1], [2, 2]], "plus": [[1, 2], [2, 1]], "measures": measures}]
+    with pytest.raises(pio.ParseError, match="bad sequence"):
+        pio.sequence_from_dict(seq)
+
+
+# JSON-shaped values (infinities and NaN included: the json module reads
+# them).  Numbers stay small because the dimensions drawn from them size
+# every mask and the unimodular count the validity check computes.
+_numbers = (
+    st.integers(-2, 6)
+    | st.floats(-2.0, 6.0)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan")])
+)
+_json = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+# each document strategy has a well-formed branch, so that the fuzzer gets
+# past the dimensions and the edge lists
+_dim = st.integers(-1, 5) | _json
+_pair = st.lists(st.integers(-1, 6), min_size=2, max_size=2)
+_edges = st.lists(_pair, max_size=6) | st.lists(_pair | _json, max_size=6) | _json
+_tri_docs = (
+    st.fixed_dictionaries(
+        {
+            "m": st.integers(1, 5),
+            "n": st.integers(1, 5),
+            "maximal_simplices": st.lists(_edges, max_size=4),
+        }
+    )
+    | st.fixed_dictionaries({"m": _dim, "n": _dim, "maximal_simplices": _json})
+    | _json
+)
+_circuit_docs = st.fixed_dictionaries({"minus": _edges, "plus": _edges}) | _json
+_step_docs = st.fixed_dictionaries(
+    {"minus": _edges, "plus": _edges},
+    optional={"phase": _json, "measures": st.dictionaries(st.text(max_size=2), _json) | _json},
+)
+_sequence_docs = (
+    st.fixed_dictionaries(
+        {
+            "m": st.integers(1, 5),
+            "n": st.integers(1, 5),
+            "start": _json,
+            "end": _json,
+            "steps": st.lists(_step_docs, max_size=3),
+        }
+    )
+    | st.fixed_dictionaries(
+        {
+            "m": _dim,
+            "n": _dim,
+            "start": _json,
+            "end": _json,
+            "steps": st.lists(_json, max_size=3) | _json,
+        }
+    )
+    | _json
+)
+_fuzz = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@_fuzz
+@given(_tri_docs, st.booleans())
+def test_fuzzed_triangulation_documents(doc, require_valid):
+    try:
+        pio.triangulation_from_dict(doc, require_valid)
+    except (pio.ParseError, pio.InvalidTriangulation):
+        pass
+
+
+@_fuzz
+@given(_circuit_docs, st.sampled_from([Dims(2, 2), Dims(4, 3)]))
+def test_fuzzed_circuit_documents(doc, dims):
+    try:
+        pio.circuit_from_dict(doc, dims)
+    except pio.ParseError:
+        pass
+
+
+@_fuzz
+@given(_sequence_docs)
+def test_fuzzed_sequence_documents(doc):
+    try:
+        pio.sequence_from_dict(doc)
+    except pio.ParseError:
+        pass

@@ -11,6 +11,9 @@ from prodtri.phases import (
     GoodnessContext,
     ProofGap,
     WrongDims,
+    _anchor_minimal,
+    _Driver,
+    _phase_two_case,
     apply_sequence,
     compute_TI,
     compute_TII,
@@ -238,3 +241,22 @@ def test_connect_after_random_walk(n, steps):
         T = apply_flip(T, rng.choice(enumerate_flips(T)))
     seq = connect(T)
     assert apply_sequence(T, seq, check=False) == target
+
+
+def test_missing_anchor_face_is_a_proof_gap():
+    # the minus side {(0,0), (3,1)} of a case-1 circuit on columns 0 and 1
+    # lies in no tree of the staircase
+    T = staircase(3)
+    xminus = Simplex.from_edges(T.dims, [(0, 0), (3, 1)])
+    assert not T.contains(xminus)
+    with pytest.raises(ProofGap, match="^case 1: no unique minimal anchor$") as err:
+        _anchor_minimal(_Driver(T), xminus, 3, "case 1")
+    assert "not in triangulation" in err.value.context["error"]
+
+
+def test_phase_two_case_rejects_an_anchor_of_wrong_shape():
+    # staircase trees join each column to consecutive rows only, so none has
+    # the column on rows {0,1,3} that a phase-two anchor needs
+    T = staircase(3)
+    with pytest.raises(ProofGap, match="anchor shape outside the two allowed shapes"):
+        _phase_two_case(_Driver(T), T.maximal[0])
