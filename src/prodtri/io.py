@@ -47,11 +47,20 @@ def _loads(text: str) -> dict:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
 
 
+# The most rows or columns a document may declare.  Declared dimensions size
+# every edge mask and the count C(m+n-2, m-1) that validation computes, so
+# without a bound a short document could ask for unbounded work.
+MAX_DIM = 64
+
+
 def _dims_of(doc: dict) -> Dims:
     try:
-        return Dims(int(doc["m"]), int(doc["n"])).check()
+        dims = Dims(int(doc["m"]), int(doc["n"])).check()
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad dimensions: {exc}") from exc
+    if dims.m > MAX_DIM or dims.n > MAX_DIM:
+        raise ParseError(f"bad dimensions: more than {MAX_DIM} rows or columns")
+    return dims
 
 
 def _edges_in(doc_edges, dims: Dims) -> Simplex:

@@ -15,7 +15,7 @@ from math import comb
 from .core import Dims, Simplex, is_spanning_tree
 from .flips import apply_flip, enumerate_flips
 from .geometry import improper_geometric, simplex_volume
-from .triangulation import Triangulation, proper
+from .triangulation import Triangulation, _edge_members, _improper_partners
 
 
 class BudgetExceeded(RuntimeError):
@@ -67,13 +67,11 @@ def enumerate_triangulations(dims: Dims, max_simplices: int = 12) -> Corpus:
         )
     trees = spanning_trees(dims)
     nt = len(trees)
-    compat = [0] * nt
-    for a in range(nt):
-        for b in range(a + 1, nt):
-            if proper(trees[a], trees[b]):
-                compat[a] |= 1 << b
-                compat[b] |= 1 << a
-    above = [(~((1 << (a + 1)) - 1)) & ((1 << nt) - 1) for a in range(nt)]
+    members = _edge_members(dims, [t.mask for t in trees])
+    compat = []  # the trees after each tree that meet it properly
+    for a, t in enumerate(trees):
+        above = ((1 << nt) - 1) & ~((2 << a) - 1)
+        compat.append(above & ~_improper_partners(dims, t.mask, members, above))
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
@@ -89,7 +87,7 @@ def enumerate_triangulations(dims: Dims, max_simplices: int = 12) -> Corpus:
                 return
             t = low.bit_length() - 1
             chosen.append(t)
-            extend(cand & compat[t] & above[t])
+            extend(cand & compat[t])
             chosen.pop()
             rest ^= low
             cand ^= low

@@ -228,28 +228,36 @@ def _edge_blocks(dims, mask: int) -> tuple[list[int], list[int]]:
 
 
 def classify_adjacency(tau: Simplex, tau2: Simplex) -> Optional[AdjacencyMove]:
-    """Labelled partition of the shared facet of two adjacent trees, or None."""
+    """Labelled partition of the shared facet of two adjacent trees, or None.
+
+    Two tree-sized members need no circuit search.  If the two blocks of
+    their shared face of m + n - 2 edges miss a row or column, the face holds
+    a cycle, and so do both members; otherwise it is a spanning forest, and
+    the members meet properly exactly when the leaving edge runs from side 1
+    to side 2 and the entering edge back.
+    """
     m, n = tau.dims
     a, b = tau.mask, tau2.mask
     sigma = a & b
     if (a == b and tau.dims == tau2.dims) or _popcount(sigma) != m + n - 2:
         return None
-    if not proper(tau, tau2):
+    tree_sized = _popcount(a) == _popcount(b) == m + n - 1
+    if not (tree_sized and tau.dims == tau2.dims) and not proper(tau, tau2):
         return None
     rows_of, cols_of = _edge_blocks(tau.dims, sigma)
     if len(rows_of) != 2:
         return None
-    leaving, entering = a & ~sigma, b & ~sigma
-    if leaving & (leaving - 1) or entering & (entering - 1) or not leaving or not entering:
-        raise ValueError("each simplex must have one edge outside the shared face")
-    li, lj = divmod(leaving.bit_length() - 1, n)
-    ei, ej = divmod(entering.bit_length() - 1, n)
-    # side 1 holds the leaving row (it lies in neither only if tau has a cycle)
     r1, r2 = rows_of
     c1, c2 = cols_of
-    if not r1 >> li & 1:
+    if r1 | r2 != (1 << m) - 1 or c1 | c2 != (1 << n) - 1:
+        return None  # the shared face holds a cycle
+    if not tree_sized:
+        raise ValueError("each simplex must have one edge outside the shared face")
+    li, lj = divmod((a & ~sigma).bit_length() - 1, n)
+    ei, ej = divmod((b & ~sigma).bit_length() - 1, n)
+    if not r1 >> li & 1:  # side 1 holds the leaving row
         r1, r2, c1, c2 = r2, r1, c2, c1
-    if not (r1 >> li & 1 and c2 >> lj & 1 and r2 >> ei & 1 and c1 >> ej & 1):
+    if not (c2 >> lj & 1 and r2 >> ei & 1 and c1 >> ej & 1):
         return None
     return AdjacencyMove(_bits(r1), _bits(r2), _bits(c1), _bits(c2), (li, lj), (ei, ej))
 

@@ -18,13 +18,6 @@ from typing import Iterable
 
 from .core import Dims, Simplex, components, is_spanning_tree
 
-# proper-intersection results keyed by (n, mask_lo, mask_hi); tree pairs recur
-# constantly across flip walks, so this cache does most of the work.  It is
-# emptied whenever it reaches the cap, which lies above the 93,096 tree pairs
-# an enumeration of the 4x3 product asks.
-_proper_cache: dict[tuple[int, int, int], bool] = {}
-_PROPER_CACHE_CAP = 1 << 17
-
 # sort key giving the canonical simplex order without Simplex.__lt__ calls
 _by_mask = attrgetter("mask")
 
@@ -34,100 +27,68 @@ class NotInComplex(LookupError):
 
 
 def proper(s1: Simplex, s2: Simplex) -> bool:
-    """No circuit has its plus part in s1 and its minus part in s2.
+    """No circuit Z has its plus part Z+ in s1 and its minus part Z- in s2.
 
-    Equivalently the convex hulls meet exactly in the hull of the shared
-    vertices.  Orient s1's edges row-to-column and s2's column-to-row: the
-    simplices meet properly iff this oriented union has no directed cycle of
-    length at least 4 (Postnikov, *Permutohedra, associahedra, and beyond*,
-    2009, Lemma 12.6).  ``_has_split_circuit`` decides that from the strongly
-    connected components of the oriented union.
+    This is the definition (De Loera, Rambau and Santos, *Triangulations*,
+    2010): the convex hulls meet exactly in the hull of the shared vertices.
+    It is symmetric, since -Z swaps the parts.  ``_improper_partners``
+    searches for such a circuit, here against the single member s2.
     """
     if s1.dims != s2.dims:
         raise ValueError("dimension mismatch")
-    a, b = s1.mask, s2.mask
-    if a > b:
-        a, b = b, a
-    key = (s1.dims.n, a, b)
-    hit = _proper_cache.get(key)
-    if hit is None:
-        hit = not _has_split_circuit(s1.dims, a, b)
-        if len(_proper_cache) >= _PROPER_CACHE_CAP:
-            _proper_cache.clear()
-        _proper_cache[key] = hit
-    return hit
+    return not _improper_partners(s1.dims, s1.mask, _edge_members(s1.dims, (s2.mask,)), 1)
 
 
-def _has_split_circuit(dims: Dims, mask1: int, mask2: int) -> bool:
-    """Whether mask1 row-to-column plus mask2 column-to-row has a directed
-    cycle of length >= 4, for any two edge masks (forests or not).
+def _edge_members(dims: Dims, masks: Iterable[int]) -> list[int]:
+    """For each edge i*n + j, the bitset of the positions p whose masks[p]
+    holds it."""
+    members = [0] * (dims.m * dims.n)
+    for p, x in enumerate(masks):
+        bit = 1 << p
+        while x:
+            low = x & -x
+            members[low.bit_length() - 1] |= bit
+            x ^= low
+    return members
 
-    Such a cycle lies inside one strongly connected component (SCC), and an
-    SCC holds one exactly when
-    * it contains an arc whose reverse is absent (an edge of only one mask):
-      the arc and a shortest way back close a cycle of length >= 4; or
-    * its shared edges (arcs in both directions) contain a cycle.  With every
-      arc reversible the SCC is connected by its k vertices' shared edges,
-      so it has a cycle iff it has at least k of them.
-    Every cycle passes through two rows, so only SCCs with two rows or more
-    can hold one, and SCCs are read off the rows: row b is one step from row
-    a when a column is joined to a in mask1 and to b in mask2, and an SCC's
-    columns are those joined to its rows in both masks.
+
+def _improper_partners(dims: Dims, t: int, members: list[int], cand: int) -> int:
+    """The positions p in the bitset cand for which some circuit Z has Z+ in
+    the edge mask t and Z- in masks[p], where ``members`` is
+    ``_edge_members(dims, masks)``.  Exact on any masks, forests or not.
+
+    A circuit is a cycle of the bipartite graph with alternate edges signed
+    plus and minus.  The search is depth first over alternating paths from
+    the cycle's lowest row s: a plus edge of t to an unused column, then a
+    minus edge to an unused row above s, until a minus edge returns to s.
+    A path carries the AND of its minus edges' bitsets less the positions
+    already found, and a branch ends when that is empty.
     """
     m, n = dims
     full = (1 << n) - 1
-    out = []  # columns that row i enters (mask1)
-    back = []  # columns that return to row i (mask2)
-    x1, x2 = mask1, mask2
-    for _ in range(m):
-        out.append(x1 & full)
-        back.append(x2 & full)
-        x1 >>= n
-        x2 >>= n
-    rows = range(m)
-    reach = []  # rows reachable from row a: one step each, then closed
-    for a in rows:
-        oa = out[a]
-        r = 1 << a
-        for b in rows:
-            if oa & back[b]:
-                r |= 1 << b
-        reach.append(r)
-    for k in rows:
-        bit = 1 << k
-        rk = reach[k]
-        for a in rows:
-            if reach[a] & bit:
-                reach[a] |= rk
-    done = 0
-    for a in rows:
-        if done >> a & 1:
-            continue
-        ra = reach[a]
-        scc = 0
-        for b in rows:
-            if ra >> b & 1 and reach[b] >> a & 1:
-                scc |= 1 << b
-        done |= scc
-        if scc & (scc - 1) == 0:
-            continue  # a single row
-        k = 0
-        cols_out = cols_back = 0
-        for b in rows:
-            if scc >> b & 1:
-                k += 1
-                cols_out |= out[b]
-                cols_back |= back[b]
-        cols = cols_out & cols_back
-        block = 0  # every edge between the SCC's rows and columns
-        for b in rows:
-            if scc >> b & 1:
-                block |= cols << (b * n)
-        if (mask1 ^ mask2) & block:
-            return True
-        if bin(mask1 & mask2 & block).count("1") >= k + bin(cols).count("1"):
-            return True
-    return False
+    plus = [t >> (i * n) & full for i in range(m)]
+    found = 0
+
+    def walk(s: int, i: int, rows: int, cols: int, live: int) -> None:
+        nonlocal found
+        out = plus[i] & ~cols
+        while out and live:
+            low = out & -out
+            out ^= low
+            j = low.bit_length() - 1
+            if i != s:  # the minus edge (s, j) closes the cycle
+                found |= live & members[s * n + j]
+                live &= ~found
+            for r in range(s + 1, m):
+                if live and not rows >> r & 1:
+                    x = live & members[r * n + j]
+                    if x:
+                        walk(s, r, rows | 1 << r, cols | low, x)
+                        live &= ~found
+
+    for s in range(m - 1):
+        walk(s, s, 1 << s, 0, cand & ~found)
+    return found
 
 
 @dataclass(frozen=True)
@@ -314,18 +275,32 @@ def swap_rows(tri: Triangulation, a: int, b: int) -> Triangulation:
 
 def _check(tri: Triangulation, fresh) -> ValidityReport:
     """The spanning test on the trees at positions ``fresh`` (ascending) and
-    the proper test on every pair holding one of them, then the count."""
+    the proper test on every pair holding one of them, then the count.
+
+    A pair is improper when some circuit has its plus part in one tree and
+    its minus part in the other.  The edge bitsets are built once, and one
+    circuit search per fresh tree finds its improper partners among the
+    trees not yet searched; pairs are reported in ascending (a, b) order.
+    """
     violations: list[tuple[str, object]] = []
     trees = tri.maximal
     for p in fresh:
         if not is_spanning_tree(trees[p]):
             violations.append(("not_spanning", trees[p]))
-    marked = set(fresh)
-    for a, t in enumerate(trees):
-        partners = range(a + 1, len(trees)) if a in marked else (b for b in fresh if b > a)
-        for b in partners:
-            if not proper(t, trees[b]):
-                violations.append(("improper_pair", (t, trees[b])))
+    masks = [t.mask for t in trees]
+    members = _edge_members(tri.dims, masks)
+    cand = (1 << len(trees)) - 1
+    pairs = []
+    for p in fresh:
+        cand &= ~(1 << p)
+        bad = _improper_partners(tri.dims, masks[p], members, cand)
+        while bad:
+            low = bad & -bad
+            q = low.bit_length() - 1
+            pairs.append((p, q) if p < q else (q, p))
+            bad ^= low
+    for a, b in sorted(pairs):
+        violations.append(("improper_pair", (trees[a], trees[b])))
     expected = comb(tri.dims.m + tri.dims.n - 2, tri.dims.m - 1)
     if len(trees) != expected:
         violations.append(("cardinality", (len(trees), expected)))

@@ -36,7 +36,8 @@ from prodtri.phases import (
     connect,
     goodness,
 )
-from prodtri.triangulation import LocalTriangulation, Triangulation, proper, star
+from prodtri.triangulation import LocalTriangulation, Triangulation, star
+from test_proper_kernel import _reference_split_circuit
 
 WALK_PATH = os.path.join(os.path.dirname(__file__), "data", "walk_4x8.json")
 
@@ -191,7 +192,7 @@ def _ref_classify_adjacency(tau: Simplex, tau2: Simplex):
     sigma = tau.intersection(tau2)
     if tau == tau2 or len(sigma) != m + n - 2:
         return None
-    if not proper(tau, tau2):
+    if _reference_split_circuit(tau.dims, tau.mask, tau2.mask):
         return None
     with_edges = [
         c for c in components(sigma) if any(v < m for v in c) and any(v >= m for v in c)
@@ -418,12 +419,96 @@ def test_random_tree_pairs(m, n):
                 kinds.add("non-adjacent")
             elif any(len(c) == 1 for c in components(sigma)):
                 kinds.add("leaf facet")
-            elif not proper(tau, other):
+            elif _reference_split_circuit(dims, tau.mask, other.mask):
                 kinds.add("improper")
             else:
                 assert move is not None
                 kinds.add("move")
     assert kinds == {"non-adjacent", "leaf facet", "improper", "move"}
+
+
+def _pair_outcome(tau: Simplex, tau2: Simplex):
+    """``classify_adjacency`` against the reference on members of any
+    size: the same move or None, or a ValueError from both."""
+    try:
+        want = _ref_classify_adjacency(tau, tau2)
+    except ValueError:  # more or fewer than one edge outside the shared face
+        with pytest.raises(ValueError, match="one edge outside the shared face"):
+            classify_adjacency(tau, tau2)
+        return "error"
+    assert classify_adjacency(tau, tau2) == want, (tau, tau2)
+    return want
+
+
+def _edge_outside(rng: random.Random, dims: Dims, mask: int, inside=None) -> tuple[int, int]:
+    """A random edge not in mask, with both ends in the vertex set
+    ``inside`` when one is given."""
+    m, n = dims
+    options = [
+        (i, j)
+        for i in range(m)
+        for j in range(n)
+        if not mask >> (i * n + j) & 1 and (inside is None or {i, m + j} <= inside)
+    ]
+    return rng.choice(options) if options else None
+
+
+@pytest.mark.parametrize("m,n", [(4, 3), (4, 8), (3, 5)])
+def test_adjacency_of_cyclic_and_oversized_members(m, n):
+    """Pairs other than two trees: tree-sized members whose shared face
+    holds a cycle, and members whose leaving edge lies inside one side of
+    the face (both always None), and members with an extra edge or a
+    missing one, which give None when the pair is improper and ValueError
+    otherwise."""
+    dims = Dims(m, n)
+    rng = random.Random(f"cyclic:{m}x{n}")
+    seen = {"cyclic face": set(), "inner edge": set(), "extra edge": set()}
+    for _ in range(300):
+        # a shared face of m + n - 2 edges holding a cycle
+        while True:
+            sigma = Simplex(dims, 0)
+            for i, j in rng.sample([(i, j) for i in range(m) for j in range(n)], m + n - 2):
+                sigma = sigma.with_edge(i, j)
+            if len(sigma) + len(components(sigma)) != m + n:
+                break
+        e = _edge_outside(rng, dims, sigma.mask)
+        f = _edge_outside(rng, dims, sigma.with_edge(*e).mask)
+        tau, tau2 = sigma.with_edge(*e), sigma.with_edge(*f)
+        seen["cyclic face"] |= {_pair_outcome(tau, tau2), _pair_outcome(tau2, tau)}
+        # a spanning two-block face, and a leaving edge inside one block
+        tree = _random_tree(rng, dims)
+        near = _exchange(rng, tree, leaf=False)
+        face = tree.intersection(near)
+        sides = [c for c in components(face) if len(c) > 1]
+        if len(sides) == 2:
+            inner = _edge_outside(rng, dims, face.mask, rng.choice(sides))
+            if inner is not None:
+                cyclic = face.with_edge(*inner)
+                for other in (near, tree, face.with_edge(*_edge_outside(rng, dims, cyclic.mask))):
+                    seen["inner edge"] |= {_pair_outcome(cyclic, other), _pair_outcome(other, cyclic)}
+        # an extra edge on one member or both, or one member the face itself
+        x = _edge_outside(rng, dims, tree.mask | near.mask)
+        if x is None:
+            continue
+        grown = tree.with_edge(*x)
+        y = _edge_outside(rng, dims, grown.mask | near.mask)
+        pairs = [(grown, near), (face, near), (face, tree)]
+        if y is not None:
+            pairs.append((grown, near.with_edge(*y)))
+        for a, b in pairs:
+            seen["extra edge"] |= {_pair_outcome(a, b), _pair_outcome(b, a)}
+    assert seen["cyclic face"] == {None}
+    assert seen["inner edge"] == {None}
+    assert seen["extra edge"] == {None, "error"}
+
+
+def test_adjacency_of_members_with_other_dims_is_refused():
+    """Two trees of 2x3 and 3x2 whose masks share three edge bits."""
+    tau = Simplex.from_edges(Dims(2, 3), [(0, 0), (0, 1), (0, 2), (1, 0)])
+    tau2 = Simplex.from_edges(Dims(3, 2), [(0, 0), (0, 1), (1, 0), (2, 0)])
+    assert bin(tau.mask & tau2.mask).count("1") == 3
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        classify_adjacency(tau, tau2)
 
 
 def test_contains_matches_the_edge_index(walk_states, trees43):

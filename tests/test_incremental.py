@@ -4,6 +4,7 @@ precedence digraph against the all-pairs scan."""
 import json
 import os
 import random
+from math import comb
 
 import pytest
 
@@ -30,6 +31,7 @@ from prodtri.phases import (
     phase_two,
     staircase,
 )
+from test_proper_kernel import _reference_split_circuit
 from prodtri.triangulation import (
     LocalTriangulation,
     Triangulation,
@@ -208,6 +210,48 @@ def test_forged_certificates_are_rejected_by_both_checks(kind, monkeypatch):
         drv = _Driver(start, check=True)
         with pytest.raises(ProofGap, match="flip produced an invalid triangulation"):
             drv.flip(forged.circuit, "I")
+
+
+def _reference_violations(tri: Triangulation, fresh) -> tuple:
+    """``_check``'s report from a pairwise loop over the depth-first
+    reference."""
+    trees = tri.maximal
+    out = [("not_spanning", trees[p]) for p in fresh if not is_spanning_tree(trees[p])]
+    for a in range(len(trees)):
+        for b in range(a + 1, len(trees)):
+            if (a in fresh or b in fresh) and _reference_split_circuit(
+                tri.dims, trees[a].mask, trees[b].mask
+            ):
+                out.append(("improper_pair", (trees[a], trees[b])))
+    expected = comb(tri.dims.m + tri.dims.n - 2, tri.dims.m - 1)
+    if len(trees) != expected:
+        out.append(("cardinality", (len(trees), expected)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_both_checks_report_violations_in_pairwise_order(n):
+    """A certified staircase loses five trees and gains three other spanning
+    trees and one tree-sized member with a cycle; both checks list the same
+    violations, in the same order, as the pairwise reference."""
+    T = staircase(n)
+    assert validate(T).ok
+    rng = random.Random(f"violations:{n}")
+    out, cyclic = _cyclic_replacement(T)
+    kept = [t for t in T.maximal if t != out]
+    for t in rng.sample(kept, 4):
+        kept.remove(t)
+    strangers = [u for u in spanning_trees(T.dims) if u not in T.maximal]
+    added = rng.sample(strangers, 3) + [cyclic]
+    forged = Triangulation(T.dims, kept + added)
+    fresh = [p for p, t in enumerate(forged.maximal) if t in added]
+    want = _reference_violations(forged, fresh)
+    tags = [tag for tag, _ in want]
+    assert tags.count("improper_pair") >= 3 and tags.count("not_spanning") == 1
+    assert "cardinality" in tags
+    assert validate_incremental(forged, added, T).violations == want
+    assert want == _reference_violations(forged, range(len(forged.maximal)))
+    assert validate(forged).violations == want
 
 
 def test_replay_validates_fully_unless_its_input_is_certified():

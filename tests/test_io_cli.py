@@ -275,6 +275,21 @@ def test_malformed_dimensions_give_parse_error(m):
 
 
 @pytest.mark.parametrize(
+    "m,n", [(10**5, 10**5), (pio.MAX_DIM + 1, 3), (4, 10**4000)], ids=["1e5x1e5", "max+1x3", "4x1e4000"]
+)
+def test_huge_declared_dimensions_give_parse_error(m, n):
+    with pytest.raises(pio.ParseError, match="bad dimensions"):
+        pio.triangulation_from_dict({"m": m, "n": n, "maximal_simplices": []})
+
+
+def test_the_largest_declared_dimensions_are_read():
+    doc = {"m": pio.MAX_DIM, "n": pio.MAX_DIM, "maximal_simplices": []}
+    assert len(pio.triangulation_from_dict(doc, require_valid=False)) == 0
+    with pytest.raises(pio.InvalidTriangulation):
+        pio.triangulation_from_dict(doc)
+
+
+@pytest.mark.parametrize(
     "simplices",
     [5, [[[9, 1]]], [[[0, 1]]], [[[1, 1], ["x", 2]]], [[[1, 1], [2, float("inf")]]]],
 )
@@ -305,10 +320,11 @@ def test_malformed_measures_give_parse_error(measures):
 
 
 # JSON-shaped values (infinities and NaN included: the json module reads
-# them).  Numbers stay small because the dimensions drawn from them size
-# every mask and the unimodular count the validity check computes.
+# them).  Integers are drawn small, so that documents get past the
+# dimensions, and of any size, which the readers' dimension bound refuses.
 _numbers = (
     st.integers(-2, 6)
+    | st.integers()
     | st.floats(-2.0, 6.0)
     | st.sampled_from([float("inf"), float("-inf"), float("nan")])
 )
@@ -320,7 +336,7 @@ _json = st.recursive(
 )
 # each document strategy has a well-formed branch, so that the fuzzer gets
 # past the dimensions and the edge lists
-_dim = st.integers(-1, 5) | _json
+_dim = st.integers(-1, 5) | st.integers(-1, 10**6) | _json
 _pair = st.lists(st.integers(-1, 6), min_size=2, max_size=2)
 _edges = st.lists(_pair, max_size=6) | st.lists(_pair | _json, max_size=6) | _json
 _tri_docs = (

@@ -1,15 +1,18 @@
-"""Cross-check of the strongly-connected-component proper-intersection kernel
-against the depth-first cycle search it replaced."""
+"""Cross-check of the circuit search that decides proper intersection
+against a depth-first directed-cycle search, kept here as the reference.
+
+Each check runs the search two ways: once against a single member, as
+``proper`` calls it, and once against a whole collection, as ``_check`` and
+the oracle call it, whose bitset must equal the reference pair by pair."""
 
 import random
 from itertools import product
 
 import pytest
 
-from prodtri import triangulation
 from prodtri.core import Dims, Simplex, components
 from prodtri.oracle import spanning_trees
-from prodtri.triangulation import _has_split_circuit, proper
+from prodtri.triangulation import _edge_members, _improper_partners, proper
 
 
 def _reference_split_circuit(dims: Dims, mask1: int, mask2: int) -> bool:
@@ -45,13 +48,21 @@ def _reference_split_circuit(dims: Dims, mask1: int, mask2: int) -> bool:
     return any(out[s] and dfs(s, 1 << s, 0, s) for s in range(m))
 
 
-def _agree(dims: Dims, pairs) -> None:
-    for a, b in pairs:
-        assert _has_split_circuit(dims, a, b) == _reference_split_circuit(dims, a, b), (
-            dims,
-            Simplex(dims, a),
-            Simplex(dims, b),
-        )
+def _agree(dims: Dims, t: int, collection) -> list[bool]:
+    """The search from t agrees with the reference against each member of
+    the collection alone, against the whole collection, and against every
+    other position of it; returns the reference verdicts."""
+    want = [_reference_split_circuit(dims, t, s) for s in collection]
+    for s, split in zip(collection, want):
+        got = _improper_partners(dims, t, _edge_members(dims, [s]), 1)
+        assert got == split, (dims, Simplex(dims, t), Simplex(dims, s))
+    members = _edge_members(dims, collection)
+    bits = sum(split << p for p, split in enumerate(want))
+    everyone = (1 << len(collection)) - 1
+    assert _improper_partners(dims, t, members, everyone) == bits, (dims, Simplex(dims, t))
+    odd = everyone // 3 << 1  # positions 1, 3, 5, ...
+    assert _improper_partners(dims, t, members, odd) == bits & odd
+    return want
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3)])
@@ -59,54 +70,56 @@ def test_every_mask_pair_small(m, n):
     """All ordered pairs of edge sets, cycles and the empty set included."""
     dims = Dims(m, n)
     masks = range(1 << (m * n))
-    _agree(dims, product(masks, masks))
+    for t in masks:
+        _agree(dims, t, masks)
 
 
 def test_every_spanning_tree_pair_3x3():
     dims = Dims(3, 3)
     masks = [t.mask for t in spanning_trees(dims)]
     assert len(masks) == 81
-    _agree(dims, product(masks, masks))
+    for t in masks:
+        _agree(dims, t, masks)
 
 
 def test_random_masks_3x3_with_cycles():
     dims = Dims(3, 3)
     rng = random.Random(7)
-    pairs = [(rng.getrandbits(9), rng.getrandbits(9)) for _ in range(3000)]
-    _agree(dims, pairs)
+    collection = [rng.getrandbits(9) for _ in range(50)]
+    for _ in range(60):
+        _agree(dims, rng.getrandbits(9), collection)
 
 
 @pytest.mark.parametrize("m,n,count", [(4, 3, 4000), (4, 8, 1500)])
 def test_seeded_tree_pairs(m, n, count):
+    """About count random tree pairs, 40 per tree, and half as many near
+    pairs (one edge exchanged), which carry most of the improper cases."""
     dims = Dims(m, n)
     rng = random.Random(f"kernel:{m}x{n}")
     trees = [t.mask for t in spanning_trees(dims)] if m * n <= 12 else None
-    pairs = []
-    for _ in range(count):
-        if trees is not None:
-            a, b = rng.choice(trees), rng.choice(trees)
-        else:
-            a, b = _random_tree(rng, dims), _random_tree(rng, dims)
-        pairs.append((a, b))
-    # near pairs (one edge exchanged) carry most of the improper cases
-    for a, _ in pairs[: count // 2]:
-        pairs.append((a, _exchange(rng, dims, a)))
-    _agree(dims, pairs)
-    split = sum(_has_split_circuit(dims, a, b) for a, b in pairs)
-    assert 0 < split < len(pairs)
+    draw = (lambda: rng.choice(trees)) if trees is not None else (lambda: _random_tree(rng, dims))
+    verdicts = []
+    for _ in range(count // 40):
+        t = draw()
+        collection = [draw() for _ in range(40)]
+        collection += [_exchange(rng, dims, t) for _ in range(20)]
+        verdicts += _agree(dims, t, collection)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_split_circuits_are_symmetric_and_proper_agrees():
     """Reversing a circuit swaps its sides, so the order of the masks does
-    not matter, and ``proper`` is the kernel's negation."""
+    not matter, and ``proper`` is the search's negation."""
     dims = Dims(4, 3)
     rng = random.Random(3)
     trees = spanning_trees(dims)
-    for _ in range(500):
-        s1, s2 = rng.choice(trees), rng.choice(trees)
-        split = _reference_split_circuit(dims, s1.mask, s2.mask)
-        assert _has_split_circuit(dims, s2.mask, s1.mask) == split
-        assert proper(s1, s2) == proper(s2, s1) == (not split)
+    for _ in range(25):
+        s1 = rng.choice(trees)
+        others = [rng.choice(trees) for _ in range(20)]
+        split = _agree(dims, s1.mask, [s2.mask for s2 in others])
+        for s2, fwd in zip(others, split):
+            assert _agree(dims, s2.mask, [s1.mask]) == [fwd]
+            assert proper(s1, s2) == proper(s2, s1) == (not fwd)
 
 
 def _random_tree(rng: random.Random, dims: Dims) -> int:
@@ -142,18 +155,3 @@ def _exchange(rng: random.Random, dims: Dims, mask: int) -> int:
         return mask
     r, c = rng.choice(options)
     return rest.mask | 1 << (r * n + c)
-
-
-def test_proper_cache_stays_under_its_cap(monkeypatch):
-    """The cache is emptied when it reaches the cap, and its verdicts are the
-    kernel's; the real cap holds a whole 4x3 enumeration (93,096 pairs)."""
-    assert triangulation._PROPER_CACHE_CAP > 93_096
-    monkeypatch.setattr(triangulation, "_PROPER_CACHE_CAP", 50)
-    triangulation._proper_cache.clear()
-    dims = Dims(3, 3)
-    trees = spanning_trees(dims)[:30]
-    for _ in range(2):  # the second pass mixes hits and misses
-        for s1, s2 in product(trees, trees):
-            assert proper(s1, s2) == (not _reference_split_circuit(dims, s1.mask, s2.mask))
-            assert len(triangulation._proper_cache) <= 50
-    triangulation._proper_cache.clear()
