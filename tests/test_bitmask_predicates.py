@@ -440,9 +440,9 @@ def _pair_outcome(tau: Simplex, tau2: Simplex):
     return want
 
 
-def _edge_outside(rng: random.Random, dims: Dims, mask: int, inside=None) -> tuple[int, int]:
+def _edge_outside(rng: random.Random, dims: Dims, mask: int, inside=None):
     """A random edge not in mask, with both ends in the vertex set
-    ``inside`` when one is given."""
+    ``inside`` when one is given, or None when there is none."""
     m, n = dims
     options = [
         (i, j)

@@ -31,7 +31,6 @@ from prodtri.phases import (
     phase_two,
     staircase,
 )
-from test_proper_kernel import _reference_split_circuit
 from prodtri.triangulation import (
     LocalTriangulation,
     Triangulation,
@@ -41,6 +40,7 @@ from prodtri.triangulation import (
     validate,
     validate_incremental,
 )
+from test_proper_kernel import _reference_split_circuit
 
 WALK_PATH = os.path.join(os.path.dirname(__file__), "data", "walk_4x8.json")
 
