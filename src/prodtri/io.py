@@ -45,6 +45,8 @@ def _loads(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except ValueError as exc:  # an integer literal past the int-to-str digit limit
+        raise ParseError(str(exc)) from exc
 
 
 # The most rows or columns a document may declare.  Declared dimensions size

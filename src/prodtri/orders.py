@@ -383,7 +383,12 @@ class PrecedenceDigraph:
         return self.scc_count == len(self.nodes)
 
 
-def build_precedence(tri, move_filter: MoveFilter) -> PrecedenceDigraph:
+_UNSEEN = object()  # a pair not yet in a build_precedence table
+
+
+def build_precedence(
+    tri, move_filter: MoveFilter, table: Optional[dict] = None
+) -> PrecedenceDigraph:
     """Digraph over the collection's maximal simplices with the accepted moves.
 
     The members must be tree-sized (m+n-1 edges each); ValueError otherwise.
@@ -391,9 +396,16 @@ def build_precedence(tri, move_filter: MoveFilter) -> PrecedenceDigraph:
     one edge, so a facet index hands ``classify_adjacency`` just the pairs
     that share one, in the (a, b) order of the all-pairs scan: O(T(m+n))
     instead of O(T^2), with the same arcs.
+
+    ``table`` maps ``(dims, mask_a, mask_b)`` to None or to the pair's move
+    and its reverse, and only pairs not yet in it are classified.  The
+    classification depends on nothing else, so a table shared by the
+    digraphs of related collections (``phases`` keeps one per driver run)
+    gives the arcs a fresh table gives; without one, a fresh table is used.
     """
     nodes = tri.maximal
-    size = tri.dims.m + tri.dims.n - 1
+    dims = tri.dims
+    size = dims.m + dims.n - 1
     facets: dict[int, list[int]] = {}
     for p, t in enumerate(nodes):
         mask = rest = t.mask
@@ -404,14 +416,19 @@ def build_precedence(tri, move_filter: MoveFilter) -> PrecedenceDigraph:
             facets.setdefault(mask ^ low, []).append(p)
             rest ^= low
     pairs = sorted(pair for ps in facets.values() for pair in combinations(ps, 2))
+    table = {} if table is None else table
     arcs = []
     for a, b in pairs:
-        move = classify_adjacency(nodes[a], nodes[b])
-        if move is None:
+        key = (dims, nodes[a].mask, nodes[b].mask)
+        moves = table.get(key, _UNSEEN)
+        if moves is _UNSEEN:
+            move = classify_adjacency(nodes[a], nodes[b])
+            moves = table[key] = None if move is None else (move, move.reversed_())
+        if moves is None:
             continue
-        if move_filter(move):
+        if move_filter(moves[0]):
             arcs.append((a, b))
-        if move_filter(move.reversed_()):
+        if move_filter(moves[1]):
             arcs.append((b, a))
     return PrecedenceDigraph(nodes, arcs)
 

@@ -230,12 +230,17 @@ class _Driver:
     ``validate`` on its first flip.  ``phase_one`` validates its input, so
     the states ``connect`` hands on are certified.  A row-swapped
     sub-driver works on a ``swap_rows`` copy, which keeps the status.
+
+    ``adjacency`` is the pair table every ``build_precedence`` call of the
+    run reuses; it lives as long as the driver, and a row-swapped
+    sub-driver shares its parent's.
     """
 
-    def __init__(self, tri: Triangulation, check: bool = True):
+    def __init__(self, tri: Triangulation, check: bool = True, adjacency=None):
         self.T = tri
         self.check = check
         self.steps: list[FlipStep] = []
+        self.adjacency: dict = {} if adjacency is None else adjacency
 
     def flip(self, X: Circuit, phase: str, **inner: int) -> None:
         res = supports_flip(self.T, X)
@@ -315,7 +320,7 @@ def phase_one(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Tri
         if not defect:
             break
         before = len(defect)
-        dg34 = build_precedence(drv.T, toward_row_free(2, 3))
+        dg34 = build_precedence(drv.T, toward_row_free(2, 3), drv.adjacency)
         tau_I = select_extremal(defect, dg34, "max")
         blocks = _shape_cols(tau_I)
         c1 = next(
@@ -382,7 +387,7 @@ def _dispatch_mirrorable(drv: _Driver, mirrored: bool, fn, *args) -> None:
             return Simplex(a.dims, _swap_slices(a.mask, n, 0, 1))
         return _swap_circuit(a, 0, 1) if isinstance(a, Circuit) else a
 
-    sub = _Driver(swap_rows(drv.T, 0, 1), drv.check)
+    sub = _Driver(swap_rows(drv.T, 0, 1), drv.check, drv.adjacency)
     fn(sub, *map(swap, args))
     drv.absorb_mirrored(sub, 0, 1)
 
@@ -397,7 +402,7 @@ def _anchor_minimal(drv, xminus: Simplex, row: int, label: str) -> Simplex:
 def _extremal_path(drv, trees, move, ends: tuple[int, int], label: str):
     """The extremal tree under the move filter, with the rows and columns of
     its path between the two end rows."""
-    tau = select_extremal(trees, build_precedence(drv.T, move), "max")
+    tau = select_extremal(trees, build_precedence(drv.T, move, drv.adjacency), "max")
     path = tree_path(tau, *ends)
     _ensure(path is not None, f"{label}: path missing", tau=tau)
     return (tau, *_path_rows_cols(path))
@@ -847,7 +852,7 @@ def phase_two(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Tri
             "phase two: strong defect set reappeared",
         )
         before = len(defect)
-        dg3 = build_precedence(drv.T, toward_row(2))
+        dg3 = build_precedence(drv.T, toward_row(2), drv.adjacency)
         tau_II = select_extremal(defect, dg3, "max")
         blocks = _shape_cols(tau_II)
         shapes = set(blocks.values())

@@ -1,9 +1,11 @@
 """The incremental validity check against the full one, and the facet-indexed
-precedence digraph against the all-pairs scan."""
+precedence digraph, with and without a shared pair table, against the
+all-pairs scan."""
 
 import json
 import os
 import random
+import sys
 from math import comb
 
 import pytest
@@ -24,6 +26,7 @@ from prodtri.phases import (
     FlipStep,
     ProofGap,
     _Driver,
+    _dispatch_mirrorable,
     apply_sequence,
     connect,
     phase_one,
@@ -313,19 +316,27 @@ def test_incremental_refuses_a_mismatched_flip():
 # ------------------------------------------------------------ facet index
 
 
-def _all_pairs_precedence(tri, move_filter) -> PrecedenceDigraph:
+def _all_pairs_moves(tri) -> list:
+    """(a, b, move) for every adjacent pair a < b, by the all-pairs scan."""
     nodes = tri.maximal
-    arcs = []
+    out = []
     for a in range(len(nodes)):
         for b in range(a + 1, len(nodes)):
             move = classify_adjacency(nodes[a], nodes[b])
-            if move is None:
-                continue
-            if move_filter(move):
-                arcs.append((a, b))
-            if move_filter(move.reversed_()):
-                arcs.append((b, a))
-    return PrecedenceDigraph(nodes, arcs)
+            if move is not None:
+                out.append((a, b, move))
+    return out
+
+
+def _all_pairs_precedence(tri, move_filter, moves) -> PrecedenceDigraph:
+    """The digraph of the moves ``_all_pairs_moves(tri)`` gave."""
+    arcs = []
+    for a, b, move in moves:
+        if move_filter(move):
+            arcs.append((a, b))
+        if move_filter(move.reversed_()):
+            arcs.append((b, a))
+    return PrecedenceDigraph(tri.maximal, arcs)
 
 
 def _filters(m: int):
@@ -334,10 +345,11 @@ def _filters(m: int):
     return out
 
 
-def _same_arcs(tri, filters):
+def _same_arcs(tri, filters, table=None):
+    moves = _all_pairs_moves(tri)
     for accept in filters:
-        fast = build_precedence(tri, accept)
-        slow = _all_pairs_precedence(tri, accept)
+        fast = build_precedence(tri, accept, table)
+        slow = _all_pairs_precedence(tri, accept, moves)
         assert fast.arcs == slow.arcs
         assert fast.scc_of == slow.scc_of
 
@@ -376,3 +388,91 @@ def test_build_precedence_refuses_members_that_are_not_tree_sized():
     local = LocalTriangulation(d, base, [forest])
     with pytest.raises(ValueError, match="tree-sized"):
         build_precedence(local, toward_row(0))
+
+
+# ------------------------------------------------------------ pair table
+
+
+def test_shared_table_matches_all_pairs_on_walk_states(walk48):
+    """One table serves every state connect passes through and the rows-0/1
+    swap of each, so it holds departed and swapped trees; every state is
+    compared with four of the filters in turn, so each filter meets a
+    quarter of the states."""
+    states = [walk48]
+    for step in connect(walk48, check=False).steps:
+        states.append(apply_flip(states[-1], supports_flip(states[-1], step.circuit)))
+    assert len(states) >= 4
+    filters = _filters(4)
+    table = {}
+    for k, tri in enumerate(states):
+        for state in (tri, swap_rows(tri, 0, 1)):
+            _same_arcs(state, [filters[(4 * k + r) % 16] for r in range(4)], table)
+    one_state = {}
+    build_precedence(tri, filters[0], one_state)
+    kept = {key[1] for key in table} | {key[2] for key in table}
+    assert len(table) > 2 * len(one_state)
+    assert not kept <= {t.mask for t in tri.maximal}  # departed trees stay
+
+
+def test_shared_table_matches_all_pairs_on_corpus(corpus43):
+    rng = random.Random(7)
+    sample = rng.sample(corpus43.triangulations, 60)
+    table = {}
+    for tri in sample[:20]:
+        build_precedence(tri, toward_row(0), table)
+    filled = len(table)
+    for tri in sample[20:]:
+        _same_arcs(tri, _filters(4), table)
+    assert 0 < filled < len(table)
+
+
+def test_shared_table_matches_all_pairs_on_stars(corpus43):
+    rng = random.Random(8)
+    table = {}
+    for tri in rng.sample(corpus43.triangulations, 10):
+        build_precedence(tri, toward_row(1), table)
+    for tri in rng.sample(corpus43.triangulations, 20):
+        t = rng.choice(tri.maximal)
+        edges = list(t)
+        for base in (edges[:1], rng.sample(edges, 2)):
+            _same_arcs(star(tri, Simplex.from_edges(tri.dims, base)), _filters(4), table)
+
+
+def test_table_never_answers_for_other_dims(corpus43):
+    """The same masks read as 3x4 members get their own entries, not the
+    4x3 classifications already in the table."""
+    rng = random.Random(9)
+    table = {}
+    other = Dims(3, 4)
+    for tri in rng.sample(corpus43.triangulations, 20):
+        build_precedence(tri, toward_row(0), table)
+        reread = Triangulation(other, [Simplex(other, t.mask) for t in tri.maximal])
+        _same_arcs(reread, _filters(3), table)
+    assert {key[0] for key in table} == {tri.dims, other}
+
+
+def test_driver_run_owns_its_table(walk48):
+    drv = _Driver(walk48, check=False)
+    assert drv.adjacency == {} and drv.adjacency is not _Driver(walk48).adjacency
+    subs = []
+    _dispatch_mirrorable(drv, True, lambda sub: subs.append(sub))
+    assert subs[0].adjacency is drv.adjacency
+    assert subs[0].T == swap_rows(walk48, 0, 1)
+
+
+def _module_containers() -> dict:
+    return {
+        (name, attr): len(value)
+        for name, mod in list(sys.modules.items())
+        if name == "prodtri" or name.startswith("prodtri.")
+        for attr, value in vars(mod).items()
+        if not attr.startswith("__") and isinstance(value, (dict, list, set))
+    }
+
+
+def test_connect_leaves_no_module_level_state(walk48):
+    before = _module_containers()
+    assert before  # e.g. prodtri.__all__
+    connect(walk48, check=False)
+    build_precedence(staircase(9), toward_row(2))  # a plain call: a fresh table
+    assert _module_containers() == before

@@ -229,6 +229,18 @@ def test_cli_error_is_json(tmp_path, capsys):
     assert payload["error"] == "FileNotFoundError"
 
 
+def test_integer_past_the_digit_limit_gives_parse_error(tmp_path, capsys):
+    """json reads a 5,001-digit integer by int(), which refuses literals past
+    the interpreter's 4,300-digit limit with a plain ValueError."""
+    f = tmp_path / "long_int.json"
+    f.write_text('{"m": 1' + "0" * 5000 + ', "n": 3, "maximal_simplices": []}')
+    with pytest.raises(pio.ParseError, match="digits"):
+        pio.read_triangulation(f)
+    code, _, err = run_cli(capsys, "validate", str(f))
+    assert code == 1
+    assert json.loads(err)["error"] == "ParseError"
+
+
 def _corpus_doc(corpus):
     return json.loads(json.dumps(pio.corpus_to_dict(corpus)))
 
