@@ -34,10 +34,6 @@ class Dims(NamedTuple):
         return self
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _edge_bit(n: int, i: int, j: int) -> int:
     return 1 << (i * n + j)
 
@@ -82,7 +78,7 @@ class Simplex:
         return tuple(_edges_of(self.dims.n, self.mask))
 
     def __len__(self):
-        return _popcount(self.mask)
+        return self.mask.bit_count()
 
     def __contains__(self, edge) -> bool:
         i, j = edge
@@ -304,12 +300,12 @@ class Circuit:
         return frozenset(_edges_of(self.dims.n, self.plus_mask))
 
     def __len__(self):
-        return _popcount(self.minus_mask | self.plus_mask)
+        return (self.minus_mask | self.plus_mask).bit_count()
 
     @property
     def size(self) -> int:
         """Number k of minus edges (= number of plus edges)."""
-        return _popcount(self.minus_mask)
+        return self.minus_mask.bit_count()
 
     def reverse(self) -> "Circuit":
         return Circuit(self.dims, self.plus_mask, self.minus_mask)

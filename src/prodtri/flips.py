@@ -6,6 +6,13 @@ link; the flip replaces the plus-side faces by the minus-side ones inside
 that link.  When the faces are present but the links disagree, some tree
 of T contains the minus part and misses at least two elements of X; such
 a tree is returned as the obstruction witness.
+
+The hot paths work on ascending tree masks.  ``_common_link`` compares the
+links of the plus faces; ``supports_flip`` wraps it for one circuit, and
+``_flips`` for every circuit of ``all_circuits``, trying both orientations
+of a cycle against one set of the trees' intersections with it.
+``enumerate_flips`` and ``oracle.build_flip_graph`` both scan through
+``_flips``; only the former builds certificate objects.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import itemgetter
 from typing import Optional, Union
 
 from .core import Circuit, Dims, Simplex, circuit_of_cycle
@@ -68,56 +76,61 @@ def circuit_triangulations(X: Circuit) -> tuple[tuple[Simplex, ...], tuple[Simpl
     )
 
 
-def _flip_kernel(
-    dims: Dims, trees: list[int], X: Circuit, plus_faces: tuple[int, ...]
-) -> Union[FlipCertificate, Obstruction, None]:
-    """``supports_flip`` on the ascending tree masks of a triangulation,
-    given the plus-face masks of X.
+def _common_link(trees, plus_faces: tuple[int, ...]) -> Optional[list[int]]:
+    """The link shared by every plus face among the ascending tree masks, as
+    ascending masks, or None when two links differ."""
+    f = plus_faces[0]
+    link = [t ^ f for t in trees if t & f == f]
+    for f in plus_faces[1:]:
+        if [t ^ f for t in trees if t & f == f] != link:
+            return None
+    return link
 
-    A tree contains a face of X exactly when its intersection with X is that
-    face or, if it is no forest, the whole cycle; so one set of
-    intersections rejects X before any link is built.  ``Simplex`` objects
-    are built only for the result.
-    """
-    full = X.minus_mask | X.plus_mask
-    held = {t & full for t in trees}
-    if full not in held:
-        for f in plus_faces:
-            if f not in held:
-                return None
-    # the link of each face, ascending because the trees are
-    links = {f: [t & ~f for t in trees if not f & ~t] for f in plus_faces}
-    link = links[plus_faces[0]]
-    if all(links[f] == link for f in plus_faces[1:]):
-        minus_faces = _faces(full, X.minus_mask)
-        return FlipCertificate(
-            circuit=X,
-            link=_simplices(dims, link),
-            removed=_simplices(dims, sorted(r | f for r in link for f in plus_faces)),
-            added=_simplices(dims, sorted(r | f for r in link for f in minus_faces)),
-        )
-    # links differ: produce the witness promised for the minus-side star
-    xminus = X.minus_mask
-    size = len(X)
-    for t in trees:
-        if not xminus & ~t:
-            inter = bin(t & full).count("1")
-            if inter <= size - 2:
-                return Obstruction(witness=Simplex(dims, t), deficiency=size - inter)
-    raise ValueError("links differ but no obstruction witness: invalid input")
+
+def _star(link: list[int], faces: tuple[int, ...]) -> list[int]:
+    """The joins of the link with the faces, ascending."""
+    return sorted(r | f for r in link for f in faces)
+
+
+def _certificate(
+    dims: Dims, X: Circuit, link: list[int], plus_faces, minus_faces
+) -> FlipCertificate:
+    return FlipCertificate(
+        circuit=X,
+        link=_simplices(dims, link),
+        removed=_simplices(dims, _star(link, plus_faces)),
+        added=_simplices(dims, _star(link, minus_faces)),
+    )
 
 
 def supports_flip(
     tri: Triangulation, X: Circuit
 ) -> Union[FlipCertificate, Obstruction, None]:
     """Certificate if X flips tri, an Obstruction if only the links fail,
-    None when the plus-side faces are not all present."""
-    return _flip_kernel(
-        tri.dims,
-        [t.mask for t in tri.maximal],
-        X,
-        _faces(X.minus_mask | X.plus_mask, X.plus_mask),
-    )
+    None when the plus-side faces are not all present.
+
+    A tree contains a face of X exactly when its intersection with X is that
+    face or, if it is no forest, the whole cycle; so one set of
+    intersections rejects X before any link is built.
+    """
+    trees = [t.mask for t in tri.maximal]
+    full = X.minus_mask | X.plus_mask
+    plus_faces = _faces(full, X.plus_mask)
+    held = {t & full for t in trees}
+    if full not in held and not held.issuperset(plus_faces):
+        return None
+    link = _common_link(trees, plus_faces)
+    if link is not None:
+        return _certificate(tri.dims, X, link, plus_faces, _faces(full, X.minus_mask))
+    # links differ: produce the witness promised for the minus-side star
+    xminus = X.minus_mask
+    size = len(X)
+    for t in trees:
+        if not xminus & ~t:
+            inter = (t & full).bit_count()
+            if inter <= size - 2:
+                return Obstruction(witness=Simplex(tri.dims, t), deficiency=size - inter)
+    raise ValueError("links differ but no obstruction witness: invalid input")
 
 
 def apply_flip(tri: Triangulation, cert: FlipCertificate) -> Triangulation:
@@ -158,11 +171,34 @@ def all_circuits(dims: Dims) -> tuple[Circuit, ...]:
 
 
 @lru_cache(maxsize=None)
-def _circuit_faces(dims: Dims) -> tuple[tuple[Circuit, tuple[int, ...]], ...]:
-    """Every circuit of ``all_circuits`` with its plus-face masks."""
-    return tuple(
-        (X, _faces(X.minus_mask | X.plus_mask, X.plus_mask)) for X in all_circuits(dims)
-    )
+def _cycle_table(dims: Dims) -> tuple[tuple[int, tuple[tuple, ...]], ...]:
+    """Each cycle of ``all_circuits`` once, as its mask and its orientations;
+    an orientation is the circuit's position in ``all_circuits``, the circuit
+    and its plus- and minus-face masks."""
+    cycles: dict[int, list[tuple]] = {}
+    for pos, X in enumerate(all_circuits(dims)):
+        full = X.minus_mask | X.plus_mask
+        cycles.setdefault(full, []).append(
+            (pos, X, _faces(full, X.plus_mask), _faces(full, X.minus_mask))
+        )
+    return tuple((full, tuple(sides)) for full, sides in cycles.items())
+
+
+def _flips(dims: Dims, trees):
+    """(position, circuit, link, plus faces, minus faces) of every circuit of
+    ``all_circuits`` that flips the ascending tree masks, cycle by cycle.
+
+    Both orientations of a cycle are tried against one set of the trees'
+    intersections with it, as in ``supports_flip``.
+    """
+    for full, sides in _cycle_table(dims):
+        held = {t & full for t in trees}
+        whole = full in held
+        for pos, X, plus_faces, minus_faces in sides:
+            if whole or held.issuperset(plus_faces):
+                link = _common_link(trees, plus_faces)
+                if link is not None:
+                    yield pos, X, link, plus_faces, minus_faces
 
 
 def enumerate_flips(tri: Triangulation) -> tuple[FlipCertificate, ...]:
@@ -172,13 +208,11 @@ def enumerate_flips(tri: Triangulation) -> tuple[FlipCertificate, ...]:
     circuits can flip; ``all_circuits`` is sorted, and so is the result.
     """
     dims = tri.dims
-    trees = [t.mask for t in tri.maximal]
-    certs = []
-    for X, plus_faces in _circuit_faces(dims):
-        res = _flip_kernel(dims, trees, X, plus_faces)
-        if isinstance(res, FlipCertificate):
-            certs.append(res)
-    return tuple(certs)
+    found = sorted(_flips(dims, [t.mask for t in tri.maximal]), key=itemgetter(0))
+    return tuple(
+        _certificate(dims, X, link, plus_faces, minus_faces)
+        for _, X, link, plus_faces, minus_faces in found
+    )
 
 
 def psi(tri: Triangulation, cert: FlipCertificate, tau: Simplex) -> Simplex:
@@ -194,7 +228,7 @@ def psi(tri: Triangulation, cert: FlipCertificate, tau: Simplex) -> Simplex:
     if X.minus_mask & ~tau.mask:
         return tau
     missing = X.plus_mask & ~tau.mask
-    if bin(missing).count("1") != 1:
+    if missing.bit_count() != 1:
         raise ValueError("flip certificate inconsistent with triangulation")
     p = missing.bit_length() - 1
     ip, jr = divmod(p, X.dims.n)

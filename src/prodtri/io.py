@@ -47,6 +47,8 @@ def _loads(text: str) -> dict:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
     except ValueError as exc:  # an integer literal past the int-to-str digit limit
         raise ParseError(str(exc)) from exc
+    except RecursionError as exc:  # arrays or objects nested past the stack limit
+        raise ParseError(f"document nested too deeply: {exc}") from exc
 
 
 # The most rows or columns a document may declare.  Declared dimensions size

@@ -4,6 +4,11 @@ Exhaustive enumeration of all triangulations of small products, an
 exact-arithmetic geometric validity check, and the flip graph those
 triangulations span.  Nothing here reuses the combinatorial validity
 test, so agreement between the two is meaningful evidence.
+
+The enumeration and the flip graph run on tree masks: the search picks
+trees from bitsets of properly meeting partners, and the graph keys each
+member by its ascending tree masks and applies the flips of the full
+circuit scan to them, building no certificate or triangulation objects.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from itertools import combinations
 from math import comb
 
 from .core import Dims, Simplex, is_spanning_tree
-from .flips import apply_flip, enumerate_flips
+from .flips import StaleCertificate, _flips, _star
 from .geometry import improper_geometric, simplex_volume
 from .triangulation import Triangulation, _edge_members, _improper_partners
 
@@ -75,24 +80,25 @@ def enumerate_triangulations(dims: Dims, max_simplices: int = 12) -> Corpus:
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
-    def extend(cand: int):
-        if len(chosen) == target:
+    def extend(cand: int, need: int):
+        """Every way to pick ``need`` more trees from the bitset ``cand``;
+        a branch ends once fewer candidates remain than it needs."""
+        if not need:
             found.append(tuple(chosen))
             return
-        need = target - len(chosen)
-        rest = cand
-        while rest:
-            low = rest & -rest
-            if bin(rest).count("1") < need:
-                return
+        left = cand.bit_count()
+        while left >= need:
+            low = cand & -cand
             t = low.bit_length() - 1
-            chosen.append(t)
-            extend(cand & compat[t])
-            chosen.pop()
-            rest ^= low
+            sub = cand & compat[t]
+            if sub.bit_count() >= need - 1:
+                chosen.append(t)
+                extend(sub, need - 1)
+                chosen.pop()
             cand ^= low
+            left -= 1
 
-    extend((1 << nt) - 1)
+    extend((1 << nt) - 1, target)
     tris = tuple(
         Triangulation(dims, [trees[p] for p in picks]) for picks in sorted(found)
     )
@@ -130,13 +136,22 @@ def geometric_validate(tri: Triangulation, budget: int = 16) -> bool:
 
 def build_flip_graph(corpus: Corpus) -> FlipGraph:
     """Edges between corpus members one flip apart; raises if a flip ever
-    leaves the corpus (which would mean the enumeration missed something)."""
-    position = {t.digest(): p for p, t in enumerate(corpus.triangulations)}
+    leaves the corpus (which would mean the enumeration missed something).
+
+    Members are keyed by their ascending tree masks, and each flip found by
+    the full circuit scan of ``enumerate_flips`` is applied to those masks.
+    """
+    dims = corpus.dims
+    members = [tuple(t.mask for t in tri.maximal) for tri in corpus.triangulations]
+    position = {trees: p for p, trees in enumerate(members)}
     edges: set[frozenset[int]] = set()
-    for p, tri in enumerate(corpus.triangulations):
-        for cert in enumerate_flips(tri):
-            other = apply_flip(tri, cert)
-            q = position.get(other.digest())
+    for p, trees in enumerate(members):
+        for _, _, link, plus_faces, minus_faces in _flips(dims, trees):
+            removed = set(_star(link, plus_faces))
+            kept = [t for t in trees if t not in removed]
+            if len(kept) + len(removed) != len(trees):
+                raise StaleCertificate("certificate's removed simplices are not all present")
+            q = position.get(tuple(sorted(kept + _star(link, minus_faces))))
             if q is None:
                 raise RuntimeError("flip left the enumerated corpus")
             if q != p:

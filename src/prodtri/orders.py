@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import Dims, Simplex, _popcount, alternating_path, row_neighbors
+from .core import Dims, Simplex, alternating_path, row_neighbors
 from .triangulation import LocalTriangulation, _maximal_members, proper
 
 LESS, EQUIVALENT, GREATER = -1, 0, 1
@@ -87,7 +87,7 @@ def _segment_walk(dims, masks: Sequence[int]) -> tuple[list[int], list[int]]:
     masks with each one's label: the column joined to both rows."""
     n = dims.n
     full = (1 << n) - 1
-    taus = sorted(masks, key=lambda x: -_popcount(x & full))
+    taus = sorted(masks, key=lambda x: -(x & full).bit_count())
     labels = []
     for x in taus:
         both = x & (x >> n) & full
@@ -100,9 +100,9 @@ def _segment_walk(dims, masks: Sequence[int]) -> tuple[list[int], list[int]]:
         if expect != taus[r + 1]:
             raise MalformedLocal("maximal simplices do not chain into a segment")
     for a in range(len(taus)):
-        facet = _popcount(taus[a]) - 1
+        facet = taus[a].bit_count() - 1
         for b in range(a + 2, len(taus)):
-            if _popcount(taus[a] & taus[b]) == facet:
+            if (taus[a] & taus[b]).bit_count() == facet:
                 raise MalformedLocal("non-consecutive simplices are adjacent")
     return taus, labels
 
@@ -239,9 +239,9 @@ def classify_adjacency(tau: Simplex, tau2: Simplex) -> Optional[AdjacencyMove]:
     m, n = tau.dims
     a, b = tau.mask, tau2.mask
     sigma = a & b
-    if (a == b and tau.dims == tau2.dims) or _popcount(sigma) != m + n - 2:
+    if (a == b and tau.dims == tau2.dims) or sigma.bit_count() != m + n - 2:
         return None
-    tree_sized = _popcount(a) == _popcount(b) == m + n - 1
+    tree_sized = a.bit_count() == b.bit_count() == m + n - 1
     if not (tree_sized and tau.dims == tau2.dims) and not proper(tau, tau2):
         return None
     rows_of, cols_of = _edge_blocks(tau.dims, sigma)
@@ -409,7 +409,7 @@ def build_precedence(
     facets: dict[int, list[int]] = {}
     for p, t in enumerate(nodes):
         mask = rest = t.mask
-        if bin(mask).count("1") != size:
+        if mask.bit_count() != size:
             raise ValueError(f"{t!r} is not tree-sized: {size} edges expected")
         while rest:
             low = rest & -rest

@@ -623,7 +623,7 @@ def _case_two(drv: _Driver, tau_sel: Simplex, c1: int, c2: int, c3: int) -> None
         "case 2",
         filters=(
             (
-                lambda x: bin(x & xp).count("1") <= 1 and not x & row3_c1,
+                lambda x: (x & xp).bit_count() <= 1 and not x & row3_c1,
                 "case 2: no obstructing tree although flip unsupported",
             ),
         ),
@@ -796,7 +796,7 @@ def _case_three_claim(drv, X: Circuit, tau_I: Simplex, sigma_I: Simplex, c1: int
         "case 3 inner",
         filters=(
             (
-                lambda x: bin(x & yall).count("1") <= ysize - 2 and not x & row3_c1,
+                lambda x: (x & yall).bit_count() <= ysize - 2 and not x & row3_c1,
                 "case 3 inner: no obstructing tree although flip unsupported",
             ),
             (lambda x: x & row0_g1, "case 3 inner: no obstructing tree keeps the row-0 edge"),

@@ -309,7 +309,7 @@ def _check(tri: Triangulation, fresh) -> ValidityReport:
 
 def _maximal_members(masks: Iterable[int]) -> list[int]:
     """The masks that no other mask contains, in ascending order."""
-    masks = sorted(set(masks), key=lambda x: (-bin(x).count("1"), x))
+    masks = sorted(set(masks), key=lambda x: (-x.bit_count(), x))
     keep: list[int] = []
     for x in masks:
         if not any(x & ~y == 0 for y in keep):

@@ -16,6 +16,7 @@ from prodtri.flips import (
     enumerate_flips,
     supports_flip,
 )
+from prodtri.oracle import build_flip_graph
 from prodtri.phases import staircase
 from prodtri.triangulation import Triangulation
 
@@ -75,6 +76,28 @@ def _reference_apply_flip(tri, cert):
     return Triangulation(tri.dims, (current - removed) | set(cert.added))
 
 
+def _reference_neighbours(tri, results, position):
+    """Positions of the flipped triangulations, from the reference results
+    over ``all_circuits``, found by digest in ``position``."""
+    return {
+        position[_reference_apply_flip(tri, res).digest()]
+        for res in results
+        if isinstance(res, FlipCertificate)
+    }
+
+
+def _reference_flip_graph(corpus):
+    """The edge set of the flip graph, built from the references alone."""
+    circuits = all_circuits(corpus.dims)
+    sides = [_reference_circuit_triangulations(X) for X in circuits]
+    position = {T.digest(): p for p, T in enumerate(corpus.triangulations)}
+    edges = set()
+    for p, T in enumerate(corpus.triangulations):
+        results = [_reference_supports_flip(T, X, s) for X, s in zip(circuits, sides)]
+        edges.update(frozenset((p, q)) for q in _reference_neighbours(T, results, position) - {p})
+    return edges
+
+
 def _outcome(fn, *args):
     """The result, or the type and text of the exception raised."""
     try:
@@ -90,14 +113,20 @@ def _kind(res) -> str:
 @pytest.mark.slow
 def test_every_4x3_member_against_every_circuit(corpus43):
     """All 4488 x 84 member-circuit pairs: the same certificate, obstruction
-    or None; the same enumeration; the same flipped triangulation."""
+    or None; the same enumeration; the same flipped triangulation; the same
+    neighbours in the flip graph."""
     circuits = all_circuits(Dims(4, 3))
     sides = {}
     for X in circuits:
         sides[X] = _reference_circuit_triangulations(X)
         assert circuit_triangulations(X) == sides[X]
+    position = {T.digest(): p for p, T in enumerate(corpus43.triangulations)}
+    neighbours = [set() for _ in corpus43.triangulations]
+    for a, b in build_flip_graph(corpus43).edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
     kinds = set()
-    for T in corpus43.triangulations:
+    for p, T in enumerate(corpus43.triangulations):
         results = [_reference_supports_flip(T, X, sides[X]) for X in circuits]
         for X, expected in zip(circuits, results):
             res = supports_flip(T, X)
@@ -107,6 +136,7 @@ def test_every_4x3_member_against_every_circuit(corpus43):
         assert flips == _reference_enumerate_flips(results)
         for cert in flips:
             assert apply_flip(T, cert) == _reference_apply_flip(T, cert)
+        assert neighbours[p] == _reference_neighbours(T, results, position) - {p}, p
     assert kinds == {"FlipCertificate", "Obstruction", "NoneType"}
 
 

@@ -241,6 +241,18 @@ def test_integer_past_the_digit_limit_gives_parse_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+def test_deep_nesting_gives_parse_error(tmp_path, capsys):
+    """json decodes nested arrays recursively, so 200,000 levels pass the
+    interpreter's recursion limit."""
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(pio.ParseError, match="nested too deeply"):
+        pio.read_triangulation(f)
+    code, _, err = run_cli(capsys, "validate", str(f))
+    assert code == 1
+    assert json.loads(err)["error"] == "ParseError"
+
+
 def _corpus_doc(corpus):
     return json.loads(json.dumps(pio.corpus_to_dict(corpus)))
 

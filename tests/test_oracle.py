@@ -8,6 +8,7 @@ from prodtri.flips import enumerate_flips
 from prodtri.geometry import det_bareiss, feasible_eq_nonneg, simplex_volume
 from prodtri.oracle import (
     BudgetExceeded,
+    Corpus,
     build_flip_graph,
     enumerate_triangulations,
     geometric_validate,
@@ -16,6 +17,7 @@ from prodtri.oracle import (
 )
 from prodtri.phases import staircase
 from prodtri.triangulation import Triangulation, validate
+from test_flip_kernel import _reference_flip_graph
 
 
 @pytest.mark.parametrize(
@@ -104,6 +106,29 @@ def test_flip_graph_degree_matches_enumeration(corpus33):
     g = build_flip_graph(corpus33)
     for p, T in enumerate(corpus33.triangulations):
         assert g.degree(p) == len(enumerate_flips(T))
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)])
+def test_flip_graph_matches_the_reference(m, n):
+    """The mask-level graph against one built from the Simplex-level
+    references: every circuit tried, each flip applied, members found by
+    digest."""
+    corpus = enumerate_triangulations(Dims(m, n))
+    assert set(build_flip_graph(corpus).edges) == _reference_flip_graph(corpus)
+
+
+def test_flip_graph_of_4x3(corpus43):
+    """The edge count the benchmark checks, on every test run."""
+    g = build_flip_graph(corpus43)
+    assert len(corpus43) == 4488
+    assert len(g.edges) == 14184
+    assert is_connected(g)
+
+
+def test_flip_leaving_the_corpus_raises(corpus33):
+    short = Corpus(dims=corpus33.dims, triangulations=corpus33.triangulations[1:])
+    with pytest.raises(RuntimeError, match="flip left the enumerated corpus"):
+        build_flip_graph(short)
 
 
 def test_connect_walks_along_flip_graph_edges(corpus42):
