@@ -16,7 +16,6 @@ from .core import (
     connecting_edges,
     is_forest,
     is_spanning_tree,
-    neighborhood,
     noncrossing,
     row_neighbors,
     shape,
@@ -97,7 +96,6 @@ from .oracle import (
     is_connected,
     spanning_trees,
 )
-from .mixed import MixedCell, export_mixed, mixed_cell, render_svg, star_members
 
 __all__ = [
     name

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands mirror the library: validate, flips, apply, connect,
-staircase, enumerate, flip-graph, orders, export-mixed.  Failures print a
-machine-readable JSON object on stderr and exit nonzero.
+staircase, enumerate, flip-graph, orders.  Failures print a machine-readable
+JSON object on stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ import sys
 from collections import Counter
 
 from . import io as pio
-from .core import Dims
-from .flips import enumerate_flips
-from .mixed import export_mixed, render_svg
+from .flips import FlipCertificate, apply_flip, enumerate_flips, supports_flip
 from .oracle import build_flip_graph, enumerate_triangulations, is_connected
 from .orders import restriction_order
 from .phases import apply_sequence, connect, staircase
@@ -58,14 +56,10 @@ def _cmd_flips(args):
 
 def _cmd_apply(args):
     tri = pio.read_triangulation(args.file)
-    from .flips import FlipCertificate, supports_flip
-
-    X = pio.circuit_from_dict(json.loads(args.circuit), tri.dims)
+    X = pio.circuit_from_dict(pio._loads(args.circuit), tri.dims)
     res = supports_flip(tri, X)
     if not isinstance(res, FlipCertificate):
         raise ValueError(f"circuit does not support a flip: {res}")
-    from .flips import apply_flip
-
     _emit(pio.triangulation_to_dict(apply_flip(tri, res)), args.out)
 
 
@@ -84,11 +78,12 @@ def _cmd_connect(args):
 
 
 def _cmd_staircase(args):
-    _emit(pio.triangulation_to_dict(staircase(args.n)), args.out)
+    n = pio._dims_of({"m": 4, "n": args.n}).n
+    _emit(pio.triangulation_to_dict(staircase(n)), args.out)
 
 
 def _corpus(args):
-    dims = Dims(args.m, args.n)
+    dims = pio._dims_of({"m": args.m, "n": args.n})
     corpus = pio.load_cached_corpus(args.cache, dims)
     if corpus is None:
         corpus = enumerate_triangulations(dims)
@@ -118,14 +113,6 @@ def _cmd_orders(args):
         "{" + ", ".join(f"f{j + 1}" for j in sorted(s)) + "}" for s in order.strata
     )
     print(text)
-
-
-def _cmd_export_mixed(args):
-    tri = pio.read_triangulation(args.file)
-    _emit(export_mixed(tri), args.out)
-    if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_svg(tri))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,12 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--rows", type=int, nargs=2, required=True, metavar=("I1", "I2"))
     p.set_defaults(fn=_cmd_orders)
-
-    p = sub.add_parser("export-mixed", help="fine mixed subdivision document")
-    p.add_argument("file")
-    p.add_argument("--svg")
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_export_mixed)
     return top
 
 

@@ -137,14 +137,6 @@ def col_neighbors(simplex: Simplex, j: int) -> frozenset[int]:
     )
 
 
-def neighborhood(simplex: Simplex, v: int) -> frozenset[int]:
-    """Opposite-side neighbors of graph vertex v (columns encoded as m+j)."""
-    m = simplex.dims.m
-    if v < m:
-        return frozenset(m + j for j in row_neighbors(simplex, v))
-    return col_neighbors(simplex, v - m)
-
-
 def _vertex_adjacency(simplex: Simplex) -> list[list[int]]:
     m, n = simplex.dims
     adj: list[list[int]] = [[] for _ in range(m + n)]

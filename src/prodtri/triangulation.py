@@ -152,9 +152,6 @@ class Triangulation:
                 return True
         return False
 
-    def star(self, xi: Simplex) -> "LocalTriangulation":
-        return star(self, xi)
-
     def __repr__(self):
         return f"Triangulation({self.dims.m}x{self.dims.n}, {len(self.maximal)} trees)"
 
@@ -192,9 +189,6 @@ class LocalTriangulation:
 
     def contains(self, sigma: Simplex) -> bool:
         return any(sigma.issubset(t) for t in self.maximal)
-
-    def star(self, xi: Simplex) -> "LocalTriangulation":
-        return star(self, xi)
 
     def __repr__(self):
         return (

@@ -16,7 +16,6 @@ from prodtri.core import (
     connecting_edges,
     is_forest,
     is_spanning_tree,
-    neighborhood,
     noncrossing,
     row_neighbors,
     shape,
@@ -57,8 +56,6 @@ def test_neighborhood_basic():
     d = Dims(2, 3)
     s = edges(d, (0, 0), (1, 0), (1, 1))
     assert col_neighbors(s, 0) == {0, 1}
-    assert neighborhood(s, 2) == {0, 1}  # vertex f1 is encoded as m + 0
-    assert neighborhood(s, 4) == frozenset()  # f3 is isolated
 
 
 def test_neighborhood_four_rows():

@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import prodtri.io as pio
 from prodtri.cli import main
-from prodtri.core import Dims, Simplex
-from prodtri.mixed import export_mixed, mixed_cell, render_svg, star_members
+from prodtri.core import Dims
 from prodtri.oracle import enumerate_triangulations
 from prodtri.phases import connect, staircase
-from prodtri.triangulation import Triangulation
 
 
 def test_triangulation_roundtrip(tmp_path):
@@ -86,56 +84,6 @@ def test_cache_env_default(tmp_path, monkeypatch):
     assert pio.load_cached_corpus(None, Dims(2, 2)) is not None
 
 
-def test_mixed_cells_of_segment_staircase(seg_staircase):
-    doc = export_mixed(seg_staircase)
-    maximal = [c for c in doc["cells"] if c["maximal"]]
-    assert len(maximal) == 3
-    labeled = sorted((c["label"], c) for c in maximal if c["label"] is not None)
-    assert [l for l, _ in labeled] == [1, 2, 3]
-    # cells are unit segments lined up along the dilated segment, in label order
-    spans = []
-    for _, cell in labeled:
-        xs = sorted(v[1] for v in cell["vertices"])
-        assert xs[1] - xs[0] == 1
-        spans.append(tuple(xs))
-    assert spans == sorted(spans)
-
-
-def test_unmixed_cells_biject_with_columns(corpus33):
-    for T in corpus33.triangulations[:12]:
-        doc = export_mixed(T)
-        labels = [c["label"] for c in doc["cells"] if c["label"] is not None]
-        assert sorted(labels) == [1, 2, 3]
-
-
-def test_unmixed_cell_is_translated_simplex():
-    T = staircase(3)
-    for sigma in star_members(T):
-        cell = mixed_cell(sigma)
-        if cell.label is None:
-            continue
-        offset = [0] * T.dims.m
-        for j, s in enumerate(cell.summands):
-            if j != cell.label:
-                assert len(s) == 1
-                offset[s[0]] += 1
-        expected = set()
-        for i in range(T.dims.m):
-            v = list(offset)
-            v[i] += 1
-            expected.add(tuple(v))
-        assert set(cell.vertices) == expected
-
-
-def test_render_svg_small_and_reject_m4():
-    d = Dims(3, 2)
-    corpus = enumerate_triangulations(d)
-    svg = render_svg(corpus.triangulations[0])
-    assert svg.startswith("<svg") and "polygon" in svg
-    with pytest.raises(ValueError):
-        render_svg(staircase(2))
-
-
 def run_cli(capsys, *args):
     code = 0
     try:
@@ -196,29 +144,11 @@ def test_cli_enumerate_and_flip_graph(tmp_path, capsys):
     assert code == 0 and (cache / "corpus_2x2.json").exists()
 
 
-def test_cli_orders_and_export(tmp_path, capsys):
+def test_cli_orders(tmp_path, capsys):
     f = tmp_path / "t.json"
     run_cli(capsys, "staircase", "--n", "3", "--out", str(f))
     code, out, _ = run_cli(capsys, "orders", str(f), "--rows", "3", "4")
     assert code == 0 and out.strip() == "{f1} < {f2} < {f3}"
-    g = tmp_path / "seg.json"
-    d = Dims(2, 3)
-    pio.write_triangulation(
-        g,
-        Triangulation(
-            d,
-            [
-                Simplex.from_edges(d, [(0, 0), (0, 1), (0, 2), (1, 0)]),
-                Simplex.from_edges(d, [(0, 1), (0, 2), (1, 0), (1, 1)]),
-                Simplex.from_edges(d, [(0, 2), (1, 0), (1, 1), (1, 2)]),
-            ],
-        ),
-    )
-    svg = tmp_path / "m.svg"
-    code, _, _ = run_cli(
-        capsys, "export-mixed", str(g), "--svg", str(svg), "--out", str(tmp_path / "m.json")
-    )
-    assert code == 0 and svg.exists()
 
 
 def test_cli_error_is_json(tmp_path, capsys):
@@ -227,6 +157,28 @@ def test_cli_error_is_json(tmp_path, capsys):
     assert code == 1
     payload = json.loads(err)
     assert payload["error"] == "FileNotFoundError"
+
+
+def test_cli_malformed_circuit_gives_parse_error(tmp_path, capsys):
+    f = tmp_path / "t.json"
+    run_cli(capsys, "staircase", "--n", "2", "--out", str(f))
+    code, _, err = run_cli(capsys, "apply", str(f), "--circuit", '{"minus": [[1,2],[3,1]]')
+    assert code == 1
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_cli_staircase_past_max_dim_writes_nothing(tmp_path, capsys):
+    f = tmp_path / "t.json"
+    code, _, err = run_cli(capsys, "staircase", "--n", str(pio.MAX_DIM + 1), "--out", str(f))
+    assert code == 1
+    assert json.loads(err)["error"] == "ParseError"
+    assert not f.exists()
+
+
+def test_cli_enumerate_past_max_dim_gives_parse_error(capsys):
+    code, _, err = run_cli(capsys, "enumerate", "--m", str(pio.MAX_DIM + 1), "--n", "2")
+    assert code == 1
+    assert json.loads(err)["error"] == "ParseError"
 
 
 def test_integer_past_the_digit_limit_gives_parse_error(tmp_path, capsys):

@@ -21,7 +21,7 @@ def test_all_holds_every_imported_name_and_no_module():
         for alias in node.names
     }
     public = {name for name in imported if not name.startswith("_")}
-    assert len(public) > 80
+    assert len(public) == 80
     assert set(prodtri.__all__) == public
     assert not [name for name in prodtri.__all__ if _is_module(getattr(prodtri, name))]
 
