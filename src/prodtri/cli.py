@@ -83,13 +83,7 @@ def _cmd_staircase(args):
 
 
 def _corpus(args):
-    dims = pio._dims_of({"m": args.m, "n": args.n})
-    corpus = pio.load_cached_corpus(args.cache, dims)
-    if corpus is None:
-        corpus = enumerate_triangulations(dims)
-        if args.cache:
-            pio.store_corpus(args.cache, corpus)
-    return corpus
+    return enumerate_triangulations(pio._dims_of({"m": args.m, "n": args.n}))
 
 
 def _cmd_enumerate(args):
@@ -149,13 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="count all triangulations")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cache")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("flip-graph", help="build the flip graph and test connectivity")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cache")
     p.set_defaults(fn=_cmd_flip_graph)
 
     p = sub.add_parser("orders", help="column order of a two-row restriction")

@@ -9,12 +9,10 @@ unsorted input.
 from __future__ import annotations
 
 import json
-import os
 from typing import Optional
 
 from .core import Circuit, Dims, Simplex, is_forest
 from .phases import FlipSequence, FlipStep
-from .oracle import Corpus
 from .triangulation import Triangulation, ValidityReport, validate
 
 
@@ -73,6 +71,9 @@ def _edges_in(doc_edges, dims: Dims) -> Simplex:
         simplex = Simplex.from_edges(dims, pairs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad edge list: {exc}") from exc
+    if len(simplex) != len(pairs):
+        listed = sorted([i + 1, j + 1] for i, j in pairs)
+        raise ParseError(f"simplex {listed} lists an edge twice")
     if not is_forest(simplex):
         listed = sorted([i + 1, j + 1] for i, j in pairs)
         raise NotAForest(f"simplex {listed} contains a cycle")
@@ -101,6 +102,8 @@ def triangulation_from_dict(doc: dict, require_valid: bool = True) -> Triangulat
         simplices = [_edges_in(e, dims) for e in raw]
     except TypeError as exc:  # raw is no list
         raise ParseError(f"bad maximal_simplices: {exc}") from exc
+    if len({s.mask for s in simplices}) != len(simplices):
+        raise ParseError("a maximal simplex is listed twice")
     tri = Triangulation(dims, simplices)
     if require_valid:
         report = validate(tri)
@@ -131,9 +134,12 @@ def circuit_from_dict(doc: dict, dims: Dims) -> Circuit:
     try:
         minus = [(int(r) - 1, int(c) - 1) for r, c in doc["minus"]]
         plus = [(int(r) - 1, int(c) - 1) for r, c in doc["plus"]]
-        return Circuit.from_edges(dims, minus, plus)
+        X = Circuit.from_edges(dims, minus, plus)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # NotACycle too
         raise ParseError(f"bad circuit: {exc}") from exc
+    if len(X) != len(minus) + len(plus):
+        raise ParseError("bad circuit: an edge is listed twice")
+    return X
 
 
 def sequence_to_dict(seq: FlipSequence) -> dict:
@@ -179,68 +185,3 @@ def write_sequence(path, seq: FlipSequence) -> None:
 def read_sequence(path) -> FlipSequence:
     with open(path) as fh:
         return sequence_from_dict(_loads(fh.read()))
-
-
-def corpus_to_dict(corpus: Corpus) -> dict:
-    return {
-        "m": corpus.dims.m,
-        "n": corpus.dims.n,
-        "count": len(corpus),
-        "triangulations": [
-            [_edges_out(t) for t in tri.maximal] for tri in corpus.triangulations
-        ],
-    }
-
-
-def corpus_from_dict(doc: dict) -> Corpus:
-    """The corpus of a document, every member checked by ``validate``; a
-    malformed document or an invalid member raises ParseError."""
-    dims = _dims_of(doc)
-    try:
-        tris = tuple(
-            Triangulation(dims, [_edges_in(e, dims) for e in payload])
-            for payload in doc["triangulations"]
-        )
-        count = int(doc.get("count", len(tris)))
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad corpus: {type(exc).__name__}: {exc}") from exc
-    if len(tris) != count:
-        raise ParseError("corpus count disagrees with payload")
-    for k, tri in enumerate(tris):
-        report = validate(tri)
-        if not report.ok:
-            kinds = sorted({kind for kind, _ in report.violations})
-            raise ParseError(f"corpus member {k} is not a triangulation: {', '.join(kinds)}")
-    return Corpus(dims=dims, triangulations=tris)
-
-
-def cache_path(cache_dir: Optional[str], dims: Dims) -> str:
-    base = cache_dir or os.environ.get("PRODTRI_CACHE") or os.path.join(
-        os.path.expanduser("~"), ".cache", "prodtri"
-    )
-    return os.path.join(base, f"corpus_{dims.m}x{dims.n}.json")
-
-
-def load_cached_corpus(cache_dir: Optional[str], dims: Dims) -> Optional[Corpus]:
-    path = cache_path(cache_dir, dims)
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        corpus = corpus_from_dict(_loads(fh.read()))
-    if corpus.dims != Dims(*dims):
-        raise ParseError(
-            f"cached corpus {path} holds {corpus.dims.m}x{corpus.dims.n},"
-            f" not {dims[0]}x{dims[1]}"
-        )
-    return corpus
-
-
-def store_corpus(cache_dir: Optional[str], corpus: Corpus) -> str:
-    path = cache_path(cache_dir, corpus.dims)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(corpus_to_dict(corpus), fh)
-        fh.write("\n")
-    return path

@@ -24,7 +24,13 @@ from .triangulation import Triangulation, _edge_members, _improper_partners
 
 
 class BudgetExceeded(RuntimeError):
-    """Requested dimensions exceed the configured enumeration budget."""
+    """Requested dimensions exceed an oracle budget."""
+
+
+# The most maximal simplices, C(m+n-2, m-1), that the enumeration builds.
+MAX_SIMPLICES = 12
+# The most vertices, m + n, of the product that the exact geometry accepts.
+MAX_GEOMETRIC_VERTICES = 16
 
 
 @dataclass(frozen=True)
@@ -61,14 +67,14 @@ def spanning_trees(dims: Dims) -> tuple[Simplex, ...]:
     return tuple(sorted(out))
 
 
-def enumerate_triangulations(dims: Dims, max_simplices: int = 12) -> Corpus:
+def enumerate_triangulations(dims: Dims) -> Corpus:
     """Depth-first search over canonical pairwise-proper tree sets of the
     unimodular cardinality.  Exhaustive: every triangulation appears once."""
     dims = Dims(*dims).check()
     target = comb(dims.m + dims.n - 2, dims.m - 1)
-    if target > max_simplices:
+    if target > MAX_SIMPLICES:
         raise BudgetExceeded(
-            f"{dims} needs {target} maximal simplices > budget {max_simplices}"
+            f"{dims} needs {target} maximal simplices > budget {MAX_SIMPLICES}"
         )
     trees = spanning_trees(dims)
     nt = len(trees)
@@ -105,7 +111,7 @@ def enumerate_triangulations(dims: Dims, max_simplices: int = 12) -> Corpus:
     return Corpus(dims=dims, triangulations=tris)
 
 
-def geometric_validate(tri: Triangulation, budget: int = 16) -> bool:
+def geometric_validate(tri: Triangulation) -> bool:
     """Exact-geometry triangulation test on the maximal simplices.
 
     Full-dimensional simplices, lattice volumes summing to the binomial,
@@ -113,8 +119,10 @@ def geometric_validate(tri: Triangulation, budget: int = 16) -> bool:
     search for a splitting affine dependence.
     """
     dims = tri.dims
-    if dims.m + dims.n > budget:
-        raise BudgetExceeded(f"{dims} beyond exact-arithmetic budget {budget}")
+    if dims.m + dims.n > MAX_GEOMETRIC_VERTICES:
+        raise BudgetExceeded(
+            f"{dims} beyond exact-arithmetic budget {MAX_GEOMETRIC_VERTICES}"
+        )
     d = dims.m + dims.n - 2
     total = 0
     for t in tri.maximal:

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 import prodtri.io as pio
 from prodtri.cli import main
 from prodtri.core import Dims
-from prodtri.oracle import enumerate_triangulations
 from prodtri.phases import connect, staircase
 
 
@@ -55,33 +53,6 @@ def test_sequence_roundtrip(tmp_path, corpus42):
     pio.write_sequence(path, seq)
     again = pio.read_sequence(path)
     assert again == seq
-
-
-def test_corpus_roundtrip(tmp_path, corpus22):
-    cache = tmp_path / "cache"
-    stored = pio.store_corpus(str(cache), corpus22)
-    loaded = pio.load_cached_corpus(str(cache), corpus22.dims)
-    assert loaded is not None
-    assert loaded.digests() == corpus22.digests()
-    assert stored.endswith("corpus_2x2.json")
-
-
-def test_cached_corpus_with_other_dims_is_refused(tmp_path, corpus33):
-    cache = tmp_path / "cache"
-    path = pio.cache_path(str(cache), Dims(4, 3))
-    os.makedirs(os.path.dirname(path))
-    with open(path, "w") as fh:
-        json.dump(pio.corpus_to_dict(corpus33), fh)
-    with pytest.raises(pio.ParseError, match="3x3"):
-        pio.load_cached_corpus(str(cache), Dims(4, 3))
-
-
-def test_cache_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("PRODTRI_CACHE", str(tmp_path / "envcache"))
-    assert pio.load_cached_corpus(None, Dims(2, 2)) is None
-    corpus = enumerate_triangulations(Dims(2, 2))
-    pio.store_corpus(None, corpus)
-    assert pio.load_cached_corpus(None, Dims(2, 2)) is not None
 
 
 def run_cli(capsys, *args):
@@ -132,16 +103,18 @@ def test_cli_flip_roundtrip(tmp_path, capsys):
     assert replayed.read_bytes() == direct.read_bytes()
 
 
-def test_cli_enumerate_and_flip_graph(tmp_path, capsys):
+def test_cli_enumerate_and_flip_graph(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--m", "2", "--n", "3")
     assert code == 0 and "6 triangulations" in out
     code, out, _ = run_cli(capsys, "flip-graph", "--m", "2", "--n", "2")
     assert code == 0 and "2 nodes, 1 edges: connected" in out
-    cache = tmp_path / "cache"
-    code, _, _ = run_cli(
-        capsys, "enumerate", "--m", "2", "--n", "2", "--cache", str(cache)
-    )
-    assert code == 0 and (cache / "corpus_2x2.json").exists()
+
+
+def test_cli_enumerate_and_flip_graph_of_4x3(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--m", "4", "--n", "3")
+    assert code == 0 and out == "4x3: 4488 triangulations\n"
+    code, out, _ = run_cli(capsys, "flip-graph", "--m", "4", "--n", "3")
+    assert code == 0 and out == "4488 nodes, 14184 edges: connected\n"
 
 
 def test_cli_orders(tmp_path, capsys):
@@ -205,45 +178,6 @@ def test_deep_nesting_gives_parse_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
-def _corpus_doc(corpus):
-    return json.loads(json.dumps(pio.corpus_to_dict(corpus)))
-
-
-def test_corpus_with_an_improper_member_is_refused(corpus22):
-    doc = _corpus_doc(corpus22)
-    # one triangle on each diagonal of the square: they overlap
-    doc["triangulations"][0] = [[[1, 1], [1, 2], [2, 1]], [[1, 1], [2, 1], [2, 2]]]
-    with pytest.raises(pio.ParseError, match="member 0 .*improper_pair"):
-        pio.corpus_from_dict(doc)
-
-
-def test_corpus_without_triangulations_is_refused(corpus22):
-    doc = _corpus_doc(corpus22)
-    del doc["triangulations"]
-    with pytest.raises(pio.ParseError, match="KeyError"):
-        pio.corpus_from_dict(doc)
-
-
-@pytest.mark.parametrize("count", ["two", [2], None])
-def test_corpus_with_a_non_integer_count_is_refused(corpus22, count):
-    doc = _corpus_doc(corpus22)
-    doc["count"] = count
-    with pytest.raises(pio.ParseError, match="bad corpus"):
-        pio.corpus_from_dict(doc)
-
-
-def test_malformed_cached_corpus_gives_parse_error_not_traceback(tmp_path, corpus22, capsys):
-    cache = tmp_path / "cache"
-    path = pio.cache_path(str(cache), corpus22.dims)
-    os.makedirs(os.path.dirname(path))
-    doc = _corpus_doc(corpus22)
-    doc["triangulations"][1] = [[[1, 1], [1, 9], [2, 1]]]  # column out of range
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    with pytest.raises(pio.ParseError):
-        pio.load_cached_corpus(str(cache), corpus22.dims)
-
-
 @pytest.mark.parametrize("m", [float("inf"), float("nan"), 0, [4]])
 def test_malformed_dimensions_give_parse_error(m):
     with pytest.raises(pio.ParseError, match="bad dimensions"):
@@ -285,6 +219,47 @@ def test_malformed_maximal_simplices_give_parse_error(simplices):
 def test_malformed_circuit_gives_parse_error(doc):
     with pytest.raises(pio.ParseError):
         pio.circuit_from_dict(doc, Dims(4, 3))
+
+
+def _assert_cli_parse_error(capsys, *args):
+    code, _, err = run_cli(capsys, *args)
+    assert code == 1
+    assert json.loads(err)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("reorder", [False, True], ids=["as-listed", "edges-reordered"])
+def test_repeated_maximal_simplex_gives_parse_error(tmp_path, capsys, reorder):
+    doc = pio.triangulation_to_dict(staircase(3))
+    first = doc["maximal_simplices"][0]
+    doc["maximal_simplices"].append(first[::-1] if reorder else first)
+    assert len(doc["maximal_simplices"]) == 11
+    for require_valid in (True, False):
+        with pytest.raises(pio.ParseError, match="listed twice"):
+            pio.triangulation_from_dict(doc, require_valid)
+    f = tmp_path / "repeat.json"
+    f.write_text(json.dumps(doc))
+    _assert_cli_parse_error(capsys, "validate", str(f))
+
+
+def test_repeated_edge_in_a_simplex_gives_parse_error(tmp_path, capsys):
+    doc = pio.triangulation_to_dict(staircase(3))
+    first = doc["maximal_simplices"][0]
+    first.append(first[0])
+    for require_valid in (True, False):
+        with pytest.raises(pio.ParseError, match="lists an edge twice"):
+            pio.triangulation_from_dict(doc, require_valid)
+    f = tmp_path / "repeat.json"
+    f.write_text(json.dumps(doc))
+    _assert_cli_parse_error(capsys, "validate", str(f))
+
+
+def test_repeated_circuit_edge_gives_parse_error(tmp_path, capsys):
+    doc = {"minus": [[1, 1], [2, 2], [1, 1]], "plus": [[1, 2], [2, 1]]}
+    with pytest.raises(pio.ParseError, match="listed twice"):
+        pio.circuit_from_dict(doc, Dims(4, 3))
+    f = tmp_path / "t.json"
+    pio.write_triangulation(f, staircase(3))
+    _assert_cli_parse_error(capsys, "apply", str(f), "--circuit", json.dumps(doc))
 
 
 @pytest.mark.parametrize("measures", [[1, 2], {"star_X": float("inf")}, {"star_X": "two"}])

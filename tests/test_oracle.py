@@ -15,7 +15,6 @@ from prodtri.oracle import (
     is_connected,
     spanning_trees,
 )
-from prodtri.phases import staircase
 from prodtri.triangulation import Triangulation, validate
 from test_flip_kernel import _reference_flip_graph
 
@@ -41,7 +40,7 @@ def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         enumerate_triangulations(Dims(4, 4))
     with pytest.raises(BudgetExceeded):
-        geometric_validate(staircase(3), budget=5)
+        geometric_validate(Triangulation(Dims(9, 8), []))
 
 
 def test_every_corpus_member_is_valid(corpus33):
