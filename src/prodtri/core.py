@@ -137,13 +137,59 @@ def col_neighbors(simplex: Simplex, j: int) -> frozenset[int]:
     )
 
 
-def _vertex_adjacency(simplex: Simplex) -> list[list[int]]:
-    m, n = simplex.dims
-    adj: list[list[int]] = [[] for _ in range(m + n)]
-    for i, j in simplex:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    return adj
+def _bits(x: int) -> frozenset[int]:
+    """Positions of the set bits of x."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return frozenset(out)
+
+
+def _edge_blocks(dims, mask: int) -> tuple[list[int], list[int]]:
+    """The connected components of an edge mask that have edges, as a list
+    of row bits and the matching list of column bits, read off the row
+    slices: a row joins every block whose columns meet its slice.  Blocks
+    keep pairwise disjoint columns, so one pass over the rows closes them;
+    being disjoint, the masks of either list sum to their union."""
+    m, n = dims
+    full = (1 << n) - 1
+    rows_of: list[int] = []
+    cols_of: list[int] = []
+    for i in range(m):
+        cols = (mask >> (i * n)) & full
+        if not cols:
+            continue
+        rows = 1 << i
+        k = len(cols_of)
+        while k:
+            k -= 1
+            if cols_of[k] & cols:
+                rows |= rows_of.pop(k)
+                cols |= cols_of.pop(k)
+        rows_of.append(rows)
+        cols_of.append(cols)
+    return rows_of, cols_of
+
+
+def _regular(dims, mask: int, k: int) -> Optional[tuple[int, int]]:
+    """The row bits and column bits that the edges of mask meet, when each
+    of those rows and columns meets exactly k (1 or 2) of them; else None."""
+    m, n = dims
+    full = (1 << n) - 1
+    rows = once = twice = more = 0  # columns meeting at least 1, 2, 3 edges
+    for i in range(m):
+        row = (mask >> (i * n)) & full
+        if row:
+            if row.bit_count() != k:
+                return None
+            rows |= 1 << i
+            more |= twice & row
+            twice |= once & row
+            once |= row
+    exact = once & ~twice if k == 1 else twice & ~more
+    return (rows, once) if exact == once else None
 
 
 def components(simplex: Simplex) -> tuple[frozenset[int], ...]:
@@ -153,32 +199,26 @@ def components(simplex: Simplex) -> tuple[frozenset[int], ...]:
     m + n vertices and is sorted by smallest member.
     """
     m, n = simplex.dims
-    adj = _vertex_adjacency(simplex)
-    seen = [False] * (m + n)
-    comps = []
-    for s in range(m + n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    return tuple(comps)
+    rows_of, cols_of = _edge_blocks(simplex.dims, simplex.mask)
+    comps = [_bits(r | c << m) for r, c in zip(rows_of, cols_of)]
+    covered = sum(rows_of) | sum(cols_of) << m
+    comps += [frozenset((v,)) for v in range(m + n) if not covered >> v & 1]
+    return tuple(sorted(comps, key=min))
 
 
 def is_forest(simplex: Simplex) -> bool:
-    m, n = simplex.dims
-    return len(simplex) + len(components(simplex)) == m + n
+    """Each block of the edges has one edge fewer than it has vertices."""
+    rows_of, cols_of = _edge_blocks(simplex.dims, simplex.mask)
+    spanned = sum(rows_of).bit_count() + sum(cols_of).bit_count()
+    return len(simplex) == spanned - len(rows_of)
 
 
 def is_spanning_tree(simplex: Simplex) -> bool:
-    return len(components(simplex)) == 1 and len(simplex) == simplex.dims.m + simplex.dims.n - 1
+    m, n = simplex.dims
+    if len(simplex) != m + n - 1:
+        return False
+    rows_of, cols_of = _edge_blocks(simplex.dims, simplex.mask)
+    return len(rows_of) == 1 and rows_of[0] == (1 << m) - 1 and cols_of[0] == (1 << n) - 1
 
 
 def shape(simplex: Simplex) -> frozenset[frozenset[int]]:
@@ -195,31 +235,42 @@ def tree_path(simplex: Simplex, u: int, v: int) -> Optional[tuple[tuple[int, int
     """The unique u-v path in the forest as an edge sequence, or None.
 
     Vertices are in graph encoding; an empty tuple is returned when u == v.
+    The search from u reads the row slices: a row's columns are the bits of
+    its slice, and a column's rows are the slices holding its bit.
     """
-    m = simplex.dims.m
     if u == v:
         return ()
-    adj = _vertex_adjacency(simplex)
-    prev: dict[int, int] = {u: u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        if x == v:
+    m, n = simplex.dims
+    full = (1 << n) - 1
+    slices = [(simplex.mask >> (i * n)) & full for i in range(m)]
+    prev = {u: u}
+    todo = [u]
+    for x in todo:
+        if x < m:
+            cols = slices[x]
+            while cols:
+                low = cols & -cols
+                cols ^= low
+                w = m + low.bit_length() - 1
+                if w not in prev:
+                    prev[w] = x
+                    todo.append(w)
+        else:
+            bit = 1 << (x - m)
+            for i in range(m):
+                if slices[i] & bit and i not in prev:
+                    prev[i] = x
+                    todo.append(i)
+        if v in prev:
             break
-        for w in adj[x]:
-            if w not in prev:
-                prev[w] = x
-                stack.append(w)
-    if v not in prev:
+    else:
         return None
-    verts = [v]
-    while verts[-1] != u:
-        verts.append(prev[verts[-1]])
-    verts.reverse()
     path = []
-    for a, b in zip(verts, verts[1:]):
-        i, j = (a, b - m) if a < m else (b, a - m)
-        path.append((i, j))
+    while v != u:
+        x = prev[v]
+        path.append((x, v - m) if x < m else (v, x - m))
+        v = x
+    path.reverse()
     return tuple(path)
 
 
@@ -266,22 +317,17 @@ class Circuit:
         return cls(dims, mm, pm)
 
     def _validate(self):
-        if self.minus_mask & self.plus_mask:
+        """One simple cycle whose edges alternate, read off the row slices:
+        its edges form one block, every row and column it meets holds two of
+        them, and minus meets the same rows and columns once each."""
+        minus, plus = self.minus_mask, self.plus_mask
+        if minus & plus:
             raise NotACycle("minus and plus overlap")
-        cyc = Simplex(self.dims, self.minus_mask | self.plus_mask)
-        deg: dict[int, list[int]] = {}
-        m = self.dims.m
-        for i, j in cyc:
-            deg.setdefault(i, []).append(i * self.dims.n + j)
-            deg.setdefault(m + j, []).append(i * self.dims.n + j)
-        if not deg or any(len(bits) != 2 for bits in deg.values()):
+        lines = _regular(self.dims, minus | plus, 2)
+        if lines is None or len(_edge_blocks(self.dims, minus | plus)[0]) != 1:
             raise NotACycle("edges do not form a single simple cycle")
-        if len(components(cyc)) != self.dims.m + self.dims.n - len(deg) + 1:
-            raise NotACycle("edges do not form a single simple cycle")
-        for bits in deg.values():
-            sides = {bool(self.minus_mask >> b & 1) for b in bits}
-            if len(sides) != 2:
-                raise NotACycle("cycle does not alternate between minus and plus")
+        if _regular(self.dims, minus, 1) != lines:
+            raise NotACycle("cycle does not alternate between minus and plus")
 
     @property
     def minus(self) -> frozenset[tuple[int, int]]:
@@ -347,39 +393,21 @@ class Circuit:
 
 
 def circuit_of_cycle(dims: Dims, edges: Iterable[tuple[int, int]]) -> Circuit:
-    """Sign a simple cycle, normalised so its smallest edge sits in minus."""
+    """Sign a simple cycle, normalised so its smallest edge sits in minus.
+
+    Without its smallest edge (i, j) the cycle is a path from column j to
+    row i, whose edges are plus, minus, plus, ... in turn."""
     dims = Dims(*dims).check()
     cyc = Simplex.from_edges(dims, edges)
-    edge_list = cyc.edges
-    if not edge_list:
+    if not cyc.mask:
         raise NotACycle("empty edge set")
-    adj: dict[int, list[tuple[int, int]]] = {}
-    m = dims.m
-    for i, j in edge_list:
-        adj.setdefault(i, []).append((i, j))
-        adj.setdefault(m + j, []).append((i, j))
-    if any(len(v) != 2 for v in adj.values()):
+    if _regular(dims, cyc.mask, 2) is None:
         raise NotACycle("some vertex does not have degree 2")
-    # walk the cycle starting from the smallest edge, assigning sides
-    start = edge_list[0]
-    side = {start: 0}
-    v = m + start[1]  # leave through the column endpoint
-    e = start
-    while True:
-        e2 = next(x for x in adj[v] if x != e)
-        if e2 == start:
-            break
-        if e2 in side:
-            raise NotACycle("edges contain more than one cycle")
-        side[e2] = side[e] ^ 1
-        i, j = e2
-        v = (m + j) if v == i else i
-        e = e2
-    if len(side) != len(edge_list):
+    i, j = cyc.edges[0]
+    path = tree_path(cyc.without_edge(i, j), dims.m + j, i)
+    if len(path) + 1 != len(cyc):
         raise NotACycle("edges are not a single connected cycle")
-    minus = [e for e, s in side.items() if s == 0]
-    plus = [e for e, s in side.items() if s == 1]
-    return Circuit.from_edges(dims, minus, plus)
+    return Circuit.from_edges(dims, ((i, j),) + path[1::2], path[::2])
 
 
 def alternating_path(

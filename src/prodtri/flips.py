@@ -23,7 +23,7 @@ from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Optional, Union
 
-from .core import Circuit, Dims, Simplex, circuit_of_cycle
+from .core import Circuit, Dims, Simplex
 from .triangulation import Triangulation
 
 
@@ -144,7 +144,8 @@ def apply_flip(tri: Triangulation, cert: FlipCertificate) -> Triangulation:
 @lru_cache(maxsize=None)
 def all_circuits(dims: Dims) -> tuple[Circuit, ...]:
     """Every signed simple cycle of the bipartite graph, both orientations."""
-    m, n = Dims(*dims).check()
+    dims = Dims(*dims).check()
+    m, n = dims
     seen: set[int] = set()
     out: list[Circuit] = []
     for k in range(2, min(m, n) + 1):
@@ -153,19 +154,15 @@ def all_circuits(dims: Dims) -> tuple[Circuit, ...]:
                 for rperm in permutations(rows[1:]):
                     rseq = (rows[0],) + rperm
                     for cseq in permutations(cols):
-                        mask = 0
+                        minus = plus = 0
                         for r in range(k):
-                            mask |= 1 << (rseq[r] * n + cseq[r])
-                            mask |= 1 << (rseq[(r + 1) % k] * n + cseq[r])
-                        if mask in seen:
+                            minus |= 1 << (rseq[r] * n + cseq[r])
+                            plus |= 1 << (rseq[(r + 1) % k] * n + cseq[r])
+                        if (minus | plus) in seen:
                             continue
-                        seen.add(mask)
-                        edges = [(rseq[r], cseq[r]) for r in range(k)] + [
-                            (rseq[(r + 1) % k], cseq[r]) for r in range(k)
-                        ]
-                        X = circuit_of_cycle(dims, edges)
-                        out.append(X)
-                        out.append(X.reverse())
+                        seen.add(minus | plus)
+                        out.append(Circuit(dims, minus, plus))
+                        out.append(Circuit(dims, plus, minus))
     out.sort()
     return tuple(out)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import Dims, Simplex, alternating_path, row_neighbors
+from .core import Dims, Simplex, _bits, _edge_blocks, alternating_path, row_neighbors
 from .triangulation import LocalTriangulation, _maximal_members, proper
 
 LESS, EQUIVALENT, GREATER = -1, 0, 1
@@ -68,16 +68,6 @@ class ColumnQuasiorder:
 
     def reversed_(self) -> "ColumnQuasiorder":
         return ColumnQuasiorder(tuple(reversed(self.strata)))
-
-
-def _bits(x: int) -> frozenset[int]:
-    """Positions of the set bits of x."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return frozenset(out)
 
 
 def _segment_walk(dims, masks: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -200,31 +190,6 @@ class AdjacencyMove:
         return AdjacencyMove(
             self.I2, self.I1, self.J2, self.J1, self.entering, self.leaving
         )
-
-
-def _edge_blocks(dims, mask: int) -> tuple[list[int], list[int]]:
-    """The connected components of an edge mask that have edges, as a list
-    of row bits and the matching list of column bits, read off the row
-    slices: a row joins every block whose columns meet its slice.  Blocks
-    keep pairwise disjoint columns, so one pass over the rows closes them."""
-    m, n = dims
-    full = (1 << n) - 1
-    rows_of: list[int] = []
-    cols_of: list[int] = []
-    for i in range(m):
-        cols = (mask >> (i * n)) & full
-        if not cols:
-            continue
-        rows = 1 << i
-        k = len(cols_of)
-        while k:
-            k -= 1
-            if cols_of[k] & cols:
-                rows |= rows_of.pop(k)
-                cols |= cols_of.pop(k)
-        rows_of.append(rows)
-        cols_of.append(cols)
-    return rows_of, cols_of
 
 
 def classify_adjacency(tau: Simplex, tau2: Simplex) -> Optional[AdjacencyMove]:

@@ -16,7 +16,7 @@ from math import comb
 from operator import attrgetter
 from typing import Iterable
 
-from .core import Dims, Simplex, components, is_spanning_tree
+from .core import Dims, Simplex, _bits, _edge_blocks, is_spanning_tree
 
 # sort key giving the canonical simplex order without Simplex.__lt__ calls
 _by_mask = attrgetter("mask")
@@ -359,33 +359,26 @@ class ContractionMap:
 
 
 def contraction_map(xi: Simplex) -> ContractionMap:
+    """Row blocks in order of their smallest row; column blocks those of the
+    base's edge blocks in the same order, then the lone columns; one anchor
+    per edge block."""
     m, n = xi.dims
-    comps = components(xi)
-    row_blocks, col_blocks, anchors = [], [], []
-    row_of, col_of = {}, {}
-    edge_comps = []
-    for comp in sorted(comps, key=min):
-        rows = frozenset(v for v in comp if v < m)
-        cols = frozenset(v - m for v in comp if v >= m)
-        if rows:
-            for i in rows:
-                row_of[i] = len(row_blocks)
-            row_blocks.append(rows)
-        if cols:
-            for j in cols:
-                col_of[j] = len(col_blocks)
-            col_blocks.append(cols)
-        if rows and cols:
-            edge_comps.append((row_blocks.index(rows), col_blocks.index(cols)))
-    anchors = tuple(edge_comps)
+    rows_of, cols_of = _edge_blocks(xi.dims, xi.mask)
+    blocks = sorted(zip(rows_of, cols_of), key=lambda rc: rc[0] & -rc[0])
+    lone_rows = ((1 << m) - 1) & ~sum(rows_of)
+    lone_cols = ((1 << n) - 1) & ~sum(cols_of)
+    row_masks = sorted(rows_of + [1 << i for i in _bits(lone_rows)], key=lambda r: r & -r)
+    col_masks = [c for _, c in blocks] + [1 << j for j in sorted(_bits(lone_cols))]
+    row_blocks = tuple(_bits(r) for r in row_masks)
+    col_blocks = tuple(_bits(c) for c in col_masks)
     return ContractionMap(
         dims=xi.dims,
         image_dims=Dims(len(row_blocks), len(col_blocks)),
-        row_blocks=tuple(row_blocks),
-        col_blocks=tuple(col_blocks),
-        anchors=anchors,
-        row_of=row_of,
-        col_of=col_of,
+        row_blocks=row_blocks,
+        col_blocks=col_blocks,
+        anchors=tuple((row_masks.index(r), k) for k, (r, _) in enumerate(blocks)),
+        row_of={i: k for k, rows in enumerate(row_blocks) for i in rows},
+        col_of={j: k for k, cols in enumerate(col_blocks) for j in cols},
     )
 
 

@@ -1,0 +1,121 @@
+"""Independent references for the package's mask routines.
+
+The forest routines here build vertex adjacency lists and walk them depth
+first; the package reads the same answers off row slices, and the tests
+compare the two.  Only ``Simplex`` and ``NotACycle`` are taken from the
+package.
+"""
+
+from __future__ import annotations
+
+from prodtri.core import NotACycle, Simplex
+
+
+def _vertex_adjacency(simplex: Simplex) -> list[list[int]]:
+    m, n = simplex.dims
+    adj: list[list[int]] = [[] for _ in range(m + n)]
+    for i, j in simplex:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    return adj
+
+
+def components(simplex: Simplex) -> tuple[frozenset[int], ...]:
+    """Connected components as sets of graph vertices (row i is vertex i,
+    column j is vertex m + j), singletons included, sorted by smallest
+    member."""
+    m, n = simplex.dims
+    adj = _vertex_adjacency(simplex)
+    seen = [False] * (m + n)
+    comps = []
+    for s in range(m + n):
+        if seen[s]:
+            continue
+        stack, comp = [s], []
+        seen[s] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(frozenset(comp))
+    return tuple(comps)
+
+
+def is_forest(simplex: Simplex) -> bool:
+    m, n = simplex.dims
+    return len(simplex) + len(components(simplex)) == m + n
+
+
+def is_spanning_tree(simplex: Simplex) -> bool:
+    return len(components(simplex)) == 1 and len(simplex) == simplex.dims.m + simplex.dims.n - 1
+
+
+def tree_paths(simplex: Simplex, u: int) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The path of the forest from u to each vertex of its component, as
+    an edge sequence; () to u itself."""
+    m = simplex.dims.m
+    adj = _vertex_adjacency(simplex)
+    paths = {u: ()}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        for w in adj[x]:
+            if w not in paths:
+                paths[w] = paths[x] + (((x, w - m) if x < m else (w, x - m)),)
+                stack.append(w)
+    return paths
+
+
+def validate_circuit(dims, minus_mask: int, plus_mask: int) -> None:
+    """Raise ``NotACycle`` with ``Circuit``'s message unless the two masks
+    split one simple cycle into alternating sides."""
+    if minus_mask & plus_mask:
+        raise NotACycle("minus and plus overlap")
+    cyc = Simplex(dims, minus_mask | plus_mask)
+    deg: dict[int, list[int]] = {}
+    m, n = dims
+    for i, j in cyc:
+        deg.setdefault(i, []).append(i * n + j)
+        deg.setdefault(m + j, []).append(i * n + j)
+    if not deg or any(len(bits) != 2 for bits in deg.values()):
+        raise NotACycle("edges do not form a single simple cycle")
+    if len(components(cyc)) != m + n - len(deg) + 1:
+        raise NotACycle("edges do not form a single simple cycle")
+    for bits in deg.values():
+        if len({bool(minus_mask >> b & 1) for b in bits}) != 2:
+            raise NotACycle("cycle does not alternate between minus and plus")
+
+
+def circuit_of_cycle(dims, edges) -> tuple[int, int]:
+    """The (minus, plus) masks of a simple cycle's alternating sides, the
+    smallest edge in minus, found by walking the cycle edge by edge; raise
+    ``NotACycle`` with ``circuit_of_cycle``'s message for anything else."""
+    m, n = dims
+    edge_list = Simplex.from_edges(dims, edges).edges
+    if not edge_list:
+        raise NotACycle("empty edge set")
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for i, j in edge_list:
+        adj.setdefault(i, []).append((i, j))
+        adj.setdefault(m + j, []).append((i, j))
+    if any(len(v) != 2 for v in adj.values()):
+        raise NotACycle("some vertex does not have degree 2")
+    start = edge_list[0]
+    side = {start: 0}
+    v, e = m + start[1], start
+    while True:
+        e2 = next(x for x in adj[v] if x != e)
+        if e2 == start:
+            break
+        side[e2] = side[e] ^ 1
+        v = m + e2[1] if v == e2[0] else e2[0]
+        e = e2
+    if len(side) != len(edge_list):
+        raise NotACycle("edges are not a single connected cycle")
+    masks = [0, 0]
+    for (i, j), s in side.items():
+        masks[s] |= 1 << (i * n + j)
+    return masks[0], masks[1]

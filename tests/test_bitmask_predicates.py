@@ -10,13 +10,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from prodtri.core import (
-    Dims,
-    Simplex,
-    col_neighbors,
-    components,
-    row_neighbors,
-)
+from prodtri.core import Dims, Simplex, col_neighbors, row_neighbors
 from prodtri.flips import all_circuits, apply_flip, supports_flip
 from prodtri.oracle import spanning_trees
 from prodtri.orders import (
@@ -37,6 +31,7 @@ from prodtri.phases import (
     goodness,
 )
 from prodtri.triangulation import LocalTriangulation, Triangulation, star
+from reference import components
 from test_proper_kernel import _reference_split_circuit
 
 WALK_PATH = os.path.join(os.path.dirname(__file__), "data", "walk_4x8.json")

@@ -269,3 +269,15 @@ def test_all_circuits_count():
     assert len(all_circuits(Dims(2, 2))) == cycles(2, 2)
     assert len(all_circuits(Dims(4, 3))) == cycles(4, 3)
     assert len(all_circuits(Dims(3, 4))) == cycles(3, 4)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 3), (3, 4), (4, 4)])
+def test_all_circuits_match_signed_cycles(dims):
+    """The circuits built from the two alternating masks are those
+    ``circuit_of_cycle`` signs from the cycle's edges, with their reverses."""
+    out = []
+    for X in all_circuits(dims):
+        if X.minus_mask < X.plus_mask:
+            signed = circuit_of_cycle(dims, X.minus | X.plus)
+            out += [signed, signed.reverse()]
+    assert tuple(sorted(out)) == all_circuits(dims)

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from prodtri import phases, triangulation
-from prodtri.core import Dims, Simplex, is_spanning_tree
+from prodtri.core import Dims, Simplex
 from prodtri.flips import FlipCertificate, apply_flip, enumerate_flips, supports_flip
 from prodtri.oracle import spanning_trees
 from prodtri.orders import (
@@ -43,6 +43,7 @@ from prodtri.triangulation import (
     validate,
     validate_incremental,
 )
+from reference import is_spanning_tree
 from test_proper_kernel import _reference_split_circuit
 
 WALK_PATH = os.path.join(os.path.dirname(__file__), "data", "walk_4x8.json")

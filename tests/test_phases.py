@@ -1,10 +1,11 @@
+import dataclasses
 import random
 from math import comb
 
 import pytest
 
 from prodtri.core import Circuit, Dims, Simplex, noncrossing
-from prodtri.flips import apply_flip, enumerate_flips
+from prodtri.flips import FlipCertificate, all_circuits, apply_flip, enumerate_flips, supports_flip
 from prodtri.oracle import spanning_trees
 from prodtri.orders import restriction_order
 from prodtri.phases import (
@@ -260,3 +261,31 @@ def test_phase_two_case_rejects_an_anchor_of_wrong_shape():
     T = staircase(3)
     with pytest.raises(ProofGap, match="anchor shape outside the two allowed shapes"):
         _phase_two_case(_Driver(T), T.maximal[0])
+
+
+def test_apply_sequence_refuses_tampered_sequences(corpus43):
+    T = next(T for T in corpus43.triangulations if len(connect(T)) > 1)
+    seq = connect(T)
+    with pytest.raises(ValueError, match="^sequence does not start at this triangulation$"):
+        apply_sequence(staircase(3), seq)
+    repeated = dataclasses.replace(seq, steps=(seq.steps[0],) + seq.steps)
+    with pytest.raises(ProofGap, match="^replayed circuit is not a flip$") as err:
+        apply_sequence(T, repeated)
+    assert err.value.context == {"circuit": seq.steps[0].circuit}
+    wrong_end = dataclasses.replace(seq, end=seq.start)
+    with pytest.raises(ProofGap, match="^replay did not reach the recorded endpoint$"):
+        apply_sequence(T, wrong_end)
+
+
+def test_driver_refuses_an_unsupported_flip():
+    T = staircase(3)
+    X, res = next(
+        (X, res)
+        for X in all_circuits(T.dims)
+        if not isinstance(res := supports_flip(T, X), FlipCertificate)
+    )
+    drv = _Driver(T)
+    with pytest.raises(ProofGap, match="^asserted flip is unsupported$") as err:
+        drv.flip(X, "I", step=1)
+    assert err.value.context == {"phase": "I", "circuit": X, "result": res, "digest": T.digest()}
+    assert drv.T is T and drv.steps == []

@@ -10,9 +10,10 @@ from itertools import product
 
 import pytest
 
-from prodtri.core import Dims, Simplex, components
+from prodtri.core import Dims, Simplex
 from prodtri.oracle import spanning_trees
 from prodtri.triangulation import _edge_members, _improper_partners, proper
+from reference import components
 
 
 def _reference_split_circuit(dims: Dims, mask1: int, mask2: int) -> bool:

@@ -6,6 +6,7 @@ import pytest
 from prodtri.core import Dims, Simplex
 from prodtri.phases import staircase
 from prodtri.triangulation import (
+    LocalTriangulation,
     NotInComplex,
     Triangulation,
     contract,
@@ -100,6 +101,50 @@ def test_restrict_validates_on_faces(corpus33):
     for T in corpus33.triangulations[:20]:
         for rows in ([0, 1], [0, 2], [1, 2]):
             assert validate(restrict(T, rows, range(3))).ok
+
+
+def _stars43(corpus43, seed):
+    """(T, xi, star(T, xi)) for a seeded sample of 4x3 members, xi two
+    edges of one of T's trees."""
+    rng = random.Random(seed)
+    for T in rng.sample(corpus43.triangulations, 12):
+        xi = Simplex.from_edges(T.dims, rng.sample(rng.choice(T.maximal).edges, 2))
+        yield T, xi, star(T, xi)
+
+
+def test_restrict_local_is_star_of_restriction(corpus43):
+    # a tree's image holds the image of a base inside the face exactly when
+    # the tree holds the base, so restricting the star gives the star of the
+    # restriction
+    for T, xi, local in _stars43(corpus43, 11):
+        rows = sorted({i for i, _ in xi} | {3})
+        cols = sorted({j for _, j in xi})
+        sub = restrict(local, rows, cols)
+        assert isinstance(sub, LocalTriangulation)
+        whole = restrict(T, rows, cols)
+        image = Simplex.from_edges(
+            whole.dims, [(rows.index(i), cols.index(j)) for i, j in xi]
+        )
+        assert sub.base == image
+        assert sub == star(whole, image)
+        with pytest.raises(ValueError, match="local base does not lie inside the face"):
+            restrict(local, [i for i in range(4) if i != rows[0]], cols)
+
+
+def test_contract_local_keeps_its_base(corpus43):
+    # contracting a star adds the image of its base to the anchors; at the
+    # star's own base that image is the anchors, as from the whole
+    for T, xi, local in _stars43(corpus43, 12):
+        assert contract(local, xi) == contract(T, xi)
+        t = local.maximal[-1]
+        eta = Simplex.from_edges(T.dims, [e for e in t if e not in xi][:1])
+        img, bij = contract(local, eta)
+        cmap = contraction_map(eta)
+        assert img.base == Simplex.from_edges(cmap.image_dims, cmap.anchors).union(
+            cmap.apply(xi)
+        )
+        assert sorted(bij) == sorted(star(local, eta).maximal)
+        assert set(img.maximal) == {cmap.apply(u) for u in bij}
 
 
 def test_contraction_map_partitions():
