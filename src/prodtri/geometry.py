@@ -111,6 +111,12 @@ def feasible_eq_nonneg(A: list[list[Fraction]], b: list[Fraction]) -> bool:
     return obj[width - 1] == 0
 
 
+# Verdicts of improper_geometric, shared by every call in the process: the
+# oracle checks the same simplex pairs over and over across corpus members.
+# The cache is emptied when it reaches the bound, which lies above the
+# 13,152 pairs that the oracle-agreement acceptance test leaves: every
+# corpus member up to 4x3 and 10,000 small random collections.
+_IMPROPER_CACHE_MAX = 1 << 15
 _improper_cache: dict[tuple[int, int, int], bool] = {}
 
 
@@ -155,5 +161,7 @@ def improper_geometric(s1: Simplex, s2: Simplex) -> bool:
     )
     bvec.append(Fraction(1))
     res = bool(only2) and feasible_eq_nonneg(A, bvec)
+    if len(_improper_cache) >= _IMPROPER_CACHE_MAX:
+        _improper_cache.clear()
     _improper_cache[key] = res
     return res

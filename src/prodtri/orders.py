@@ -16,7 +16,6 @@ collection; chains never leave it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import Dims, Simplex, _bits, _edge_blocks, alternating_path, row_neighbors
@@ -199,53 +198,73 @@ def classify_adjacency(tau: Simplex, tau2: Simplex) -> Optional[AdjacencyMove]:
     their shared face of m + n - 2 edges miss a row or column, the face holds
     a cycle, and so do both members; otherwise it is a spanning forest, and
     the members meet properly exactly when the leaving edge runs from side 1
-    to side 2 and the entering edge back.
+    to side 2 and the entering edge back.  ``_move_masks`` decides it on the
+    masks; this wrapper turns its row and column masks into sets.
     """
     m, n = tau.dims
     a, b = tau.mask, tau2.mask
-    sigma = a & b
-    if (a == b and tau.dims == tau2.dims) or sigma.bit_count() != m + n - 2:
+    if (a == b and tau.dims == tau2.dims) or (a & b).bit_count() != m + n - 2:
         return None
     tree_sized = a.bit_count() == b.bit_count() == m + n - 1
     if not (tree_sized and tau.dims == tau2.dims) and not proper(tau, tau2):
         return None
-    rows_of, cols_of = _edge_blocks(tau.dims, sigma)
+    move = _move_masks(tau.dims, a, b)
+    if move is None:
+        return None
+    r1, r2, c1, c2, leaving, entering = move
+    return AdjacencyMove(_bits(r1), _bits(r2), _bits(c1), _bits(c2), leaving, entering)
+
+
+def _move_masks(dims, a: int, b: int):
+    """The crossing from tree mask a to tree mask b, two members that share
+    m + n - 2 edges, as (I1, I2, J1, J2, leaving, entering) with row and
+    column masks, or None; ValueError if the shared face is a spanning
+    forest but a member has not exactly one edge outside it.  I1 and I2
+    partition the rows."""
+    m, n = dims
+    sigma = a & b
+    rows_of, cols_of = _edge_blocks(dims, sigma)
     if len(rows_of) != 2:
         return None
     r1, r2 = rows_of
     c1, c2 = cols_of
     if r1 | r2 != (1 << m) - 1 or c1 | c2 != (1 << n) - 1:
         return None  # the shared face holds a cycle
-    if not tree_sized:
+    out_a, out_b = a ^ sigma, b ^ sigma
+    if out_a.bit_count() != 1 or out_b.bit_count() != 1:
         raise ValueError("each simplex must have one edge outside the shared face")
-    li, lj = divmod((a & ~sigma).bit_length() - 1, n)
-    ei, ej = divmod((b & ~sigma).bit_length() - 1, n)
+    li, lj = divmod(out_a.bit_length() - 1, n)
+    ei, ej = divmod(out_b.bit_length() - 1, n)
     if not r1 >> li & 1:  # side 1 holds the leaving row
         r1, r2, c1, c2 = r2, r1, c2, c1
     if not (c2 >> lj & 1 and r2 >> ei & 1 and c1 >> ej & 1):
         return None
-    return AdjacencyMove(_bits(r1), _bits(r2), _bits(c1), _bits(c2), (li, lj), (ei, ej))
+    return r1, r2, c1, c2, (li, lj), (ei, ej)
 
 
-MoveFilter = Callable[[AdjacencyMove], bool]
+MoveFilter = Callable[[int, int], bool]
+"""Accepts or refuses a facet crossing by its row split: the row masks I1
+of the leaving side and I2 of the entering side.  Every order the
+reduction uses is defined by the split alone."""
 
 
 def toward_row(i: int) -> MoveFilter:
-    """Moves whose entering side contains row i."""
+    """Moves whose entering side contains row i: bit i of I2."""
 
-    def accept(move: AdjacencyMove) -> bool:
-        return i in move.I2
+    def accept(I1: int, I2: int) -> bool:
+        return bool(I2 >> i & 1)
 
     return accept
 
 
 def toward_row_free(i1: int, i2: int) -> MoveFilter:
-    """Moves toward row i2, plus free moves across ({i1}, the rest)."""
+    """Moves toward row i2, plus free moves across ({i1}, the rest): bit
+    i2 of I2 is set, or I1 or I2 is row i1 alone."""
 
-    alone = frozenset((i1,))
+    alone = 1 << i1
 
-    def accept(move: AdjacencyMove) -> bool:
-        return i2 in move.I2 or move.I1 == alone or move.I2 == alone
+    def accept(I1: int, I2: int) -> bool:
+        return bool(I2 >> i2 & 1) or I1 == alone or I2 == alone
 
     return accept
 
@@ -348,52 +367,124 @@ class PrecedenceDigraph:
         return self.scc_count == len(self.nodes)
 
 
-_UNSEEN = object()  # a pair not yet in a build_precedence table
+class _Adjacency:
+    """What the precedence digraphs of one run share.
+
+    ``moves`` maps each adjacent pair of tree masks a < b met so far to the
+    entering-side row mask I2 of the crossing from a to b, or to None when
+    the two do not meet properly; the leaving side is the other rows.  A
+    classification depends only on the two masks and the dims, so entries
+    of trees that have left stay valid, and the map is emptied when the
+    dims change.  ``facets`` maps each facet of a member of the last
+    collection, the tree minus one edge, to the masks of the members
+    holding it, and ``pairs`` holds the pairs a < b of members that share
+    one; ``update`` carries both over to a new collection by its members
+    that left and those that came in.
+    """
+
+    __slots__ = ("dims", "members", "facets", "pairs", "moves", "_mirror")
+
+    def __init__(self, moves: Optional[dict] = None):
+        self.dims = None
+        self.members: set[int] = set()
+        self.facets: dict[int, list[int]] = {}
+        self.pairs: set[tuple[int, int]] = set()
+        self.moves: dict[tuple[int, int], Optional[int]] = {} if moves is None else moves
+        self._mirror: Optional[_Adjacency] = None
+
+    def mirrored(self) -> "_Adjacency":
+        """The state for row-swapped copies of the run's collections: the
+        same moves, and a facet index of its own that follows those copies
+        from one mirrored case to the next.  A swap changes nearly every
+        member, so one index shared by both orientations would be rebuilt
+        twice per mirrored case."""
+        if self._mirror is None:
+            self._mirror = _Adjacency(self.moves)
+            self._mirror.dims = self.dims  # so its first update keeps the moves
+        return self._mirror
+
+    def update(self, dims, masks: set[int]) -> None:
+        if dims != self.dims:
+            self.moves.clear()
+            self.members, self.facets, self.pairs = set(), {}, set()
+            self.dims = dims
+        facets, pairs = self.facets, self.pairs
+        for x in self.members - masks:
+            rest = x
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                holders = facets[x ^ low]
+                holders.remove(x)
+                for y in holders:
+                    pairs.discard((x, y) if x < y else (y, x))
+                if not holders:
+                    del facets[x ^ low]
+        for x in masks - self.members:
+            rest = x
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                holders = facets.setdefault(x ^ low, [])
+                for y in holders:
+                    pairs.add((x, y) if x < y else (y, x))
+                holders.append(x)
+        self.members = masks
+
+
+_UNSEEN = object()  # a pair not yet in the run's moves
 
 
 def build_precedence(
-    tri, move_filter: MoveFilter, table: Optional[dict] = None
+    tri, move_filter: MoveFilter, adjacency: Optional[_Adjacency] = None
 ) -> PrecedenceDigraph:
     """Digraph over the collection's maximal simplices with the accepted moves.
 
     The members must be tree-sized (m+n-1 edges each); ValueError otherwise.
     Two such trees are adjacent only if they share a facet, the tree minus
-    one edge, so a facet index hands ``classify_adjacency`` just the pairs
-    that share one, in the (a, b) order of the all-pairs scan: O(T(m+n))
-    instead of O(T^2), with the same arcs.
+    one edge, so a facet index hands ``_move_masks`` just the pairs that
+    share one, in the (a, b) order of the all-pairs scan: O(T(m+n)) instead
+    of O(T^2), with the same arcs.  ``move_filter`` is called once per call
+    for each distinct row split (I1, I2) among the crossings, both
+    directions of every adjacent pair included.
 
-    ``table`` maps ``(dims, mask_a, mask_b)`` to None or to the pair's move
-    and its reverse, and only pairs not yet in it are classified.  The
-    classification depends on nothing else, so a table shared by the
-    digraphs of related collections (``phases`` keeps one per driver run)
-    gives the arcs a fresh table gives; without one, a fresh table is used.
+    ``adjacency`` is the state of a run (``phases`` keeps one per
+    ``connect``): its facet index follows the collection from the previous
+    call, and only pairs not yet in its moves are classified.  Both depend
+    on nothing but the masks, so the arcs are those a fresh state gives;
+    without one, a fresh state is used.
     """
     nodes = tri.maximal
     dims = tri.dims
     size = dims.m + dims.n - 1
-    facets: dict[int, list[int]] = {}
-    for p, t in enumerate(nodes):
-        mask = rest = t.mask
-        if mask.bit_count() != size:
+    for t in nodes:
+        if t.mask.bit_count() != size:
             raise ValueError(f"{t!r} is not tree-sized: {size} edges expected")
-        while rest:
-            low = rest & -rest
-            facets.setdefault(mask ^ low, []).append(p)
-            rest ^= low
-    pairs = sorted(pair for ps in facets.values() for pair in combinations(ps, 2))
-    table = {} if table is None else table
+    run = _Adjacency() if adjacency is None else adjacency
+    run.update(dims, {t.mask for t in nodes})
+    position = {t.mask: p for p, t in enumerate(nodes)}
+    moves = run.moves
+    full = (1 << dims.m) - 1
+    accepts: dict[int, bool] = {}  # the filter's verdict by entering side
     arcs = []
-    for a, b in pairs:
-        key = (dims, nodes[a].mask, nodes[b].mask)
-        moves = table.get(key, _UNSEEN)
-        if moves is _UNSEEN:
-            move = classify_adjacency(nodes[a], nodes[b])
-            moves = table[key] = None if move is None else (move, move.reversed_())
-        if moves is None:
+    for pair in sorted(run.pairs):  # members ascend by mask, so in (a, b) order
+        I2 = moves.get(pair, _UNSEEN)
+        if I2 is _UNSEEN:
+            move = _move_masks(dims, *pair)
+            I2 = moves[pair] = None if move is None else move[1]
+        if I2 is None:
             continue
-        if move_filter(moves[0]):
+        I1 = full ^ I2
+        forward = accepts.get(I2)
+        if forward is None:
+            forward = accepts[I2] = move_filter(I1, I2)
+        backward = accepts.get(I1)
+        if backward is None:
+            backward = accepts[I1] = move_filter(I2, I1)
+        a, b = position[pair[0]], position[pair[1]]
+        if forward:
             arcs.append((a, b))
-        if move_filter(moves[1]):
+        if backward:
             arcs.append((b, a))
     return PrecedenceDigraph(nodes, arcs)
 

@@ -24,6 +24,7 @@ from typing import Optional
 from .core import Circuit, Dims, Simplex, connecting_edges, shape, tree_path
 from .flips import FlipCertificate, apply_flip, supports_flip
 from .orders import (
+    _Adjacency,
     build_precedence,
     free_equivalent,
     restriction_order,
@@ -231,16 +232,18 @@ class _Driver:
     the states ``connect`` hands on are certified.  A row-swapped
     sub-driver works on a ``swap_rows`` copy, which keeps the status.
 
-    ``adjacency`` is the pair table every ``build_precedence`` call of the
-    run reuses; it lives as long as the driver, and a row-swapped
-    sub-driver shares its parent's.
+    ``adjacency`` is the run state (``orders._Adjacency``) that every
+    ``build_precedence`` call of the run reuses: a driver made without one
+    gets a fresh one, and ``connect`` hands one to both phases that build
+    digraphs.  A row-swapped sub-driver takes its ``mirrored()`` state,
+    which shares the classifications and indexes the swapped copies.
     """
 
     def __init__(self, tri: Triangulation, check: bool = True, adjacency=None):
         self.T = tri
         self.check = check
         self.steps: list[FlipStep] = []
-        self.adjacency: dict = {} if adjacency is None else adjacency
+        self.adjacency = _Adjacency() if adjacency is None else adjacency
 
     def flip(self, X: Circuit, phase: str, **inner: int) -> None:
         res = supports_flip(self.T, X)
@@ -309,12 +312,14 @@ def _path_rows_cols(path):
 # ---------------------------------------------------------------- phase one
 
 
-def phase_one(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Triangulation]:
+def phase_one(
+    tri: Triangulation, check: bool = True, *, _adjacency=None
+) -> tuple[FlipSequence, Triangulation]:
     """Empty the strong defect set, one anchor tree at a time."""
     _require_m4(tri)
     if check:
         _ensure(validate(tri).ok, "input does not validate")
-    drv = _Driver(tri, check)
+    drv = _Driver(tri, check, _adjacency)
     while True:
         defect = compute_TI(drv.T)
         if not defect:
@@ -387,7 +392,7 @@ def _dispatch_mirrorable(drv: _Driver, mirrored: bool, fn, *args) -> None:
             return Simplex(a.dims, _swap_slices(a.mask, n, 0, 1))
         return _swap_circuit(a, 0, 1) if isinstance(a, Circuit) else a
 
-    sub = _Driver(swap_rows(drv.T, 0, 1), drv.check, drv.adjacency)
+    sub = _Driver(swap_rows(drv.T, 0, 1), drv.check, drv.adjacency.mirrored())
     fn(sub, *map(swap, args))
     drv.absorb_mirrored(sub, 0, 1)
 
@@ -837,12 +842,14 @@ def _case_three_claim(drv, X: Circuit, tau_I: Simplex, sigma_I: Simplex, c1: int
 # ---------------------------------------------------------------- phase two
 
 
-def phase_two(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Triangulation]:
+def phase_two(
+    tri: Triangulation, check: bool = True, *, _adjacency=None
+) -> tuple[FlipSequence, Triangulation]:
     """Empty the weak defect set; the reduction mirrors case 1 with the
     roles of rows 2 and 3 reversed."""
     _require_m4(tri)
     _ensure(not compute_TI(tri), "phase two requires an empty strong defect set")
-    drv = _Driver(tri, check)
+    drv = _Driver(tri, check, _adjacency)
     while True:
         defect = compute_TII(drv.T)
         if not defect:
@@ -995,8 +1002,10 @@ def connect(tri: Triangulation, check: bool = True) -> FlipSequence:
     """Flip sequence from the given triangulation to the staircase.
 
     Concatenates the three phases; to connect two arbitrary triangulations,
-    chain one sequence with the reversal of the other."""
-    seq1, t1 = phase_one(tri, check)
-    seq2, t2 = phase_two(t1, check)
+    chain one sequence with the reversal of the other.  Phases one and two
+    share one adjacency run state; phase three builds no digraph."""
+    adjacency = _Adjacency()
+    seq1, t1 = phase_one(tri, check, _adjacency=adjacency)
+    seq2, t2 = phase_two(t1, check, _adjacency=adjacency)
     seq3, _ = phase_three(t2, check)
     return seq1 + seq2 + seq3

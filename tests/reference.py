@@ -3,12 +3,16 @@
 The forest routines here build vertex adjacency lists and walk them depth
 first; the package reads the same answers off row slices, and the tests
 compare the two.  Only ``Simplex`` and ``NotACycle`` are taken from the
-package.
+package for them.  The all-pairs precedence scan classifies every pair of
+members with the public ``classify_adjacency`` and builds the
+``PrecedenceDigraph`` of the moves a filter accepts, so it shares no code
+with the facet index and the mask core of ``build_precedence``.
 """
 
 from __future__ import annotations
 
 from prodtri.core import NotACycle, Simplex
+from prodtri.orders import PrecedenceDigraph, classify_adjacency
 
 
 def _vertex_adjacency(simplex: Simplex) -> list[list[int]]:
@@ -119,3 +123,44 @@ def circuit_of_cycle(dims, edges) -> tuple[int, int]:
     for (i, j), s in side.items():
         masks[s] |= 1 << (i * n + j)
     return masks[0], masks[1]
+
+
+def all_pairs_moves(tri) -> list:
+    """(a, b, move) for every adjacent pair of member positions a < b."""
+    nodes = tri.maximal
+    out = []
+    for a in range(len(nodes)):
+        for b in range(a + 1, len(nodes)):
+            move = classify_adjacency(nodes[a], nodes[b])
+            if move is not None:
+                out.append((a, b, move))
+    return out
+
+
+def row_mask(rows) -> int:
+    return sum(1 << i for i in rows)
+
+
+def facet_pairs(tri) -> set:
+    """Mask pairs a < b of members sharing a facet, the tree minus one edge."""
+    size = tri.dims.m + tri.dims.n - 1
+    masks = sorted(t.mask for t in tri.maximal)
+    return {
+        (a, b)
+        for k, a in enumerate(masks)
+        for b in masks[k + 1 :]
+        if (a & b).bit_count() == size - 1
+    }
+
+
+def all_pairs_precedence(tri, move_filter, moves) -> PrecedenceDigraph:
+    """The digraph of the ``all_pairs_moves(tri)`` moves, and of their
+    reverses, that the filter accepts on their row masks (I1, I2)."""
+    arcs = []
+    for a, b, move in moves:
+        I1, I2 = row_mask(move.I1), row_mask(move.I2)
+        if move_filter(I1, I2):
+            arcs.append((a, b))
+        if move_filter(I2, I1):
+            arcs.append((b, a))
+    return PrecedenceDigraph(tri.maximal, arcs)

@@ -1,21 +1,23 @@
 """The incremental validity check against the full one, and the facet-indexed
-precedence digraph, with and without a shared pair table, against the
-all-pairs scan."""
+precedence digraph, with and without a shared adjacency run state, against
+the all-pairs scan."""
 
 import json
 import os
 import random
 import sys
+from collections import Counter
 from math import comb
 
 import pytest
 
-from prodtri import phases, triangulation
+from prodtri import orders, phases, triangulation
 from prodtri.core import Dims, Simplex
 from prodtri.flips import FlipCertificate, apply_flip, enumerate_flips, supports_flip
 from prodtri.oracle import spanning_trees
 from prodtri.orders import (
-    PrecedenceDigraph,
+    _Adjacency,
+    _move_masks,
     build_precedence,
     classify_adjacency,
     toward_row,
@@ -43,7 +45,13 @@ from prodtri.triangulation import (
     validate,
     validate_incremental,
 )
-from reference import is_spanning_tree
+from reference import (
+    all_pairs_moves,
+    all_pairs_precedence,
+    facet_pairs,
+    is_spanning_tree,
+    row_mask,
+)
 from test_proper_kernel import _reference_split_circuit
 
 WALK_PATH = os.path.join(os.path.dirname(__file__), "data", "walk_4x8.json")
@@ -317,40 +325,17 @@ def test_incremental_refuses_a_mismatched_flip():
 # ------------------------------------------------------------ facet index
 
 
-def _all_pairs_moves(tri) -> list:
-    """(a, b, move) for every adjacent pair a < b, by the all-pairs scan."""
-    nodes = tri.maximal
-    out = []
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            move = classify_adjacency(nodes[a], nodes[b])
-            if move is not None:
-                out.append((a, b, move))
-    return out
-
-
-def _all_pairs_precedence(tri, move_filter, moves) -> PrecedenceDigraph:
-    """The digraph of the moves ``_all_pairs_moves(tri)`` gave."""
-    arcs = []
-    for a, b, move in moves:
-        if move_filter(move):
-            arcs.append((a, b))
-        if move_filter(move.reversed_()):
-            arcs.append((b, a))
-    return PrecedenceDigraph(tri.maximal, arcs)
-
-
 def _filters(m: int):
     out = [toward_row(i) for i in range(m)]
     out += [toward_row_free(i1, i2) for i1 in range(m) for i2 in range(m) if i1 != i2]
     return out
 
 
-def _same_arcs(tri, filters, table=None):
-    moves = _all_pairs_moves(tri)
+def _same_arcs(tri, filters, adjacency=None):
+    moves = all_pairs_moves(tri)
     for accept in filters:
-        fast = build_precedence(tri, accept, table)
-        slow = _all_pairs_precedence(tri, accept, moves)
+        fast = build_precedence(tri, accept, adjacency)
+        slow = all_pairs_precedence(tri, accept, moves)
         assert fast.arcs == slow.arcs
         assert fast.scc_of == slow.scc_of
 
@@ -391,74 +376,169 @@ def test_build_precedence_refuses_members_that_are_not_tree_sized():
         build_precedence(local, toward_row(0))
 
 
-# ------------------------------------------------------------ pair table
+# ------------------------------------------------------------ run state
 
 
 def test_shared_table_matches_all_pairs_on_walk_states(walk48):
-    """One table serves every state connect passes through and the rows-0/1
-    swap of each, so it holds departed and swapped trees; every state is
-    compared with four of the filters in turn, so each filter meets a
-    quarter of the states."""
+    """One run state serves every state connect passes through and the
+    rows-0/1 swap of each, so its moves hold departed and swapped trees;
+    every state is compared with four of the filters in turn, so each
+    filter meets a quarter of the states."""
     states = [walk48]
     for step in connect(walk48, check=False).steps:
         states.append(apply_flip(states[-1], supports_flip(states[-1], step.circuit)))
     assert len(states) >= 4
     filters = _filters(4)
-    table = {}
+    adjacency = _Adjacency()
     for k, tri in enumerate(states):
         for state in (tri, swap_rows(tri, 0, 1)):
-            _same_arcs(state, [filters[(4 * k + r) % 16] for r in range(4)], table)
-    one_state = {}
+            _same_arcs(state, [filters[(4 * k + r) % 16] for r in range(4)], adjacency)
+    one_state = _Adjacency()
     build_precedence(tri, filters[0], one_state)
-    kept = {key[1] for key in table} | {key[2] for key in table}
-    assert len(table) > 2 * len(one_state)
+    kept = {x for pair in adjacency.moves for x in pair}
+    assert len(adjacency.moves) > 2 * len(one_state.moves)
     assert not kept <= {t.mask for t in tri.maximal}  # departed trees stay
 
 
 def test_shared_table_matches_all_pairs_on_corpus(corpus43):
     rng = random.Random(7)
     sample = rng.sample(corpus43.triangulations, 60)
-    table = {}
+    adjacency = _Adjacency()
     for tri in sample[:20]:
-        build_precedence(tri, toward_row(0), table)
-    filled = len(table)
+        build_precedence(tri, toward_row(0), adjacency)
+    filled = len(adjacency.moves)
     for tri in sample[20:]:
-        _same_arcs(tri, _filters(4), table)
-    assert 0 < filled < len(table)
+        _same_arcs(tri, _filters(4), adjacency)
+    assert 0 < filled < len(adjacency.moves)
 
 
 def test_shared_table_matches_all_pairs_on_stars(corpus43):
     rng = random.Random(8)
-    table = {}
+    adjacency = _Adjacency()
     for tri in rng.sample(corpus43.triangulations, 10):
-        build_precedence(tri, toward_row(1), table)
+        build_precedence(tri, toward_row(1), adjacency)
     for tri in rng.sample(corpus43.triangulations, 20):
         t = rng.choice(tri.maximal)
         edges = list(t)
         for base in (edges[:1], rng.sample(edges, 2)):
-            _same_arcs(star(tri, Simplex.from_edges(tri.dims, base)), _filters(4), table)
+            _same_arcs(star(tri, Simplex.from_edges(tri.dims, base)), _filters(4), adjacency)
 
 
 def test_table_never_answers_for_other_dims(corpus43):
-    """The same masks read as 3x4 members get their own entries, not the
-    4x3 classifications already in the table."""
+    """The same masks read as 3x4 members get their own classifications,
+    not the 4x3 ones already in the run state."""
     rng = random.Random(9)
-    table = {}
+    adjacency = _Adjacency()
     other = Dims(3, 4)
     for tri in rng.sample(corpus43.triangulations, 20):
-        build_precedence(tri, toward_row(0), table)
+        build_precedence(tri, toward_row(0), adjacency)
+        assert adjacency.dims == tri.dims and adjacency.moves
         reread = Triangulation(other, [Simplex(other, t.mask) for t in tri.maximal])
-        _same_arcs(reread, _filters(3), table)
-    assert {key[0] for key in table} == {tri.dims, other}
+        _same_arcs(reread, _filters(3), adjacency)
+        fresh = _Adjacency()
+        build_precedence(reread, toward_row(0), fresh)
+        assert adjacency.dims == other and adjacency.moves == fresh.moves
 
 
 def test_driver_run_owns_its_table(walk48):
     drv = _Driver(walk48, check=False)
-    assert drv.adjacency == {} and drv.adjacency is not _Driver(walk48).adjacency
+    assert isinstance(drv.adjacency, _Adjacency) and not drv.adjacency.moves
+    assert drv.adjacency is not _Driver(walk48).adjacency
     subs = []
     _dispatch_mirrorable(drv, True, lambda sub: subs.append(sub))
-    assert subs[0].adjacency is drv.adjacency
+    _dispatch_mirrorable(drv, True, lambda sub: subs.append(sub))
+    assert subs[0].adjacency.moves is drv.adjacency.moves
+    assert subs[0].adjacency is subs[1].adjacency is drv.adjacency.mirrored()
+    assert subs[0].adjacency is not drv.adjacency
     assert subs[0].T == swap_rows(walk48, 0, 1)
+
+
+def _record_digraphs(monkeypatch) -> list:
+    """(collection, run state) of every build_precedence call of phases."""
+    calls = []
+
+    def recording(tri, move_filter, adjacency=None):
+        digraph = build_precedence(tri, move_filter, adjacency)
+        facets = {f: sorted(h) for f, h in adjacency.facets.items()}
+        calls.append((tri, adjacency, set(adjacency.pairs), facets))
+        return digraph
+
+    monkeypatch.setattr(phases, "build_precedence", recording)
+    return calls
+
+
+def test_move_masks_match_classify_adjacency(corpus43, trees43, walk48, monkeypatch):
+    """The mask core against the public move's row and column sets, on
+    every pair sharing a facet of 40 corpus members, of every state,
+    swapped ones included, that connect builds a digraph on, and of 20
+    random sets of spanning trees, where some pairs do not meet properly."""
+    calls = _record_digraphs(monkeypatch)
+    connect(walk48, check=False)
+    assert any(adjacency is not calls[0][1] for _, adjacency, _, _ in calls)  # mirrored
+    rng = random.Random(13)
+    collections = rng.sample(corpus43.triangulations, 40) + [tri for tri, *_ in calls]
+    collections += [Triangulation(Dims(4, 3), rng.sample(trees43, 30)) for _ in range(20)]
+    checked = adjacent = 0
+    for tri in collections:
+        for a, b in facet_pairs(tri):
+            for x, y in ((a, b), (b, a)):
+                core = _move_masks(tri.dims, x, y)
+                move = classify_adjacency(Simplex(tri.dims, x), Simplex(tri.dims, y))
+                assert (core is None) == (move is None)
+                if move is not None:
+                    I1, I2, J1, J2, leaving, entering = core
+                    assert (I1, I2) == (row_mask(move.I1), row_mask(move.I2))
+                    assert (J1, J2) == (row_mask(move.J1), row_mask(move.J2))
+                    assert (leaving, entering) == (move.leaving, move.entering)
+                    adjacent += 1
+                checked += 1
+    assert adjacent > 0 and checked > adjacent
+
+
+def test_run_state_index_matches_a_fresh_one_after_every_flip(walk48, monkeypatch):
+    """The facet index a run carries across flips, and across the rows-0/1
+    swap, against the all-pairs scan and a fresh index."""
+
+    def assert_fresh(tri, adjacency, pairs, facets):
+        fresh = _Adjacency()
+        fresh.update(tri.dims, {t.mask for t in tri.maximal})
+        assert pairs == facet_pairs(tri) == fresh.pairs
+        assert {f: sorted(h) for f, h in facets.items()} == {
+            f: sorted(h) for f, h in fresh.facets.items()
+        }
+
+    calls = _record_digraphs(monkeypatch)
+    seq = connect(walk48, check=False)
+    assert len(calls) > 10
+    for call in calls:
+        assert_fresh(*call)
+    adjacency = _Adjacency()
+    tri = walk48
+    for step in seq.steps:
+        tri = apply_flip(tri, supports_flip(tri, step.circuit))
+        for state in (tri, swap_rows(tri, 0, 1), tri):
+            adjacency.update(state.dims, {t.mask for t in state.maximal})
+            assert_fresh(state, adjacency, adjacency.pairs, adjacency.facets)
+
+
+def test_connect_classifies_each_pair_once(walk48, monkeypatch):
+    """Phases one and two share the run's classifications: no pair is
+    classified twice, and fewer pairs are classified than when each phase
+    starts from a fresh state."""
+    counts = Counter()
+
+    def counting(dims, a, b):
+        counts[dims, a, b] += 1
+        return _move_masks(dims, a, b)
+
+    monkeypatch.setattr(orders, "_move_masks", counting)
+    connect(walk48, check=False)
+    assert counts and max(counts.values()) == 1
+    shared = len(counts)
+    counts.clear()
+    _, start = phase_one(walk48, check=False)
+    phase_two(start, check=False)
+    assert sum(counts.values()) > shared
 
 
 def _module_containers() -> dict:
@@ -475,5 +555,5 @@ def test_connect_leaves_no_module_level_state(walk48):
     before = _module_containers()
     assert before  # e.g. prodtri.__all__
     connect(walk48, check=False)
-    build_precedence(staircase(9), toward_row(2))  # a plain call: a fresh table
+    build_precedence(staircase(9), toward_row(2))  # a plain call: a fresh state
     assert _module_containers() == before

@@ -5,7 +5,8 @@ import pytest
 
 from prodtri.core import Dims, Simplex
 from prodtri.flips import enumerate_flips
-from prodtri.geometry import det_bareiss, feasible_eq_nonneg, simplex_volume
+from prodtri import geometry
+from prodtri.geometry import det_bareiss, feasible_eq_nonneg, improper_geometric, simplex_volume
 from prodtri.oracle import (
     BudgetExceeded,
     Corpus,
@@ -81,6 +82,28 @@ def test_geometric_agreement_randomized(corpus33):
         pick = rng.sample(range(len(trees)), k)
         T = Triangulation(d, [trees[p] for p in pick])
         assert validate(T).ok == geometric_validate(T)
+
+
+def test_improper_cache_stays_bounded(monkeypatch):
+    """The process-wide verdict cache is emptied when it reaches its bound,
+    and verdicts after a clear equal those before it."""
+    bound = 64
+    monkeypatch.setattr(geometry, "_IMPROPER_CACHE_MAX", bound)
+    monkeypatch.setattr(geometry, "_improper_cache", {})
+    rng = random.Random(31)
+    trees = spanning_trees(Dims(3, 3))
+    pairs = [tuple(rng.sample(trees, 2)) for _ in range(300)]
+    verdicts = []
+    sizes = []
+    for s1, s2 in pairs:
+        verdicts.append(improper_geometric(s1, s2))
+        sizes.append(len(geometry._improper_cache))
+    assert max(sizes) == bound
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it was cleared
+    assert True in verdicts and False in verdicts
+    for (s1, s2), want in zip(pairs, verdicts):
+        geometry._improper_cache.clear()
+        assert improper_geometric(s1, s2) == want == improper_geometric(s2, s1)
 
 
 def test_flip_graph_square(corpus22):
