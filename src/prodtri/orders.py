@@ -270,101 +270,57 @@ def toward_row_free(i1: int, i2: int) -> MoveFilter:
 
 
 class PrecedenceDigraph:
-    """Digraph of accepted facet crossings with condensation and reachability."""
+    """Digraph of accepted facet crossings over a collection's trees.
 
-    __slots__ = ("nodes", "node_index", "arcs", "scc_of", "scc_count", "_reach")
+    Its quasiorder is reachability: tau lies below-or-equivalent-to tau2
+    when a chain of arcs leads from tau to tau2, and the two are equivalent
+    when chains lead both ways.  The positions a node reaches are searched
+    the first time a query asks about it and kept on the digraph, so
+    ``select_extremal`` searches from its few candidates alone, not from
+    every tree.
+    """
+
+    __slots__ = ("nodes", "node_index", "arcs", "_succ", "_reach")
 
     def __init__(self, nodes: Sequence[Simplex], arcs: Iterable[tuple[int, int]]):
         self.nodes = tuple(nodes)
         self.node_index = {t: p for p, t in enumerate(self.nodes)}
         self.arcs = frozenset(arcs)
-        self.scc_of, self.scc_count = self._tarjan()
-        self._reach = self._reachability()
-
-    def _tarjan(self):
-        nn = len(self.nodes)
-        out = [[] for _ in range(nn)]
+        self._succ = [0] * len(self.nodes)
         for a, b in self.arcs:
-            out[a].append(b)
-        index = [-1] * nn
-        low = [0] * nn
-        on_stack = [False] * nn
-        stack: list[int] = []
-        scc_of = [-1] * nn
-        counter = 0
-        comp = 0
-        for root in range(nn):
-            if index[root] != -1:
-                continue
-            work = [(root, 0)]
-            while work:
-                v, pi = work[-1]
-                if pi == 0:
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                advanced = False
-                for k in range(pi, len(out[v])):
-                    w = out[v][k]
-                    if index[w] == -1:
-                        work[-1] = (v, k + 1)
-                        work.append((w, 0))
-                        advanced = True
-                        break
-                    if on_stack[w]:
-                        low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        scc_of[w] = comp
-                        if w == v:
-                            break
-                    comp += 1
-                if work:
-                    u, _ = work[-1]
-                    low[u] = min(low[u], low[v])
-        return scc_of, comp
+            self._succ[a] |= 1 << b
+        self._reach: dict[int, int] = {}
 
-    def _reachability(self) -> list[int]:
-        # Tarjan emits components in reverse topological order, so a single
-        # pass over components in emission order sees successors first.
-        members = [0] * self.scc_count
-        succ = [0] * self.scc_count
-        for p, c in enumerate(self.scc_of):
-            members[c] |= 1 << p
-        for a, b in self.arcs:
-            ca, cb = self.scc_of[a], self.scc_of[b]
-            if ca != cb:
-                succ[ca] |= 1 << cb
-        reach_scc = [0] * self.scc_count
-        for c in range(self.scc_count):
-            r = members[c]
-            rest = succ[c]
-            while rest:
-                lowb = rest & -rest
-                r |= reach_scc[lowb.bit_length() - 1]
-                rest ^= lowb
-            reach_scc[c] = r
-        return [reach_scc[self.scc_of[p]] for p in range(len(self.nodes))]
+    def _reach_of(self, p: int) -> int:
+        """Bitset of the positions reachable from position p, p included."""
+        reach = self._reach.get(p)
+        if reach is None:
+            succ = self._succ
+            reach = todo = 1 << p
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                new = succ[low.bit_length() - 1] & ~reach
+                reach |= new
+                todo |= new
+            self._reach[p] = reach
+        return reach
 
     def reaches(self, tau: Simplex, tau2: Simplex) -> bool:
         """tau is below-or-equivalent-to tau2 in the generated quasiorder."""
-        a, b = self.node_index[tau], self.node_index[tau2]
-        return bool(self._reach[a] >> b & 1)
+        return bool(self._reach_of(self.node_index[tau]) >> self.node_index[tau2] & 1)
 
     def strictly_below(self, tau: Simplex, tau2: Simplex) -> bool:
-        return self.reaches(tau, tau2) and not self.reaches(tau2, tau)
+        a, b = self.node_index[tau], self.node_index[tau2]
+        return bool(self._reach_of(a) >> b & 1) and not self._reach_of(b) >> a & 1
 
     def equivalent(self, tau: Simplex, tau2: Simplex) -> bool:
-        return self.scc_of[self.node_index[tau]] == self.scc_of[self.node_index[tau2]]
+        a, b = self.node_index[tau], self.node_index[tau2]
+        return bool(self._reach_of(a) >> b & 1 and self._reach_of(b) >> a & 1)
 
     def is_acyclic(self) -> bool:
-        return self.scc_count == len(self.nodes)
+        """No arc (a, b) closes a cycle, one where b reaches a."""
+        return not any(self._reach_of(b) >> a & 1 for a, b in self.arcs)
 
 
 class _Adjacency:
@@ -517,29 +473,15 @@ def free_equivalent(tau: Simplex, tau2: Simplex, i1: int) -> bool:
     return any(others & ~rows == 0 for rows in _edge_blocks(tau.dims, tau.mask & tau2.mask)[0])
 
 
-def select_extremal(
-    candidates: Iterable[Simplex],
-    digraph: PrecedenceDigraph,
-    direction: str,
-) -> Simplex:
-    """Canonical extremal member of the candidates in the digraph's quasiorder.
-
-    direction is "min" or "max"; ties inside or across incomparable classes
-    break by the canonical simplex order."""
+def select_extremal(candidates: Iterable[Simplex], digraph: PrecedenceDigraph) -> Simplex:
+    """Canonical maximal member of the candidates in the digraph's
+    quasiorder: the first in canonical simplex order that lies strictly
+    below no other candidate, which breaks ties inside or across
+    incomparable classes."""
     cands = sorted(set(candidates))
     if not cands:
         raise EmptyInput("no candidates")
-    if direction not in ("min", "max"):
-        raise ValueError("direction must be 'min' or 'max'")
     for tau in cands:
-        if direction == "max":
-            dominated = any(
-                digraph.strictly_below(tau, other) for other in cands if other != tau
-            )
-        else:
-            dominated = any(
-                digraph.strictly_below(other, tau) for other in cands if other != tau
-            )
-        if not dominated:
+        if not any(digraph.strictly_below(tau, other) for other in cands if other != tau):
             return tau
     raise RuntimeError("quasiorder has no extremal element")  # pragma: no cover

@@ -326,7 +326,7 @@ def phase_one(
             break
         before = len(defect)
         dg34 = build_precedence(drv.T, toward_row_free(2, 3), drv.adjacency)
-        tau_I = select_extremal(defect, dg34, "max")
+        tau_I = select_extremal(defect, dg34)
         blocks = _shape_cols(tau_I)
         c1 = next(
             (j for j, nb in blocks.items() if 0 in nb and 1 in nb and 3 not in nb),
@@ -407,7 +407,7 @@ def _anchor_minimal(drv, xminus: Simplex, row: int, label: str) -> Simplex:
 def _extremal_path(drv, trees, move, ends: tuple[int, int], label: str):
     """The extremal tree under the move filter, with the rows and columns of
     its path between the two end rows."""
-    tau = select_extremal(trees, build_precedence(drv.T, move, drv.adjacency), "max")
+    tau = select_extremal(trees, build_precedence(drv.T, move, drv.adjacency))
     path = tree_path(tau, *ends)
     _ensure(path is not None, f"{label}: path missing", tau=tau)
     return (tau, *_path_rows_cols(path))
@@ -860,7 +860,7 @@ def phase_two(
         )
         before = len(defect)
         dg3 = build_precedence(drv.T, toward_row(2), drv.adjacency)
-        tau_II = select_extremal(defect, dg3, "max")
+        tau_II = select_extremal(defect, dg3)
         blocks = _shape_cols(tau_II)
         shapes = set(blocks.values())
         _ensure(

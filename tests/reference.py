@@ -3,10 +3,14 @@
 The forest routines here build vertex adjacency lists and walk them depth
 first; the package reads the same answers off row slices, and the tests
 compare the two.  Only ``Simplex`` and ``NotACycle`` are taken from the
-package for them.  The all-pairs precedence scan classifies every pair of
-members with the public ``classify_adjacency`` and builds the
-``PrecedenceDigraph`` of the moves a filter accepts, so it shares no code
-with the facet index and the mask core of ``build_precedence``.
+package for them.  ``split_circuit`` decides proper intersection by a
+depth-first search for a directed cycle, where the package runs one
+circuit search against a whole collection.  The all-pairs precedence scan
+classifies every pair of members with the public ``classify_adjacency``
+and builds the ``PrecedenceDigraph`` of the moves a filter accepts, so it
+shares no code with the facet index and the mask core of
+``build_precedence``.  ``reachability`` closes a digraph's arcs over sets
+by Warshall's method, where the digraph searches from a node on demand.
 """
 
 from __future__ import annotations
@@ -125,6 +129,39 @@ def circuit_of_cycle(dims, edges) -> tuple[int, int]:
     return masks[0], masks[1]
 
 
+def split_circuit(dims, mask1: int, mask2: int) -> bool:
+    """Directed cycle through at least two rows, searched depth first from
+    its lowest row (mask1 oriented row-to-column, mask2 column-to-row)."""
+    m, n = dims
+    union = Simplex(dims, mask1 | mask2)
+    if len(union) + len(components(union)) == m + n:
+        return False  # union is a forest: no cycle at all
+    out = [0] * (m + n)
+    for i, j in Simplex(dims, mask1):
+        out[i] |= 1 << (m + j)
+    for i, j in Simplex(dims, mask2):
+        out[m + j] |= 1 << i
+    row_mask_above = [((1 << m) - 1) & ~((1 << (s + 1)) - 1) for s in range(m)]
+
+    def dfs(v: int, visited: int, depth: int, start: int) -> bool:
+        targets = out[v]
+        if depth >= 3 and targets >> start & 1:
+            return True
+        allowed = targets & ~visited
+        if v >= m:  # leaving a column: only rows above the start row
+            allowed &= row_mask_above[start] | (1 << start)
+        allowed &= ~(1 << start)
+        while allowed:
+            low = allowed & -allowed
+            w = low.bit_length() - 1
+            if dfs(w, visited | low, depth + 1, start):
+                return True
+            allowed ^= low
+        return False
+
+    return any(out[s] and dfs(s, 1 << s, 0, s) for s in range(m))
+
+
 def all_pairs_moves(tri) -> list:
     """(a, b, move) for every adjacent pair of member positions a < b."""
     nodes = tri.maximal
@@ -164,3 +201,16 @@ def all_pairs_precedence(tri, move_filter, moves) -> PrecedenceDigraph:
         if move_filter(I2, I1):
             arcs.append((b, a))
     return PrecedenceDigraph(tri.maximal, arcs)
+
+
+def reachability(count: int, arcs) -> list[set[int]]:
+    """Warshall's closure: for each of count positions, the set of
+    positions a chain of arcs leads to from it, itself included."""
+    reach = [{p} for p in range(count)]
+    for a, b in arcs:
+        reach[a].add(b)
+    for k in range(count):
+        for row in reach:
+            if k in row:
+                row |= reach[k]
+    return reach

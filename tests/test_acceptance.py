@@ -218,7 +218,7 @@ def test_criterion_4_proposition_suite(corpus42, corpus43):
                 for a in range(len(nodes)):
                     for b in range(len(nodes)):
                         assert (
-                            dg.scc_of[a] == dg.scc_of[b]
+                            dg.equivalent(nodes[a], nodes[b])
                         ) == free_classes[i1][(a, b)]
     print("ACCEPTANCE 4c PASS: row-directed digraphs acyclic")
     print("ACCEPTANCE 4d PASS: free-order classes match the shared-face test")

@@ -31,8 +31,7 @@ from prodtri.phases import (
     goodness,
 )
 from prodtri.triangulation import LocalTriangulation, Triangulation, star
-from reference import components
-from test_proper_kernel import _reference_split_circuit
+from reference import components, split_circuit
 
 WALK_PATH = os.path.join(os.path.dirname(__file__), "data", "walk_4x8.json")
 
@@ -187,7 +186,7 @@ def _ref_classify_adjacency(tau: Simplex, tau2: Simplex):
     sigma = tau.intersection(tau2)
     if tau == tau2 or len(sigma) != m + n - 2:
         return None
-    if _reference_split_circuit(tau.dims, tau.mask, tau2.mask):
+    if split_circuit(tau.dims, tau.mask, tau2.mask):
         return None
     with_edges = [
         c for c in components(sigma) if any(v < m for v in c) and any(v >= m for v in c)
@@ -414,7 +413,7 @@ def test_random_tree_pairs(m, n):
                 kinds.add("non-adjacent")
             elif any(len(c) == 1 for c in components(sigma)):
                 kinds.add("leaf facet")
-            elif _reference_split_circuit(dims, tau.mask, other.mask):
+            elif split_circuit(dims, tau.mask, other.mask):
                 kinds.add("improper")
             else:
                 assert move is not None

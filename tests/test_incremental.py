@@ -1,6 +1,7 @@
-"""The incremental validity check against the full one, and the facet-indexed
+"""The incremental validity check against the full one, the facet-indexed
 precedence digraph, with and without a shared adjacency run state, against
-the all-pairs scan."""
+the all-pairs scan, and the digraph's on-demand reachability against a full
+closure."""
 
 import json
 import os
@@ -16,10 +17,12 @@ from prodtri.core import Dims, Simplex
 from prodtri.flips import FlipCertificate, apply_flip, enumerate_flips, supports_flip
 from prodtri.oracle import spanning_trees
 from prodtri.orders import (
+    PrecedenceDigraph,
     _Adjacency,
     _move_masks,
     build_precedence,
     classify_adjacency,
+    select_extremal,
     toward_row,
     toward_row_free,
 )
@@ -50,9 +53,10 @@ from reference import (
     all_pairs_precedence,
     facet_pairs,
     is_spanning_tree,
+    reachability,
     row_mask,
+    split_circuit,
 )
-from test_proper_kernel import _reference_split_circuit
 
 WALK_PATH = os.path.join(os.path.dirname(__file__), "data", "walk_4x8.json")
 
@@ -231,7 +235,7 @@ def _reference_violations(tri: Triangulation, fresh) -> tuple:
     out = [("not_spanning", trees[p]) for p in fresh if not is_spanning_tree(trees[p])]
     for a in range(len(trees)):
         for b in range(a + 1, len(trees)):
-            if (a in fresh or b in fresh) and _reference_split_circuit(
+            if (a in fresh or b in fresh) and split_circuit(
                 tri.dims, trees[a].mask, trees[b].mask
             ):
                 out.append(("improper_pair", (trees[a], trees[b])))
@@ -337,7 +341,7 @@ def _same_arcs(tri, filters, adjacency=None):
         fast = build_precedence(tri, accept, adjacency)
         slow = all_pairs_precedence(tri, accept, moves)
         assert fast.arcs == slow.arcs
-        assert fast.scc_of == slow.scc_of
+        assert fast.nodes == slow.nodes
 
 
 def test_facet_index_matches_all_pairs_on_corpus(corpus43):
@@ -557,3 +561,68 @@ def test_connect_leaves_no_module_level_state(walk48):
     connect(walk48, check=False)
     build_precedence(staircase(9), toward_row(2))  # a plain call: a fresh state
     assert _module_containers() == before
+
+
+# ------------------------------------------------------------ reachability
+
+
+def _same_reachability(dg, candidate_sets):
+    """Every query of the digraph, and ``select_extremal`` on a fresh copy
+    for each candidate set, against Warshall's closure of its arcs."""
+    nodes = dg.nodes
+    reach = reachability(len(nodes), dg.arcs)
+    for cands in candidate_sets:
+        cands = sorted(set(cands))
+        pos = [dg.node_index[t] for t in cands]
+        maximal = [
+            t
+            for t, p in zip(cands, pos)
+            if not any(q in reach[p] and p not in reach[q] for q in pos)
+        ]
+        assert select_extremal(cands, PrecedenceDigraph(nodes, dg.arcs)) == maximal[0]
+    for a, t in enumerate(nodes):
+        for b, t2 in enumerate(nodes):
+            up, down = b in reach[a], a in reach[b]
+            assert dg.reaches(t, t2) == up
+            assert dg.strictly_below(t, t2) == (up and not down)
+            assert dg.equivalent(t, t2) == (up and down)
+    cyclic = any(a == b for a, b in dg.arcs) or any(
+        b in reach[a] and a in reach[b] for a in range(len(nodes)) for b in range(a)
+    )
+    assert dg.is_acyclic() == (not cyclic)
+    return cyclic
+
+
+def test_reachability_matches_a_closure(corpus43, walk48, monkeypatch):
+    """On 40 corpus members under every filter, on every digraph connect
+    builds, with the candidates it picks from, and on a 3-cycle with a
+    tail."""
+    rng = random.Random(8)
+    cyclic = 0
+    for tri in rng.sample(corpus43.triangulations, 40):
+        for accept in _filters(4):
+            dg = build_precedence(tri, accept)
+            subsets = [rng.sample(tri.maximal, rng.randint(1, len(tri.maximal))) for _ in range(3)]
+            cyclic += _same_reachability(dg, [tri.maximal] + subsets)
+    assert cyclic  # the free filters make some classes
+    picks = []
+
+    def recording(candidates, digraph):
+        candidates = list(candidates)
+        picks.append((candidates, digraph))
+        return select_extremal(candidates, digraph)
+
+    monkeypatch.setattr(phases, "select_extremal", recording)
+    connect(walk48, check=False)
+    assert len(picks) > 10 and max(len(c) for c, _ in picks) > 1
+    for candidates, dg in picks:
+        _same_reachability(dg, [candidates, dg.nodes])
+    d = Dims(2, 3)
+    t = [Simplex(d, x) for x in range(1, 7)]
+    # 0 -> 1 -> 2 -> 0, then 2 -> 3 -> 4, and 5 -> 0
+    dg = PrecedenceDigraph(t, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (5, 0)])
+    assert _same_reachability(dg, [t, t[:3], [t[5], t[3]]])
+    assert dg.equivalent(t[0], t[2]) and dg.strictly_below(t[5], t[4])
+    assert select_extremal(t, dg) == t[4]
+    assert select_extremal(t[:3], dg) == min(t[:3])
+    assert PrecedenceDigraph(t, [(2, 3), (3, 4), (5, 0)]).is_acyclic()

@@ -161,7 +161,7 @@ def test_precedence_square(square):
     assert dg.strictly_below(upper, lower)
     assert dg.is_acyclic()
     none = build_precedence(square, lambda I1, I2: False)
-    assert not none.arcs and none.scc_count == 2
+    assert not none.arcs and not none.equivalent(lower, upper)
 
 
 def test_filter_runs_once_per_split(corpus43):
@@ -194,7 +194,7 @@ def test_precedence_toward_row_acyclic(corpus43, corpus42):
             assert build_precedence(T, toward_row(i)).is_acyclic()
 
 
-def test_free_classes_match_sccs(corpus43):
+def test_free_classes_match_equivalence(corpus43):
     # equivalence classes of the free order coincide with the shared-face
     # criterion, for every row pair
     rng = random.Random(14)
@@ -290,12 +290,9 @@ def test_select_extremal(square):
     dg = build_precedence(square, toward_row(1))
     lower = edges(d, (0, 0), (1, 0), (1, 1))
     upper = edges(d, (0, 0), (0, 1), (1, 1))
-    assert select_extremal([lower], dg, "max") == lower
-    assert select_extremal([lower, upper], dg, "max") == lower
-    assert select_extremal([lower, upper], dg, "min") == upper
+    assert select_extremal([lower], dg) == lower
+    assert select_extremal([lower, upper], dg) == lower
     arcless = build_precedence(square, lambda I1, I2: False)
-    assert select_extremal([lower, upper], arcless, "max") == min(lower, upper)
+    assert select_extremal([lower, upper], arcless) == min(lower, upper)
     with pytest.raises(EmptyInput):
-        select_extremal([], dg, "max")
-    with pytest.raises(ValueError):
-        select_extremal([lower], dg, "sideways")
+        select_extremal([], dg)

@@ -1,5 +1,5 @@
 """Cross-check of the circuit search that decides proper intersection
-against a depth-first directed-cycle search, kept here as the reference.
+against the depth-first directed-cycle search of ``reference.py``.
 
 Each check runs the search two ways: once against a single member, as
 ``proper`` calls it, and once against a whole collection, as ``_check`` and
@@ -13,47 +13,14 @@ import pytest
 from prodtri.core import Dims, Simplex
 from prodtri.oracle import spanning_trees
 from prodtri.triangulation import _edge_members, _improper_partners, proper
-from reference import components
-
-
-def _reference_split_circuit(dims: Dims, mask1: int, mask2: int) -> bool:
-    """Directed cycle through at least two rows, searched depth first from
-    its lowest row (mask1 oriented row-to-column, mask2 column-to-row)."""
-    m, n = dims
-    union = Simplex(dims, mask1 | mask2)
-    if len(union) + len(components(union)) == m + n:
-        return False  # union is a forest: no cycle at all
-    out = [0] * (m + n)
-    for i, j in Simplex(dims, mask1):
-        out[i] |= 1 << (m + j)
-    for i, j in Simplex(dims, mask2):
-        out[m + j] |= 1 << i
-    row_mask_above = [((1 << m) - 1) & ~((1 << (s + 1)) - 1) for s in range(m)]
-
-    def dfs(v: int, visited: int, depth: int, start: int) -> bool:
-        targets = out[v]
-        if depth >= 3 and targets >> start & 1:
-            return True
-        allowed = targets & ~visited
-        if v >= m:  # leaving a column: only rows above the start row
-            allowed &= row_mask_above[start] | (1 << start)
-        allowed &= ~(1 << start)
-        while allowed:
-            low = allowed & -allowed
-            w = low.bit_length() - 1
-            if dfs(w, visited | low, depth + 1, start):
-                return True
-            allowed ^= low
-        return False
-
-    return any(out[s] and dfs(s, 1 << s, 0, s) for s in range(m))
+from reference import components, split_circuit
 
 
 def _agree(dims: Dims, t: int, collection) -> list[bool]:
     """The search from t agrees with the reference against each member of
     the collection alone, against the whole collection, and against every
     other position of it; returns the reference verdicts."""
-    want = [_reference_split_circuit(dims, t, s) for s in collection]
+    want = [split_circuit(dims, t, s) for s in collection]
     for s, split in zip(collection, want):
         got = _improper_partners(dims, t, _edge_members(dims, [s]), 1)
         assert got == split, (dims, Simplex(dims, t), Simplex(dims, s))
