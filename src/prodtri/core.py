@@ -113,7 +113,7 @@ class Simplex:
         )
 
     def __hash__(self):
-        return hash((self.dims, self.mask))
+        return hash(self.mask)
 
     def __lt__(self, other: "Simplex"):
         return self.mask < other.mask

@@ -237,6 +237,10 @@ class _Driver:
     gets a fresh one, and ``connect`` hands one to both phases that build
     digraphs.  A row-swapped sub-driver takes its ``mirrored()`` state,
     which shares the classifications and indexes the swapped copies.
+
+    ``apply`` flips a certificate of the working triangulation, validates
+    the result and records the step.  ``flip`` certifies an asserted circuit
+    for it, raising ``ProofGap`` when the circuit is unsupported.
     """
 
     def __init__(self, tri: Triangulation, check: bool = True, adjacency=None):
@@ -255,13 +259,16 @@ class _Driver:
                 result=res,
                 digest=self.T.digest(),
             )
-        new = apply_flip(self.T, res)
-        if self.check and not validate_incremental(new, res.added, self.T).ok:
-            raise ProofGap("flip produced an invalid triangulation", circuit=X)
+        self.apply(res, phase, **inner)
+
+    def apply(self, cert: FlipCertificate, phase: str, **inner: int) -> None:
+        new = apply_flip(self.T, cert)
+        if self.check and not validate_incremental(new, cert.added, self.T).ok:
+            raise ProofGap("flip produced an invalid triangulation", circuit=cert.circuit)
         self.T = new
         measures = {"tI": len(compute_TI(new)), "tII": len(compute_TII(new))}
         measures.update(inner)
-        self.steps.append(FlipStep(X, phase, tuple(sorted(measures.items()))))
+        self.steps.append(FlipStep(cert.circuit, phase, tuple(sorted(measures.items()))))
 
     def absorb_mirrored(self, sub: "_Driver", a: int, b: int) -> None:
         for step in sub.steps:
@@ -320,10 +327,8 @@ def phase_one(
     if check:
         _ensure(validate(tri).ok, "input does not validate")
     drv = _Driver(tri, check, _adjacency)
-    while True:
-        defect = compute_TI(drv.T)
-        if not defect:
-            break
+    defect = compute_TI(tri)
+    while defect:
         before = len(defect)
         dg34 = build_precedence(drv.T, toward_row_free(2, 3), drv.adjacency)
         tau_I = select_extremal(defect, dg34)
@@ -369,11 +374,12 @@ def phase_one(
             )
             _ensure(c2 is not None, "no shape case matches the anchor", anchor=tau_I)
             _case_three(drv, tau_I, c1, c2)
+        defect = compute_TI(drv.T)
         _ensure(
-            len(compute_TI(drv.T)) < before,
+            len(defect) < before,
             "phase one made no progress",
             before=before,
-            after=len(compute_TI(drv.T)),
+            after=len(defect),
         )
     seq = FlipSequence(tri.dims, tri.digest(), drv.T.digest(), tuple(drv.steps))
     return seq, drv.T
@@ -448,8 +454,9 @@ def _reduce(
         return {name: _star_count(drv.T, face) for name, face in stars.items()}
 
     while True:
-        if isinstance(supports_flip(drv.T, X), FlipCertificate):
-            drv.flip(X, phase, **star_counts(), **({"outer": 1} if outer else {}))
+        res = supports_flip(drv.T, X)
+        if isinstance(res, FlipCertificate):
+            drv.apply(res, phase, **star_counts(), **({"outer": 1} if outer else {}))
             return
         shrink_from = [measure(drv.T) for measure, _ in shrinks]
         bound_by = [measure(drv.T) for measure, _ in bounded]
@@ -660,7 +667,7 @@ def _case_three(drv: _Driver, tau_sel: Simplex, c1: int, c2: int) -> None:
     while True:
         res = supports_flip(drv.T, X)
         if isinstance(res, FlipCertificate):
-            drv.flip(X, "I", star_X=_star_count(drv.T, xminus), outer=1)
+            drv.apply(res, "I", star_X=_star_count(drv.T, xminus), outer=1)
             return
         side1 = _case_three_side(drv.T, X, c1, swapped=False)
         side2 = _case_three_side(drv.T, X, c1, swapped=True)
@@ -850,10 +857,8 @@ def phase_two(
     _require_m4(tri)
     _ensure(not compute_TI(tri), "phase two requires an empty strong defect set")
     drv = _Driver(tri, check, _adjacency)
-    while True:
-        defect = compute_TII(drv.T)
-        if not defect:
-            break
+    defect = compute_TII(tri)
+    while defect:
         _ensure(
             not compute_TI(drv.T),
             "phase two: strong defect set reappeared",
@@ -874,8 +879,9 @@ def phase_two(
         )
         mirrored = frozenset((1, 2)) in shapes
         _dispatch_mirrorable(drv, mirrored, _phase_two_case, tau_II)
+        defect = compute_TII(drv.T)
         _ensure(
-            len(compute_TII(drv.T)) < before,
+            len(defect) < before,
             "phase two made no progress",
             before=before,
         )
@@ -915,63 +921,11 @@ def _total_order(tri: Triangulation, i1: int, i2: int) -> tuple[int, ...]:
     return restriction_order(tri, i1, i2).as_total()
 
 
-def _sync_lower_pair(drv: _Driver) -> None:
-    """Square flips on rows {2,3} until their order matches the {0,1} order."""
-    while True:
-        o12 = _total_order(drv.T, 0, 1)
-        o34 = _total_order(drv.T, 2, 3)
-        if o12 == o34:
-            return
-        rank = {j: p for p, j in enumerate(o12)}
-        p = next(
-            q for q in range(len(o34) - 1) if rank[o34[q]] > rank[o34[q + 1]]
-        )
-        j, j2 = o34[p], o34[p + 1]
-        X = Circuit.from_edges(drv.T.dims, [(3, j), (2, j2)], [(2, j), (3, j2)])
-        drv.flip(X, "III")
-        new34 = _total_order(drv.T, 2, 3)
-        _ensure(
-            new34 == o34[:p] + (j2, j) + o34[p + 2 :],
-            "phase three: square flip did not swap the expected pair",
-        )
-        _ensure(
-            _total_order(drv.T, 0, 1) == o12,
-            "phase three: square flip disturbed the upper order",
-        )
-        _ensure(not compute_TII(drv.T), "phase three: defect set reappeared")
-
-
-def _transpose_upper(drv: _Driver, j: int, j2: int) -> None:
-    """Five-flip macro swapping consecutive columns in the {0,1} order while
-    leaving the {2,3} order alone."""
-    o12 = _total_order(drv.T, 0, 1)
-    o34 = _total_order(drv.T, 2, 3)
-    _ensure(o12 == o34, "phase three: macro requires synchronised orders")
-    p = o12.index(j)
-    _ensure(p + 1 < len(o12) and o12[p + 1] == j2, "phase three: columns not consecutive")
-    d = drv.T.dims
-    macro = [
-        ([(2, j), (0, j2)], [(0, j), (2, j2)]),
-        ([(1, j), (3, j2)], [(3, j), (1, j2)]),
-        ([(1, j), (0, j2)], [(0, j), (1, j2)]),
-        ([(1, j), (2, j2)], [(2, j), (1, j2)]),
-        ([(3, j), (0, j2)], [(0, j), (3, j2)]),
-    ]
-    for minus, plus in macro:
-        drv.flip(Circuit.from_edges(d, minus, plus), "III")
-    _ensure(
-        _total_order(drv.T, 0, 1) == o12[:p] + (j2, j) + o12[p + 2 :],
-        "phase three: macro did not swap the upper pair",
-    )
-    _ensure(
-        _total_order(drv.T, 2, 3) == o34,
-        "phase three: macro disturbed the lower order",
-    )
-    _ensure(not compute_TII(drv.T), "phase three: defect set reappeared after macro")
-
-
 def phase_three(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Triangulation]:
-    """Sort both column orders to the identity and land on the staircase."""
+    """Sort both column orders to the identity and land on the staircase.
+
+    One loop carries o12 and o34, the orders of rows {0,1} and {2,3}, and
+    reads both once more after each square flip or five-flip macro."""
     _require_m4(tri)
     _ensure(not compute_TII(tri), "phase three requires an empty weak defect set")
     o12 = _total_order(tri, 0, 1)
@@ -981,15 +935,44 @@ def phase_three(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, T
             "phase three: the five upper orders disagree",
             pair=(i1, i2),
         )
+    o34 = _total_order(tri, 2, 3)
     drv = _Driver(tri, check)
     identity = tuple(range(tri.dims.n))
+
+    def square(a: int, b: int, j: int, j2: int) -> Circuit:
+        return Circuit.from_edges(tri.dims, [(a, j), (b, j2)], [(b, j), (a, j2)])
+
     while True:
-        _sync_lower_pair(drv)
-        o12 = _total_order(drv.T, 0, 1)
+        if o12 != o34:
+            rank = {j: p for p, j in enumerate(o12)}
+            p = next(q for q in range(len(o34) - 1) if rank[o34[q]] > rank[o34[q + 1]])
+            j, j2 = o34[p], o34[p + 1]
+            drv.flip(square(3, 2, j, j2), "III")
+            swapped = o34[:p] + (j2, j) + o34[p + 2 :]
+            o34 = _total_order(drv.T, 2, 3)
+            _ensure(o34 == swapped, "phase three: square flip did not swap the expected pair")
+            _ensure(
+                _total_order(drv.T, 0, 1) == o12,
+                "phase three: square flip disturbed the upper order",
+            )
+            _ensure(not compute_TII(drv.T), "phase three: defect set reappeared")
+            continue
         if o12 == identity:
             break
         p = next(q for q in range(len(o12) - 1) if o12[q] > o12[q + 1])
-        _transpose_upper(drv, o12[p], o12[p + 1])
+        j, j2 = o12[p], o12[p + 1]
+        _ensure(o12 == o34, "phase three: macro requires synchronised orders")
+        _ensure(p + 1 < len(o12) and o12[p + 1] == j2, "phase three: columns not consecutive")
+        for a, b in ((2, 0), (1, 3), (1, 0), (1, 2), (3, 0)):
+            drv.flip(square(a, b, j, j2), "III")
+        swapped = o12[:p] + (j2, j) + o12[p + 2 :]
+        o12 = _total_order(drv.T, 0, 1)
+        _ensure(o12 == swapped, "phase three: macro did not swap the upper pair")
+        _ensure(
+            _total_order(drv.T, 2, 3) == o34,
+            "phase three: macro disturbed the lower order",
+        )
+        _ensure(not compute_TII(drv.T), "phase three: defect set reappeared after macro")
     _ensure(
         drv.T == staircase(tri.dims.n),
         "phase three: sorted orders but not the staircase",

@@ -11,12 +11,18 @@ and builds the ``PrecedenceDigraph`` of the moves a filter accepts, so it
 shares no code with the facet index and the mask core of
 ``build_precedence``.  ``reachability`` closes a digraph's arcs over sets
 by Warshall's method, where the digraph searches from a node on demand.
+The flip references work on ``Simplex`` values: ``supports_flip`` compares
+the links of the circuit's faces host by host, ``apply_flip`` edits the
+member set, and ``flip_graph`` builds the flip graph from these alone,
+where the package's flip kernel works on ascending tree masks.
 """
 
 from __future__ import annotations
 
 from prodtri.core import NotACycle, Simplex
+from prodtri.flips import FlipCertificate, Obstruction, StaleCertificate, all_circuits
 from prodtri.orders import PrecedenceDigraph, classify_adjacency
+from prodtri.triangulation import Triangulation
 
 
 def _vertex_adjacency(simplex: Simplex) -> list[list[int]]:
@@ -214,3 +220,80 @@ def reachability(count: int, arcs) -> list[set[int]]:
             if k in row:
                 row |= reach[k]
     return reach
+
+
+def circuit_triangulations(X):
+    full = X.minus_mask | X.plus_mask
+    n = X.dims.n
+    plus_side = tuple(
+        sorted(Simplex(X.dims, full & ~(1 << (i * n + j))) for i, j in X.plus)
+    )
+    minus_side = tuple(
+        sorted(Simplex(X.dims, full & ~(1 << (i * n + j))) for i, j in X.minus)
+    )
+    return plus_side, minus_side
+
+
+def supports_flip(tri, X, sides=None):
+    """The face-by-face host search; ``sides`` may pass the circuit's two
+    triangulations in, to spare rebuilding them for every member."""
+    plus_side, minus_side = sides or circuit_triangulations(X)
+    links = []
+    for sigma in plus_side:
+        hosts = [t for t in tri.maximal if sigma.issubset(t)]
+        if not hosts:
+            return None
+        links.append(frozenset(t.difference(sigma) for t in hosts))
+    if all(lk == links[0] for lk in links[1:]):
+        link = tuple(sorted(links[0]))
+        removed = tuple(sorted(rho.union(s) for rho in link for s in plus_side))
+        added = tuple(sorted(rho.union(s) for rho in link for s in minus_side))
+        return FlipCertificate(circuit=X, link=link, removed=removed, added=added)
+    xminus = Simplex(X.dims, X.minus_mask)
+    size = len(X)
+    best = None
+    for t in tri.maximal:
+        if xminus.issubset(t):
+            inter = bin(t.mask & (X.minus_mask | X.plus_mask)).count("1")
+            if inter <= size - 2 and (best is None or t < best[0]):
+                best = (t, size - inter)
+    if best is None:
+        raise ValueError("links differ but no obstruction witness: invalid input")
+    return Obstruction(witness=best[0], deficiency=best[1])
+
+
+def enumerate_flips(results):
+    """``enumerate_flips`` from the reference results over ``all_circuits``."""
+    certs = [res for res in results if isinstance(res, FlipCertificate)]
+    certs.sort(key=lambda c: (c.circuit.minus_mask, c.circuit.plus_mask))
+    return tuple(certs)
+
+
+def apply_flip(tri, cert):
+    current = set(tri.maximal)
+    removed = set(cert.removed)
+    if not removed.issubset(current):
+        raise StaleCertificate("certificate's removed simplices are not all present")
+    return Triangulation(tri.dims, (current - removed) | set(cert.added))
+
+
+def flip_neighbours(tri, results, position):
+    """Positions of the flipped triangulations, from the reference results
+    over ``all_circuits``, found by digest in ``position``."""
+    return {
+        position[apply_flip(tri, res).digest()]
+        for res in results
+        if isinstance(res, FlipCertificate)
+    }
+
+
+def flip_graph(corpus):
+    """The edge set of the flip graph, built from the references alone."""
+    circuits = all_circuits(corpus.dims)
+    sides = [circuit_triangulations(X) for X in circuits]
+    position = {T.digest(): p for p, T in enumerate(corpus.triangulations)}
+    edges = set()
+    for p, T in enumerate(corpus.triangulations):
+        results = [supports_flip(T, X, s) for X, s in zip(circuits, sides)]
+        edges.update(frozenset((p, q)) for q in flip_neighbours(T, results, position) - {p})
+    return edges

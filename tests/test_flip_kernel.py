@@ -5,11 +5,10 @@ import random
 
 import pytest
 
+import reference
 from prodtri.core import Dims, Simplex
 from prodtri.flips import (
     FlipCertificate,
-    Obstruction,
-    StaleCertificate,
     all_circuits,
     apply_flip,
     circuit_triangulations,
@@ -19,83 +18,6 @@ from prodtri.flips import (
 from prodtri.oracle import build_flip_graph
 from prodtri.phases import staircase
 from prodtri.triangulation import Triangulation
-
-
-def _reference_circuit_triangulations(X):
-    full = X.minus_mask | X.plus_mask
-    n = X.dims.n
-    plus_side = tuple(
-        sorted(Simplex(X.dims, full & ~(1 << (i * n + j))) for i, j in X.plus)
-    )
-    minus_side = tuple(
-        sorted(Simplex(X.dims, full & ~(1 << (i * n + j))) for i, j in X.minus)
-    )
-    return plus_side, minus_side
-
-
-def _reference_supports_flip(tri, X, sides=None):
-    """The face-by-face host search; ``sides`` may pass the circuit's two
-    triangulations in, to spare rebuilding them for every member."""
-    plus_side, minus_side = sides or _reference_circuit_triangulations(X)
-    links = []
-    for sigma in plus_side:
-        hosts = [t for t in tri.maximal if sigma.issubset(t)]
-        if not hosts:
-            return None
-        links.append(frozenset(t.difference(sigma) for t in hosts))
-    if all(lk == links[0] for lk in links[1:]):
-        link = tuple(sorted(links[0]))
-        removed = tuple(sorted(rho.union(s) for rho in link for s in plus_side))
-        added = tuple(sorted(rho.union(s) for rho in link for s in minus_side))
-        return FlipCertificate(circuit=X, link=link, removed=removed, added=added)
-    xminus = Simplex(X.dims, X.minus_mask)
-    size = len(X)
-    best = None
-    for t in tri.maximal:
-        if xminus.issubset(t):
-            inter = bin(t.mask & (X.minus_mask | X.plus_mask)).count("1")
-            if inter <= size - 2 and (best is None or t < best[0]):
-                best = (t, size - inter)
-    if best is None:
-        raise ValueError("links differ but no obstruction witness: invalid input")
-    return Obstruction(witness=best[0], deficiency=best[1])
-
-
-def _reference_enumerate_flips(results):
-    """``enumerate_flips`` from the reference results over ``all_circuits``."""
-    certs = [res for res in results if isinstance(res, FlipCertificate)]
-    certs.sort(key=lambda c: (c.circuit.minus_mask, c.circuit.plus_mask))
-    return tuple(certs)
-
-
-def _reference_apply_flip(tri, cert):
-    current = set(tri.maximal)
-    removed = set(cert.removed)
-    if not removed.issubset(current):
-        raise StaleCertificate("certificate's removed simplices are not all present")
-    return Triangulation(tri.dims, (current - removed) | set(cert.added))
-
-
-def _reference_neighbours(tri, results, position):
-    """Positions of the flipped triangulations, from the reference results
-    over ``all_circuits``, found by digest in ``position``."""
-    return {
-        position[_reference_apply_flip(tri, res).digest()]
-        for res in results
-        if isinstance(res, FlipCertificate)
-    }
-
-
-def _reference_flip_graph(corpus):
-    """The edge set of the flip graph, built from the references alone."""
-    circuits = all_circuits(corpus.dims)
-    sides = [_reference_circuit_triangulations(X) for X in circuits]
-    position = {T.digest(): p for p, T in enumerate(corpus.triangulations)}
-    edges = set()
-    for p, T in enumerate(corpus.triangulations):
-        results = [_reference_supports_flip(T, X, s) for X, s in zip(circuits, sides)]
-        edges.update(frozenset((p, q)) for q in _reference_neighbours(T, results, position) - {p})
-    return edges
 
 
 def _outcome(fn, *args):
@@ -118,7 +40,7 @@ def test_every_4x3_member_against_every_circuit(corpus43):
     circuits = all_circuits(Dims(4, 3))
     sides = {}
     for X in circuits:
-        sides[X] = _reference_circuit_triangulations(X)
+        sides[X] = reference.circuit_triangulations(X)
         assert circuit_triangulations(X) == sides[X]
     position = {T.digest(): p for p, T in enumerate(corpus43.triangulations)}
     neighbours = [set() for _ in corpus43.triangulations]
@@ -127,16 +49,16 @@ def test_every_4x3_member_against_every_circuit(corpus43):
         neighbours[b].add(a)
     kinds = set()
     for p, T in enumerate(corpus43.triangulations):
-        results = [_reference_supports_flip(T, X, sides[X]) for X in circuits]
+        results = [reference.supports_flip(T, X, sides[X]) for X in circuits]
         for X, expected in zip(circuits, results):
             res = supports_flip(T, X)
             assert res == expected, (T, X)
             kinds.add(_kind(res))
         flips = enumerate_flips(T)
-        assert flips == _reference_enumerate_flips(results)
+        assert flips == reference.enumerate_flips(results)
         for cert in flips:
-            assert apply_flip(T, cert) == _reference_apply_flip(T, cert)
-        assert neighbours[p] == _reference_neighbours(T, results, position) - {p}, p
+            assert apply_flip(T, cert) == reference.apply_flip(T, cert)
+        assert neighbours[p] == reference.flip_neighbours(T, results, position) - {p}, p
     assert kinds == {"FlipCertificate", "Obstruction", "NoneType"}
 
 
@@ -151,14 +73,14 @@ def test_seeded_4x8_walk_states():
         certs = []
         for X in rng.sample(circuits, 150):
             res = supports_flip(tri, X)
-            assert res == _reference_supports_flip(tri, X), (step, X)
+            assert res == reference.supports_flip(tri, X), (step, X)
             kinds.add(_kind(res))
             if isinstance(res, FlipCertificate):
                 certs.append(res)
-                assert apply_flip(tri, res) == _reference_apply_flip(tri, res)
+                assert apply_flip(tri, res) == reference.apply_flip(tri, res)
         if step % 6 == 0:
-            assert enumerate_flips(tri) == _reference_enumerate_flips(
-                _reference_supports_flip(tri, X) for X in circuits
+            assert enumerate_flips(tri) == reference.enumerate_flips(
+                reference.supports_flip(tri, X) for X in circuits
             )
         while not certs:
             res = supports_flip(tri, rng.choice(circuits))
@@ -183,7 +105,7 @@ def test_arbitrary_masks():
             )
             X = rng.choice(circuits)
             res = _outcome(supports_flip, tri, X)
-            assert res == _outcome(_reference_supports_flip, tri, X)
+            assert res == _outcome(reference.supports_flip, tri, X)
             full = X.minus_mask | X.plus_mask
             kinds.add((_kind(res), any(not full & ~t.mask for t in tri.maximal)))
     # a member holding the whole cycle gives an obstruction or the error

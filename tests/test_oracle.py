@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+import reference
 from prodtri.core import Dims, Simplex
 from prodtri.flips import enumerate_flips
 from prodtri import geometry
@@ -17,7 +18,6 @@ from prodtri.oracle import (
     spanning_trees,
 )
 from prodtri.triangulation import Triangulation, validate
-from test_flip_kernel import _reference_flip_graph
 
 
 @pytest.mark.parametrize(
@@ -136,7 +136,7 @@ def test_flip_graph_matches_the_reference(m, n):
     references: every circuit tried, each flip applied, members found by
     digest."""
     corpus = enumerate_triangulations(Dims(m, n))
-    assert set(build_flip_graph(corpus).edges) == _reference_flip_graph(corpus)
+    assert set(build_flip_graph(corpus).edges) == reference.flip_graph(corpus)
 
 
 def test_flip_graph_of_4x3(corpus43):

@@ -1,9 +1,12 @@
 import dataclasses
+import json
+import os
 import random
 from math import comb
 
 import pytest
 
+from prodtri import phases
 from prodtri.core import Circuit, Dims, Simplex, noncrossing
 from prodtri.flips import FlipCertificate, all_circuits, apply_flip, enumerate_flips, supports_flip
 from prodtri.oracle import spanning_trees
@@ -196,12 +199,7 @@ def test_goodness_detects_forbidden_column(corpus43):
 def test_phase_three_switches_lower_order():
     # flipping one lower pair of the staircase then reconnecting uses III
     T = staircase(3)
-    X = Circuit.from_edges(T.dims, [(3, 0), (2, 1)], [(2, 0), (3, 1)])
-    from prodtri.flips import FlipCertificate, apply_flip, supports_flip
-
-    cert = supports_flip(T, X)
-    assert isinstance(cert, FlipCertificate)
-    out = apply_flip(T, cert)
+    out = _lower_pair_switched_staircase_3()
     assert restriction_order(out, 2, 3).as_total() == (1, 0, 2)
     assert restriction_order(out, 0, 1).as_total() == (0, 1, 2)
     seq = connect(out)
@@ -214,17 +212,30 @@ def test_wrong_dims_rejected(seg_staircase):
         connect(seg_staircase)
 
 
+def _reversed_staircase_2() -> Triangulation:
+    """The two-column staircase with its columns exchanged."""
+    T0 = staircase(2)
+    return Triangulation(
+        T0.dims,
+        [Simplex.from_edges(T0.dims, [(i, 1 - j) for i, j in t]) for t in T0.maximal],
+    )
+
+
+def _lower_pair_switched_staircase_3() -> Triangulation:
+    """staircase(3) after one square flip on rows {2,3}: only the {2,3}
+    order differs from the identity."""
+    T = staircase(3)
+    X = Circuit.from_edges(T.dims, [(3, 0), (2, 1)], [(2, 0), (3, 1)])
+    cert = supports_flip(T, X)
+    assert isinstance(cert, FlipCertificate)
+    return apply_flip(T, cert)
+
+
 def test_reversed_orders_use_one_macro():
     # column-reversed staircase for two columns: both orders are reversed,
     # so the driver needs exactly one five-flip macro plus one square flip
     T0 = staircase(2)
-    rev = Triangulation(
-        T0.dims,
-        [
-            Simplex.from_edges(T0.dims, [(i, 1 - j) for i, j in t])
-            for t in T0.maximal
-        ],
-    )
+    rev = _reversed_staircase_2()
     assert restriction_order(rev, 0, 1).as_total() == (1, 0)
     assert restriction_order(rev, 2, 3).as_total() == (1, 0)
     seq = connect(rev)
@@ -289,3 +300,102 @@ def test_driver_refuses_an_unsupported_flip():
         drv.flip(X, "I", step=1)
     assert err.value.context == {"phase": "I", "circuit": X, "result": res, "digest": T.digest()}
     assert drv.T is T and drv.steps == []
+
+
+WALK_PATH = os.path.join(os.path.dirname(__file__), "data", "walk_4x8.json")
+
+
+def _walk_4x8() -> Triangulation:
+    with open(WALK_PATH) as fh:
+        doc = json.load(fh)
+    dims = Dims(doc["m"], doc["n"])
+    return Triangulation(dims, [Simplex(dims, int(x, 16)) for x in doc["trees"]])
+
+
+def _rows(X: Circuit) -> set[int]:
+    return {i for i, _ in X.minus | X.plus}
+
+
+def test_phase_three_reads_each_order_once(corpus43, monkeypatch):
+    # six reads at entry (five upper orders and the {2,3} order), then the
+    # two carried orders once more after each square flip and each macro
+    reads = []
+    real = phases.restriction_order
+
+    def counted(tri, i1, i2):
+        reads.append((i1, i2))
+        return real(tri, i1, i2)
+
+    rng = random.Random(53)
+    inputs = [_walk_4x8(), _reversed_staircase_2()]
+    inputs += rng.sample(corpus43.triangulations, 50)
+    macros_seen = squares_seen = 0
+    for T in inputs:
+        _, t1 = phase_one(T, check=False)
+        _, t2 = phase_two(t1, check=False)
+        reads.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(phases, "restriction_order", counted)
+            seq, _ = phase_three(t2, check=False)
+        squares = sum(_rows(step.circuit) <= {2, 3} for step in seq.steps)
+        others = len(seq) - squares
+        assert others % 5 == 0
+        macros = others // 5
+        assert len(reads) == 6 + 2 * (squares + macros), (T.dims, squares, macros)
+        macros_seen += macros
+        squares_seen += squares
+    assert macros_seen and squares_seen
+
+
+def test_phase_three_refuses_a_square_flip_that_did_not_happen(monkeypatch):
+    flip = _Driver.flip
+
+    def dropping(self, X, phase, **inner):
+        if not (phase == "III" and _rows(X) <= {2, 3}):
+            flip(self, X, phase, **inner)
+
+    monkeypatch.setattr(_Driver, "flip", dropping)
+    with pytest.raises(
+        ProofGap, match="^phase three: square flip did not swap the expected pair$"
+    ):
+        phase_three(_lower_pair_switched_staircase_3())
+
+
+def test_phase_three_refuses_a_macro_missing_its_fifth_flip(monkeypatch):
+    # the reversed staircase starts with a macro, so its fifth flip is the
+    # macro's last one
+    flip = _Driver.flip
+    calls = []
+
+    def dropping(self, X, phase, **inner):
+        calls.append(X)
+        if len(calls) != 5:
+            flip(self, X, phase, **inner)
+
+    monkeypatch.setattr(_Driver, "flip", dropping)
+    with pytest.raises(ProofGap, match="^phase three: defect set reappeared after macro$"):
+        phase_three(_reversed_staircase_2())
+    assert len(calls) == 5
+
+
+def test_phases_refuse_a_round_without_progress(corpus43, monkeypatch):
+    T1 = next(T for T in corpus43.triangulations if compute_TI(T))
+    T2 = next(t for t in (phase_one(T)[1] for T in corpus43.triangulations) if compute_TII(t))
+    monkeypatch.setattr(phases, "_dispatch_mirrorable", lambda *args: None)
+    monkeypatch.setattr(phases, "_case_three", lambda *args: None)
+    k = len(compute_TI(T1))
+    with pytest.raises(ProofGap, match="^phase one made no progress$") as err:
+        phase_one(T1)
+    assert err.value.context == {"before": k, "after": k}
+    with pytest.raises(ProofGap, match="^phase two made no progress$") as err:
+        phase_two(T2)
+    assert err.value.context == {"before": len(compute_TII(T2))}
+
+
+def test_later_phases_refuse_inputs_with_defects(corpus43):
+    strong = next(T for T in corpus43.triangulations if compute_TI(T))
+    with pytest.raises(ProofGap, match="^phase two requires an empty strong defect set$"):
+        phase_two(strong)
+    weak = next(T for T in corpus43.triangulations if compute_TII(T))
+    with pytest.raises(ProofGap, match="^phase three requires an empty weak defect set$"):
+        phase_three(weak)
