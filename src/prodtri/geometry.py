@@ -3,13 +3,15 @@
 Vertices embed as 0/1 vectors: (i, j) maps to the concatenation of the
 i-th row unit vector and the j-th column unit vector, with the last row
 and column coordinates dropped so the product polytope is full-dimensional
-over the integer lattice.  Everything here is integer or Fraction
-arithmetic; no floats anywhere.
+over the integer lattice.  Everything here is integer arithmetic:
+determinants by Bareiss elimination and feasibility by Edmonds' integer
+pivoting, both fraction-free with exact divisions; no floats anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
+from numbers import Rational
 from typing import Sequence
 
 from .core import Dims, Simplex
@@ -62,53 +64,70 @@ def simplex_volume(simplex: Simplex) -> int:
     return abs(det_bareiss(rows))
 
 
-def feasible_eq_nonneg(A: list[list[Fraction]], b: list[Fraction]) -> bool:
-    """Is there x >= 0 with Ax = b?  Phase-one simplex with Bland's rule."""
+def feasible_eq_nonneg(A: Sequence[Sequence[Rational]], b: Sequence[Rational]) -> bool:
+    """Is there x >= 0 with Ax = b?  Phase-one simplex with Bland's rule.
+
+    Each row (A_r, b_r) is scaled by the lcm of its entries' denominators,
+    so ``int`` and ``Fraction`` data are both accepted, and the tableau is
+    then pivoted on integers (Edmonds, *J. Res. NBS* 71B, 1967).  Every
+    entry, the objective row's included, is ``det`` times the entry of the
+    rational tableau, where ``det`` is the last pivot (1 at the start).  A
+    pivot on (leave, enter) keeps its row and maps each other row x to
+    ``(x * piv - x[enter] * prow) // det``, then sets ``det = piv``.  The
+    division is exact: each entry is, up to sign, a minor of the starting
+    tableau, as in ``det_bareiss``.  Pivots are positive, so every sign and
+    ratio, and so every pivot, is that of the rational tableau on the scaled
+    rows.
+    """
     m = len(A)
     if m == 0:
         return True
     n = len(A[0])
     tab = []
     for r in range(m):
-        row = list(A[r]) + [Fraction(0)] * m + [b[r]]
-        if b[r] < 0:
+        row = [*A[r], b[r]]
+        scale = lcm(*(x.denominator for x in row))
+        row = [x.numerator * (scale // x.denominator) for x in row]
+        if row[-1] < 0:
             row = [-x for x in row]
-        row[n + r] = Fraction(1)
-        tab.append(row)
-    width = n + m + 1
-    # reduced costs for min(sum of artificials): column sum minus the unit
-    # cost of the artificial columns themselves
-    obj = [
-        sum(tab[r][c] for r in range(m)) - (1 if n <= c < n + m else 0)
-        for c in range(width)
-    ]
+        tab.append(row[:n] + [int(k == r) for k in range(m)] + row[n:])
+    # reduced costs for min(sum of artificials): column sums minus the unit
+    # cost of the artificial columns, which leaves those columns 0
+    obj = [sum(col) for col in zip(*tab)]
+    obj[n : n + m] = [0] * m
     basis = [n + r for r in range(m)]
+    det = 1
     while True:
         enter = next((c for c in range(n + m) if obj[c] > 0), None)
         if enter is None:
             break
-        best = None
+        # least ratio rhs / entry, compared across rows by cross-multiplying
+        leave = None
         for r in range(m):
-            if tab[r][enter] > 0:
-                ratio = tab[r][width - 1] / tab[r][enter]
-                if best is None or ratio < best[0] or (
-                    ratio == best[0] and basis[r] < basis[best[1]]
-                ):
-                    best = (ratio, r)
-        if best is None:
+            a = tab[r][enter]
+            if a > 0:
+                if leave is None:
+                    leave = r
+                    continue
+                lhs = tab[r][-1] * tab[leave][enter]
+                rhs = tab[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave = r
+        if leave is None:
             # phase-one objective is bounded; unbounded column means a bug
             raise ArithmeticError("unbounded phase-one simplex")
-        _, leave = best
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+        prow = tab[leave]
+        piv = prow[enter]
         for r in range(m):
-            if r != leave and tab[r][enter] != 0:
-                f = tab[r][enter]
-                tab[r] = [x - f * y for x, y in zip(tab[r], tab[leave])]
+            f = tab[r][enter]
+            # a row with f = 0 only rescales by piv / det
+            if r != leave and (f or piv != det):
+                tab[r] = [(x * piv - f * y) // det for x, y in zip(tab[r], prow)]
         f = obj[enter]
-        obj = [x - f * y for x, y in zip(obj, tab[leave])]
+        obj = [(x * piv - f * y) // det for x, y in zip(obj, prow)]
+        det = piv
         basis[leave] = enter
-    return obj[width - 1] == 0
+    return obj[-1] == 0
 
 
 # Verdicts of improper_geometric, shared by every call in the process: the
@@ -138,28 +157,17 @@ def improper_geometric(s1: Simplex, s2: Simplex) -> bool:
     if hit is not None:
         return hit
     dims = s1.dims
-    only1 = sorted(set(s1.edges) - set(s2.edges))
-    only2 = sorted(set(s2.edges) - set(s1.edges))
-    common = sorted(set(s1.edges) & set(s2.edges))
+    e1, e2 = set(s1.edges), set(s2.edges)
+    only1, only2, common = sorted(e1 - e2), sorted(e2 - e1), sorted(e1 & e2)
     # columns: lambda_v for only1, minus lambda_v for only2, split pair for common
-    cols: list[tuple[tuple[int, ...], int]] = []
-    for v in only1:
-        cols.append((point(dims, *v) + (1,), +1))
-    for v in only2:
-        cols.append((point(dims, *v) + (1,), -1))
+    cols = [(v, +1) for v in only1] + [(v, -1) for v in only2]
     for v in common:
-        cols.append((point(dims, *v) + (1,), +1))
-        cols.append((point(dims, *v) + (1,), -1))
-    rows = len(point(dims, 0, 0)) + 1
-    A = [[Fraction(sgn * vec[r]) for vec, sgn in cols] for r in range(rows)]
-    bvec = [Fraction(0)] * rows
-    A.append(
-        [
-            Fraction(1 if len(only1) <= k < len(only1) + len(only2) else 0)
-            for k in range(len(cols))
-        ]
-    )
-    bvec.append(Fraction(1))
+        cols += [(v, +1), (v, -1)]
+    pts = {v: point(dims, *v) + (1,) for v in e1 | e2}
+    rows = dims.m + dims.n - 1
+    A = [[sgn * pts[v][r] for v, sgn in cols] for r in range(rows)]
+    A.append([0] * len(only1) + [1] * len(only2) + [0] * (2 * len(common)))
+    bvec = [0] * rows + [1]
     res = bool(only2) and feasible_eq_nonneg(A, bvec)
     if len(_improper_cache) >= _IMPROPER_CACHE_MAX:
         _improper_cache.clear()

@@ -15,9 +15,14 @@ The flip references work on ``Simplex`` values: ``supports_flip`` compares
 the links of the circuit's faces host by host, ``apply_flip`` edits the
 member set, and ``flip_graph`` builds the flip graph from these alone,
 where the package's flip kernel works on ascending tree masks.
+``feasible_fraction`` is the phase-one simplex with Bland's rule on
+``Fraction`` entries, dividing the pivot row by its pivot; the package
+pivots the same tableau on integers over one common denominator.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from prodtri.core import NotACycle, Simplex
 from prodtri.flips import FlipCertificate, Obstruction, StaleCertificate, all_circuits
@@ -297,3 +302,52 @@ def flip_graph(corpus):
         results = [supports_flip(T, X, s) for X, s in zip(circuits, sides)]
         edges.update(frozenset((p, q)) for q in flip_neighbours(T, results, position) - {p})
     return edges
+
+
+def feasible_fraction(A: list[list[Fraction]], b: list[Fraction]) -> bool:
+    """Is there x >= 0 with Ax = b?  Phase-one simplex with Bland's rule."""
+    m = len(A)
+    if m == 0:
+        return True
+    n = len(A[0])
+    tab = []
+    for r in range(m):
+        row = list(A[r]) + [Fraction(0)] * m + [b[r]]
+        if b[r] < 0:
+            row = [-x for x in row]
+        row[n + r] = Fraction(1)
+        tab.append(row)
+    width = n + m + 1
+    # reduced costs for min(sum of artificials): column sum minus the unit
+    # cost of the artificial columns themselves
+    obj = [
+        sum(tab[r][c] for r in range(m)) - (1 if n <= c < n + m else 0)
+        for c in range(width)
+    ]
+    basis = [n + r for r in range(m)]
+    while True:
+        enter = next((c for c in range(n + m) if obj[c] > 0), None)
+        if enter is None:
+            break
+        best = None
+        for r in range(m):
+            if tab[r][enter] > 0:
+                ratio = tab[r][width - 1] / tab[r][enter]
+                if best is None or ratio < best[0] or (
+                    ratio == best[0] and basis[r] < basis[best[1]]
+                ):
+                    best = (ratio, r)
+        if best is None:
+            # phase-one objective is bounded; unbounded column means a bug
+            raise ArithmeticError("unbounded phase-one simplex")
+        _, leave = best
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for r in range(m):
+            if r != leave and tab[r][enter] != 0:
+                f = tab[r][enter]
+                tab[r] = [x - f * y for x, y in zip(tab[r], tab[leave])]
+        f = obj[enter]
+        obj = [x - f * y for x, y in zip(obj, tab[leave])]
+        basis[leave] = enter
+    return obj[width - 1] == 0

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 from math import factorial
 
 import pytest
@@ -17,7 +18,7 @@ from prodtri.oracle import (
     is_connected,
     spanning_trees,
 )
-from prodtri.triangulation import Triangulation, validate
+from prodtri.triangulation import Triangulation, proper, validate
 
 
 @pytest.mark.parametrize(
@@ -178,3 +179,43 @@ def test_simplex_feasibility_edge_cases():
     assert feasible_eq_nonneg([], [])
     assert feasible_eq_nonneg([[F(2), F(-1)]], [F(0)])
     assert not feasible_eq_nonneg([[F(1), F(1)], [F(-1), F(-1)]], [F(1), F(1)])
+
+
+def test_simplex_feasibility_clears_denominators():
+    """Rows with non-integer entries are scaled to integers first."""
+    assert feasible_eq_nonneg([[F(1, 2), F(1, 3)]], [F(1, 6)])
+    assert not feasible_eq_nonneg([[F(1, 2), F(1, 3)]], [F(-1, 6)])
+    # 2x/3 = y/2 and x/5 + y/7 = 12/35 at x = 36/41, y = 48/41
+    A = [[F(2, 3), F(-1, 2)], [F(1, 5), F(1, 7)]]
+    assert feasible_eq_nonneg(A, [0, F(12, 35)])
+    assert not feasible_eq_nonneg(A, [0, F(-12, 35)])
+    # mixed int and Fraction rows; the second forces y = -3/4
+    assert not feasible_eq_nonneg([[1, F(1, 2)], [0, F(4, 3)]], [F(1, 4), -1])
+
+
+def test_simplex_feasibility_matches_the_fraction_reference():
+    """Small dense systems with many zero right-hand sides, so ratio ties
+    and degenerate pivots occur, feasible and infeasible alike."""
+    rng = random.Random(1967)
+    verdicts = []
+    for _ in range(1000):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 9)
+        A = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+        b = [rng.choice((0, 0, 0, -2, -1, 1, 2)) for _ in range(rows)]
+        want = reference.feasible_fraction(
+            [[F(x) for x in row] for row in A], [F(x) for x in b]
+        )
+        assert feasible_eq_nonneg(A, b) == want, (A, b)
+        verdicts.append(want)
+    assert 100 < verdicts.count(False) < 900
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (2, 4), (4, 2)])
+def test_improper_geometric_agrees_with_proper_on_every_tree_pair(m, n, monkeypatch):
+    """Every pair of spanning trees, each decided by the kernel itself."""
+    monkeypatch.setattr(geometry, "_improper_cache", {})
+    trees = spanning_trees(Dims(m, n))
+    for a in range(len(trees)):
+        for b in range(a + 1, len(trees)):
+            s1, s2 = trees[a], trees[b]
+            assert improper_geometric(s1, s2) == (not proper(s1, s2)), (s1, s2)
