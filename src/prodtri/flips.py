@@ -8,11 +8,14 @@ of T contains the minus part and misses at least two elements of X; such
 a tree is returned as the obstruction witness.
 
 The hot paths work on ascending tree masks.  ``_common_link`` compares the
-links of the plus faces; ``supports_flip`` wraps it for one circuit, and
-``_flips`` for every circuit of ``all_circuits``, trying both orientations
-of a cycle against one set of the trees' intersections with it.
-``enumerate_flips`` and ``oracle.build_flip_graph`` both scan through
-``_flips``; only the former builds certificate objects.
+links of the plus faces, and ``supports_flip`` wraps it for one circuit.
+``_flips`` scans every circuit of ``all_circuits`` tree by tree: a per-dims
+table gives each edge the bitset of the cycles through it, so one pass over
+the edges a tree misses finds the cycles it misses at most one edge of,
+which are exactly those it holds a face of; the faces of all trees are then
+gathered with their links.  ``enumerate_flips`` and
+``oracle.build_flip_graph`` both scan through ``_flips``; only the former
+builds certificate objects.
 """
 
 from __future__ import annotations
@@ -168,34 +171,103 @@ def all_circuits(dims: Dims) -> tuple[Circuit, ...]:
 
 
 @lru_cache(maxsize=None)
-def _cycle_table(dims: Dims) -> tuple[tuple[int, tuple[tuple, ...]], ...]:
-    """Each cycle of ``all_circuits`` once, as its mask and its orientations;
-    an orientation is the circuit's position in ``all_circuits``, the circuit
-    and its plus- and minus-face masks."""
-    cycles: dict[int, list[tuple]] = {}
+def _cycle_table(dims: Dims) -> tuple[tuple, tuple[int, ...], dict[int, tuple]]:
+    """The cycles of ``all_circuits``, each once, for the flip scan.
+
+    Returns the cycles in order of first appearance, each as its mask and the
+    masks of all its faces (the cycle minus one edge); for each edge, the
+    bitset of the cycles through it; and a map from the lowest plus face of
+    each circuit to the circuit's position in ``all_circuits``, the circuit
+    and its plus- and minus-face masks.  A face is a path, so it names its
+    cycle and its missing edge, and is the lowest plus face of at most one
+    circuit.
+    """
+    m, n = dims
+    cycles: dict[int, tuple[int, ...]] = {}
+    first: dict[int, tuple] = {}
     for pos, X in enumerate(all_circuits(dims)):
         full = X.minus_mask | X.plus_mask
-        cycles.setdefault(full, []).append(
-            (pos, X, _faces(full, X.plus_mask), _faces(full, X.minus_mask))
-        )
-    return tuple((full, tuple(sides)) for full, sides in cycles.items())
+        plus_faces = _faces(full, X.plus_mask)
+        minus_faces = _faces(full, X.minus_mask)
+        first[plus_faces[0]] = (pos, X, plus_faces, minus_faces)
+        cycles[full] = plus_faces + minus_faces
+    through = [0] * (m * n)
+    for c, full in enumerate(cycles):
+        while full:
+            low = full & -full
+            through[low.bit_length() - 1] |= 1 << c
+            full ^= low
+    return tuple(cycles.items()), tuple(through), first
 
 
-def _flips(dims: Dims, trees):
-    """(position, circuit, link, plus faces, minus faces) of every circuit of
-    ``all_circuits`` that flips the ascending tree masks, cycle by cycle.
+def _held_faces(table, t: int) -> tuple[tuple[int, int, Optional[tuple]], ...]:
+    """Each face f of the table's cycles that the mask t holds, with its link
+    element ``t ^ f`` and the circuit whose lowest plus face it is, if any.
 
-    Both orientations of a cycle are tried against one set of the trees'
-    intersections with it, as in ``supports_flip``.
+    t holds a face of a cycle exactly when it misses at most one of the
+    cycle's edges: one missing edge leaves the one face without it, none
+    leaves every face.  One pass over the edges t misses marks the cycles
+    missed once and those missed twice.
     """
-    for full, sides in _cycle_table(dims):
-        held = {t & full for t in trees}
-        whole = full in held
-        for pos, X, plus_faces, minus_faces in sides:
-            if whole or held.issuperset(plus_faces):
-                link = _common_link(trees, plus_faces)
-                if link is not None:
-                    yield pos, X, link, plus_faces, minus_faces
+    cycles, through, first = table
+    once = twice = 0
+    out = ~t & ((1 << len(through)) - 1)
+    while out:
+        low = out & -out
+        b = through[low.bit_length() - 1]
+        twice |= once & b
+        once |= b
+        out ^= low
+    near = ((1 << len(cycles)) - 1) & ~twice
+    faces: list[int] = []
+    while near:
+        low = near & -near
+        full, all_faces = cycles[low.bit_length() - 1]
+        if once & low:
+            faces.append(full & t)
+        else:
+            faces.extend(all_faces)
+        near ^= low
+    return tuple((f, t ^ f, first.get(f)) for f in faces)
+
+
+def _flips(dims: Dims, trees, held: dict) -> list[tuple]:
+    """(position, circuit, link, plus faces, minus faces) of every circuit of
+    ``all_circuits`` that flips the ascending tree masks, in that order.
+
+    ``held`` maps a tree mask to its ``_held_faces``; the caller owns it and
+    may share it across collections of the same dims.  The trees' faces are
+    gathered once, each with the link elements of its holders in tree
+    order, and a circuit flips when every plus face has holders and all of
+    them have the same link.  Every circuit whose lowest plus face some tree
+    holds is tested, so the scan rests on no lemma about which circuits
+    flip.
+    """
+    table = _cycle_table(dims)
+    links: dict[int, list[int]] = {}
+    sides = []
+    for t in trees:
+        faces = held.get(t)
+        if faces is None:
+            faces = held[t] = _held_faces(table, t)
+        for f, r, side in faces:
+            link = links.get(f)
+            if link is None:
+                links[f] = [r]
+                if side is not None:
+                    sides.append(side)
+            else:
+                link.append(r)
+    found = []
+    for pos, X, plus_faces, minus_faces in sides:
+        link = links[plus_faces[0]]
+        for g in plus_faces[1:]:
+            if links.get(g) != link:
+                break
+        else:
+            found.append((pos, X, link, plus_faces, minus_faces))
+    found.sort(key=itemgetter(0))
+    return found
 
 
 def enumerate_flips(tri: Triangulation) -> tuple[FlipCertificate, ...]:
@@ -205,10 +277,11 @@ def enumerate_flips(tri: Triangulation) -> tuple[FlipCertificate, ...]:
     circuits can flip; ``all_circuits`` is sorted, and so is the result.
     """
     dims = tri.dims
-    found = sorted(_flips(dims, [t.mask for t in tri.maximal]), key=itemgetter(0))
     return tuple(
         _certificate(dims, X, link, plus_faces, minus_faces)
-        for _, X, link, plus_faces, minus_faces in found
+        for _, X, link, plus_faces, minus_faces in _flips(
+            dims, [t.mask for t in tri.maximal], {}
+        )
     )
 
 

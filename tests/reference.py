@@ -15,6 +15,9 @@ The flip references work on ``Simplex`` values: ``supports_flip`` compares
 the links of the circuit's faces host by host, ``apply_flip`` edits the
 member set, and ``flip_graph`` builds the flip graph from these alone,
 where the package's flip kernel works on ascending tree masks.
+``enumerate_triangulations`` is the search the oracle ran before it matched
+facets: it picks any compatible tree, lowest first, and keeps every
+pairwise-proper set of the unimodular cardinality.
 ``feasible_fraction`` is the phase-one simplex with Bland's rule on
 ``Fraction`` entries, dividing the pivot row by its pivot; the package
 pivots the same tableau on integers over one common denominator.
@@ -23,11 +26,13 @@ pivots the same tableau on integers over one common denominator.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from prodtri.core import NotACycle, Simplex
 from prodtri.flips import FlipCertificate, Obstruction, StaleCertificate, all_circuits
+from prodtri.oracle import Corpus, spanning_trees
 from prodtri.orders import PrecedenceDigraph, classify_adjacency
-from prodtri.triangulation import Triangulation
+from prodtri.triangulation import Triangulation, _edge_members, _improper_partners
 
 
 def _vertex_adjacency(simplex: Simplex) -> list[list[int]]:
@@ -302,6 +307,45 @@ def flip_graph(corpus):
         results = [supports_flip(T, X, s) for X, s in zip(circuits, sides)]
         edges.update(frozenset((p, q)) for q in flip_neighbours(T, results, position) - {p})
     return edges
+
+
+def enumerate_triangulations(dims) -> Corpus:
+    """Depth-first search over canonical pairwise-proper tree sets of the
+    unimodular cardinality.  Exhaustive: every triangulation appears once."""
+    target = comb(dims.m + dims.n - 2, dims.m - 1)
+    trees = spanning_trees(dims)
+    nt = len(trees)
+    members = _edge_members(dims, [t.mask for t in trees])
+    compat = []  # the trees after each tree that meet it properly
+    for a, t in enumerate(trees):
+        above = ((1 << nt) - 1) & ~((2 << a) - 1)
+        compat.append(above & ~_improper_partners(dims, t.mask, members, above))
+    found: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def extend(cand: int, need: int):
+        """Every way to pick ``need`` more trees from the bitset ``cand``;
+        a branch ends once fewer candidates remain than it needs."""
+        if not need:
+            found.append(tuple(chosen))
+            return
+        left = cand.bit_count()
+        while left >= need:
+            low = cand & -cand
+            t = low.bit_length() - 1
+            sub = cand & compat[t]
+            if sub.bit_count() >= need - 1:
+                chosen.append(t)
+                extend(sub, need - 1)
+                chosen.pop()
+            cand ^= low
+            left -= 1
+
+    extend((1 << nt) - 1, target)
+    tris = tuple(
+        Triangulation(dims, [trees[p] for p in picks]) for picks in sorted(found)
+    )
+    return Corpus(dims=dims, triangulations=tris)
 
 
 def feasible_fraction(A: list[list[Fraction]], b: list[Fraction]) -> bool:

@@ -1,6 +1,8 @@
 """Cross-check of the mask kernel behind ``supports_flip``, ``enumerate_flips``
 and ``apply_flip`` against the ``Simplex``-level versions it replaced."""
 
+import json
+import os
 import random
 
 import pytest
@@ -9,6 +11,7 @@ import reference
 from prodtri.core import Dims, Simplex
 from prodtri.flips import (
     FlipCertificate,
+    _cycle_table,
     all_circuits,
     apply_flip,
     circuit_triangulations,
@@ -30,6 +33,25 @@ def _outcome(fn, *args):
 
 def _kind(res) -> str:
     return type(res).__name__
+
+
+def _certified(tri):
+    """The certificates ``supports_flip`` gives over ``all_circuits``, in
+    that order; a circuit whose links differ with no witness gives none."""
+    results = (_outcome(supports_flip, tri, X) for X in all_circuits(tri.dims))
+    return tuple(res for res in results if isinstance(res, FlipCertificate))
+
+
+WALK_PATH = os.path.join(os.path.dirname(__file__), "data", "walk_4x8.json")
+
+
+def _walk_4x8() -> Triangulation:
+    with open(WALK_PATH) as fh:
+        doc = json.load(fh)
+    dims = Dims(doc["m"], doc["n"])
+    tri = Triangulation(dims, [Simplex(dims, int(x, 16)) for x in doc["trees"]])
+    assert tri.digest() == doc["start"]
+    return tri
 
 
 @pytest.mark.slow
@@ -93,7 +115,9 @@ def test_seeded_4x8_walk_states():
 def test_arbitrary_masks():
     """Collections of arbitrary edge sets, cycles included, where the face
     and link reasoning of a triangulation does not hold: the same outcome,
-    error included."""
+    error included; and ``enumerate_flips`` gives exactly the certificates
+    of ``supports_flip``, so a member holding a whole cycle, which holds
+    every face of it, stops the cycle's flips."""
     rng = random.Random(5)
     kinds = set()
     for dims in (Dims(2, 3), Dims(3, 3), Dims(3, 4)):
@@ -108,6 +132,7 @@ def test_arbitrary_masks():
             assert res == _outcome(reference.supports_flip, tri, X)
             full = X.minus_mask | X.plus_mask
             kinds.add((_kind(res), any(not full & ~t.mask for t in tri.maximal)))
+            assert enumerate_flips(tri) == _certified(tri)
     # a member holding the whole cycle gives an obstruction or the error
     assert {
         ("FlipCertificate", False),
@@ -117,3 +142,26 @@ def test_arbitrary_masks():
         ("tuple", True),
     } <= kinds
 
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 3), (4, 6)])
+def test_cycle_table(m, n):
+    """The scan finds a circuit by its lowest plus face, so no two circuits
+    may share one; each edge's bitset names the cycles through it."""
+    dims = Dims(m, n)
+    cycles, through, first = _cycle_table(dims)
+    circuits = all_circuits(dims)
+    assert len(first) == len(circuits) == 2 * len(cycles)
+    for pos, X, plus_faces, minus_faces in first.values():
+        assert circuits[pos] is X
+        assert (plus_faces, minus_faces) == tuple(
+            tuple(s.mask for s in side) for side in circuit_triangulations(X)
+        )
+    for e, bits in enumerate(through):
+        assert bits == sum(1 << c for c, (full, _) in enumerate(cycles) if full >> e & 1)
+
+
+@pytest.mark.parametrize("source", ["staircase(8)", "staircase(10)", "walk_4x8"])
+def test_enumerate_flips_is_every_certified_circuit(source):
+    tri = _walk_4x8() if source == "walk_4x8" else staircase(int(source[10:-1]))
+    flips = enumerate_flips(tri)
+    assert flips and flips == _certified(tri)

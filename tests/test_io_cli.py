@@ -154,6 +154,14 @@ def test_cli_enumerate_past_max_dim_gives_parse_error(capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
+def test_cli_enumerate_past_the_tree_budget(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--m", "2", "--n", "12")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "BudgetExceeded"
+    assert payload["message"] == "Dims(m=2, n=12) has 24576 spanning trees > budget 1024"
+
+
 def test_integer_past_the_digit_limit_gives_parse_error(tmp_path, capsys):
     """json reads a 5,001-digit integer by int(), which refuses literals past
     the interpreter's 4,300-digit limit with a plain ValueError."""

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 from math import factorial
 
@@ -6,10 +7,11 @@ import pytest
 
 import reference
 from prodtri.core import Dims, Simplex
+from prodtri import flips, geometry, oracle
 from prodtri.flips import enumerate_flips
-from prodtri import geometry
 from prodtri.geometry import det_bareiss, feasible_eq_nonneg, improper_geometric, simplex_volume
 from prodtri.oracle import (
+    MAX_SPANNING_TREES,
     BudgetExceeded,
     Corpus,
     build_flip_graph,
@@ -18,6 +20,7 @@ from prodtri.oracle import (
     is_connected,
     spanning_trees,
 )
+from prodtri.phases import staircase
 from prodtri.triangulation import Triangulation, proper, validate
 
 
@@ -43,6 +46,42 @@ def test_budget_guard():
         enumerate_triangulations(Dims(4, 4))
     with pytest.raises(BudgetExceeded):
         geometric_validate(Triangulation(Dims(9, 8), []))
+
+
+@pytest.mark.parametrize("m,n,trees", [(2, 9, 2304), (2, 12, 24576), (9, 2, 2304)])
+def test_tree_budget_refuses_before_any_search(m, n, trees, monkeypatch):
+    """2x12 needs only 12 maximal simplices, but its 24,576 spanning trees
+    would let the search build 12! members; the refusal comes first."""
+
+    def no_search(dims):
+        raise AssertionError("spanning trees listed past the budget")
+
+    monkeypatch.setattr(oracle, "spanning_trees", no_search)
+    with pytest.raises(BudgetExceeded, match=f"{trees} spanning trees > budget"):
+        enumerate_triangulations(Dims(m, n))
+
+
+def test_tree_budget_admits_2x8_and_4x3(corpus43):
+    assert MAX_SPANNING_TREES == 2**7 * 8
+    assert len(spanning_trees(Dims(4, 3))) == 432 < MAX_SPANNING_TREES
+    assert len(corpus43) == 4488
+    corpus = enumerate_triangulations(Dims(2, 8))
+    assert len(corpus) == factorial(8)  # the column orders
+
+
+@pytest.mark.parametrize(
+    "m,n",
+    [(1, 3), (3, 1)]
+    + [(2, n) for n in range(2, 7)]
+    + [(m, 2) for m in range(3, 7)]
+    + [(3, 3), (3, 4), (4, 3)],
+)
+def test_enumeration_matches_the_reference(m, n):
+    """Facet matching finds the same triangulations, in the same order, as
+    the search that picks any compatible tree."""
+    dims = Dims(m, n)
+    got = enumerate_triangulations(dims).triangulations
+    assert got == reference.enumerate_triangulations(dims).triangulations
 
 
 def test_every_corpus_member_is_valid(corpus33):
@@ -146,6 +185,37 @@ def test_flip_graph_of_4x3(corpus43):
     assert len(corpus43) == 4488
     assert len(g.edges) == 14184
     assert is_connected(g)
+
+
+def _state() -> dict:
+    """The sizes of the module-level containers of ``flips`` and ``oracle``,
+    and the dims held by their per-dims memoised tables."""
+    state = {
+        (name, attr): len(value)
+        for name in ("prodtri.flips", "prodtri.oracle")
+        for attr, value in vars(sys.modules[name]).items()
+        if not attr.startswith("__") and isinstance(value, (dict, list, set))
+    }
+    for memo in (flips.all_circuits, flips._cycle_table):
+        state[memo.__name__] = memo.cache_info().currsize
+    return state
+
+
+def test_flip_scan_leaves_no_module_level_state(corpus33):
+    """The per-tree faces live in dicts each call owns; only the per-dims
+    tables are kept, one for each dims."""
+    build_flip_graph(corpus33)
+    enumerate_flips(staircase(5))
+    before = _state()
+    build_flip_graph(corpus33)
+    build_flip_graph(enumerate_triangulations(Dims(2, 4)))
+    enumerate_flips(staircase(5))
+    enumerate_flips(staircase(6))
+    after = _state()
+    grown = {key for key in before if after[key] != before[key]}
+    assert grown <= {"all_circuits", "_cycle_table"}
+    for memo in ("all_circuits", "_cycle_table"):
+        assert after[memo] - before[memo] <= 2  # 2x4 and 4x6, if new
 
 
 def test_flip_leaving_the_corpus_raises(corpus33):
