@@ -4,9 +4,9 @@ Exhaustive enumeration of all triangulations of small products, an
 exact-arithmetic geometric validity check, and the flip graph those
 triangulations span.  The geometric check shares no code with the
 combinatorial validity test, so agreement between the two is meaningful
-evidence.  The enumeration does share its compatibility test: it takes
-the trees that meet a tree properly from ``_improper_partners``, the
-search ``validate`` runs.
+evidence.  The enumeration does share its compatibility test: one
+``_improper_partners`` search from all spanning trees, the search
+``validate`` runs, gives the trees that meet each tree properly.
 
 The enumeration and the flip graph run on tree masks: the search matches
 the open interior facets of the chosen trees against bitsets of properly
@@ -108,12 +108,12 @@ def enumerate_triangulations(dims: Dims) -> Corpus:
     trees = spanning_trees(dims)
     masks = [t.mask for t in trees]
     everyone = (1 << len(masks)) - 1
-    members = _edge_members(dims, masks)
-    compat = []  # the other trees that meet each tree properly
+    improper = _improper_partners(dims, masks, _edge_members(dims, masks), everyone)
+    # the other trees that meet each tree properly
+    compat = [everyone & ~(1 << a) & ~bad for a, bad in enumerate(improper)]
     holders: dict[int, int] = {}  # interior facet -> the trees holding it
     facets = []  # each tree's interior facets
     for a, t in enumerate(masks):
-        compat.append(everyone & ~(1 << a) & ~_improper_partners(dims, t, members, everyone))
         own = []
         x = t
         while x:

@@ -36,10 +36,10 @@ from .orders import (
 from .triangulation import (
     Triangulation,
     _swap_slices,
+    _TreeSlots,
     star,
     swap_rows,
     validate,
-    validate_incremental,
 )
 
 
@@ -91,17 +91,20 @@ class FlipSequence:
 def apply_sequence(tri: Triangulation, seq: FlipSequence, check: bool = True) -> Triangulation:
     """Replay a flip sequence, certifying every step against the current state.
 
-    With check, each step's result gets ``validate_incremental``: the full
-    ``validate`` after the first step unless the input is certified, the
-    incremental check after later ones, with the same verdict."""
+    With check, the replay carries one set of tree slots (``_TreeSlots``),
+    as a run's driver does, and each step's result gets its check: the full
+    search after the first step unless the input is certified, the search
+    from the added trees after later ones, with the verdict of
+    ``validate``."""
     if tri.digest() != seq.start:
         raise ValueError("sequence does not start at this triangulation")
+    slots = _TreeSlots()
     for step in seq.steps:
         res = supports_flip(tri, step.circuit)
         if not isinstance(res, FlipCertificate):
             raise ProofGap("replayed circuit is not a flip", circuit=step.circuit)
         new = apply_flip(tri, res)
-        if check and not validate_incremental(new, res.added, tri).ok:
+        if check and not slots.flip(new, res.added, tri).ok:
             raise ProofGap("replay produced an invalid triangulation")
         tri = new
     if tri.digest() != seq.end:
@@ -221,26 +224,37 @@ def staircase(n: int) -> Triangulation:
 
 
 class _Driver:
-    """Applies certified flips to a working triangulation, recording steps.
+    """The working state of a run: applies certified flips to a working
+    triangulation and records the steps.
 
-    With check, every flip's result goes through ``validate_incremental``
-    from the working triangulation.  Once that is certified (see
-    ``Triangulation``), a flip needs only the incremental check, and its
-    result is certified in turn; an uncertified start, such as the input of
-    ``phase_two`` or ``phase_three`` called directly, gets the full
-    ``validate`` on its first flip.  ``phase_one`` validates its input, so
-    the states ``connect`` hands on are certified.  A row-swapped
-    sub-driver works on a ``swap_rows`` copy, which keeps the status.
+    With check, every flip's result is checked on ``slots``, the tree slots
+    and edge bitsets of the proper test (``triangulation._TreeSlots``),
+    which the driver fills on its first checked flip and carries from flip
+    to flip.  Once the working triangulation is certified (see
+    ``Triangulation``), a flip's check searches only from its added trees,
+    and its result is certified in turn; an uncertified start, such as the
+    input of ``phase_two`` or ``phase_three`` called directly, gets the full
+    search on its first flip.  ``phase_one`` validates its input, so the
+    states ``connect`` hands on are certified.
+
+    ``TI`` and ``TII`` are the strong and weak defect sets of the working
+    triangulation, computed once per state: ``apply`` computes both for the
+    step measures, and the phase loops and reductions read them.
 
     ``adjacency`` is the run state (``orders._Adjacency``) that every
     ``build_precedence`` call of the run reuses: a driver made without one
-    gets a fresh one, and ``connect`` hands one to both phases that build
-    digraphs.  A row-swapped sub-driver takes its ``mirrored()`` state,
-    which shares the classifications and indexes the swapped copies.
+    gets a fresh one.  ``connect`` runs one driver through the three
+    phases.
 
-    ``apply`` flips a certificate of the working triangulation, validates
-    the result and records the step.  ``flip`` certifies an asserted circuit
+    ``apply`` flips a certificate of the working triangulation, checks the
+    result and records the step.  ``flip`` certifies an asserted circuit
     for it, raising ``ProofGap`` when the circuit is unsupported.
+    ``mirrored`` makes the sub-driver of a case run with rows 0 and 1
+    exchanged: it works on a ``swap_rows`` copy, which keeps the status,
+    with the ``mirrored()`` adjacency state, which shares the
+    classifications, a row-swapped copy of the slots and the swapped defect
+    sets.  ``absorb_mirrored`` swaps its steps, working triangulation, slots
+    and defect sets back.
     """
 
     def __init__(self, tri: Triangulation, check: bool = True, adjacency=None):
@@ -248,6 +262,20 @@ class _Driver:
         self.check = check
         self.steps: list[FlipStep] = []
         self.adjacency = _Adjacency() if adjacency is None else adjacency
+        self.slots = _TreeSlots()
+        self._TI = self._TII = None
+
+    @property
+    def TI(self) -> tuple[Simplex, ...]:
+        if self._TI is None:
+            self._TI = compute_TI(self.T)
+        return self._TI
+
+    @property
+    def TII(self) -> tuple[Simplex, ...]:
+        if self._TII is None:
+            self._TII = compute_TII(self.T)
+        return self._TII
 
     def flip(self, X: Circuit, phase: str, **inner: int) -> None:
         res = supports_flip(self.T, X)
@@ -263,19 +291,38 @@ class _Driver:
 
     def apply(self, cert: FlipCertificate, phase: str, **inner: int) -> None:
         new = apply_flip(self.T, cert)
-        if self.check and not validate_incremental(new, cert.added, self.T).ok:
+        if self.check and not self.slots.flip(new, cert.added, self.T).ok:
             raise ProofGap("flip produced an invalid triangulation", circuit=cert.circuit)
         self.T = new
-        measures = {"tI": len(compute_TI(new)), "tII": len(compute_TII(new))}
+        self._TI, self._TII = compute_TI(new), compute_TII(new)
+        measures = {"tI": len(self._TI), "tII": len(self._TII)}
         measures.update(inner)
         self.steps.append(FlipStep(cert.circuit, phase, tuple(sorted(measures.items()))))
 
-    def absorb_mirrored(self, sub: "_Driver", a: int, b: int) -> None:
+    def mirrored(self) -> "_Driver":
+        sub = _Driver(swap_rows(self.T, 0, 1), self.check, self.adjacency.mirrored())
+        sub.slots = self.slots.swapped(0, 1)
+        sub._TI, sub._TII = _swap_defects(self._TI), _swap_defects(self._TII)
+        return sub
+
+    def absorb_mirrored(self, sub: "_Driver") -> None:
+        if not sub.steps:
+            return  # nothing moved: the state and its defect sets stand
         for step in sub.steps:
             self.steps.append(
-                FlipStep(_swap_circuit(step.circuit, a, b), step.phase, step.measures)
+                FlipStep(_swap_circuit(step.circuit, 0, 1), step.phase, step.measures)
             )
-        self.T = swap_rows(sub.T, a, b)
+        self.T = swap_rows(sub.T, 0, 1)
+        self.slots = sub.slots.swapped(0, 1)
+        self._TI, self._TII = _swap_defects(sub._TI), _swap_defects(sub._TII)
+
+
+def _swap_defects(trees: Optional[tuple[Simplex, ...]]) -> Optional[tuple[Simplex, ...]]:
+    """A defect set of a triangulation as that of its rows-0/1 swap, which
+    both defect tests treat alike; None (not yet computed) stays None."""
+    if trees is None:
+        return None
+    return tuple(sorted(Simplex(t.dims, _swap_slices(t.mask, t.dims.n, 0, 1)) for t in trees))
 
 
 def _swap_circuit(X: Circuit, a: int, b: int) -> Circuit:
@@ -320,14 +367,15 @@ def _path_rows_cols(path):
 
 
 def phase_one(
-    tri: Triangulation, check: bool = True, *, _adjacency=None
+    tri: Triangulation, check: bool = True, *, _driver=None
 ) -> tuple[FlipSequence, Triangulation]:
     """Empty the strong defect set, one anchor tree at a time."""
     _require_m4(tri)
     if check:
         _ensure(validate(tri).ok, "input does not validate")
-    drv = _Driver(tri, check, _adjacency)
-    defect = compute_TI(tri)
+    drv = _Driver(tri, check) if _driver is None else _driver
+    first = len(drv.steps)
+    defect = drv.TI
     while defect:
         before = len(defect)
         dg34 = build_precedence(drv.T, toward_row_free(2, 3), drv.adjacency)
@@ -374,14 +422,14 @@ def phase_one(
             )
             _ensure(c2 is not None, "no shape case matches the anchor", anchor=tau_I)
             _case_three(drv, tau_I, c1, c2)
-        defect = compute_TI(drv.T)
+        defect = drv.TI
         _ensure(
             len(defect) < before,
             "phase one made no progress",
             before=before,
             after=len(defect),
         )
-    seq = FlipSequence(tri.dims, tri.digest(), drv.T.digest(), tuple(drv.steps))
+    seq = FlipSequence(tri.dims, tri.digest(), drv.T.digest(), tuple(drv.steps[first:]))
     return seq, drv.T
 
 
@@ -398,9 +446,9 @@ def _dispatch_mirrorable(drv: _Driver, mirrored: bool, fn, *args) -> None:
             return Simplex(a.dims, _swap_slices(a.mask, n, 0, 1))
         return _swap_circuit(a, 0, 1) if isinstance(a, Circuit) else a
 
-    sub = _Driver(swap_rows(drv.T, 0, 1), drv.check, drv.adjacency.mirrored())
+    sub = drv.mirrored()
     fn(sub, *map(swap, args))
-    drv.absorb_mirrored(sub, 0, 1)
+    drv.absorb_mirrored(sub)
 
 
 def _anchor_minimal(drv, xminus: Simplex, row: int, label: str) -> Simplex:
@@ -445,8 +493,9 @@ def _reduce(
     ``ends``.  After each such flip every (tree, message) of ``kept`` must
     survive, every (context, message) of ``good`` must stay good, every
     (measure, message) of ``shrinks`` must shrink and none of ``bounded``
-    may grow.  Every flip records the star count of each face of ``stars``
-    under its name, and the flip of X also ``outer=1`` when ``outer``.
+    may grow; a measure is a function of the driver.  Every flip records the
+    star count of each face of ``stars`` under its name, and the flip of X
+    also ``outer=1`` when ``outer``.
     """
     xm = X.minus_mask
 
@@ -458,8 +507,8 @@ def _reduce(
         if isinstance(res, FlipCertificate):
             drv.apply(res, phase, **star_counts(), **({"outer": 1} if outer else {}))
             return
-        shrink_from = [measure(drv.T) for measure, _ in shrinks]
-        bound_by = [measure(drv.T) for measure, _ in bounded]
+        shrink_from = [measure(drv) for measure, _ in shrinks]
+        bound_by = [measure(drv) for measure, _ in bounded]
         S = [t for t in drv.T.maximal if not xm & ~t.mask]
         for keep, message in filters:
             S = [t for t in S if keep(t.mask)]
@@ -471,9 +520,9 @@ def _reduce(
         for ctx, message in good:
             _ensure(goodness(drv.T, ctx), message)
         for (measure, message), prev in zip(shrinks, shrink_from):
-            _ensure(measure(drv.T) < prev, message)
+            _ensure(measure(drv) < prev, message)
         for (measure, message), prev in zip(bounded, bound_by):
-            _ensure(measure(drv.T) <= prev, message)
+            _ensure(measure(drv) <= prev, message)
 
 
 def _case_one(drv: _Driver, tau_sel: Simplex, c1: int, c2: int) -> None:
@@ -507,7 +556,7 @@ def _reduce_case_one(
     dims = drv.T.dims
     xminus = Simplex(dims, X.minus_mask)
     xp = X.plus_mask
-    defects = compute_TI if phase == "I" else compute_TII
+    defects = (lambda d: len(d.TI)) if phase == "I" else (lambda d: len(d.TII))
 
     def replacement(tau: Simplex, rows, cols) -> Circuit:
         _ensure(
@@ -565,8 +614,8 @@ def _reduce_case_one(
         outer=True,
         kept=((tau_anchor, "inner: anchor tree was flipped away"),),
         good=((ctx, "inner: goodness lost after flip"),),
-        shrinks=((lambda T: _star_count(T, xminus), "inner: star did not shrink"),),
-        bounded=((lambda T: len(defects(T)), "inner: defect set grew"),),
+        shrinks=((lambda d: _star_count(d.T, xminus), "inner: star did not shrink"),),
+        bounded=((defects, "inner: defect set grew"),),
     )
 
 
@@ -646,8 +695,8 @@ def _case_two(drv: _Driver, tau_sel: Simplex, c1: int, c2: int, c3: int) -> None
         outer=True,
         kept=((tau_I, "case 2: anchor tree was flipped away"),),
         good=((ctx, "case 2: goodness lost after flip"),),
-        shrinks=((lambda T: _star_count(T, xminus), "case 2: star did not shrink"),),
-        bounded=((lambda T: len(compute_TI(T)), "case 2: defect set grew"),),
+        shrinks=((lambda d: _star_count(d.T, xminus), "case 2: star did not shrink"),),
+        bounded=((lambda d: len(d.TI), "case 2: defect set grew"),),
     )
 
 
@@ -696,7 +745,7 @@ def _case_three_claim(drv, X: Circuit, tau_I: Simplex, sigma_I: Simplex, c1: int
     ctx = GoodnessContext("tauI", tau_I, sigma_I, X, cols=(c1, c2))
     entry_star = _star_count(drv.T, xminus)
     entry_side2 = len(_case_three_side(drv.T, X, c1, swapped=True))
-    entry_defect = len(compute_TI(drv.T))
+    entry_defect = len(drv.TI)
     side1 = _case_three_side(drv.T, X, c1, swapped=False)
     _ensure(side1, "case 3 claim: side set emptied unexpectedly")
     tau0, rows, cols = _extremal_path(drv, side1, toward_row_free(0, 3), (2, 3), "case 3")
@@ -826,14 +875,16 @@ def _case_three_claim(drv, X: Circuit, tau_I: Simplex, sigma_I: Simplex, c1: int
             (ctx, "case 3 inner: goodness lost"),
             (ctx0, "case 3 inner: side goodness lost"),
         ),
-        shrinks=((lambda T: _star_count(T, yminus_s), "case 3 inner: side star did not shrink"),),
+        shrinks=(
+            (lambda d: _star_count(d.T, yminus_s), "case 3 inner: side star did not shrink"),
+        ),
         bounded=(
-            (lambda T: _star_count(T, xminus), "case 3 inner: main star grew"),
+            (lambda d: _star_count(d.T, xminus), "case 3 inner: main star grew"),
             (
-                lambda T: len(_case_three_side(T, X, c1, swapped=True)),
+                lambda d: len(_case_three_side(d.T, X, c1, swapped=True)),
                 "case 3 inner: opposite side set grew",
             ),
-            (lambda T: len(compute_TI(T)), "case 3 inner: defect set grew"),
+            (lambda d: len(d.TI), "case 3 inner: defect set grew"),
         ),
     )
     _ensure(drv.T.contains(tau_I), "case 3 claim: anchor tree lost")
@@ -843,24 +894,25 @@ def _case_three_claim(drv, X: Circuit, tau_I: Simplex, sigma_I: Simplex, c1: int
         len(_case_three_side(drv.T, X, c1, swapped=True)) <= entry_side2,
         "case 3 claim: opposite side set grew",
     )
-    _ensure(len(compute_TI(drv.T)) <= entry_defect, "case 3 claim: defect set grew")
+    _ensure(len(drv.TI) <= entry_defect, "case 3 claim: defect set grew")
 
 
 # ---------------------------------------------------------------- phase two
 
 
 def phase_two(
-    tri: Triangulation, check: bool = True, *, _adjacency=None
+    tri: Triangulation, check: bool = True, *, _driver=None
 ) -> tuple[FlipSequence, Triangulation]:
     """Empty the weak defect set; the reduction mirrors case 1 with the
     roles of rows 2 and 3 reversed."""
     _require_m4(tri)
-    _ensure(not compute_TI(tri), "phase two requires an empty strong defect set")
-    drv = _Driver(tri, check, _adjacency)
-    defect = compute_TII(tri)
+    drv = _Driver(tri, check) if _driver is None else _driver
+    first = len(drv.steps)
+    _ensure(not drv.TI, "phase two requires an empty strong defect set")
+    defect = drv.TII
     while defect:
         _ensure(
-            not compute_TI(drv.T),
+            not drv.TI,
             "phase two: strong defect set reappeared",
         )
         before = len(defect)
@@ -879,13 +931,13 @@ def phase_two(
         )
         mirrored = frozenset((1, 2)) in shapes
         _dispatch_mirrorable(drv, mirrored, _phase_two_case, tau_II)
-        defect = compute_TII(drv.T)
+        defect = drv.TII
         _ensure(
             len(defect) < before,
             "phase two made no progress",
             before=before,
         )
-    seq = FlipSequence(tri.dims, tri.digest(), drv.T.digest(), tuple(drv.steps))
+    seq = FlipSequence(tri.dims, tri.digest(), drv.T.digest(), tuple(drv.steps[first:]))
     return seq, drv.T
 
 
@@ -921,13 +973,17 @@ def _total_order(tri: Triangulation, i1: int, i2: int) -> tuple[int, ...]:
     return restriction_order(tri, i1, i2).as_total()
 
 
-def phase_three(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Triangulation]:
+def phase_three(
+    tri: Triangulation, check: bool = True, *, _driver=None
+) -> tuple[FlipSequence, Triangulation]:
     """Sort both column orders to the identity and land on the staircase.
 
     One loop carries o12 and o34, the orders of rows {0,1} and {2,3}, and
     reads both once more after each square flip or five-flip macro."""
     _require_m4(tri)
-    _ensure(not compute_TII(tri), "phase three requires an empty weak defect set")
+    drv = _Driver(tri, check) if _driver is None else _driver
+    first = len(drv.steps)
+    _ensure(not drv.TII, "phase three requires an empty weak defect set")
     o12 = _total_order(tri, 0, 1)
     for i1, i2 in ((0, 2), (0, 3), (2, 1), (3, 1)):
         _ensure(
@@ -936,7 +992,6 @@ def phase_three(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, T
             pair=(i1, i2),
         )
     o34 = _total_order(tri, 2, 3)
-    drv = _Driver(tri, check)
     identity = tuple(range(tri.dims.n))
 
     def square(a: int, b: int, j: int, j2: int) -> Circuit:
@@ -955,7 +1010,7 @@ def phase_three(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, T
                 _total_order(drv.T, 0, 1) == o12,
                 "phase three: square flip disturbed the upper order",
             )
-            _ensure(not compute_TII(drv.T), "phase three: defect set reappeared")
+            _ensure(not drv.TII, "phase three: defect set reappeared")
             continue
         if o12 == identity:
             break
@@ -972,12 +1027,12 @@ def phase_three(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, T
             _total_order(drv.T, 2, 3) == o34,
             "phase three: macro disturbed the lower order",
         )
-        _ensure(not compute_TII(drv.T), "phase three: defect set reappeared after macro")
+        _ensure(not drv.TII, "phase three: defect set reappeared after macro")
     _ensure(
         drv.T == staircase(tri.dims.n),
         "phase three: sorted orders but not the staircase",
     )
-    seq = FlipSequence(tri.dims, tri.digest(), drv.T.digest(), tuple(drv.steps))
+    seq = FlipSequence(tri.dims, tri.digest(), drv.T.digest(), tuple(drv.steps[first:]))
     return seq, drv.T
 
 
@@ -985,10 +1040,11 @@ def connect(tri: Triangulation, check: bool = True) -> FlipSequence:
     """Flip sequence from the given triangulation to the staircase.
 
     Concatenates the three phases; to connect two arbitrary triangulations,
-    chain one sequence with the reversal of the other.  Phases one and two
-    share one adjacency run state; phase three builds no digraph."""
-    adjacency = _Adjacency()
-    seq1, t1 = phase_one(tri, check, _adjacency=adjacency)
-    seq2, t2 = phase_two(t1, check, _adjacency=adjacency)
-    seq3, _ = phase_three(t2, check)
+    chain one sequence with the reversal of the other.  One driver carries
+    the run's state through the three phases: the adjacency run state, the
+    check's tree slots and the defect sets of the working triangulation."""
+    drv = _Driver(tri, check)
+    seq1, t1 = phase_one(tri, check, _driver=drv)
+    seq2, t2 = phase_two(t1, check, _driver=drv)
+    seq3, _ = phase_three(t2, check, _driver=drv)
     return seq1 + seq2 + seq3

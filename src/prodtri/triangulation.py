@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from math import comb
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .core import Dims, Simplex, _bits, _edge_blocks, is_spanning_tree
 
@@ -36,7 +36,8 @@ def proper(s1: Simplex, s2: Simplex) -> bool:
     """
     if s1.dims != s2.dims:
         raise ValueError("dimension mismatch")
-    return not _improper_partners(s1.dims, s1.mask, _edge_members(s1.dims, (s2.mask,)), 1)
+    members = _edge_members(s1.dims, (s2.mask,))
+    return not _improper_partners(s1.dims, [s1.mask], members, 1)[0]
 
 
 def _edge_members(dims: Dims, masks: Iterable[int]) -> list[int]:
@@ -52,43 +53,70 @@ def _edge_members(dims: Dims, masks: Iterable[int]) -> list[int]:
     return members
 
 
-def _improper_partners(dims: Dims, t: int, members: list[int], cand: int) -> int:
-    """The positions p in the bitset cand for which some circuit Z has Z+ in
-    the edge mask t and Z- in masks[p], where ``members`` is
-    ``_edge_members(dims, masks)``.  Exact on any masks, forests or not.
+def _improper_partners(dims: Dims, ts: list[int], members: list[int], cand: int) -> list[int]:
+    """For each edge mask t of ``ts``, the positions p in the bitset cand
+    for which some circuit Z has Z+ in t and Z- in masks[p], where
+    ``members`` is ``_edge_members(dims, masks)``.  Exact on any masks,
+    forests or not.
 
     A circuit is a cycle of the bipartite graph with alternate edges signed
-    plus and minus.  The search is depth first over alternating paths from
-    the cycle's lowest row s: a plus edge of t to an unused column, then a
-    minus edge to an unused row above s, until a minus edge returns to s.
-    A path carries the AND of its minus edges' bitsets less the positions
-    already found, and a branch ends when that is empty.
+    plus and minus.  One search serves every mask of ts: it runs depth first
+    over alternating paths from the cycle's lowest row s, a plus edge of
+    some mask of ts to an unused column, then a minus edge to an unused row
+    above s, until a minus edge returns to s.  A path carries one block of
+    w = cand.bit_length() bits per mask of ts; block f holds the candidates
+    that could still close a cycle whose plus edges all lie in ts[f], less
+    those already found.  A plus edge ANDs it with the blocks of the masks
+    holding that edge, a minus edge with the edge's bitset copied into
+    every block, and a branch ends when no bit is left.
     """
     m, n = dims
+    w = cand.bit_length()
+    block = (1 << w) - 1
+    copies = ((1 << (len(ts) * w)) - 1) // block if w else 0  # one bit per block
+    minus = [(x & block) * copies for x in members]
+    plus = [0] * (m * n)  # per edge, the blocks of the masks holding it
+    union = 0
+    for f, t in enumerate(ts):
+        union |= t
+        x = t
+        while x:
+            low = x & -x
+            plus[low.bit_length() - 1] |= block << (f * w)
+            x ^= low
     full = (1 << n) - 1
-    plus = [t >> (i * n) & full for i in range(m)]
+    rows = [union >> (i * n) & full for i in range(m)]
     found = 0
+    keep = -1  # ~found, the candidates still searched for
 
-    def walk(s: int, i: int, rows: int, cols: int, live: int) -> None:
-        nonlocal found
-        out = plus[i] & ~cols
+    def walk(s: int, i: int, used: int, cols: int, live: int) -> None:
+        nonlocal found, keep
+        out = rows[i] & ~cols
         while out and live:
             low = out & -out
             out ^= low
             j = low.bit_length() - 1
-            if i != s:  # the minus edge (s, j) closes the cycle
-                found |= live & members[s * n + j]
-                live &= ~found
+            here = live & plus[i * n + j]
+            if i != s and here:  # the minus edge (s, j) closes the cycle
+                hit = here & minus[s * n + j]
+                if hit:
+                    found |= hit
+                    keep = ~found
+                    here ^= hit
             for r in range(s + 1, m):
-                if live and not rows >> r & 1:
-                    x = live & members[r * n + j]
+                if here and not used >> r & 1:
+                    x = here & minus[r * n + j]
                     if x:
-                        walk(s, r, rows | 1 << r, cols | low, x)
-                        live &= ~found
+                        walk(s, r, used | 1 << r, cols | low, x)
+                        if found:
+                            here &= keep
+            if found:
+                live &= keep
 
+    start = cand * copies
     for s in range(m - 1):
-        walk(s, s, 1 << s, 0, cand & ~found)
-    return found
+        walk(s, s, 1 << s, 0, start & keep)
+    return [found >> (f * w) & block for f in range(len(ts))]
 
 
 @dataclass(frozen=True)
@@ -104,8 +132,9 @@ class Triangulation:
     """Canonically ordered set of maximal simplices.
 
     A triangulation is *certified* once ``validate`` has passed on it, or
-    once it came from a certified one by ``swap_rows`` or by a flip that
-    passed ``validate_incremental``; only these three functions set it.
+    once it came from a certified one by ``swap_rows`` or by a flip whose
+    check passed, ``validate_incremental`` or the ``flip`` of a run's
+    ``_TreeSlots``; only these set it.
     """
 
     __slots__ = ("dims", "maximal", "_digest", "_certified")
@@ -215,7 +244,7 @@ def star(tri, xi: Simplex):
 
 def validate(tri: Triangulation) -> ValidityReport:
     """Spanning trees, pairwise proper, and the unimodular count."""
-    return _certify(tri, _check(tri, range(len(tri.maximal))))
+    return _certify(tri, _check(tri, _TreeSlots(tri), tri.maximal))
 
 
 def validate_incremental(
@@ -226,20 +255,15 @@ def validate_incremental(
 
     When ``before`` is certified (see ``Triangulation``), its trees are
     spanning and pairwise proper, so only the added trees need the spanning
-    test and the proper test against every tree, added ones included.
-    Otherwise this runs the full ``validate``.  Either way the verdict
-    equals ``validate(tri).ok``.
+    test and the proper test against every tree, added ones included: the
+    slots of ``before`` (``_TreeSlots``) take the flip, as a run's carried
+    slots do, and are searched from the added trees.  Otherwise this runs
+    the full ``validate``.  Either way the verdict equals
+    ``validate(tri).ok``.
     """
     if not before._certified:
         return validate(tri)
-    added = set(added)
-    fresh = [p for p, t in enumerate(tri.maximal) if t in added]
-    if len(fresh) != len(added):
-        raise ValueError("added simplices are not all maximal in the triangulation")
-    kept = set(before.maximal)
-    if any(t not in kept for t in tri.maximal if t not in added):
-        raise ValueError("a tree outside added is not in before")
-    return _certify(tri, _check(tri, fresh))
+    return _TreeSlots().flip(tri, added, before)
 
 
 def _certify(tri: Triangulation, report: ValidityReport) -> ValidityReport:
@@ -267,37 +291,115 @@ def swap_rows(tri: Triangulation, a: int, b: int) -> Triangulation:
     return swapped
 
 
-def _check(tri: Triangulation, fresh) -> ValidityReport:
-    """The spanning test on the trees at positions ``fresh`` (ascending) and
-    the proper test on every pair holding one of them, then the count.
+class _TreeSlots:
+    """The edge bitsets of the proper test, carried from flip to flip.
+
+    Each tree of a run's working triangulation holds a slot, a bit position
+    it keeps while it stays: ``live`` is the bitset of the held slots, and
+    ``members[i*n + j]`` that of the slots whose tree holds edge (i, j), as
+    ``_edge_members`` builds it over a list of masks.  ``flip`` frees the
+    slots of the trees a flip removed, gives each added tree the lowest free
+    slot and checks the result.  Made without a triangulation, the slots
+    are filled from the ``before`` of their first flip.
+    """
+
+    __slots__ = ("dims", "members", "live")
+
+    def __init__(self, tri: Optional[Triangulation] = None):
+        self.dims = self.members = None
+        self.live = 0
+        if tri is not None:
+            self._hold(tri)
+
+    def _hold(self, tri: Triangulation) -> None:
+        self.dims = tri.dims
+        self.members = _edge_members(tri.dims, [t.mask for t in tri.maximal])
+        self.live = (1 << len(tri.maximal)) - 1
+
+    def swapped(self, a: int, b: int) -> "_TreeSlots":
+        """The slots of the same trees with rows a and b exchanged: a copy
+        with the edge bitsets of the two rows exchanged."""
+        copy = _TreeSlots()
+        if self.members is not None:
+            n = self.dims.n
+            ra, rb = slice(a * n, a * n + n), slice(b * n, b * n + n)
+            members = self.members[:]
+            members[ra], members[rb] = self.members[rb], self.members[ra]
+            copy.dims, copy.members, copy.live = self.dims, members, self.live
+        return copy
+
+    def slot(self, x: int) -> int:
+        """The slot bit of the tree with edge mask x, or 0 if none holds it."""
+        bit = self.live
+        for e, held in enumerate(self.members):
+            bit &= held if x >> e & 1 else ~held
+        return bit
+
+    def mask(self, bit: int) -> int:
+        """The edge mask of the tree in the slot bit."""
+        return sum(1 << e for e, held in enumerate(self.members) if held & bit)
+
+    def flip(
+        self, tri: Triangulation, added: Iterable[Simplex], before: Triangulation
+    ) -> ValidityReport:
+        """``validate(tri)`` for tri made from ``before``, whose trees the
+        slots hold, by a flip that added ``added`` and kept every other tree
+        of tri; the slots then hold tri's trees.  The search runs from the
+        added trees when ``before`` is certified, else from every tree."""
+        added = sorted(set(added), key=_by_mask)
+        trees = {t.mask for t in tri.maximal}
+        if any(t.dims != tri.dims or t.mask not in trees for t in added):
+            raise ValueError("added simplices are not all maximal in the triangulation")
+        kept = {t.mask for t in before.maximal}
+        if not trees.difference(t.mask for t in added) <= kept:
+            raise ValueError("a tree outside added is not in before")
+        if self.members is None:
+            self._hold(before)
+        members = self.members
+        for x in kept - trees:
+            keep = ~self.slot(x)
+            self.live &= keep
+            for e in _bits(x):
+                members[e] &= keep
+        for t in added:
+            if t.mask not in kept:  # else its slot stays
+                bit = ~self.live & (self.live + 1)  # the lowest free slot
+                self.live |= bit
+                for e in _bits(t.mask):
+                    members[e] |= bit
+        return _certify(tri, _check(tri, self, added if before._certified else tri.maximal))
+
+
+def _check(tri: Triangulation, slots: _TreeSlots, fresh) -> ValidityReport:
+    """The spanning test on the trees ``fresh`` (ascending) and the proper
+    test on every pair of tri's trees holding one of them, then the count.
 
     A pair is improper when some circuit has its plus part in one tree and
-    its minus part in the other.  The edge bitsets are built once, and one
-    circuit search per fresh tree finds its improper partners among the
-    trees not yet searched; pairs are reported in ascending (a, b) order.
+    its minus part in the other.  One circuit search finds the improper
+    partners of every fresh tree among the trees that ``slots`` holds;
+    pairs are reported in ascending (a, b) order.
     """
-    violations: list[tuple[str, object]] = []
-    trees = tri.maximal
-    for p in fresh:
-        if not is_spanning_tree(trees[p]):
-            violations.append(("not_spanning", trees[p]))
-    masks = [t.mask for t in trees]
-    members = _edge_members(tri.dims, masks)
-    cand = (1 << len(trees)) - 1
+    dims = tri.dims
+    violations: list[tuple[str, object]] = [
+        ("not_spanning", t) for t in fresh if not is_spanning_tree(t)
+    ]
+    found = _improper_partners(dims, [t.mask for t in fresh], slots.members, slots.live)
+    searched = set()
     pairs = []
-    for p in fresh:
-        cand &= ~(1 << p)
-        bad = _improper_partners(tri.dims, masks[p], members, cand)
+    for t, bad in zip(fresh, found):
+        x = t.mask
+        searched.add(x)
         while bad:
             low = bad & -bad
-            q = low.bit_length() - 1
-            pairs.append((p, q) if p < q else (q, p))
             bad ^= low
-    for a, b in sorted(pairs):
-        violations.append(("improper_pair", (trees[a], trees[b])))
-    expected = comb(tri.dims.m + tri.dims.n - 2, tri.dims.m - 1)
-    if len(trees) != expected:
-        violations.append(("cardinality", (len(trees), expected)))
+            y = slots.mask(low)
+            if y not in searched:  # else found from y's side, or x itself
+                pairs.append((x, y) if x < y else (y, x))
+    for x, y in sorted(pairs):
+        violations.append(("improper_pair", (Simplex(dims, x), Simplex(dims, y))))
+    expected = comb(dims.m + dims.n - 2, dims.m - 1)
+    if len(tri.maximal) != expected:
+        violations.append(("cardinality", (len(tri.maximal), expected)))
     return ValidityReport(not violations, tuple(violations))
 
 

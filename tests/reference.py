@@ -319,7 +319,7 @@ def enumerate_triangulations(dims) -> Corpus:
     compat = []  # the trees after each tree that meet it properly
     for a, t in enumerate(trees):
         above = ((1 << nt) - 1) & ~((2 << a) - 1)
-        compat.append(above & ~_improper_partners(dims, t.mask, members, above))
+        compat.append(above & ~_improper_partners(dims, [t.mask], members, above)[0])
     found: list[tuple[int, ...]] = []
     chosen: list[int] = []
 

@@ -1,4 +1,5 @@
-"""The incremental validity check against the full one, the facet-indexed
+"""The incremental validity check against the full one, the tree slots a
+run carries against fresh edge bitsets, the facet-indexed
 precedence digraph, with and without a shared adjacency run state, against
 the all-pairs scan, and the digraph's on-demand reachability against a full
 closure."""
@@ -42,6 +43,8 @@ from prodtri.phases import (
 from prodtri.triangulation import (
     LocalTriangulation,
     Triangulation,
+    _edge_members,
+    _TreeSlots,
     proper,
     star,
     swap_rows,
@@ -73,27 +76,50 @@ def walk48():
     return tri
 
 
+def _assert_carried(slots: _TreeSlots, tri: Triangulation) -> None:
+    """The carried edge bitsets are ``_edge_members`` of the masks in their
+    slots, a free slot holding none, and the live slots hold tri's trees.
+    A flip keeps the tree count, so the added trees fill exactly the slots
+    the removed ones freed."""
+    width = slots.live.bit_length()
+    masks = [slots.mask(1 << p) if slots.live >> p & 1 else 0 for p in range(width)]
+    assert slots.dims == tri.dims
+    assert slots.live == (1 << len(tri.maximal)) - 1
+    assert sorted(x for x in masks if x) == [t.mask for t in tri.maximal]
+    assert slots.members == _edge_members(tri.dims, masks)
+
+
 class _CrossCheck:
-    """Wraps the incremental check so that every verdict is compared with
-    the full ``validate`` of the same triangulation, and counts the full
-    checks that phases and the incremental check's fallback run."""
+    """Wraps the check that the driver and the replay run after every flip,
+    ``_TreeSlots.flip`` on their carried slots: every verdict is compared
+    with the full ``validate`` of the same triangulation, and the carried
+    bitsets with fresh ones.  Counts the full checks, which are ``validate``
+    calls and flips from an uncertified state, and keeps each distinct slot
+    state that flipped."""
 
     def __init__(self):
         self.compared = 0
         self.full = 0
+        self.carriers: list[_TreeSlots] = []
 
     def install(self, monkeypatch):
-        def incremental(tri, added, before):
-            report = validate_incremental(tri, added, before)
+        real = _TreeSlots.flip
+
+        def flip(slots, tri, added, before):
+            self.full += not before._certified
+            report = real(slots, tri, added, before)
             assert report.ok == validate(tri).ok
+            _assert_carried(slots, tri)
             self.compared += 1
+            if not any(s is slots for s in self.carriers):
+                self.carriers.append(slots)
             return report
 
         def full(tri):
             self.full += 1
             return validate(tri)
 
-        monkeypatch.setattr(phases, "validate_incremental", incremental)
+        monkeypatch.setattr(_TreeSlots, "flip", flip)
         monkeypatch.setattr(phases, "validate", full)
         monkeypatch.setattr(triangulation, "validate", full)
 
@@ -126,6 +152,7 @@ def test_incremental_matches_full_on_committed_walk(walk48, monkeypatch):
     assert all(swaps)
     assert cross.full == 1
     assert cross.compared == len(seq) > 0
+    assert len(cross.carriers) > 1  # mirrored sub-drivers flip on their copies
     cross.full = cross.compared = 0
     fresh = Triangulation(walk48.dims, walk48.maximal)
     assert apply_sequence(fresh, seq, check=True) == staircase(8)
@@ -153,6 +180,92 @@ def test_phases_called_directly_trust_only_a_certified_input(phase, corpus43, mo
     assert validate(start).ok and start._certified
     run(start, check=True)
     assert (cross.full, cross.compared) == (0, len(seq))
+
+
+def _forge_one_flip(monkeypatch, at: int) -> list:
+    """Makes the at-th certificate that ``phases`` obtains add, in place of
+    its first added tree, a spanning tree improper with a tree the flip
+    keeps; returns the list that receives (state, forged certificate)."""
+    real = phases.supports_flip
+    forged, seen = [], [0]
+
+    def forging(tri, X):
+        res = real(tri, X)
+        if isinstance(res, FlipCertificate):
+            seen[0] += 1
+            if seen[0] == at:
+                kept = [t for t in tri.maximal if t not in res.removed]
+                u = next(
+                    u
+                    for u in spanning_trees(tri.dims)
+                    if u not in tri.maximal and not all(proper(u, s) for s in kept)
+                )
+                res = FlipCertificate(res.circuit, res.link, res.removed, (u,) + res.added[1:])
+                forged.append((tri, res))
+        return res
+
+    monkeypatch.setattr(phases, "supports_flip", forging)
+    return forged
+
+
+def test_carried_check_catches_an_improper_flip(corpus43, monkeypatch):
+    """A flip whose result holds a tree improper with a kept tree stops a
+    checked connect and a checked replay at that flip.  The third flip
+    starts from a certified state, so its check searches the carried slots
+    from the added trees only; the first flip of a replay from an
+    unchecked input gets the full search."""
+    rng = random.Random(21)
+    tri = next(t for t in rng.sample(corpus43.triangulations, 50) if len(connect(t)) >= 4)
+    seq = connect(tri)
+    for start in (tri, Triangulation(tri.dims, tri.maximal)):
+        with monkeypatch.context() as mp:
+            forged = _forge_one_flip(mp, at=3)
+            with pytest.raises(ProofGap, match="flip produced an invalid triangulation"):
+                connect(start, check=True)
+            assert len(forged) == 1 and forged[0][0]._certified
+        with monkeypatch.context() as mp:
+            forged = _forge_one_flip(mp, at=3)
+            with pytest.raises(ProofGap, match="replay produced an invalid triangulation"):
+                apply_sequence(start, seq, check=True)
+            assert len(forged) == 1 and forged[0][0]._certified
+    with monkeypatch.context() as mp:  # the full search of an uncertified start
+        _forge_one_flip(mp, at=1)
+        fresh = Triangulation(tri.dims, tri.maximal)
+        with pytest.raises(ProofGap, match="replay produced an invalid triangulation"):
+            apply_sequence(fresh, seq, check=True)
+
+
+def test_checked_connect_searches_once_per_flip(corpus43, walk48, monkeypatch):
+    """One circuit search per flip plus the entry ``validate``, and the edge
+    bitsets built twice per run, for the entry ``validate`` and the
+    driver's slots, however many flips; an unchecked run builds none."""
+    searches, builds = [], []
+    real_search = triangulation._improper_partners
+    real_build = triangulation._edge_members
+
+    def search(dims, ts, members, cand):
+        searches.append(len(ts))
+        return real_search(dims, ts, members, cand)
+
+    def build(dims, masks):
+        builds.append(dims)
+        return real_build(dims, masks)
+
+    monkeypatch.setattr(triangulation, "_improper_partners", search)
+    monkeypatch.setattr(triangulation, "_edge_members", build)
+    inputs = [walk48] + random.Random(22).sample(corpus43.triangulations, 20)
+    for tri in inputs:
+        for check in (True, False):
+            searches.clear()
+            builds.clear()
+            seq = connect(Triangulation(tri.dims, tri.maximal), check=check)
+            if check:
+                assert len(searches) == len(seq) + 1
+                assert searches[0] == len(tri.maximal)  # the entry validate
+                assert len(builds) == (2 if len(seq) else 1)
+            else:
+                assert searches == builds == []
+    assert len(seq) > 0
 
 
 def _swap_edges(s: Simplex, a: int, b: int) -> Simplex:
