@@ -36,10 +36,9 @@ from .orders import (
 from .triangulation import (
     Triangulation,
     _swap_slices,
-    _TreeSlots,
+    _validated_slots,
     star,
     swap_rows,
-    validate,
 )
 
 
@@ -91,14 +90,15 @@ class FlipSequence:
 def apply_sequence(tri: Triangulation, seq: FlipSequence, check: bool = True) -> Triangulation:
     """Replay a flip sequence, certifying every step against the current state.
 
-    With check, the replay carries one set of tree slots (``_TreeSlots``),
-    as a run's driver does, and each step's result gets its check: the full
-    search after the first step unless the input is certified, the search
-    from the added trees after later ones, with the verdict of
+    With check, the replay validates its start, as a run's driver does, and
+    carries that check's tree slots (``_TreeSlots``): each step's result is
+    checked by a search from its added trees, with the verdict of
     ``validate``."""
     if tri.digest() != seq.start:
         raise ValueError("sequence does not start at this triangulation")
-    slots = _TreeSlots()
+    if check:
+        slots, report = _validated_slots(tri)
+        _ensure(report.ok, "input does not validate")
     for step in seq.steps:
         res = supports_flip(tri, step.circuit)
         if not isinstance(res, FlipCertificate):
@@ -227,15 +227,13 @@ class _Driver:
     """The working state of a run: applies certified flips to a working
     triangulation and records the steps.
 
-    With check, every flip's result is checked on ``slots``, the tree slots
-    and edge bitsets of the proper test (``triangulation._TreeSlots``),
-    which the driver fills on its first checked flip and carries from flip
-    to flip.  Once the working triangulation is certified (see
-    ``Triangulation``), a flip's check searches only from its added trees,
-    and its result is certified in turn; an uncertified start, such as the
-    input of ``phase_two`` or ``phase_three`` called directly, gets the full
-    search on its first flip.  ``phase_one`` validates its input, so the
-    states ``connect`` hands on are certified.
+    A checked driver validates its start when it is made, raising
+    ``ProofGap`` if the start is invalid, and keeps that check's tree slots
+    and edge bitsets (``triangulation._TreeSlots``) as ``slots``, which it
+    carries from flip to flip: each flip's result is checked by a search
+    from its added trees.  An unchecked driver has no slots.  So ``connect``
+    and each phase validate their start exactly once, whether they run
+    alone or in sequence.
 
     ``TI`` and ``TII`` are the strong and weak defect sets of the working
     triangulation, computed once per state: ``apply`` computes both for the
@@ -250,19 +248,22 @@ class _Driver:
     result and records the step.  ``flip`` certifies an asserted circuit
     for it, raising ``ProofGap`` when the circuit is unsupported.
     ``mirrored`` makes the sub-driver of a case run with rows 0 and 1
-    exchanged: it works on a ``swap_rows`` copy, which keeps the status,
-    with the ``mirrored()`` adjacency state, which shares the
-    classifications, a row-swapped copy of the slots and the swapped defect
+    exchanged: it works on a ``swap_rows`` copy with the ``mirrored()``
+    adjacency state, which shares the classifications, a row-swapped copy
+    of the slots, which it does not validate again, and the swapped defect
     sets.  ``absorb_mirrored`` swaps its steps, working triangulation, slots
     and defect sets back.
     """
 
     def __init__(self, tri: Triangulation, check: bool = True, adjacency=None):
+        _require_m4(tri)
         self.T = tri
-        self.check = check
         self.steps: list[FlipStep] = []
         self.adjacency = _Adjacency() if adjacency is None else adjacency
-        self.slots = _TreeSlots()
+        self.slots = None
+        if check:
+            self.slots, report = _validated_slots(tri)
+            _ensure(report.ok, "input does not validate")
         self._TI = self._TII = None
 
     @property
@@ -291,7 +292,7 @@ class _Driver:
 
     def apply(self, cert: FlipCertificate, phase: str, **inner: int) -> None:
         new = apply_flip(self.T, cert)
-        if self.check and not self.slots.flip(new, cert.added, self.T).ok:
+        if self.slots is not None and not self.slots.flip(new, cert.added, self.T).ok:
             raise ProofGap("flip produced an invalid triangulation", circuit=cert.circuit)
         self.T = new
         self._TI, self._TII = compute_TI(new), compute_TII(new)
@@ -300,8 +301,8 @@ class _Driver:
         self.steps.append(FlipStep(cert.circuit, phase, tuple(sorted(measures.items()))))
 
     def mirrored(self) -> "_Driver":
-        sub = _Driver(swap_rows(self.T, 0, 1), self.check, self.adjacency.mirrored())
-        sub.slots = self.slots.swapped(0, 1)
+        sub = _Driver(swap_rows(self.T, 0, 1), False, self.adjacency.mirrored())
+        sub.slots = None if self.slots is None else self.slots.swapped(0, 1)
         sub._TI, sub._TII = _swap_defects(self._TI), _swap_defects(self._TII)
         return sub
 
@@ -313,7 +314,7 @@ class _Driver:
                 FlipStep(_swap_circuit(step.circuit, 0, 1), step.phase, step.measures)
             )
         self.T = swap_rows(sub.T, 0, 1)
-        self.slots = sub.slots.swapped(0, 1)
+        self.slots = None if sub.slots is None else sub.slots.swapped(0, 1)
         self._TI, self._TII = _swap_defects(sub._TI), _swap_defects(sub._TII)
 
 
@@ -370,9 +371,6 @@ def phase_one(
     tri: Triangulation, check: bool = True, *, _driver=None
 ) -> tuple[FlipSequence, Triangulation]:
     """Empty the strong defect set, one anchor tree at a time."""
-    _require_m4(tri)
-    if check:
-        _ensure(validate(tri).ok, "input does not validate")
     drv = _Driver(tri, check) if _driver is None else _driver
     first = len(drv.steps)
     defect = drv.TI
@@ -905,7 +903,6 @@ def phase_two(
 ) -> tuple[FlipSequence, Triangulation]:
     """Empty the weak defect set; the reduction mirrors case 1 with the
     roles of rows 2 and 3 reversed."""
-    _require_m4(tri)
     drv = _Driver(tri, check) if _driver is None else _driver
     first = len(drv.steps)
     _ensure(not drv.TI, "phase two requires an empty strong defect set")
@@ -980,7 +977,6 @@ def phase_three(
 
     One loop carries o12 and o34, the orders of rows {0,1} and {2,3}, and
     reads both once more after each square flip or five-flip macro."""
-    _require_m4(tri)
     drv = _Driver(tri, check) if _driver is None else _driver
     first = len(drv.steps)
     _ensure(not drv.TII, "phase three requires an empty weak defect set")

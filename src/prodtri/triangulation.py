@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from math import comb
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import Dims, Simplex, _bits, _edge_blocks, is_spanning_tree
 
@@ -129,15 +129,11 @@ class ValidityReport:
 
 
 class Triangulation:
-    """Canonically ordered set of maximal simplices.
+    """Canonically ordered set of maximal simplices.  It carries no record
+    of having been checked: a checked run validates its start and carries
+    that check's ``_TreeSlots`` from flip to flip."""
 
-    A triangulation is *certified* once ``validate`` has passed on it, or
-    once it came from a certified one by ``swap_rows`` or by a flip whose
-    check passed, ``validate_incremental`` or the ``flip`` of a run's
-    ``_TreeSlots``; only these set it.
-    """
-
-    __slots__ = ("dims", "maximal", "_digest", "_certified")
+    __slots__ = ("dims", "maximal", "_digest")
 
     def __init__(self, dims: Dims, maximal: Iterable[Simplex]):
         dims = Dims(*dims).check()
@@ -147,7 +143,6 @@ class Triangulation:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "maximal", tuple(trees))
         object.__setattr__(self, "_digest", None)
-        object.__setattr__(self, "_certified", False)
 
     def __setattr__(self, *a):
         raise AttributeError("Triangulation is immutable")
@@ -244,32 +239,14 @@ def star(tri, xi: Simplex):
 
 def validate(tri: Triangulation) -> ValidityReport:
     """Spanning trees, pairwise proper, and the unimodular count."""
-    return _certify(tri, _check(tri, _TreeSlots(tri), tri.maximal))
+    return _validated_slots(tri)[1]
 
 
-def validate_incremental(
-    tri: Triangulation, added: Iterable[Simplex], before: Triangulation
-) -> ValidityReport:
-    """``validate(tri)`` for tri made from ``before`` by a flip that added
-    ``added`` and kept every other tree of tri.
-
-    When ``before`` is certified (see ``Triangulation``), its trees are
-    spanning and pairwise proper, so only the added trees need the spanning
-    test and the proper test against every tree, added ones included: the
-    slots of ``before`` (``_TreeSlots``) take the flip, as a run's carried
-    slots do, and are searched from the added trees.  Otherwise this runs
-    the full ``validate``.  Either way the verdict equals
-    ``validate(tri).ok``.
-    """
-    if not before._certified:
-        return validate(tri)
-    return _TreeSlots().flip(tri, added, before)
-
-
-def _certify(tri: Triangulation, report: ValidityReport) -> ValidityReport:
-    if report.ok:
-        object.__setattr__(tri, "_certified", True)
-    return report
+def _validated_slots(tri: Triangulation) -> tuple[_TreeSlots, ValidityReport]:
+    """The slots of tri's trees and ``validate(tri)``, one search from every
+    tree against them: a checked run's start, whose slots it then carries."""
+    slots = _TreeSlots(tri)
+    return slots, _check(tri, slots, tri.maximal)
 
 
 def _swap_slices(x: int, n: int, a: int, b: int) -> int:
@@ -281,14 +258,12 @@ def _swap_slices(x: int, n: int, a: int, b: int) -> int:
 
 def swap_rows(tri: Triangulation, a: int, b: int) -> Triangulation:
     """tri with rows a and b exchanged.  The swap maps spanning trees to
-    spanning trees and circuits to circuits, so the copy is certified when
-    tri is."""
+    spanning trees and circuits to circuits, so the copy is valid when tri
+    is."""
     n = tri.dims.n
-    swapped = Triangulation(
+    return Triangulation(
         tri.dims, [Simplex(tri.dims, _swap_slices(t.mask, n, a, b)) for t in tri.maximal]
     )
-    object.__setattr__(swapped, "_certified", tri._certified)
-    return swapped
 
 
 class _TreeSlots:
@@ -299,19 +274,12 @@ class _TreeSlots:
     ``members[i*n + j]`` that of the slots whose tree holds edge (i, j), as
     ``_edge_members`` builds it over a list of masks.  ``flip`` frees the
     slots of the trees a flip removed, gives each added tree the lowest free
-    slot and checks the result.  Made without a triangulation, the slots
-    are filled from the ``before`` of their first flip.
+    slot and checks the result.
     """
 
     __slots__ = ("dims", "members", "live")
 
-    def __init__(self, tri: Optional[Triangulation] = None):
-        self.dims = self.members = None
-        self.live = 0
-        if tri is not None:
-            self._hold(tri)
-
-    def _hold(self, tri: Triangulation) -> None:
+    def __init__(self, tri: Triangulation):
         self.dims = tri.dims
         self.members = _edge_members(tri.dims, [t.mask for t in tri.maximal])
         self.live = (1 << len(tri.maximal)) - 1
@@ -319,13 +287,11 @@ class _TreeSlots:
     def swapped(self, a: int, b: int) -> "_TreeSlots":
         """The slots of the same trees with rows a and b exchanged: a copy
         with the edge bitsets of the two rows exchanged."""
-        copy = _TreeSlots()
-        if self.members is not None:
-            n = self.dims.n
-            ra, rb = slice(a * n, a * n + n), slice(b * n, b * n + n)
-            members = self.members[:]
-            members[ra], members[rb] = self.members[rb], self.members[ra]
-            copy.dims, copy.members, copy.live = self.dims, members, self.live
+        n = self.dims.n
+        ra, rb = slice(a * n, a * n + n), slice(b * n, b * n + n)
+        copy = object.__new__(_TreeSlots)
+        copy.dims, copy.members, copy.live = self.dims, self.members[:], self.live
+        copy.members[ra], copy.members[rb] = self.members[rb], self.members[ra]
         return copy
 
     def slot(self, x: int) -> int:
@@ -342,10 +308,11 @@ class _TreeSlots:
     def flip(
         self, tri: Triangulation, added: Iterable[Simplex], before: Triangulation
     ) -> ValidityReport:
-        """``validate(tri)`` for tri made from ``before``, whose trees the
-        slots hold, by a flip that added ``added`` and kept every other tree
-        of tri; the slots then hold tri's trees.  The search runs from the
-        added trees when ``before`` is certified, else from every tree."""
+        """``validate(tri)`` for tri made from the valid ``before``, whose
+        trees the slots hold, by a flip that added ``added`` and kept every
+        other tree of tri; the slots then hold tri's trees.  The kept trees
+        are spanning and pairwise proper, so the search runs from the added
+        trees only."""
         added = sorted(set(added), key=_by_mask)
         trees = {t.mask for t in tri.maximal}
         if any(t.dims != tri.dims or t.mask not in trees for t in added):
@@ -353,8 +320,6 @@ class _TreeSlots:
         kept = {t.mask for t in before.maximal}
         if not trees.difference(t.mask for t in added) <= kept:
             raise ValueError("a tree outside added is not in before")
-        if self.members is None:
-            self._hold(before)
         members = self.members
         for x in kept - trees:
             keep = ~self.slot(x)
@@ -367,7 +332,7 @@ class _TreeSlots:
                 self.live |= bit
                 for e in _bits(t.mask):
                     members[e] |= bit
-        return _certify(tri, _check(tri, self, added if before._certified else tri.maximal))
+        return _check(tri, self, added)
 
 
 def _check(tri: Triangulation, slots: _TreeSlots, fresh) -> ValidityReport:

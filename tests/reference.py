@@ -11,6 +11,9 @@ and builds the ``PrecedenceDigraph`` of the moves a filter accepts, so it
 shares no code with the facet index and the mask core of
 ``build_precedence``.  ``reachability`` closes a digraph's arcs over sets
 by Warshall's method, where the digraph searches from a node on demand.
+``swap_edges`` exchanges two rows edge by edge, where the package exchanges
+row slices of the mask.  ``facet_pairs`` compares every pair of masks,
+where the package indexes members by their facets.
 The flip references work on ``Simplex`` values: ``supports_flip`` compares
 the links of the circuit's faces host by host, ``apply_flip`` edits the
 member set, and ``flip_graph`` builds the flip graph from these alone,
@@ -192,6 +195,12 @@ def all_pairs_moves(tri) -> list:
 
 def row_mask(rows) -> int:
     return sum(1 << i for i in rows)
+
+
+def swap_edges(s: Simplex, a: int, b: int) -> Simplex:
+    """The simplex with rows a and b exchanged, edge by edge."""
+    swap = {a: b, b: a}
+    return Simplex.from_edges(s.dims, [(swap.get(i, i), j) for i, j in s])
 
 
 def facet_pairs(tri) -> set:

@@ -31,7 +31,7 @@ from prodtri.phases import (
     goodness,
 )
 from prodtri.triangulation import LocalTriangulation, Triangulation, star
-from reference import components, split_circuit
+from reference import components, facet_pairs, split_circuit
 
 WALK_PATH = os.path.join(os.path.dirname(__file__), "data", "walk_4x8.json")
 
@@ -245,17 +245,6 @@ def _check_pair(tau: Simplex, tau2: Simplex) -> AdjacencyMove:
     return move
 
 
-def _facet_pairs(trees):
-    """Ordered pairs of trees that share a facet."""
-    by_facet = {}
-    for t in trees:
-        for e in t:
-            by_facet.setdefault(t.without_edge(*e).mask, []).append(t)
-    for group in by_facet.values():
-        for a, b in permutations(group, 2):
-            yield a, b
-
-
 def _random_contexts(rng: random.Random, tri, count: int):
     """Goodness contexts on random circuits, anchors and faces of tri."""
     circuits = all_circuits(tri.dims)
@@ -306,9 +295,8 @@ def test_every_4x3_member(corpus43):
     moves = 0
     for tri in corpus43.triangulations:
         _check_state(tri, combinations)
-        for a, b in _facet_pairs(tri.maximal):
-            if a.mask < b.mask:
-                moves += _check_pair(a, b) is not None
+        for a, b in facet_pairs(tri):
+            moves += _check_pair(Simplex(tri.dims, a), Simplex(tri.dims, b)) is not None
     assert moves > 0
 
 
@@ -344,8 +332,9 @@ def test_every_state_of_the_committed_walk(walk_states):
     verdicts = set()
     for tri in walk_states:
         _check_state(tri)
-        for a, b in _facet_pairs(tri.maximal):
-            moves += _check_pair(a, b) is not None
+        for a, b in facet_pairs(tri):
+            for x, y in ((a, b), (b, a)):
+                moves += _check_pair(Simplex(tri.dims, x), Simplex(tri.dims, y)) is not None
         for _ in range(100):
             _check_pair(*rng.sample(tri.maximal, 2))
         verdicts |= _check_goodness(rng, tri, 40)

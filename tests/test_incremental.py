@@ -1,4 +1,4 @@
-"""The incremental validity check against the full one, the tree slots a
+"""The carried validity check against the full one, the tree slots a
 run carries against fresh edge bitsets, the facet-indexed
 precedence digraph, with and without a shared adjacency run state, against
 the all-pairs scan, and the digraph's on-demand reachability against a full
@@ -45,11 +45,11 @@ from prodtri.triangulation import (
     Triangulation,
     _edge_members,
     _TreeSlots,
+    _validated_slots,
     proper,
     star,
     swap_rows,
     validate,
-    validate_incremental,
 )
 from reference import (
     all_pairs_moves,
@@ -59,6 +59,7 @@ from reference import (
     reachability,
     row_mask,
     split_circuit,
+    swap_edges,
 )
 
 WALK_PATH = os.path.join(os.path.dirname(__file__), "data", "walk_4x8.json")
@@ -90,12 +91,13 @@ def _assert_carried(slots: _TreeSlots, tri: Triangulation) -> None:
 
 
 class _CrossCheck:
-    """Wraps the check that the driver and the replay run after every flip,
-    ``_TreeSlots.flip`` on their carried slots: every verdict is compared
-    with the full ``validate`` of the same triangulation, and the carried
-    bitsets with fresh ones.  Counts the full checks, which are ``validate``
-    calls and flips from an uncertified state, and keeps each distinct slot
-    state that flipped."""
+    """Wraps the two checks of a checked run: ``_validated_slots``, the full
+    check with which the driver and the replay validate their start and
+    fill their slots, and ``_TreeSlots.flip`` on the carried slots after
+    every flip.  Every flip's verdict is compared with the full ``validate``
+    of the same triangulation, and the carried bitsets, the start's
+    included, with fresh ones.  Counts the full checks and keeps each
+    distinct slot state that flipped."""
 
     def __init__(self):
         self.compared = 0
@@ -106,7 +108,6 @@ class _CrossCheck:
         real = _TreeSlots.flip
 
         def flip(slots, tri, added, before):
-            self.full += not before._certified
             report = real(slots, tri, added, before)
             assert report.ok == validate(tri).ok
             _assert_carried(slots, tri)
@@ -117,11 +118,12 @@ class _CrossCheck:
 
         def full(tri):
             self.full += 1
-            return validate(tri)
+            slots, report = _validated_slots(tri)
+            _assert_carried(slots, tri)
+            return slots, report
 
         monkeypatch.setattr(_TreeSlots, "flip", flip)
-        monkeypatch.setattr(phases, "validate", full)
-        monkeypatch.setattr(triangulation, "validate", full)
+        monkeypatch.setattr(phases, "_validated_slots", full)
 
 
 def test_incremental_matches_full_on_corpus(corpus43, monkeypatch):
@@ -143,24 +145,25 @@ def test_incremental_matches_full_on_committed_walk(walk48, monkeypatch):
     swaps = []
 
     def counting(tri, a, b):
-        swaps.append(tri._certified)
+        swaps.append(tri)
         return swap_rows(tri, a, b)
 
     monkeypatch.setattr(phases, "swap_rows", counting)
-    seq = connect(Triangulation(walk48.dims, walk48.maximal), check=True)
+    seq = connect(walk48, check=True)
     assert swaps, "the walk no longer reaches a mirrored branch"
-    assert all(swaps)
     assert cross.full == 1
     assert cross.compared == len(seq) > 0
     assert len(cross.carriers) > 1  # mirrored sub-drivers flip on their copies
     cross.full = cross.compared = 0
-    fresh = Triangulation(walk48.dims, walk48.maximal)
-    assert apply_sequence(fresh, seq, check=True) == staircase(8)
+    assert apply_sequence(walk48, seq, check=True) == staircase(8)
     assert (cross.full, cross.compared) == (1, len(seq))
 
 
 @pytest.mark.parametrize("phase", ["two", "three"])
-def test_phases_called_directly_trust_only_a_certified_input(phase, corpus43, monkeypatch):
+def test_phases_called_directly_validate_their_start_once(phase, corpus43, monkeypatch):
+    """Phase two or three called alone validates its start on entry, as
+    ``connect`` does, then checks each flip from its added trees; with the
+    start's trees swapped for an invalid set, it stops on entry."""
     rng = random.Random(12)
     for tri in rng.sample(corpus43.triangulations, 200):
         _, start = phase_one(tri, check=False)
@@ -171,15 +174,16 @@ def test_phases_called_directly_trust_only_a_certified_input(phase, corpus43, mo
             break
     else:
         raise AssertionError(f"no sample member flips in phase {phase}")
-    assert not start._certified  # nothing checked it
     cross = _CrossCheck()
     cross.install(monkeypatch)
-    seq, _ = run(start, check=True)
-    assert (cross.full, cross.compared) == (1, len(seq))
+    for _ in range(2):  # no state records the first run's check
+        cross.full = cross.compared = 0
+        seq, _ = run(start, check=True)
+        assert (cross.full, cross.compared) == (1, len(seq))
     cross.full = cross.compared = 0
-    assert validate(start).ok and start._certified
-    run(start, check=True)
-    assert (cross.full, cross.compared) == (0, len(seq))
+    with pytest.raises(ProofGap, match="input does not validate"):
+        run(_invalid_start(start), check=True)
+    assert (cross.full, cross.compared) == (1, 0)
 
 
 def _forge_one_flip(monkeypatch, at: int) -> list:
@@ -210,35 +214,29 @@ def _forge_one_flip(monkeypatch, at: int) -> list:
 
 def test_carried_check_catches_an_improper_flip(corpus43, monkeypatch):
     """A flip whose result holds a tree improper with a kept tree stops a
-    checked connect and a checked replay at that flip.  The third flip
-    starts from a certified state, so its check searches the carried slots
-    from the added trees only; the first flip of a replay from an
-    unchecked input gets the full search."""
+    checked connect and a checked replay at that flip, the first or a
+    later one: its check searches the carried slots from the added trees
+    only."""
     rng = random.Random(21)
     tri = next(t for t in rng.sample(corpus43.triangulations, 50) if len(connect(t)) >= 4)
     seq = connect(tri)
-    for start in (tri, Triangulation(tri.dims, tri.maximal)):
+    for at in (1, 3):
         with monkeypatch.context() as mp:
-            forged = _forge_one_flip(mp, at=3)
+            forged = _forge_one_flip(mp, at)
             with pytest.raises(ProofGap, match="flip produced an invalid triangulation"):
-                connect(start, check=True)
-            assert len(forged) == 1 and forged[0][0]._certified
+                connect(tri, check=True)
+            assert len(forged) == 1
         with monkeypatch.context() as mp:
-            forged = _forge_one_flip(mp, at=3)
+            forged = _forge_one_flip(mp, at)
             with pytest.raises(ProofGap, match="replay produced an invalid triangulation"):
-                apply_sequence(start, seq, check=True)
-            assert len(forged) == 1 and forged[0][0]._certified
-    with monkeypatch.context() as mp:  # the full search of an uncertified start
-        _forge_one_flip(mp, at=1)
-        fresh = Triangulation(tri.dims, tri.maximal)
-        with pytest.raises(ProofGap, match="replay produced an invalid triangulation"):
-            apply_sequence(fresh, seq, check=True)
+                apply_sequence(tri, seq, check=True)
+            assert len(forged) == 1
 
 
 def test_checked_connect_searches_once_per_flip(corpus43, walk48, monkeypatch):
-    """One circuit search per flip plus the entry ``validate``, and the edge
-    bitsets built twice per run, for the entry ``validate`` and the
-    driver's slots, however many flips; an unchecked run builds none."""
+    """One circuit search per flip plus the entry validation, and the edge
+    bitsets built once per run, for the entry validation whose slots the
+    driver carries, however many flips; an unchecked run builds none."""
     searches, builds = [], []
     real_search = triangulation._improper_partners
     real_build = triangulation._edge_members
@@ -258,31 +256,24 @@ def test_checked_connect_searches_once_per_flip(corpus43, walk48, monkeypatch):
         for check in (True, False):
             searches.clear()
             builds.clear()
-            seq = connect(Triangulation(tri.dims, tri.maximal), check=check)
+            seq = connect(tri, check=check)
             if check:
                 assert len(searches) == len(seq) + 1
-                assert searches[0] == len(tri.maximal)  # the entry validate
-                assert len(builds) == (2 if len(seq) else 1)
+                assert searches[0] == len(tri.maximal)  # the entry validation
+                assert len(builds) == 1
             else:
                 assert searches == builds == []
     assert len(seq) > 0
 
 
-def _swap_edges(s: Simplex, a: int, b: int) -> Simplex:
-    """Reference row swap, edge by edge."""
-    swap = {a: b, b: a}
-    return Simplex.from_edges(s.dims, [(swap.get(i, i), j) for i, j in s])
-
-
 def test_swap_rows_keeps_trees_and_status(walk48):
-    T = Triangulation(walk48.dims, walk48.maximal)
+    """The swap maps each tree edge by edge and undoes itself; the copy
+    carries nothing else, as no triangulation records a check."""
+    T = walk48
     for a, b in ((0, 1), (1, 3), (2, 2)):
         swapped = swap_rows(T, a, b)
-        assert swapped == Triangulation(T.dims, [_swap_edges(t, a, b) for t in T.maximal])
+        assert swapped == Triangulation(T.dims, [swap_edges(t, a, b) for t in T.maximal])
         assert swap_rows(swapped, a, b) == T
-        assert not swapped._certified
-    assert validate(T).ok
-    assert swap_rows(T, 0, 1)._certified
 
 
 def _forge(T: Triangulation, removed, added) -> FlipCertificate:
@@ -298,6 +289,12 @@ def _improper_replacement(T: Triangulation):
             if u not in T.maximal and not all(proper(u, s) for s in survivors):
                 return t, u
     raise AssertionError("no improper replacement found")
+
+
+def _invalid_start(T: Triangulation) -> Triangulation:
+    """T with one tree swapped for a spanning tree improper with another."""
+    out, into = _improper_replacement(T)
+    return Triangulation(T.dims, [t for t in T.maximal if t != out] + [into])
 
 
 def _cyclic_replacement(T: Triangulation):
@@ -319,7 +316,7 @@ def _cyclic_replacement(T: Triangulation):
 @pytest.mark.parametrize("kind", ["improper_pair", "not_spanning", "cardinality"])
 def test_forged_certificates_are_rejected_by_both_checks(kind, monkeypatch):
     T = staircase(3)
-    assert validate(T).ok  # certified, so the check below is incremental
+    assert validate(T).ok  # so the check below searches from the added trees
     if kind == "improper_pair":
         out, into = _improper_replacement(T)
         forged = _forge(T, [out], [into])
@@ -329,16 +326,14 @@ def test_forged_certificates_are_rejected_by_both_checks(kind, monkeypatch):
     else:
         forged = _forge(T, [T.maximal[0]], [])
     new = apply_flip(T, forged)
-    assert not validate_incremental(new, forged.added, T).ok
-    assert not new._certified
+    assert not _TreeSlots(T).flip(new, forged.added, T).ok
     full = validate(new)
     assert not full.ok and kind in {tag for tag, _ in full.violations}
-    # and through the driver, from a certified and from an uncertified state
+    # and through the driver
     monkeypatch.setattr(phases, "supports_flip", lambda tri, X: forged)
-    for start in (T, Triangulation(T.dims, T.maximal)):
-        drv = _Driver(start, check=True)
-        with pytest.raises(ProofGap, match="flip produced an invalid triangulation"):
-            drv.flip(forged.circuit, "I")
+    drv = _Driver(T, check=True)
+    with pytest.raises(ProofGap, match="flip produced an invalid triangulation"):
+        drv.flip(forged.circuit, "I")
 
 
 def _reference_violations(tri: Triangulation, fresh) -> tuple:
@@ -360,7 +355,7 @@ def _reference_violations(tri: Triangulation, fresh) -> tuple:
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_both_checks_report_violations_in_pairwise_order(n):
-    """A certified staircase loses five trees and gains three other spanning
+    """A valid staircase loses five trees and gains three other spanning
     trees and one tree-sized member with a cycle; both checks list the same
     violations, in the same order, as the pairwise reference."""
     T = staircase(n)
@@ -378,15 +373,15 @@ def test_both_checks_report_violations_in_pairwise_order(n):
     tags = [tag for tag, _ in want]
     assert tags.count("improper_pair") >= 3 and tags.count("not_spanning") == 1
     assert "cardinality" in tags
-    assert validate_incremental(forged, added, T).violations == want
+    assert _TreeSlots(T).flip(forged, added, T).violations == want
     assert want == _reference_violations(forged, range(len(forged.maximal)))
     assert validate(forged).violations == want
 
 
-def test_replay_validates_fully_unless_its_input_is_certified():
+def test_replay_validates_fully_on_entry(monkeypatch):
     """An improper pair that a replayed flip never touches is caught only by
-    a full check, so replay from an unchecked input must run one before
-    going incremental."""
+    a full check, so a checked replay runs one on its start, once, before
+    it checks each flip from the added trees."""
     T = staircase(3)
     for cert in enumerate_flips(T):
         for t in T.maximal:
@@ -403,20 +398,51 @@ def test_replay_validates_fully_unless_its_input_is_certified():
                 after = apply_flip(bad, there)
                 if validate(after).ok:
                     continue
-                # wrongly trusted, bad would pass the incremental check
-                trusted = Triangulation(bad.dims, bad.maximal)
-                object.__setattr__(trusted, "_certified", True)
-                if not validate_incremental(after, there.added, trusted).ok:
+                # the flip's own check, from the added trees, would pass it
+                if not _TreeSlots(bad).flip(after, there.added, bad).ok:
                     continue
                 seq = FlipSequence(
                     T.dims, bad.digest(), after.digest(), (FlipStep(cert.circuit, "I", ()),)
                 )
                 assert apply_sequence(bad, seq, check=False) == after
-                assert not bad._certified
-                with pytest.raises(ProofGap, match="replay produced an invalid triangulation"):
+                cross = _CrossCheck()
+                cross.install(monkeypatch)
+                with pytest.raises(ProofGap, match="input does not validate"):
                     apply_sequence(bad, seq, check=True)
+                assert (cross.full, cross.compared) == (1, 0)
                 return
     raise AssertionError("no flip survives an improper replacement")
+
+
+def test_checked_entry_points_refuse_an_invalid_start(monkeypatch):
+    """With check, connect, phases one to three called alone and the replay
+    of a one-step and of a zero-step sequence refuse a start with an
+    improper pair on entry, whether or not a flip follows; without check,
+    none of them validates it."""
+    bad = _invalid_start(staircase(3))
+    assert not validate(bad).ok
+    cert = enumerate_flips(bad)[0]
+    after = apply_flip(bad, cert)
+    one = FlipSequence(bad.dims, bad.digest(), after.digest(), (FlipStep(cert.circuit, "I", ()),))
+    zero = FlipSequence(bad.dims, bad.digest(), bad.digest(), ())
+    runs = [connect, phase_one, phase_two, phase_three]
+    runs += [lambda tri, check, seq=seq: apply_sequence(tri, seq, check) for seq in (one, zero)]
+    entries = []
+    real = phases._validated_slots
+    monkeypatch.setattr(phases, "_validated_slots", lambda tri: entries.append(tri) or real(tri))
+    for run in runs:
+        entries.clear()
+        with pytest.raises(ProofGap, match="input does not validate"):
+            run(bad, check=True)
+        assert entries == [bad]
+        entries.clear()
+        try:
+            run(bad, check=False)
+        except ProofGap as gap:  # the case analysis may still fail on it
+            assert str(gap) != "input does not validate"
+        assert entries == []
+    assert apply_sequence(bad, one, check=False) == after
+    assert apply_sequence(bad, zero, check=False) == bad
 
 
 def test_genuine_flips_pass_both_checks():
@@ -424,7 +450,7 @@ def test_genuine_flips_pass_both_checks():
     assert validate(T).ok
     for cert in enumerate_flips(T):
         new = apply_flip(T, cert)
-        assert validate_incremental(new, cert.added, T).ok and new._certified
+        assert _TreeSlots(T).flip(new, cert.added, T).ok
         assert validate(new).ok
 
 
@@ -433,10 +459,10 @@ def test_incremental_refuses_a_mismatched_flip():
     assert validate(T).ok
     stranger = next(u for u in spanning_trees(T.dims) if u not in T.maximal)
     with pytest.raises(ValueError, match="added"):
-        validate_incremental(T, [stranger], T)
+        _TreeSlots(T).flip(T, [stranger], T)
     other = apply_flip(T, enumerate_flips(T)[0])
     with pytest.raises(ValueError, match="not in before"):
-        validate_incremental(other, [], T)
+        _TreeSlots(T).flip(other, [], T)
 
 
 # ------------------------------------------------------------ facet index
