@@ -324,46 +324,32 @@ class PrecedenceDigraph:
 
 
 class _Adjacency:
-    """What the precedence digraphs of one run share.
+    """What the precedence digraphs of one run share, for one dims.
 
     ``moves`` maps each adjacent pair of tree masks a < b met so far to the
     entering-side row mask I2 of the crossing from a to b, or to None when
     the two do not meet properly; the leaving side is the other rows.  A
     classification depends only on the two masks and the dims, so entries
-    of trees that have left stay valid, and the map is emptied when the
-    dims change.  ``facets`` maps each facet of a member of the last
+    of trees that have left stay valid, and ``update`` refuses collections
+    of other dims.  ``facets`` maps each facet of a member of the last
     collection, the tree minus one edge, to the masks of the members
     holding it, and ``pairs`` holds the pairs a < b of members that share
     one; ``update`` carries both over to a new collection by its members
     that left and those that came in.
     """
 
-    __slots__ = ("dims", "members", "facets", "pairs", "moves", "_mirror")
+    __slots__ = ("dims", "members", "facets", "pairs", "moves")
 
-    def __init__(self, moves: Optional[dict] = None):
-        self.dims = None
+    def __init__(self, dims, moves: Optional[dict] = None):
+        self.dims = dims
         self.members: set[int] = set()
         self.facets: dict[int, list[int]] = {}
         self.pairs: set[tuple[int, int]] = set()
         self.moves: dict[tuple[int, int], Optional[int]] = {} if moves is None else moves
-        self._mirror: Optional[_Adjacency] = None
-
-    def mirrored(self) -> "_Adjacency":
-        """The state for row-swapped copies of the run's collections: the
-        same moves, and a facet index of its own that follows those copies
-        from one mirrored case to the next.  A swap changes nearly every
-        member, so one index shared by both orientations would be rebuilt
-        twice per mirrored case."""
-        if self._mirror is None:
-            self._mirror = _Adjacency(self.moves)
-            self._mirror.dims = self.dims  # so its first update keeps the moves
-        return self._mirror
 
     def update(self, dims, masks: set[int]) -> None:
         if dims != self.dims:
-            self.moves.clear()
-            self.members, self.facets, self.pairs = set(), {}, set()
-            self.dims = dims
+            raise ValueError(f"run state of {self.dims} given a collection of {dims}")
         facets, pairs = self.facets, self.pairs
         for x in self.members - masks:
             rest = x
@@ -399,16 +385,16 @@ def build_precedence(
     The members must be tree-sized (m+n-1 edges each); ValueError otherwise.
     Two such trees are adjacent only if they share a facet, the tree minus
     one edge, so a facet index hands ``_move_masks`` just the pairs that
-    share one, in the (a, b) order of the all-pairs scan: O(T(m+n)) instead
-    of O(T^2), with the same arcs.  ``move_filter`` is called once per call
-    for each distinct row split (I1, I2) among the crossings, both
-    directions of every adjacent pair included.
+    share one: O(T(m+n)) instead of O(T^2), with the same arcs.
+    ``move_filter`` is called once per call for each distinct row split
+    (I1, I2) among the crossings, both directions of every adjacent pair
+    included.
 
-    ``adjacency`` is the state of a run (``phases`` keeps one per
-    ``connect``): its facet index follows the collection from the previous
-    call, and only pairs not yet in its moves are classified.  Both depend
-    on nothing but the masks, so the arcs are those a fresh state gives;
-    without one, a fresh state is used.
+    ``adjacency`` is the state of a run on the collection's dims (each
+    ``connect`` keeps its own): its facet index follows the collection from
+    the previous call, and only pairs not yet in its moves are classified.
+    Both depend on nothing but the masks, so the arcs are those a fresh
+    state gives; without one, a fresh state is used.
     """
     nodes = tri.maximal
     dims = tri.dims
@@ -416,14 +402,14 @@ def build_precedence(
     for t in nodes:
         if t.mask.bit_count() != size:
             raise ValueError(f"{t!r} is not tree-sized: {size} edges expected")
-    run = _Adjacency() if adjacency is None else adjacency
+    run = _Adjacency(dims) if adjacency is None else adjacency
     run.update(dims, {t.mask for t in nodes})
     position = {t.mask: p for p, t in enumerate(nodes)}
     moves = run.moves
     full = (1 << dims.m) - 1
     accepts: dict[int, bool] = {}  # the filter's verdict by entering side
     arcs = []
-    for pair in sorted(run.pairs):  # members ascend by mask, so in (a, b) order
+    for pair in run.pairs:
         I2 = moves.get(pair, _UNSEEN)
         if I2 is _UNSEEN:
             move = _move_masks(dims, *pair)

@@ -12,7 +12,7 @@ Every step the underlying argument asserts is checked at runtime and a
 failure raises ProofGap with a context snapshot, so a completed run is a
 machine check of the whole case analysis on that input.  Mirrored cases
 (the usual "without loss of generality" on rows 0/1) run the canonical
-branch on a row-swapped copy and swap the emitted circuits back.
+branch with the driver's rows swapped and swap the emitted circuits back.
 """
 
 from __future__ import annotations
@@ -236,47 +236,37 @@ class _Driver:
     alone or in sequence.
 
     ``TI`` and ``TII`` are the strong and weak defect sets of the working
-    triangulation, computed once per state: ``apply`` computes both for the
-    step measures, and the phase loops and reductions read them.
+    triangulation, computed once per state, on entry and in ``apply``; the
+    step measures, the phase loops and the reductions read them.
 
     ``adjacency`` is the run state (``orders._Adjacency``) that every
-    ``build_precedence`` call of the run reuses: a driver made without one
-    gets a fresh one.  ``connect`` runs one driver through the three
-    phases.
+    ``build_precedence`` call of the run reuses.  ``connect`` runs one
+    driver through the three phases.
 
     ``apply`` flips a certificate of the working triangulation, checks the
     result and records the step.  ``flip`` certifies an asserted circuit
     for it, raising ``ProofGap`` when the circuit is unsupported.
-    ``mirrored`` makes the sub-driver of a case run with rows 0 and 1
-    exchanged: it works on a ``swap_rows`` copy with the ``mirrored()``
-    adjacency state, which shares the classifications, a row-swapped copy
-    of the slots, which it does not validate again, and the swapped defect
-    sets.  ``absorb_mirrored`` swaps its steps, working triangulation, slots
-    and defect sets back.
+    ``swap`` exchanges rows 0 and 1 of the whole working state in place for
+    a mirrored case, and a second swap undoes it: the triangulation, the
+    slots' edge bitsets, the defect sets and the run state, of which the
+    driver keeps one per orientation, the two sharing one map of moves: a
+    swap changes nearly every tree, so one facet index would be rebuilt
+    twice per mirrored case.  While ``mirrored``, ``apply`` records each
+    circuit swapped back.
     """
 
-    def __init__(self, tri: Triangulation, check: bool = True, adjacency=None):
+    def __init__(self, tri: Triangulation, check: bool = True):
         _require_m4(tri)
         self.T = tri
         self.steps: list[FlipStep] = []
-        self.adjacency = _Adjacency() if adjacency is None else adjacency
+        self.adjacency = _Adjacency(tri.dims)
+        self._twin = _Adjacency(tri.dims, self.adjacency.moves)
+        self.mirrored = False
         self.slots = None
         if check:
             self.slots, report = _validated_slots(tri)
             _ensure(report.ok, "input does not validate")
-        self._TI = self._TII = None
-
-    @property
-    def TI(self) -> tuple[Simplex, ...]:
-        if self._TI is None:
-            self._TI = compute_TI(self.T)
-        return self._TI
-
-    @property
-    def TII(self) -> tuple[Simplex, ...]:
-        if self._TII is None:
-            self._TII = compute_TII(self.T)
-        return self._TII
+        self.TI, self.TII = compute_TI(tri), compute_TII(tri)
 
     def flip(self, X: Circuit, phase: str, **inner: int) -> None:
         res = supports_flip(self.T, X)
@@ -295,34 +285,23 @@ class _Driver:
         if self.slots is not None and not self.slots.flip(new, cert.added, self.T).ok:
             raise ProofGap("flip produced an invalid triangulation", circuit=cert.circuit)
         self.T = new
-        self._TI, self._TII = compute_TI(new), compute_TII(new)
-        measures = {"tI": len(self._TI), "tII": len(self._TII)}
+        self.TI, self.TII = compute_TI(new), compute_TII(new)
+        measures = {"tI": len(self.TI), "tII": len(self.TII)}
         measures.update(inner)
-        self.steps.append(FlipStep(cert.circuit, phase, tuple(sorted(measures.items()))))
+        X = _swap_circuit(cert.circuit, 0, 1) if self.mirrored else cert.circuit
+        self.steps.append(FlipStep(X, phase, tuple(sorted(measures.items()))))
 
-    def mirrored(self) -> "_Driver":
-        sub = _Driver(swap_rows(self.T, 0, 1), False, self.adjacency.mirrored())
-        sub.slots = None if self.slots is None else self.slots.swapped(0, 1)
-        sub._TI, sub._TII = _swap_defects(self._TI), _swap_defects(self._TII)
-        return sub
-
-    def absorb_mirrored(self, sub: "_Driver") -> None:
-        if not sub.steps:
-            return  # nothing moved: the state and its defect sets stand
-        for step in sub.steps:
-            self.steps.append(
-                FlipStep(_swap_circuit(step.circuit, 0, 1), step.phase, step.measures)
-            )
-        self.T = swap_rows(sub.T, 0, 1)
-        self.slots = None if sub.slots is None else sub.slots.swapped(0, 1)
-        self._TI, self._TII = _swap_defects(sub._TI), _swap_defects(sub._TII)
+    def swap(self) -> None:
+        self.T = swap_rows(self.T, 0, 1)
+        if self.slots is not None:
+            self.slots.swap(0, 1)
+        self.TI, self.TII = _swap_defects(self.TI), _swap_defects(self.TII)
+        self.adjacency, self._twin = self._twin, self.adjacency
+        self.mirrored = not self.mirrored
 
 
-def _swap_defects(trees: Optional[tuple[Simplex, ...]]) -> Optional[tuple[Simplex, ...]]:
-    """A defect set of a triangulation as that of its rows-0/1 swap, which
-    both defect tests treat alike; None (not yet computed) stays None."""
-    if trees is None:
-        return None
+def _swap_defects(trees: tuple[Simplex, ...]) -> tuple[Simplex, ...]:
+    """A defect set of a triangulation as that of its rows-0/1 swap."""
     return tuple(sorted(Simplex(t.dims, _swap_slices(t.mask, t.dims.n, 0, 1)) for t in trees))
 
 
@@ -432,8 +411,9 @@ def phase_one(
 
 
 def _dispatch_mirrorable(drv: _Driver, mirrored: bool, fn, *args) -> None:
-    """Run a canonical case, on a rows-0/1 swapped copy when mirrored; every
-    simplex and circuit among the arguments is swapped with it."""
+    """Run a canonical case, with the driver's rows 0 and 1 swapped while
+    it runs when mirrored; every simplex and circuit among the arguments is
+    swapped with it."""
     if not mirrored:
         fn(drv, *args)
         return
@@ -444,9 +424,9 @@ def _dispatch_mirrorable(drv: _Driver, mirrored: bool, fn, *args) -> None:
             return Simplex(a.dims, _swap_slices(a.mask, n, 0, 1))
         return _swap_circuit(a, 0, 1) if isinstance(a, Circuit) else a
 
-    sub = drv.mirrored()
-    fn(sub, *map(swap, args))
-    drv.absorb_mirrored(sub)
+    drv.swap()
+    fn(drv, *map(swap, args))
+    drv.swap()
 
 
 def _anchor_minimal(drv, xminus: Simplex, row: int, label: str) -> Simplex:
@@ -980,14 +960,14 @@ def phase_three(
     drv = _Driver(tri, check) if _driver is None else _driver
     first = len(drv.steps)
     _ensure(not drv.TII, "phase three requires an empty weak defect set")
-    o12 = _total_order(tri, 0, 1)
+    o12 = _total_order(drv.T, 0, 1)
     for i1, i2 in ((0, 2), (0, 3), (2, 1), (3, 1)):
         _ensure(
-            _total_order(tri, i1, i2) == o12,
+            _total_order(drv.T, i1, i2) == o12,
             "phase three: the five upper orders disagree",
             pair=(i1, i2),
         )
-    o34 = _total_order(tri, 2, 3)
+    o34 = _total_order(drv.T, 2, 3)
     identity = tuple(range(tri.dims.n))
 
     def square(a: int, b: int, j: int, j2: int) -> Circuit:

@@ -274,7 +274,8 @@ class _TreeSlots:
     ``members[i*n + j]`` that of the slots whose tree holds edge (i, j), as
     ``_edge_members`` builds it over a list of masks.  ``flip`` frees the
     slots of the trees a flip removed, gives each added tree the lowest free
-    slot and checks the result.
+    slot and checks the result; ``swap`` exchanges two rows of every held
+    tree in place.
     """
 
     __slots__ = ("dims", "members", "live")
@@ -284,15 +285,12 @@ class _TreeSlots:
         self.members = _edge_members(tri.dims, [t.mask for t in tri.maximal])
         self.live = (1 << len(tri.maximal)) - 1
 
-    def swapped(self, a: int, b: int) -> "_TreeSlots":
-        """The slots of the same trees with rows a and b exchanged: a copy
-        with the edge bitsets of the two rows exchanged."""
-        n = self.dims.n
+    def swap(self, a: int, b: int) -> None:
+        """Exchange the edge bitsets of rows a and b in place: each slot then
+        holds its tree with the two rows exchanged."""
+        n, members = self.dims.n, self.members
         ra, rb = slice(a * n, a * n + n), slice(b * n, b * n + n)
-        copy = object.__new__(_TreeSlots)
-        copy.dims, copy.members, copy.live = self.dims, self.members[:], self.live
-        copy.members[ra], copy.members[rb] = self.members[rb], self.members[ra]
-        return copy
+        members[ra], members[rb] = members[rb], members[ra]
 
     def slot(self, x: int) -> int:
         """The slot bit of the tree with edge mask x, or 0 if none holds it."""

@@ -24,18 +24,35 @@ pairwise-proper set of the unimodular cardinality.
 ``feasible_fraction`` is the phase-one simplex with Bland's rule on
 ``Fraction`` entries, dividing the pivot row by its pivot; the package
 pivots the same tableau on integers over one common denominator.
+The predicates ``connect`` evaluates per tree and per flip (``contains``,
+the defect sets, ``goodness``, ``shape_cols``, ``two_row_image``,
+``restriction_order``, ``adjacency_move`` and ``free_equivalent``) are read
+column by column with ``col_neighbors`` or off ``components``, where the
+package reads row slices of the mask.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import comb
 
-from prodtri.core import NotACycle, Simplex
+from prodtri.core import Dims, NotACycle, Simplex, col_neighbors, row_neighbors
 from prodtri.flips import FlipCertificate, Obstruction, StaleCertificate, all_circuits
 from prodtri.oracle import Corpus, spanning_trees
-from prodtri.orders import PrecedenceDigraph, classify_adjacency
-from prodtri.triangulation import Triangulation, _edge_members, _improper_partners
+from prodtri.orders import (
+    AdjacencyMove,
+    ColumnQuasiorder,
+    MalformedLocal,
+    PrecedenceDigraph,
+    classify_adjacency,
+)
+from prodtri.triangulation import (
+    LocalTriangulation,
+    Triangulation,
+    _edge_members,
+    _improper_partners,
+)
 
 
 def _vertex_adjacency(simplex: Simplex) -> list[list[int]]:
@@ -239,6 +256,176 @@ def reachability(count: int, arcs) -> list[set[int]]:
             if k in row:
                 row |= reach[k]
     return reach
+
+
+@functools.lru_cache(maxsize=16)
+def _edge_index(tri) -> dict[tuple[int, int], list[int]]:
+    """Edge -> positions of the maximal simplices holding it."""
+    index: dict[tuple[int, int], list[int]] = {}
+    for pos, t in enumerate(tri.maximal):
+        for e in t:
+            index.setdefault(e, []).append(pos)
+    return index
+
+
+def contains(tri, sigma: Simplex) -> bool:
+    if isinstance(tri, LocalTriangulation):
+        return any(sigma.issubset(t) for t in tri.maximal)
+    if sigma.mask == 0:
+        return True
+    cands = _edge_index(tri).get(sigma.edges[0])
+    return bool(cands) and any(sigma.issubset(tri.maximal[p]) for p in cands)
+
+
+def compute_TI(tri):
+    out = []
+    for t in tri.maximal:
+        for j in range(tri.dims.n):
+            nb = col_neighbors(t, j)
+            if 0 in nb and 1 in nb and 3 not in nb:
+                out.append(t)
+                break
+    return tuple(out)
+
+
+def compute_TII(tri):
+    out = []
+    for t in tri.maximal:
+        for j in range(tri.dims.n):
+            nb = col_neighbors(t, j)
+            if 0 in nb and 1 in nb and not (2 in nb and 3 in nb):
+                out.append(t)
+                break
+    return tuple(out)
+
+
+def goodness(tri, ctx) -> bool:
+    dims = tri.dims
+    X = ctx.circuit
+    xminus = Simplex(dims, X.minus_mask)
+    if ctx.kind in ("tauI", "tauII"):
+        if not contains(tri, xminus):
+            return True
+        members = [t for t in tri.maximal if xminus.issubset(t)]
+        c1, c2 = ctx.cols
+        for t in members:
+            for j in range(dims.n):
+                if j in (c1, c2):
+                    continue
+                nb = col_neighbors(t, j)
+                if 0 in nb and 1 in nb:
+                    return False
+        if ctx.kind == "tauI":
+            defect = set(compute_TI(tri))
+            for t in members:
+                if t in defect and not ctx.sigma.issubset(t):
+                    return False
+        else:
+            defect = set(compute_TII(tri))
+            for t in members:
+                if t in defect and t != ctx.anchor:
+                    return False
+        return True
+    Y = ctx.second
+    yminus = Simplex(dims, Y.minus_mask)
+    if not contains(tri, yminus):
+        return True
+    c1, _ = ctx.cols
+    for t in tri.maximal:
+        if not yminus.issubset(t):
+            continue
+        in_x1 = (
+            xminus.issubset(t)
+            and (1, c1) in t
+            and (0, c1) not in t
+            and t.mask & X.plus_mask == 0
+        )
+        if in_x1 and not ctx.sigma.issubset(t):
+            return False
+    return True
+
+
+def shape_cols(tau: Simplex):
+    out = {}
+    for j in range(tau.dims.n):
+        nb = col_neighbors(tau, j)
+        if len(nb) > 1:
+            out[j] = nb
+    return out
+
+
+def two_row_image(tri, i1: int, i2: int) -> list[Simplex]:
+    """Maximal images of the trees on rows (i1, i2), built edge by edge."""
+    sub = Dims(2, tri.dims.n)
+    keep = {i1: 0, i2: 1}
+    cuts = {
+        Simplex.from_edges(sub, [(keep[i], j) for i, j in t if i in keep]).mask
+        for t in tri.maximal
+    }
+    top: list[int] = []
+    for x in sorted(cuts, key=lambda x: -bin(x).count("1")):
+        if not any(x & ~y == 0 for y in top):
+            top.append(x)
+    return sorted(Simplex(sub, x) for x in top)
+
+
+def _segment_label(tau: Simplex) -> int:
+    full = [j for j in range(tau.dims.n) if len(col_neighbors(tau, j)) == 2]
+    if len(full) != 1:
+        raise MalformedLocal(f"{tau!r} is not a spanning tree of a segment product")
+    return full[0]
+
+
+def restriction_order(tri, i1: int, i2: int) -> ColumnQuasiorder:
+    taus = sorted(two_row_image(tri, i1, i2), key=lambda t: -len(row_neighbors(t, 0)))
+    labels = [_segment_label(t) for t in taus]
+    for r in range(len(taus) - 1):
+        expect = taus[r].without_edge(0, labels[r]).with_edge(1, labels[r + 1])
+        if expect != taus[r + 1]:
+            raise MalformedLocal("maximal simplices do not chain into a segment")
+    for a in range(len(taus)):
+        for b in range(a + 2, len(taus)):
+            if len(taus[a].intersection(taus[b])) == len(taus[a]) - 1:
+                raise MalformedLocal("non-consecutive simplices are adjacent")
+    low = row_neighbors(taus[0], 1) - {labels[0]}
+    high = row_neighbors(taus[-1], 0) - {labels[-1]}
+    strata = []
+    if low:
+        strata.append(frozenset(low))
+    strata.extend(frozenset((j,)) for j in labels)
+    if high:
+        strata.append(frozenset(high))
+    if sorted(j for s in strata for j in s) != list(range(tri.dims.n)):
+        raise MalformedLocal("column classes do not partition the columns")
+    return ColumnQuasiorder(tuple(strata))
+
+
+def adjacency_move(tau: Simplex, tau2: Simplex):
+    m, n = tau.dims
+    sigma = tau.intersection(tau2)
+    if tau == tau2 or len(sigma) != m + n - 2:
+        return None
+    if split_circuit(tau.dims, tau.mask, tau2.mask):
+        return None
+    with_edges = [
+        c for c in components(sigma) if any(v < m for v in c) and any(v >= m for v in c)
+    ]
+    if len(with_edges) != 2:
+        return None
+    ((li, lj),) = tau.difference(sigma).edges
+    ((ei, ej),) = tau2.difference(sigma).edges
+    side1 = next(c for c in with_edges if li in c)
+    side2 = next(c for c in with_edges if c is not side1)
+    if m + lj not in side2 or ei not in side2 or m + ej not in side1:
+        return None
+    rows = lambda c: frozenset(v for v in c if v < m)
+    cols = lambda c: frozenset(v - m for v in c if v >= m)
+    return AdjacencyMove(rows(side1), rows(side2), cols(side1), cols(side2), (li, lj), (ei, ej))
+
+
+def free_equivalent(tau: Simplex, tau2: Simplex, i1: int) -> bool:
+    others = frozenset(range(tau.dims.m)) - {i1}
+    return any(others <= comp for comp in components(tau.intersection(tau2)))
 
 
 def circuit_triangulations(X):

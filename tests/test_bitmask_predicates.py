@@ -1,8 +1,7 @@
 """Cross-check of the row-slice predicates that ``connect`` evaluates per tree
 and per flip against the column-by-column and component-based versions they
-replaced, kept here as references."""
+replaced, kept as references in ``reference.py``."""
 
-import functools
 import json
 import os
 import random
@@ -10,13 +9,11 @@ from itertools import combinations, permutations
 
 import pytest
 
-from prodtri.core import Dims, Simplex, col_neighbors, row_neighbors
+from prodtri.core import Dims, Simplex
 from prodtri.flips import all_circuits, apply_flip, supports_flip
 from prodtri.oracle import spanning_trees
 from prodtri.orders import (
     AdjacencyMove,
-    ColumnQuasiorder,
-    MalformedLocal,
     _two_row_images,
     classify_adjacency,
     free_equivalent,
@@ -31,182 +28,10 @@ from prodtri.phases import (
     goodness,
 )
 from prodtri.triangulation import LocalTriangulation, Triangulation, star
+import reference
 from reference import components, facet_pairs, split_circuit
 
 WALK_PATH = os.path.join(os.path.dirname(__file__), "data", "walk_4x8.json")
-
-
-# ------------------------------------------------------------- references
-
-
-@functools.lru_cache(maxsize=16)
-def _edge_index(tri) -> dict[tuple[int, int], list[int]]:
-    """Edge -> positions of the maximal simplices holding it."""
-    index: dict[tuple[int, int], list[int]] = {}
-    for pos, t in enumerate(tri.maximal):
-        for e in t:
-            index.setdefault(e, []).append(pos)
-    return index
-
-
-def _ref_contains(tri, sigma: Simplex) -> bool:
-    if isinstance(tri, LocalTriangulation):
-        return any(sigma.issubset(t) for t in tri.maximal)
-    if sigma.mask == 0:
-        return True
-    cands = _edge_index(tri).get(sigma.edges[0])
-    return bool(cands) and any(sigma.issubset(tri.maximal[p]) for p in cands)
-
-
-def _ref_compute_TI(tri):
-    out = []
-    for t in tri.maximal:
-        for j in range(tri.dims.n):
-            nb = col_neighbors(t, j)
-            if 0 in nb and 1 in nb and 3 not in nb:
-                out.append(t)
-                break
-    return tuple(out)
-
-
-def _ref_compute_TII(tri):
-    out = []
-    for t in tri.maximal:
-        for j in range(tri.dims.n):
-            nb = col_neighbors(t, j)
-            if 0 in nb and 1 in nb and not (2 in nb and 3 in nb):
-                out.append(t)
-                break
-    return tuple(out)
-
-
-def _ref_goodness(tri, ctx: GoodnessContext) -> bool:
-    dims = tri.dims
-    X = ctx.circuit
-    xminus = Simplex(dims, X.minus_mask)
-    if ctx.kind in ("tauI", "tauII"):
-        if not _ref_contains(tri, xminus):
-            return True
-        members = [t for t in tri.maximal if xminus.issubset(t)]
-        c1, c2 = ctx.cols
-        for t in members:
-            for j in range(dims.n):
-                if j in (c1, c2):
-                    continue
-                nb = col_neighbors(t, j)
-                if 0 in nb and 1 in nb:
-                    return False
-        if ctx.kind == "tauI":
-            defect = set(_ref_compute_TI(tri))
-            for t in members:
-                if t in defect and not ctx.sigma.issubset(t):
-                    return False
-        else:
-            defect = set(_ref_compute_TII(tri))
-            for t in members:
-                if t in defect and t != ctx.anchor:
-                    return False
-        return True
-    Y = ctx.second
-    yminus = Simplex(dims, Y.minus_mask)
-    if not _ref_contains(tri, yminus):
-        return True
-    c1, _ = ctx.cols
-    for t in tri.maximal:
-        if not yminus.issubset(t):
-            continue
-        in_x1 = (
-            xminus.issubset(t)
-            and (1, c1) in t
-            and (0, c1) not in t
-            and t.mask & X.plus_mask == 0
-        )
-        if in_x1 and not ctx.sigma.issubset(t):
-            return False
-    return True
-
-
-def _ref_shape_cols(tau: Simplex):
-    out = {}
-    for j in range(tau.dims.n):
-        nb = col_neighbors(tau, j)
-        if len(nb) > 1:
-            out[j] = nb
-    return out
-
-
-def _ref_image(tri, i1: int, i2: int) -> list[Simplex]:
-    """Maximal images of the trees on rows (i1, i2), built edge by edge."""
-    sub = Dims(2, tri.dims.n)
-    keep = {i1: 0, i2: 1}
-    cuts = {
-        Simplex.from_edges(sub, [(keep[i], j) for i, j in t if i in keep]).mask
-        for t in tri.maximal
-    }
-    top: list[int] = []
-    for x in sorted(cuts, key=lambda x: -bin(x).count("1")):
-        if not any(x & ~y == 0 for y in top):
-            top.append(x)
-    return sorted(Simplex(sub, x) for x in top)
-
-
-def _ref_label(tau: Simplex) -> int:
-    full = [j for j in range(tau.dims.n) if len(col_neighbors(tau, j)) == 2]
-    if len(full) != 1:
-        raise MalformedLocal(f"{tau!r} is not a spanning tree of a segment product")
-    return full[0]
-
-
-def _ref_restriction_order(tri, i1: int, i2: int) -> ColumnQuasiorder:
-    taus = sorted(_ref_image(tri, i1, i2), key=lambda t: -len(row_neighbors(t, 0)))
-    labels = [_ref_label(t) for t in taus]
-    for r in range(len(taus) - 1):
-        expect = taus[r].without_edge(0, labels[r]).with_edge(1, labels[r + 1])
-        if expect != taus[r + 1]:
-            raise MalformedLocal("maximal simplices do not chain into a segment")
-    for a in range(len(taus)):
-        for b in range(a + 2, len(taus)):
-            if len(taus[a].intersection(taus[b])) == len(taus[a]) - 1:
-                raise MalformedLocal("non-consecutive simplices are adjacent")
-    low = row_neighbors(taus[0], 1) - {labels[0]}
-    high = row_neighbors(taus[-1], 0) - {labels[-1]}
-    strata = []
-    if low:
-        strata.append(frozenset(low))
-    strata.extend(frozenset((j,)) for j in labels)
-    if high:
-        strata.append(frozenset(high))
-    if sorted(j for s in strata for j in s) != list(range(tri.dims.n)):
-        raise MalformedLocal("column classes do not partition the columns")
-    return ColumnQuasiorder(tuple(strata))
-
-
-def _ref_classify_adjacency(tau: Simplex, tau2: Simplex):
-    m, n = tau.dims
-    sigma = tau.intersection(tau2)
-    if tau == tau2 or len(sigma) != m + n - 2:
-        return None
-    if split_circuit(tau.dims, tau.mask, tau2.mask):
-        return None
-    with_edges = [
-        c for c in components(sigma) if any(v < m for v in c) and any(v >= m for v in c)
-    ]
-    if len(with_edges) != 2:
-        return None
-    ((li, lj),) = tau.difference(sigma).edges
-    ((ei, ej),) = tau2.difference(sigma).edges
-    side1 = next(c for c in with_edges if li in c)
-    side2 = next(c for c in with_edges if c is not side1)
-    if m + lj not in side2 or ei not in side2 or m + ej not in side1:
-        return None
-    rows = lambda c: frozenset(v for v in c if v < m)
-    cols = lambda c: frozenset(v - m for v in c if v >= m)
-    return AdjacencyMove(rows(side1), rows(side2), cols(side1), cols(side2), (li, lj), (ei, ej))
-
-
-def _ref_free_equivalent(tau: Simplex, tau2: Simplex, i1: int) -> bool:
-    others = frozenset(range(tau.dims.m)) - {i1}
-    return any(others <= comp for comp in components(tau.intersection(tau2)))
 
 
 # ------------------------------------------------------------ comparisons
@@ -223,25 +48,25 @@ def _outcome(fn, *args):
 def _check_state(tri, row_pairs=permutations) -> None:
     """Defect sets, shapes and the two-row orders of one collection, on
     every ordered pair of rows or on the pairs ``row_pairs`` gives."""
-    assert compute_TI(tri) == _ref_compute_TI(tri)
-    assert compute_TII(tri) == _ref_compute_TII(tri)
+    assert compute_TI(tri) == reference.compute_TI(tri)
+    assert compute_TII(tri) == reference.compute_TII(tri)
     for t in tri.maximal:
-        assert _shape_cols(t) == _ref_shape_cols(t)
+        assert _shape_cols(t) == reference.shape_cols(t)
     for i1, i2 in row_pairs(range(tri.dims.m), 2):
         if isinstance(tri, LocalTriangulation) and any(i not in (i1, i2) for i, _ in tri.base):
             continue
         image = [Simplex(Dims(2, tri.dims.n), x) for x in _two_row_images(tri, i1, i2)]
-        assert image == _ref_image(tri, i1, i2)
+        assert image == reference.two_row_image(tri, i1, i2)
         assert _outcome(restriction_order, tri, i1, i2) == _outcome(
-            _ref_restriction_order, tri, i1, i2
+            reference.restriction_order, tri, i1, i2
         ), (tri, i1, i2)
 
 
 def _check_pair(tau: Simplex, tau2: Simplex) -> AdjacencyMove:
     move = classify_adjacency(tau, tau2)
-    assert move == _ref_classify_adjacency(tau, tau2), (tau, tau2)
+    assert move == reference.adjacency_move(tau, tau2), (tau, tau2)
     for i1 in range(tau.dims.m):
-        assert free_equivalent(tau, tau2, i1) == _ref_free_equivalent(tau, tau2, i1)
+        assert free_equivalent(tau, tau2, i1) == reference.free_equivalent(tau, tau2, i1)
     return move
 
 
@@ -265,7 +90,7 @@ def _check_goodness(rng: random.Random, tri, count: int) -> set:
     verdicts = set()
     for ctx in _random_contexts(rng, tri, count):
         verdict = goodness(tri, ctx)
-        assert verdict == _ref_goodness(tri, ctx), (tri, ctx)
+        assert verdict == reference.goodness(tri, ctx), (tri, ctx)
         verdicts.add((ctx.kind, verdict))
     return verdicts
 
@@ -414,7 +239,7 @@ def _pair_outcome(tau: Simplex, tau2: Simplex):
     """``classify_adjacency`` against the reference on members of any
     size: the same move or None, or a ValueError from both."""
     try:
-        want = _ref_classify_adjacency(tau, tau2)
+        want = reference.adjacency_move(tau, tau2)
     except ValueError:  # more or fewer than one edge outside the shared face
         with pytest.raises(ValueError, match="one edge outside the shared face"):
             classify_adjacency(tau, tau2)
@@ -502,9 +327,9 @@ def test_contains_matches_the_edge_index(walk_states, trees43):
             face = Simplex(tri.dims, tau.mask & rng.getrandbits(tri.dims.m * tri.dims.n))
             other = Simplex(tri.dims, rng.getrandbits(tri.dims.m * tri.dims.n))
             for sigma in (face, other, Simplex(tri.dims, 0)):
-                assert tri.contains(sigma) == _ref_contains(tri, sigma)
+                assert tri.contains(sigma) == reference.contains(tri, sigma)
     T = Triangulation(Dims(4, 3), trees43[:5])
-    assert all(T.contains(t) == _ref_contains(T, t) for t in trees43)
+    assert all(T.contains(t) == reference.contains(T, t) for t in trees43)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -525,7 +350,7 @@ def test_two_row_collections_valid_or_malformed(n):
         tri = Triangulation(dims, [Simplex(dims, x) for x in masks])
         for i1, i2 in ((0, 1), (1, 0)):
             got = _outcome(restriction_order, tri, i1, i2)
-            assert got == _outcome(_ref_restriction_order, tri, i1, i2), (tri.maximal, i1, i2)
+            assert got == _outcome(reference.restriction_order, tri, i1, i2), (tri.maximal, i1, i2)
             kinds.add(got[1].split("] ")[-1] if isinstance(got, tuple) else "an order")
     assert kinds == {
         "an order",

@@ -34,6 +34,8 @@ from prodtri.phases import (
     _Driver,
     _dispatch_mirrorable,
     apply_sequence,
+    compute_TI,
+    compute_TII,
     connect,
     phase_one,
     phase_three,
@@ -63,6 +65,7 @@ from reference import (
 )
 
 WALK_PATH = os.path.join(os.path.dirname(__file__), "data", "walk_4x8.json")
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_digests.json")
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +156,7 @@ def test_incremental_matches_full_on_committed_walk(walk48, monkeypatch):
     assert swaps, "the walk no longer reaches a mirrored branch"
     assert cross.full == 1
     assert cross.compared == len(seq) > 0
-    assert len(cross.carriers) > 1  # mirrored sub-drivers flip on their copies
+    assert len(cross.carriers) == 1  # the driver's slots, swapped for mirrored cases
     cross.full = cross.compared = 0
     assert apply_sequence(walk48, seq, check=True) == staircase(8)
     assert (cross.full, cross.compared) == (1, len(seq))
@@ -532,11 +535,11 @@ def test_shared_table_matches_all_pairs_on_walk_states(walk48):
         states.append(apply_flip(states[-1], supports_flip(states[-1], step.circuit)))
     assert len(states) >= 4
     filters = _filters(4)
-    adjacency = _Adjacency()
+    adjacency = _Adjacency(walk48.dims)
     for k, tri in enumerate(states):
         for state in (tri, swap_rows(tri, 0, 1)):
             _same_arcs(state, [filters[(4 * k + r) % 16] for r in range(4)], adjacency)
-    one_state = _Adjacency()
+    one_state = _Adjacency(tri.dims)
     build_precedence(tri, filters[0], one_state)
     kept = {x for pair in adjacency.moves for x in pair}
     assert len(adjacency.moves) > 2 * len(one_state.moves)
@@ -546,7 +549,7 @@ def test_shared_table_matches_all_pairs_on_walk_states(walk48):
 def test_shared_table_matches_all_pairs_on_corpus(corpus43):
     rng = random.Random(7)
     sample = rng.sample(corpus43.triangulations, 60)
-    adjacency = _Adjacency()
+    adjacency = _Adjacency(corpus43.dims)
     for tri in sample[:20]:
         build_precedence(tri, toward_row(0), adjacency)
     filled = len(adjacency.moves)
@@ -557,7 +560,7 @@ def test_shared_table_matches_all_pairs_on_corpus(corpus43):
 
 def test_shared_table_matches_all_pairs_on_stars(corpus43):
     rng = random.Random(8)
-    adjacency = _Adjacency()
+    adjacency = _Adjacency(corpus43.dims)
     for tri in rng.sample(corpus43.triangulations, 10):
         build_precedence(tri, toward_row(1), adjacency)
     for tri in rng.sample(corpus43.triangulations, 20):
@@ -568,32 +571,96 @@ def test_shared_table_matches_all_pairs_on_stars(corpus43):
 
 
 def test_table_never_answers_for_other_dims(corpus43):
-    """The same masks read as 3x4 members get their own classifications,
-    not the 4x3 ones already in the run state."""
+    """A run state is bound to its dims: the same masks read as 3x4
+    members are refused, not answered from the 4x3 classifications, and
+    leave the state as it was; a state of their own answers for them."""
     rng = random.Random(9)
-    adjacency = _Adjacency()
+    adjacency = _Adjacency(corpus43.dims)
     other = Dims(3, 4)
     for tri in rng.sample(corpus43.triangulations, 20):
         build_precedence(tri, toward_row(0), adjacency)
         assert adjacency.dims == tri.dims and adjacency.moves
+        moves, pairs = dict(adjacency.moves), set(adjacency.pairs)
         reread = Triangulation(other, [Simplex(other, t.mask) for t in tri.maximal])
-        _same_arcs(reread, _filters(3), adjacency)
-        fresh = _Adjacency()
-        build_precedence(reread, toward_row(0), fresh)
-        assert adjacency.dims == other and adjacency.moves == fresh.moves
+        with pytest.raises(ValueError, match="run state of"):
+            build_precedence(reread, toward_row(0), adjacency)
+        assert adjacency.moves == moves and adjacency.pairs == pairs
+        _same_arcs(reread, _filters(3), _Adjacency(other))
 
 
 def test_driver_run_owns_its_table(walk48):
-    drv = _Driver(walk48, check=False)
-    assert isinstance(drv.adjacency, _Adjacency) and not drv.adjacency.moves
-    assert drv.adjacency is not _Driver(walk48).adjacency
-    subs = []
-    _dispatch_mirrorable(drv, True, lambda sub: subs.append(sub))
-    _dispatch_mirrorable(drv, True, lambda sub: subs.append(sub))
-    assert subs[0].adjacency.moves is drv.adjacency.moves
-    assert subs[0].adjacency is subs[1].adjacency is drv.adjacency.mirrored()
-    assert subs[0].adjacency is not drv.adjacency
-    assert subs[0].T == swap_rows(walk48, 0, 1)
+    """A driver owns one run state per orientation, the two sharing one map
+    of moves.  A mirrored dispatch swaps the driver itself in place: the
+    case sees the swapped state and the twin run state, the same one on
+    every dispatch, and the driver is unswapped afterwards."""
+    drv = _Driver(walk48, check=True)
+    home = drv.adjacency
+    assert isinstance(home, _Adjacency) and not home.moves and not drv.mirrored
+    assert home is not _Driver(walk48).adjacency
+    seen = []
+
+    def case(d):
+        assert d is drv and d.TI == compute_TI(d.T) and d.TII == compute_TII(d.T)
+        seen.append((d.adjacency, d.mirrored, d.T))
+
+    _dispatch_mirrorable(drv, True, case)
+    _dispatch_mirrorable(drv, True, case)
+    _dispatch_mirrorable(drv, False, case)
+    (twin, m0, T0), (twin1, m1, T1), (same, m2, T2) = seen
+    assert twin is twin1 and twin is not home and same is home
+    assert twin.moves is home.moves and twin.dims == home.dims
+    assert m0 and m1 and not m2
+    assert T0 == T1 == swap_rows(walk48, 0, 1) and T2 == walk48
+    assert not drv.mirrored and drv.adjacency is home and drv.T == walk48
+    assert drv.TI == compute_TI(walk48) and not drv.steps
+    _assert_carried(drv.slots, walk48)
+
+
+def _golden_witnesses() -> list:
+    with open(GOLDEN_PATH) as fh:
+        entries = json.load(fh)["inputs"]
+    out = []
+    for e in entries:
+        if e["name"].startswith("witness:"):
+            dims = Dims(e["m"], e["n"])
+            out.append(Triangulation(dims, [Simplex(dims, int(x, 16)) for x in e["trees"]]))
+    return out
+
+
+def test_swapped_driver_matches_a_fresh_state(walk48, monkeypatch):
+    """After every swap of a checked run's driver, on the committed walk
+    and the eight golden branch witnesses, the defect sets are those of the
+    working triangulation and the slots hold its trees in fresh bitsets;
+    every run ends unmirrored, on its own run state."""
+    drivers, swaps = [], []
+    real_init, real_swap = _Driver.__init__, _Driver.swap
+
+    def init(drv, *args, **kwargs):
+        real_init(drv, *args, **kwargs)
+        drivers.append((drv, drv.adjacency))
+
+    def swap(drv):
+        real_swap(drv)
+        swaps.append(drv.mirrored)
+        assert drv.TI == compute_TI(drv.T) and drv.TII == compute_TII(drv.T)
+        _assert_carried(drv.slots, drv.T)
+
+    monkeypatch.setattr(_Driver, "__init__", init)
+    monkeypatch.setattr(_Driver, "swap", swap)
+    witnesses = _golden_witnesses()
+    assert len(witnesses) == 8
+    mirrored_runs = 0
+    for tri in [walk48] + witnesses:
+        drivers.clear()
+        swaps.clear()
+        seq = connect(tri, check=True)
+        ((drv, home),) = drivers
+        assert swaps == [True, False] * (len(swaps) // 2)
+        assert not drv.mirrored and drv.adjacency is home
+        assert drv.T == staircase(tri.dims.n) and len(drv.steps) == len(seq)
+        _assert_carried(drv.slots, drv.T)
+        mirrored_runs += bool(swaps)
+    assert mirrored_runs >= 2
 
 
 def _record_digraphs(monkeypatch) -> list:
@@ -643,7 +710,7 @@ def test_run_state_index_matches_a_fresh_one_after_every_flip(walk48, monkeypatc
     swap, against the all-pairs scan and a fresh index."""
 
     def assert_fresh(tri, adjacency, pairs, facets):
-        fresh = _Adjacency()
+        fresh = _Adjacency(tri.dims)
         fresh.update(tri.dims, {t.mask for t in tri.maximal})
         assert pairs == facet_pairs(tri) == fresh.pairs
         assert {f: sorted(h) for f, h in facets.items()} == {
@@ -655,7 +722,7 @@ def test_run_state_index_matches_a_fresh_one_after_every_flip(walk48, monkeypatc
     assert len(calls) > 10
     for call in calls:
         assert_fresh(*call)
-    adjacency = _Adjacency()
+    adjacency = _Adjacency(walk48.dims)
     tri = walk48
     for step in seq.steps:
         tri = apply_flip(tri, supports_flip(tri, step.circuit))
