@@ -20,11 +20,11 @@ from .phases import apply_sequence, connect, staircase
 from .triangulation import validate
 
 
-def _fail(exc: BaseException, code: int = 1):
+def _fail(exc: BaseException):
     sys.stderr.write(
         json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
     )
-    raise SystemExit(code)
+    raise SystemExit(1)
 
 
 def _emit(doc, out):

@@ -221,14 +221,22 @@ def is_spanning_tree(simplex: Simplex) -> bool:
     return len(rows_of) == 1 and rows_of[0] == (1 << m) - 1 and cols_of[0] == (1 << n) - 1
 
 
+def _shape_cols(simplex: Simplex) -> dict[int, frozenset[int]]:
+    """Columns joined to two rows or more, with those rows."""
+    m, n = simplex.dims
+    full = (1 << n) - 1
+    rows = [(simplex.mask >> (i * n)) & full for i in range(m)]
+    out = {}
+    for j in range(n):
+        nb = frozenset(i for i in range(m) if rows[i] >> j & 1)
+        if len(nb) > 1:
+            out[j] = nb
+    return out
+
+
 def shape(simplex: Simplex) -> frozenset[frozenset[int]]:
     """Column neighborhoods of size > 1 (the cell type of the simplex)."""
-    out = []
-    for j in range(simplex.dims.n):
-        nb = col_neighbors(simplex, j)
-        if len(nb) > 1:
-            out.append(nb)
-    return frozenset(out)
+    return frozenset(_shape_cols(simplex).values())
 
 
 def tree_path(simplex: Simplex, u: int, v: int) -> Optional[tuple[tuple[int, int], ...]]:

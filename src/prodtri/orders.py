@@ -65,15 +65,16 @@ class ColumnQuasiorder:
             raise MalformedLocal("quasiorder is not a total order")
         return tuple(next(iter(s)) for s in self.strata)
 
-    def reversed_(self) -> "ColumnQuasiorder":
-        return ColumnQuasiorder(tuple(reversed(self.strata)))
-
 
 def _segment_walk(dims, masks: Sequence[int]) -> tuple[list[int], list[int]]:
     """Order the edge masks of a segment product's trees (two rows, given
     in canonical order) by shrinking first-row degree, verify the
     single-swap chain between consecutive ones, and return the ordered
-    masks with each one's label: the column joined to both rows."""
+    masks with each one's label: the column joined to both rows.
+
+    The chain leaves no two other masks adjacent: each step drops one
+    first-row edge and adds one second-row edge, so masks k steps apart
+    share all but k of their edges."""
     n = dims.n
     full = (1 << n) - 1
     taus = sorted(masks, key=lambda x: -(x & full).bit_count())
@@ -88,11 +89,6 @@ def _segment_walk(dims, masks: Sequence[int]) -> tuple[list[int], list[int]]:
         expect = taus[r] & ~(1 << labels[r]) | 1 << (n + labels[r + 1])
         if expect != taus[r + 1]:
             raise MalformedLocal("maximal simplices do not chain into a segment")
-    for a in range(len(taus)):
-        facet = taus[a].bit_count() - 1
-        for b in range(a + 2, len(taus)):
-            if (taus[a] & taus[b]).bit_count() == facet:
-                raise MalformedLocal("non-consecutive simplices are adjacent")
     return taus, labels
 
 
@@ -327,25 +323,26 @@ class _Adjacency:
     """What the precedence digraphs of one run share, for one dims.
 
     ``moves`` maps each adjacent pair of tree masks a < b met so far to the
-    entering-side row mask I2 of the crossing from a to b, or to None when
-    the two do not meet properly; the leaving side is the other rows.  A
-    classification depends only on the two masks and the dims, so entries
-    of trees that have left stay valid, and ``update`` refuses collections
-    of other dims.  ``facets`` maps each facet of a member of the last
-    collection, the tree minus one edge, to the masks of the members
-    holding it, and ``pairs`` holds the pairs a < b of members that share
-    one; ``update`` carries both over to a new collection by its members
-    that left and those that came in.
+    entering-side row mask I2 of the crossing from a to b, or to 0 when the
+    two do not meet properly (an entering side is never empty); the leaving
+    side is the other rows.  A classification depends only on the two masks
+    and the dims, so entries of trees that have left stay valid, and
+    ``update`` refuses collections of other dims.  Each state owns its
+    moves.  ``facets`` maps each facet of a member of the last collection,
+    the tree minus one edge, to the masks of the members holding it, and
+    ``pairs`` holds the pairs a < b of members that share one; ``update``
+    carries both over to a new collection by its members that left and
+    those that came in.
     """
 
     __slots__ = ("dims", "members", "facets", "pairs", "moves")
 
-    def __init__(self, dims, moves: Optional[dict] = None):
+    def __init__(self, dims):
         self.dims = dims
         self.members: set[int] = set()
         self.facets: dict[int, list[int]] = {}
         self.pairs: set[tuple[int, int]] = set()
-        self.moves: dict[tuple[int, int], Optional[int]] = {} if moves is None else moves
+        self.moves: dict[tuple[int, int], int] = {}
 
     def update(self, dims, masks: set[int]) -> None:
         if dims != self.dims:
@@ -372,9 +369,6 @@ class _Adjacency:
                     pairs.add((x, y) if x < y else (y, x))
                 holders.append(x)
         self.members = masks
-
-
-_UNSEEN = object()  # a pair not yet in the run's moves
 
 
 def build_precedence(
@@ -410,11 +404,11 @@ def build_precedence(
     accepts: dict[int, bool] = {}  # the filter's verdict by entering side
     arcs = []
     for pair in run.pairs:
-        I2 = moves.get(pair, _UNSEEN)
-        if I2 is _UNSEEN:
-            move = _move_masks(dims, *pair)
-            I2 = moves[pair] = None if move is None else move[1]
+        I2 = moves.get(pair)
         if I2 is None:
+            move = _move_masks(dims, *pair)
+            I2 = moves[pair] = 0 if move is None else move[1]
+        if not I2:
             continue
         I1 = full ^ I2
         forward = accepts.get(I2)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .core import Circuit, Dims, Simplex, connecting_edges, shape, tree_path
+from .core import Circuit, Dims, Simplex, _shape_cols, connecting_edges, tree_path
 from .flips import FlipCertificate, apply_flip, supports_flip
 from .orders import (
     _Adjacency,
@@ -33,13 +33,7 @@ from .orders import (
     toward_row_free,
     unique_minimal,
 )
-from .triangulation import (
-    Triangulation,
-    _swap_slices,
-    _validated_slots,
-    star,
-    swap_rows,
-)
+from .triangulation import Triangulation, _validated_slots, star
 
 
 class WrongDims(ValueError):
@@ -248,11 +242,11 @@ class _Driver:
     for it, raising ``ProofGap`` when the circuit is unsupported.
     ``swap`` exchanges rows 0 and 1 of the whole working state in place for
     a mirrored case, and a second swap undoes it: the triangulation, the
-    slots' edge bitsets, the defect sets and the run state, of which the
-    driver keeps one per orientation, the two sharing one map of moves: a
-    swap changes nearly every tree, so one facet index would be rebuilt
-    twice per mirrored case.  While ``mirrored``, ``apply`` records each
-    circuit swapped back.
+    slots' edge bitsets, the defect sets and the run state.  The driver
+    keeps one run state per orientation, each with its own facet index and
+    moves: a swap changes nearly every tree, so one facet index would be
+    rebuilt twice per mirrored case.  While ``mirrored``, ``apply`` records
+    each circuit swapped back.
     """
 
     def __init__(self, tri: Triangulation, check: bool = True):
@@ -260,7 +254,7 @@ class _Driver:
         self.T = tri
         self.steps: list[FlipStep] = []
         self.adjacency = _Adjacency(tri.dims)
-        self._twin = _Adjacency(tri.dims, self.adjacency.moves)
+        self._twin = _Adjacency(tri.dims)
         self.mirrored = False
         self.slots = None
         if check:
@@ -288,26 +282,31 @@ class _Driver:
         self.TI, self.TII = compute_TI(new), compute_TII(new)
         measures = {"tI": len(self.TI), "tII": len(self.TII)}
         measures.update(inner)
-        X = _swap_circuit(cert.circuit, 0, 1) if self.mirrored else cert.circuit
+        X = _swapped(cert.circuit) if self.mirrored else cert.circuit
         self.steps.append(FlipStep(X, phase, tuple(sorted(measures.items()))))
 
     def swap(self) -> None:
-        self.T = swap_rows(self.T, 0, 1)
+        self.T = Triangulation(self.T.dims, map(_swapped, self.T.maximal))
         if self.slots is not None:
             self.slots.swap(0, 1)
-        self.TI, self.TII = _swap_defects(self.TI), _swap_defects(self.TII)
+        self.TI = tuple(sorted(map(_swapped, self.TI)))
+        self.TII = tuple(sorted(map(_swapped, self.TII)))
         self.adjacency, self._twin = self._twin, self.adjacency
         self.mirrored = not self.mirrored
 
 
-def _swap_defects(trees: tuple[Simplex, ...]) -> tuple[Simplex, ...]:
-    """A defect set of a triangulation as that of its rows-0/1 swap."""
-    return tuple(sorted(Simplex(t.dims, _swap_slices(t.mask, t.dims.n, 0, 1)) for t in trees))
-
-
-def _swap_circuit(X: Circuit, a: int, b: int) -> Circuit:
-    n = X.dims.n
-    return Circuit(X.dims, _swap_slices(X.minus_mask, n, a, b), _swap_slices(X.plus_mask, n, a, b))
+def _swapped(x):
+    """A simplex or circuit with rows 0 and 1 exchanged; anything else as
+    it is.  The swap maps spanning trees to spanning trees and circuits to
+    circuits, so it maps a valid triangulation to a valid one."""
+    if isinstance(x, Simplex):
+        n, y = x.dims.n, x.mask
+        d = (y ^ y >> n) & ((1 << n) - 1)  # where row 0 differs from row 1
+        return Simplex(x.dims, y ^ d ^ d << n)
+    if isinstance(x, Circuit):
+        minus, plus = (_swapped(Simplex(x.dims, y)).mask for y in (x.minus_mask, x.plus_mask))
+        return Circuit(x.dims, minus, plus)
+    return x
 
 
 def _ensure(cond: bool, message: str, **context):
@@ -318,19 +317,6 @@ def _ensure(cond: bool, message: str, **context):
 def _star_count(tri: Triangulation, xminus: Simplex) -> int:
     x = xminus.mask
     return sum(1 for t in tri.maximal if not x & ~t.mask)
-
-
-def _shape_cols(tau: Simplex) -> dict[int, frozenset[int]]:
-    """Columns joined to two rows or more, with those rows."""
-    m, n = tau.dims
-    full = (1 << n) - 1
-    rows = [(tau.mask >> (i * n)) & full for i in range(m)]
-    out = {}
-    for j in range(n):
-        nb = frozenset(i for i in range(m) if rows[i] >> j & 1)
-        if len(nb) > 1:
-            out[j] = nb
-    return out
 
 
 def _path_rows_cols(path):
@@ -417,15 +403,8 @@ def _dispatch_mirrorable(drv: _Driver, mirrored: bool, fn, *args) -> None:
     if not mirrored:
         fn(drv, *args)
         return
-    n = drv.T.dims.n
-
-    def swap(a):
-        if isinstance(a, Simplex):
-            return Simplex(a.dims, _swap_slices(a.mask, n, 0, 1))
-        return _swap_circuit(a, 0, 1) if isinstance(a, Circuit) else a
-
     drv.swap()
-    fn(drv, *map(swap, args))
+    fn(drv, *map(_swapped, args))
     drv.swap()
 
 
@@ -896,7 +875,7 @@ def phase_two(
         dg3 = build_precedence(drv.T, toward_row(2), drv.adjacency)
         tau_II = select_extremal(defect, dg3)
         blocks = _shape_cols(tau_II)
-        shapes = set(blocks.values())
+        shapes = frozenset(blocks.values())
         _ensure(
             shapes
             in (
@@ -904,7 +883,7 @@ def phase_two(
                 {frozenset((0, 1, 3)), frozenset((1, 2))},
             ),
             "phase two: anchor shape outside the two allowed shapes",
-            shape=shape(tau_II),
+            shape=shapes,
         )
         mirrored = frozenset((1, 2)) in shapes
         _dispatch_mirrorable(drv, mirrored, _phase_two_case, tau_II)
@@ -926,7 +905,7 @@ def _phase_two_case(drv: _Driver, tau_sel: Simplex) -> None:
     _ensure(
         c1 is not None and c2 is not None,
         "phase two: anchor shape outside the two allowed shapes",
-        shape=shape(tau_sel),
+        shape=frozenset(blocks.values()),
     )
     X = Circuit.from_edges(dims, [(0, c1), (2, c2)], [(2, c1), (0, c2)])
     xminus = Simplex(dims, X.minus_mask)

@@ -249,23 +249,6 @@ def _validated_slots(tri: Triangulation) -> tuple[_TreeSlots, ValidityReport]:
     return slots, _check(tri, slots, tri.maximal)
 
 
-def _swap_slices(x: int, n: int, a: int, b: int) -> int:
-    """Edge mask x with its row slices a and b exchanged."""
-    full = (1 << n) - 1
-    sa, sb = a * n, b * n
-    return x & ~((full << sa) | (full << sb)) | (x >> sa & full) << sb | (x >> sb & full) << sa
-
-
-def swap_rows(tri: Triangulation, a: int, b: int) -> Triangulation:
-    """tri with rows a and b exchanged.  The swap maps spanning trees to
-    spanning trees and circuits to circuits, so the copy is valid when tri
-    is."""
-    n = tri.dims.n
-    return Triangulation(
-        tri.dims, [Simplex(tri.dims, _swap_slices(t.mask, n, a, b)) for t in tri.maximal]
-    )
-
-
 class _TreeSlots:
     """The edge bitsets of the proper test, carried from flip to flip.
 

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from prodtri.core import Dims, Simplex
+from prodtri.core import Dims, Simplex, _shape_cols
 from prodtri.flips import all_circuits, apply_flip, supports_flip
 from prodtri.oracle import spanning_trees
 from prodtri.orders import (
@@ -21,7 +21,6 @@ from prodtri.orders import (
 )
 from prodtri.phases import (
     GoodnessContext,
-    _shape_cols,
     compute_TI,
     compute_TII,
     connect,
@@ -336,9 +335,8 @@ def test_contains_matches_the_edge_index(walk_states, trees43):
 def test_two_row_collections_valid_or_malformed(n):
     """restriction_order on arbitrary two-row edge sets: the segment walk
     must accept the same ones and reject the rest with the same message.
-    (No set of at most four edge sets of 2x2 or 2x3 passes the chain test
-    and then fails the non-consecutive facet test, so that message is not
-    expected here.)"""
+    (No set that passes the chain test fails the reference's
+    non-consecutive facet test, so that message is not expected here.)"""
     dims = Dims(2, n)
     rng = random.Random(f"segments:{n}")
     trees = [t.mask for t in spanning_trees(dims)]

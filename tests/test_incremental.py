@@ -33,6 +33,7 @@ from prodtri.phases import (
     ProofGap,
     _Driver,
     _dispatch_mirrorable,
+    _swapped,
     apply_sequence,
     compute_TI,
     compute_TII,
@@ -50,7 +51,6 @@ from prodtri.triangulation import (
     _validated_slots,
     proper,
     star,
-    swap_rows,
     validate,
 )
 from reference import (
@@ -146,12 +146,13 @@ def test_incremental_matches_full_on_committed_walk(walk48, monkeypatch):
     cross = _CrossCheck()
     cross.install(monkeypatch)
     swaps = []
+    real_swap = _Driver.swap
 
-    def counting(tri, a, b):
-        swaps.append(tri)
-        return swap_rows(tri, a, b)
+    def counting(drv):
+        swaps.append(drv.T)
+        real_swap(drv)
 
-    monkeypatch.setattr(phases, "swap_rows", counting)
+    monkeypatch.setattr(_Driver, "swap", counting)
     seq = connect(walk48, check=True)
     assert swaps, "the walk no longer reaches a mirrored branch"
     assert cross.full == 1
@@ -269,14 +270,28 @@ def test_checked_connect_searches_once_per_flip(corpus43, walk48, monkeypatch):
     assert len(seq) > 0
 
 
-def test_swap_rows_keeps_trees_and_status(walk48):
-    """The swap maps each tree edge by edge and undoes itself; the copy
-    carries nothing else, as no triangulation records a check."""
-    T = walk48
-    for a, b in ((0, 1), (1, 3), (2, 2)):
-        swapped = swap_rows(T, a, b)
-        assert swapped == Triangulation(T.dims, [swap_edges(t, a, b) for t in T.maximal])
-        assert swap_rows(swapped, a, b) == T
+def _swap01(tri: Triangulation) -> Triangulation:
+    """tri with rows 0 and 1 exchanged, edge by edge."""
+    return Triangulation(tri.dims, [swap_edges(t, 0, 1) for t in tri.maximal])
+
+
+def test_swapped_exchanges_rows_0_and_1(walk48):
+    """The rows-0/1 map against the edge-by-edge swap on every tree of the
+    committed walk and every circuit of its connect sequence; applied twice
+    it is the identity, and it passes any other value through."""
+    steps = connect(walk48, check=False).steps
+    assert steps
+    for t in walk48.maximal:
+        assert _swapped(t) == swap_edges(t, 0, 1)
+        assert _swapped(_swapped(t)) == t
+    for step in steps:
+        X = step.circuit
+        swapped = _swapped(X)
+        assert swapped.minus_mask == swap_edges(Simplex(X.dims, X.minus_mask), 0, 1).mask
+        assert swapped.plus_mask == swap_edges(Simplex(X.dims, X.plus_mask), 0, 1).mask
+        assert _swapped(swapped) == X
+    for other in (3, None, "tauI", walk48):
+        assert _swapped(other) is other
 
 
 def _forge(T: Triangulation, removed, added) -> FlipCertificate:
@@ -537,7 +552,7 @@ def test_shared_table_matches_all_pairs_on_walk_states(walk48):
     filters = _filters(4)
     adjacency = _Adjacency(walk48.dims)
     for k, tri in enumerate(states):
-        for state in (tri, swap_rows(tri, 0, 1)):
+        for state in (tri, _swap01(tri)):
             _same_arcs(state, [filters[(4 * k + r) % 16] for r in range(4)], adjacency)
     one_state = _Adjacency(tri.dims)
     build_precedence(tri, filters[0], one_state)
@@ -589,8 +604,8 @@ def test_table_never_answers_for_other_dims(corpus43):
 
 
 def test_driver_run_owns_its_table(walk48):
-    """A driver owns one run state per orientation, the two sharing one map
-    of moves.  A mirrored dispatch swaps the driver itself in place: the
+    """A driver owns one run state per orientation, each with moves of its
+    own.  A mirrored dispatch swaps the driver itself in place: the
     case sees the swapped state and the twin run state, the same one on
     every dispatch, and the driver is unswapped afterwards."""
     drv = _Driver(walk48, check=True)
@@ -608,9 +623,9 @@ def test_driver_run_owns_its_table(walk48):
     _dispatch_mirrorable(drv, False, case)
     (twin, m0, T0), (twin1, m1, T1), (same, m2, T2) = seen
     assert twin is twin1 and twin is not home and same is home
-    assert twin.moves is home.moves and twin.dims == home.dims
+    assert twin.moves is not home.moves and twin.dims == home.dims
     assert m0 and m1 and not m2
-    assert T0 == T1 == swap_rows(walk48, 0, 1) and T2 == walk48
+    assert T0 == T1 == _swap01(walk48) and T2 == walk48
     assert not drv.mirrored and drv.adjacency is home and drv.T == walk48
     assert drv.TI == compute_TI(walk48) and not drv.steps
     _assert_carried(drv.slots, walk48)
@@ -726,7 +741,7 @@ def test_run_state_index_matches_a_fresh_one_after_every_flip(walk48, monkeypatc
     tri = walk48
     for step in seq.steps:
         tri = apply_flip(tri, supports_flip(tri, step.circuit))
-        for state in (tri, swap_rows(tri, 0, 1), tri):
+        for state in (tri, _swap01(tri), tri):
             adjacency.update(state.dims, {t.mask for t in state.maximal})
             assert_fresh(state, adjacency, adjacency.pairs, adjacency.facets)
 
@@ -749,6 +764,30 @@ def test_connect_classifies_each_pair_once(walk48, monkeypatch):
     _, start = phase_one(walk48, check=False)
     phase_two(start, check=False)
     assert sum(counts.values()) > shared
+
+
+def test_each_run_state_classifies_a_pair_at_most_once(walk48, monkeypatch):
+    """On the committed walk and the eight golden branch witnesses, an
+    unchecked connect classifies exactly the distinct (run state, pair)
+    lookups of its digraphs: a state that meets a pair again reads its
+    stored classification, whichever orientation it serves."""
+    classified = []
+
+    def counting(dims, a, b):
+        classified.append((a, b))
+        return _move_masks(dims, a, b)
+
+    monkeypatch.setattr(orders, "_move_masks", counting)
+    calls = _record_digraphs(monkeypatch)
+    witnesses = _golden_witnesses()
+    assert len(witnesses) == 8
+    for tri in [walk48] + witnesses:
+        classified.clear()
+        calls.clear()
+        connect(tri, check=False)
+        lookups = {(adjacency, pair) for _, adjacency, pairs, _ in calls for pair in pairs}
+        assert len({adjacency for _, adjacency, _, _ in calls}) <= 2
+        assert len(classified) == len(lookups) > 0, tri
 
 
 def _module_containers() -> dict:

@@ -29,7 +29,8 @@ from prodtri.phases import (
     phase_two,
     staircase,
 )
-from prodtri.triangulation import Triangulation, swap_rows, validate
+from prodtri.triangulation import Triangulation, validate
+from reference import swap_edges
 
 
 def test_defect_sets_need_four_rows(seg_staircase):
@@ -380,7 +381,8 @@ def test_each_state_defect_sets_are_computed_once(corpus43, monkeypatch):
             for k in range(len(seq) + 1):
                 if k:
                     state = apply_flip(state, supports_flip(state, seq.steps[k - 1].circuit))
-                for view in (state, swap_rows(state, 0, 1)):
+                swapped = Triangulation(T.dims, [swap_edges(t, 0, 1) for t in state.maximal])
+                for view in (state, swapped):
                     visits[tuple(t.mask for t in view.maximal)] += 1
             for (name, key), c in counts.items():
                 assert c <= visits[key], (T, check, name)
