@@ -9,13 +9,12 @@ its two triangulations, and flips between them.
 """
 
 from prodtri import (
+    Circuit,
     Dims,
     Simplex,
     Triangulation,
     apply_flip,
-    circuit_of_cycle,
     enumerate_flips,
-    link_maximal,
     psi,
     shape,
     supports_flip,
@@ -25,8 +24,8 @@ from prodtri import (
 d = Dims(2, 2)
 
 # The square has four vertices e_i x f_j and exactly one circuit: its two
-# diagonals form the signed 4-cycle below.
-X = circuit_of_cycle(d, [(0, 0), (0, 1), (1, 0), (1, 1)])
+# diagonals are the minus and plus sides of the signed 4-cycle below.
+X = Circuit.from_edges(d, minus=[(0, 0), (1, 1)], plus=[(0, 1), (1, 0)])
 print("the square's circuit:", X)
 
 # A triangulation of the square picks one diagonal and the two triangles
@@ -37,12 +36,12 @@ T = Triangulation(d, [lower, upper])
 print("triangulation valid:", validate(T).ok)
 print("shape of a triangle:", shape(lower))
 
-diag = Simplex.from_edges(d, [(0, 0), (1, 1)])
-print("link of the diagonal:", sorted(link_maximal(T, diag)))
-
 # The circuit supports a flip when its minus side is the present diagonal.
+# The certificate carries the link the flip happens in: here only the empty
+# face, as the circuit spans the whole square.
 cert = supports_flip(T, X)
 print("flip supported:", cert is not None)
+print("link of the flip:", cert.link)
 T2 = apply_flip(T, cert)
 print("flipped triangulation:", T2.maximal)
 print("flips available before/after:", len(enumerate_flips(T)), len(enumerate_flips(T2)))

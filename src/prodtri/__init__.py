@@ -10,9 +10,7 @@ from .core import (
     NotACycle,
     Simplex,
     alternating_path,
-    circuit_of_cycle,
     col_neighbors,
-    components,
     connecting_edges,
     is_forest,
     is_spanning_tree,
@@ -22,16 +20,11 @@ from .core import (
     tree_path,
 )
 from .triangulation import (
-    ContractionMap,
     LocalTriangulation,
     NotInComplex,
     Triangulation,
     ValidityReport,
-    contract,
-    contraction_map,
-    link_maximal,
     proper,
-    restrict,
     star,
     validate,
 )
@@ -42,7 +35,6 @@ from .flips import (
     StaleCertificate,
     all_circuits,
     apply_flip,
-    circuit_triangulations,
     enumerate_flips,
     order_effect,
     psi,
@@ -52,7 +44,6 @@ from .orders import (
     EQUIVALENT,
     GREATER,
     LESS,
-    AdjacencyMove,
     ColumnQuasiorder,
     EmptyInput,
     MalformedLocal,
@@ -60,7 +51,6 @@ from .orders import (
     PrecedenceDigraph,
     SegmentDecomposition,
     build_precedence,
-    classify_adjacency,
     compare_columns,
     free_equivalent,
     restriction_order,

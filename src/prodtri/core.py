@@ -192,20 +192,6 @@ def _regular(dims, mask: int, k: int) -> Optional[tuple[int, int]]:
     return (rows, once) if exact == once else None
 
 
-def components(simplex: Simplex) -> tuple[frozenset[int], ...]:
-    """Connected components of the forest, as sets of graph vertices.
-
-    Isolated vertices form singleton components; the result covers all
-    m + n vertices and is sorted by smallest member.
-    """
-    m, n = simplex.dims
-    rows_of, cols_of = _edge_blocks(simplex.dims, simplex.mask)
-    comps = [_bits(r | c << m) for r, c in zip(rows_of, cols_of)]
-    covered = sum(rows_of) | sum(cols_of) << m
-    comps += [frozenset((v,)) for v in range(m + n) if not covered >> v & 1]
-    return tuple(sorted(comps, key=min))
-
-
 def is_forest(simplex: Simplex) -> bool:
     """Each block of the edges has one edge fewer than it has vertices."""
     rows_of, cols_of = _edge_blocks(simplex.dims, simplex.mask)
@@ -398,24 +384,6 @@ class Circuit:
     def __repr__(self):
         f = lambda s: "{" + ",".join(f"{i + 1}x{j + 1}" for i, j in sorted(s)) + "}"
         return f"Circuit(minus={f(self.minus)}, plus={f(self.plus)})"
-
-
-def circuit_of_cycle(dims: Dims, edges: Iterable[tuple[int, int]]) -> Circuit:
-    """Sign a simple cycle, normalised so its smallest edge sits in minus.
-
-    Without its smallest edge (i, j) the cycle is a path from column j to
-    row i, whose edges are plus, minus, plus, ... in turn."""
-    dims = Dims(*dims).check()
-    cyc = Simplex.from_edges(dims, edges)
-    if not cyc.mask:
-        raise NotACycle("empty edge set")
-    if _regular(dims, cyc.mask, 2) is None:
-        raise NotACycle("some vertex does not have degree 2")
-    i, j = cyc.edges[0]
-    path = tree_path(cyc.without_edge(i, j), dims.m + j, i)
-    if len(path) + 1 != len(cyc):
-        raise NotACycle("edges are not a single connected cycle")
-    return Circuit.from_edges(dims, ((i, j),) + path[1::2], path[::2])
 
 
 def alternating_path(

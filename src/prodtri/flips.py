@@ -67,18 +67,6 @@ def _simplices(dims: Dims, masks) -> tuple[Simplex, ...]:
     return tuple(Simplex(dims, x) for x in masks)
 
 
-def circuit_triangulations(X: Circuit) -> tuple[tuple[Simplex, ...], tuple[Simplex, ...]]:
-    """Maximal simplices of the two triangulations of the circuit itself.
-
-    The plus side consists of X minus one plus edge each; dually for minus.
-    """
-    full = X.minus_mask | X.plus_mask
-    return (
-        _simplices(X.dims, _faces(full, X.plus_mask)),
-        _simplices(X.dims, _faces(full, X.minus_mask)),
-    )
-
-
 def _common_link(trees, plus_faces: tuple[int, ...]) -> Optional[list[int]]:
     """The link shared by every plus face among the ascending tree masks, as
     ascending masks, or None when two links differ."""

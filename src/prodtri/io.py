@@ -49,6 +49,20 @@ def _loads(text: str) -> dict:
         raise ParseError(f"document nested too deeply: {exc}") from exc
 
 
+def _int(value) -> int:
+    """value if it is an int and no bool, else TypeError (each reader's
+    ParseError): no number is rounded and no string read as one."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _str(value) -> str:
+    if type(value) is not str:
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
 # The most rows or columns a document may declare.  Declared dimensions size
 # every edge mask and the count C(m+n-2, m-1) that validation computes, so
 # without a bound a short document could ask for unbounded work.
@@ -57,7 +71,7 @@ MAX_DIM = 64
 
 def _dims_of(doc: dict) -> Dims:
     try:
-        dims = Dims(int(doc["m"]), int(doc["n"])).check()
+        dims = Dims(_int(doc["m"]), _int(doc["n"])).check()
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad dimensions: {exc}") from exc
     if dims.m > MAX_DIM or dims.n > MAX_DIM:
@@ -67,7 +81,7 @@ def _dims_of(doc: dict) -> Dims:
 
 def _edges_in(doc_edges, dims: Dims) -> Simplex:
     try:
-        pairs = [(int(r) - 1, int(c) - 1) for r, c in doc_edges]
+        pairs = [(_int(r) - 1, _int(c) - 1) for r, c in doc_edges]
         simplex = Simplex.from_edges(dims, pairs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad edge list: {exc}") from exc
@@ -132,8 +146,8 @@ def circuit_to_dict(X: Circuit) -> dict:
 
 def circuit_from_dict(doc: dict, dims: Dims) -> Circuit:
     try:
-        minus = [(int(r) - 1, int(c) - 1) for r, c in doc["minus"]]
-        plus = [(int(r) - 1, int(c) - 1) for r, c in doc["plus"]]
+        minus = [(_int(r) - 1, _int(c) - 1) for r, c in doc["minus"]]
+        plus = [(_int(r) - 1, _int(c) - 1) for r, c in doc["plus"]]
         X = Circuit.from_edges(dims, minus, plus)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # NotACycle too
         raise ParseError(f"bad circuit: {exc}") from exc
@@ -165,12 +179,12 @@ def sequence_from_dict(doc: dict) -> FlipSequence:
         steps = tuple(
             FlipStep(
                 circuit_from_dict(s, dims),
-                str(s.get("phase", "")),
-                tuple(sorted((k, int(v)) for k, v in s.get("measures", {}).items())),
+                _str(s.get("phase", "")),
+                tuple(sorted((k, _int(v)) for k, v in s.get("measures", {}).items())),
             )
             for s in doc["steps"]
         )
-        return FlipSequence(dims, str(doc["start"]), str(doc["end"]), steps)
+        return FlipSequence(dims, _str(doc["start"]), _str(doc["end"]), steps)
     # AttributeError: measures that are no mapping
     except (KeyError, TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ParseError(f"bad sequence: {exc}") from exc

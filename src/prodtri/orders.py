@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import Dims, Simplex, _bits, _edge_blocks, alternating_path, row_neighbors
-from .triangulation import LocalTriangulation, _maximal_members, proper
+from .triangulation import LocalTriangulation, _maximal_members
 
 LESS, EQUIVALENT, GREATER = -1, 0, 1
 
@@ -167,56 +167,14 @@ def compare_columns(tri, i1: int, i2: int, j: int, j2: int) -> int:
     return LESS if less else GREATER if greater else EQUIVALENT
 
 
-@dataclass(frozen=True)
-class AdjacencyMove:
-    """Facet crossing between adjacent maximal simplices.
-
-    The leaving edge joins row side I1 to column side J2; the entering edge
-    joins I2 to J1."""
-
-    I1: frozenset[int]
-    I2: frozenset[int]
-    J1: frozenset[int]
-    J2: frozenset[int]
-    leaving: tuple[int, int]
-    entering: tuple[int, int]
-
-    def reversed_(self) -> "AdjacencyMove":
-        return AdjacencyMove(
-            self.I2, self.I1, self.J2, self.J1, self.entering, self.leaving
-        )
-
-
-def classify_adjacency(tau: Simplex, tau2: Simplex) -> Optional[AdjacencyMove]:
-    """Labelled partition of the shared facet of two adjacent trees, or None.
-
-    Two tree-sized members need no circuit search.  If the two blocks of
-    their shared face of m + n - 2 edges miss a row or column, the face holds
-    a cycle, and so do both members; otherwise it is a spanning forest, and
-    the members meet properly exactly when the leaving edge runs from side 1
-    to side 2 and the entering edge back.  ``_move_masks`` decides it on the
-    masks; this wrapper turns its row and column masks into sets.
-    """
-    m, n = tau.dims
-    a, b = tau.mask, tau2.mask
-    if (a == b and tau.dims == tau2.dims) or (a & b).bit_count() != m + n - 2:
-        return None
-    tree_sized = a.bit_count() == b.bit_count() == m + n - 1
-    if not (tree_sized and tau.dims == tau2.dims) and not proper(tau, tau2):
-        return None
-    move = _move_masks(tau.dims, a, b)
-    if move is None:
-        return None
-    r1, r2, c1, c2, leaving, entering = move
-    return AdjacencyMove(_bits(r1), _bits(r2), _bits(c1), _bits(c2), leaving, entering)
-
-
 def _move_masks(dims, a: int, b: int):
     """The crossing from tree mask a to tree mask b, two members that share
     m + n - 2 edges, as (I1, I2, J1, J2, leaving, entering) with row and
     column masks, or None; ValueError if the shared face is a spanning
     forest but a member has not exactly one edge outside it.  I1 and I2
-    partition the rows."""
+    partition the rows.  No circuit search is needed: two trees meet
+    properly exactly when the leaving edge runs from side 1 to side 2 and
+    the entering edge back."""
     m, n = dims
     sigma = a & b
     rows_of, cols_of = _edge_blocks(dims, sigma)

@@ -11,12 +11,12 @@ three combinatorial conditions; the geometric counterpart lives in
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from operator import attrgetter
 from typing import Iterable
 
-from .core import Dims, Simplex, _bits, _edge_blocks, is_spanning_tree
+from .core import Dims, Simplex, _bits, is_spanning_tree
 
 # sort key giving the canonical simplex order without Simplex.__lt__ calls
 _by_mask = attrgetter("mask")
@@ -221,13 +221,6 @@ class LocalTriangulation:
         )
 
 
-def link_maximal(tri: Triangulation, sigma: Simplex) -> frozenset[Simplex]:
-    """Maximal simplices of the link: tau minus sigma over all tau containing sigma."""
-    if not tri.contains(sigma):
-        raise NotInComplex(f"{sigma!r} not in triangulation")
-    return frozenset(t.difference(sigma) for t in tri.maximal if sigma.issubset(t))
-
-
 def star(tri, xi: Simplex):
     if not tri.contains(xi):
         raise NotInComplex(f"{xi!r} not in triangulation")
@@ -357,94 +350,3 @@ def _maximal_members(masks: Iterable[int]) -> list[int]:
         if not any(x & ~y == 0 for y in keep):
             keep.append(x)
     return sorted(keep)
-
-
-def restrict(tri, rows: Iterable[int], cols: Iterable[int]):
-    """Restriction to the face rows x cols, relabeled order-preservingly.
-
-    Accepts a Triangulation or a LocalTriangulation (whose base must lie
-    inside the face); returns the same kind on the smaller product.
-    """
-    rows = sorted(set(rows))
-    cols = sorted(set(cols))
-    dims = tri.dims
-    sub = Dims(len(rows), len(cols)).check()
-    rmap = {i: a for a, i in enumerate(rows)}
-    cmap = {j: b for b, j in enumerate(cols)}
-
-    def image(simplex: Simplex) -> Simplex:
-        return Simplex.from_edges(
-            sub,
-            [(rmap[i], cmap[j]) for i, j in simplex if i in rmap and j in cmap],
-        )
-
-    cut = [image(t) for t in tri.maximal]
-    top = [Simplex(sub, x) for x in _maximal_members([s.mask for s in cut])]
-    if isinstance(tri, LocalTriangulation):
-        base = tri.base
-        if any(i not in rmap or j not in cmap for i, j in base):
-            raise ValueError("local base does not lie inside the face")
-        return LocalTriangulation(sub, image(base), top)
-    return Triangulation(sub, top)
-
-
-@dataclass(frozen=True)
-class ContractionMap:
-    """Combinatorial quotient by the connected components of a base forest."""
-
-    dims: Dims
-    image_dims: Dims
-    row_blocks: tuple[frozenset[int], ...]
-    col_blocks: tuple[frozenset[int], ...]
-    anchors: tuple[tuple[int, int], ...]
-    row_of: dict = field(compare=False, repr=False, default=None)
-    col_of: dict = field(compare=False, repr=False, default=None)
-
-    def apply(self, simplex: Simplex) -> Simplex:
-        return Simplex.from_edges(
-            self.image_dims, [(self.row_of[i], self.col_of[j]) for i, j in simplex]
-        )
-
-
-def contraction_map(xi: Simplex) -> ContractionMap:
-    """Row blocks in order of their smallest row; column blocks those of the
-    base's edge blocks in the same order, then the lone columns; one anchor
-    per edge block."""
-    m, n = xi.dims
-    rows_of, cols_of = _edge_blocks(xi.dims, xi.mask)
-    blocks = sorted(zip(rows_of, cols_of), key=lambda rc: rc[0] & -rc[0])
-    lone_rows = ((1 << m) - 1) & ~sum(rows_of)
-    lone_cols = ((1 << n) - 1) & ~sum(cols_of)
-    row_masks = sorted(rows_of + [1 << i for i in _bits(lone_rows)], key=lambda r: r & -r)
-    col_masks = [c for _, c in blocks] + [1 << j for j in sorted(_bits(lone_cols))]
-    row_blocks = tuple(_bits(r) for r in row_masks)
-    col_blocks = tuple(_bits(c) for c in col_masks)
-    return ContractionMap(
-        dims=xi.dims,
-        image_dims=Dims(len(row_blocks), len(col_blocks)),
-        row_blocks=row_blocks,
-        col_blocks=col_blocks,
-        anchors=tuple((row_masks.index(r), k) for k, (r, _) in enumerate(blocks)),
-        row_of={i: k for k, rows in enumerate(row_blocks) for i in rows},
-        col_of={j: k for k, cols in enumerate(col_blocks) for j in cols},
-    )
-
-
-def contract(tri, xi: Simplex):
-    """Image of the star at xi under the component quotient.
-
-    Returns (image local triangulation, bijection from the star's maximal
-    simplices to theirs images).
-    """
-    if not tri.contains(xi):
-        raise NotInComplex(f"{xi!r} not in triangulation")
-    cmap = contraction_map(xi)
-    anchor_base = Simplex.from_edges(cmap.image_dims, cmap.anchors)
-    if isinstance(tri, LocalTriangulation):
-        anchor_base = anchor_base.union(cmap.apply(tri.base))
-    bijection: dict[Simplex, Simplex] = {}
-    for t in tri.maximal:
-        if xi.issubset(t):
-            bijection[t] = cmap.apply(t)
-    image = LocalTriangulation(cmap.image_dims, anchor_base, bijection.values())
-    return image, bijection

@@ -6,10 +6,12 @@ compare the two.  Only ``Simplex`` and ``NotACycle`` are taken from the
 package for them.  ``split_circuit`` decides proper intersection by a
 depth-first search for a directed cycle, where the package runs one
 circuit search against a whole collection.  The all-pairs precedence scan
-classifies every pair of members with the public ``classify_adjacency``
-and builds the ``PrecedenceDigraph`` of the moves a filter accepts, so it
-shares no code with the facet index and the mask core of
-``build_precedence``.  ``reachability`` closes a digraph's arcs over sets
+classifies every pair of members with ``adjacency_move``, which reads the
+shared face's components and decides proper intersection with
+``split_circuit``, and builds the ``PrecedenceDigraph`` of the moves a
+filter accepts, so it shares no code with the facet index and the mask core
+``_move_masks`` of ``build_precedence``; ``Move`` is its own record of a
+crossing.  ``reachability`` closes a digraph's arcs over sets
 by Warshall's method, where the digraph searches from a node on demand.
 ``swap_edges`` exchanges two rows edge by edge, where the package exchanges
 row slices of the mask.  ``facet_pairs`` compares every pair of masks,
@@ -36,17 +38,12 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from prodtri.core import Dims, NotACycle, Simplex, col_neighbors, row_neighbors
 from prodtri.flips import FlipCertificate, Obstruction, StaleCertificate, all_circuits
 from prodtri.oracle import Corpus, spanning_trees
-from prodtri.orders import (
-    AdjacencyMove,
-    ColumnQuasiorder,
-    MalformedLocal,
-    PrecedenceDigraph,
-    classify_adjacency,
-)
+from prodtri.orders import ColumnQuasiorder, MalformedLocal, PrecedenceDigraph
 from prodtri.triangulation import (
     LocalTriangulation,
     Triangulation,
@@ -136,7 +133,7 @@ def validate_circuit(dims, minus_mask: int, plus_mask: int) -> None:
 def circuit_of_cycle(dims, edges) -> tuple[int, int]:
     """The (minus, plus) masks of a simple cycle's alternating sides, the
     smallest edge in minus, found by walking the cycle edge by edge; raise
-    ``NotACycle`` with ``circuit_of_cycle``'s message for anything else."""
+    ``NotACycle`` for anything else."""
     m, n = dims
     edge_list = Simplex.from_edges(dims, edges).edges
     if not edge_list:
@@ -204,7 +201,7 @@ def all_pairs_moves(tri) -> list:
     out = []
     for a in range(len(nodes)):
         for b in range(a + 1, len(nodes)):
-            move = classify_adjacency(nodes[a], nodes[b])
+            move = adjacency_move(nodes[a], nodes[b])
             if move is not None:
                 out.append((a, b, move))
     return out
@@ -400,7 +397,27 @@ def restriction_order(tri, i1: int, i2: int) -> ColumnQuasiorder:
     return ColumnQuasiorder(tuple(strata))
 
 
+class Move(NamedTuple):
+    """A facet crossing between adjacent trees: the leaving edge joins the
+    rows I1 of side 1 to the columns J2 of side 2, the entering edge joins
+    I2 to J1."""
+
+    I1: frozenset
+    I2: frozenset
+    J1: frozenset
+    J2: frozenset
+    leaving: tuple
+    entering: tuple
+
+    def masks(self) -> tuple:
+        """The crossing as ``_move_masks`` gives it, sides as bitmasks."""
+        I1, I2, J1, J2 = (row_mask(side) for side in self[:4])
+        return I1, I2, J1, J2, self.leaving, self.entering
+
+
 def adjacency_move(tau: Simplex, tau2: Simplex):
+    """The crossing from tau to tau2, or None unless they share all but one
+    edge each and cross that facet properly."""
     m, n = tau.dims
     sigma = tau.intersection(tau2)
     if tau == tau2 or len(sigma) != m + n - 2:
@@ -420,7 +437,7 @@ def adjacency_move(tau: Simplex, tau2: Simplex):
         return None
     rows = lambda c: frozenset(v for v in c if v < m)
     cols = lambda c: frozenset(v - m for v in c if v >= m)
-    return AdjacencyMove(rows(side1), rows(side2), cols(side1), cols(side2), (li, lj), (ei, ej))
+    return Move(rows(side1), rows(side2), cols(side1), cols(side2), (li, lj), (ei, ej))
 
 
 def free_equivalent(tau: Simplex, tau2: Simplex, i1: int) -> bool:

@@ -31,7 +31,7 @@ from prodtri.oracle import (
 )
 from prodtri.orders import (
     PrecedenceDigraph,
-    classify_adjacency,
+    _move_masks,
     compare_columns,
     free_equivalent,
     restriction_order,
@@ -58,14 +58,17 @@ _traces: dict[int, list] = {}
 
 
 def _all_moves(tri):
+    """The row split (I1, I2) of the crossing between each ordered pair of
+    members that share a facet and meet properly, as row masks."""
     nodes = tri.maximal
+    facet = tri.dims.m + tri.dims.n - 2
     moves = {}
-    for a in range(len(nodes)):
-        for b in range(a + 1, len(nodes)):
-            mv = classify_adjacency(nodes[a], nodes[b])
-            if mv is not None:
-                moves[(a, b)] = mv
-                moves[(b, a)] = mv.reversed_()
+    for a, x in enumerate(nodes):
+        for b, y in enumerate(nodes):
+            if (x.mask & y.mask).bit_count() == facet:
+                mv = _move_masks(tri.dims, x.mask, y.mask)
+                if mv is not None:
+                    moves[(a, b)] = mv[:2]
     return nodes, moves
 
 
@@ -195,7 +198,7 @@ def test_criterion_4_proposition_suite(corpus42, corpus43):
     for T in members:
         nodes, moves = _all_moves(T)
         for i in range(4):
-            assert _digraph(nodes, moves, lambda mv, i=i: i in mv.I2).is_acyclic()
+            assert _digraph(nodes, moves, lambda mv, i=i: mv[1] >> i & 1).is_acyclic()
         free_classes = {
             i1: {
                 (a, b): free_equivalent(nodes[a], nodes[b], i1)
@@ -211,9 +214,9 @@ def test_criterion_4_proposition_suite(corpus42, corpus43):
                 dg = _digraph(
                     nodes,
                     moves,
-                    lambda mv, i1=i1, i2=i2: i2 in mv.I2
-                    or mv.I1 == frozenset((i1,))
-                    or mv.I2 == frozenset((i1,)),
+                    lambda mv, i1=i1, i2=i2: mv[1] >> i2 & 1
+                    or mv[0] == 1 << i1
+                    or mv[1] == 1 << i1,
                 )
                 for a in range(len(nodes)):
                     for b in range(len(nodes)):

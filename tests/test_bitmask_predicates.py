@@ -12,13 +12,7 @@ import pytest
 from prodtri.core import Dims, Simplex, _shape_cols
 from prodtri.flips import all_circuits, apply_flip, supports_flip
 from prodtri.oracle import spanning_trees
-from prodtri.orders import (
-    AdjacencyMove,
-    _two_row_images,
-    classify_adjacency,
-    free_equivalent,
-    restriction_order,
-)
+from prodtri.orders import _move_masks, _two_row_images, free_equivalent, restriction_order
 from prodtri.phases import (
     GoodnessContext,
     compute_TI,
@@ -61,9 +55,15 @@ def _check_state(tri, row_pairs=permutations) -> None:
         ), (tri, i1, i2)
 
 
-def _check_pair(tau: Simplex, tau2: Simplex) -> AdjacencyMove:
-    move = classify_adjacency(tau, tau2)
-    assert move == reference.adjacency_move(tau, tau2), (tau, tau2)
+def _check_pair(tau: Simplex, tau2: Simplex):
+    """The reference move from tau to tau2, after comparing it with the mask
+    core on members that share a facet, and the free equivalences."""
+    move = reference.adjacency_move(tau, tau2)
+    if (tau.mask & tau2.mask).bit_count() == len(tau) - 1 == len(tau2) - 1:
+        core = _move_masks(tau.dims, tau.mask, tau2.mask)
+        assert core == (move and move.masks()), (tau, tau2)
+    else:
+        assert move is None, (tau, tau2)
     for i1 in range(tau.dims.m):
         assert free_equivalent(tau, tau2, i1) == reference.free_equivalent(tau, tau2, i1)
     return move
@@ -235,15 +235,9 @@ def test_random_tree_pairs(m, n):
 
 
 def _pair_outcome(tau: Simplex, tau2: Simplex):
-    """``classify_adjacency`` against the reference on members of any
-    size: the same move or None, or a ValueError from both."""
-    try:
-        want = reference.adjacency_move(tau, tau2)
-    except ValueError:  # more or fewer than one edge outside the shared face
-        with pytest.raises(ValueError, match="one edge outside the shared face"):
-            classify_adjacency(tau, tau2)
-        return "error"
-    assert classify_adjacency(tau, tau2) == want, (tau, tau2)
+    """The mask core against the reference on tree-sized members."""
+    want = reference.adjacency_move(tau, tau2)
+    assert _move_masks(tau.dims, tau.mask, tau2.mask) == (want and want.masks()), (tau, tau2)
     return want
 
 
@@ -261,15 +255,13 @@ def _edge_outside(rng: random.Random, dims: Dims, mask: int, inside=None):
 
 
 @pytest.mark.parametrize("m,n", [(4, 3), (4, 8), (3, 5)])
-def test_adjacency_of_cyclic_and_oversized_members(m, n):
-    """Pairs other than two trees: tree-sized members whose shared face
-    holds a cycle, and members whose leaving edge lies inside one side of
-    the face (both always None), and members with an extra edge or a
-    missing one, which give None when the pair is improper and ValueError
-    otherwise."""
+def test_move_masks_of_cyclic_members(m, n):
+    """Tree-sized members that are not trees: members whose shared face
+    holds a cycle, and members whose leaving or entering edge lies inside
+    one side of a spanning two-block face; neither is a move."""
     dims = Dims(m, n)
     rng = random.Random(f"cyclic:{m}x{n}")
-    seen = {"cyclic face": set(), "inner edge": set(), "extra edge": set()}
+    seen = {"cyclic face": set(), "inner edge": set()}
     for _ in range(300):
         # a shared face of m + n - 2 edges holding a cycle
         while True:
@@ -282,7 +274,7 @@ def test_adjacency_of_cyclic_and_oversized_members(m, n):
         f = _edge_outside(rng, dims, sigma.with_edge(*e).mask)
         tau, tau2 = sigma.with_edge(*e), sigma.with_edge(*f)
         seen["cyclic face"] |= {_pair_outcome(tau, tau2), _pair_outcome(tau2, tau)}
-        # a spanning two-block face, and a leaving edge inside one block
+        # a spanning two-block face, and an edge inside one block
         tree = _random_tree(rng, dims)
         near = _exchange(rng, tree, leaf=False)
         face = tree.intersection(near)
@@ -293,29 +285,7 @@ def test_adjacency_of_cyclic_and_oversized_members(m, n):
                 cyclic = face.with_edge(*inner)
                 for other in (near, tree, face.with_edge(*_edge_outside(rng, dims, cyclic.mask))):
                     seen["inner edge"] |= {_pair_outcome(cyclic, other), _pair_outcome(other, cyclic)}
-        # an extra edge on one member or both, or one member the face itself
-        x = _edge_outside(rng, dims, tree.mask | near.mask)
-        if x is None:
-            continue
-        grown = tree.with_edge(*x)
-        y = _edge_outside(rng, dims, grown.mask | near.mask)
-        pairs = [(grown, near), (face, near), (face, tree)]
-        if y is not None:
-            pairs.append((grown, near.with_edge(*y)))
-        for a, b in pairs:
-            seen["extra edge"] |= {_pair_outcome(a, b), _pair_outcome(b, a)}
-    assert seen["cyclic face"] == {None}
-    assert seen["inner edge"] == {None}
-    assert seen["extra edge"] == {None, "error"}
-
-
-def test_adjacency_of_members_with_other_dims_is_refused():
-    """Two trees of 2x3 and 3x2 whose masks share three edge bits."""
-    tau = Simplex.from_edges(Dims(2, 3), [(0, 0), (0, 1), (0, 2), (1, 0)])
-    tau2 = Simplex.from_edges(Dims(3, 2), [(0, 0), (0, 1), (1, 0), (2, 0)])
-    assert bin(tau.mask & tau2.mask).count("1") == 3
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        classify_adjacency(tau, tau2)
+    assert seen == {"cyclic face": {None}, "inner edge": {None}}
 
 
 def test_contains_matches_the_edge_index(walk_states, trees43):

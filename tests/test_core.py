@@ -9,10 +9,9 @@ from prodtri.core import (
     Dims,
     NotACycle,
     Simplex,
+    _edge_blocks,
     alternating_path,
-    circuit_of_cycle,
     col_neighbors,
-    components,
     connecting_edges,
     is_forest,
     is_spanning_tree,
@@ -21,6 +20,7 @@ from prodtri.core import (
     shape,
     tree_path,
 )
+import reference
 
 
 def edges(dims, *pairs):
@@ -28,28 +28,20 @@ def edges(dims, *pairs):
 
 
 def test_components_empty_simplex():
-    d = Dims(2, 2)
-    assert components(Simplex(d)) == (
-        frozenset({0}),
-        frozenset({1}),
-        frozenset({2}),
-        frozenset({3}),
-    )
+    assert _edge_blocks(Dims(2, 2), 0) == ([], [])
 
 
 def test_components_spanning_tree():
     d = Dims(2, 2)
     t = edges(d, (0, 0), (1, 0), (1, 1))
-    assert components(t) == (frozenset({0, 1, 2, 3}),)
+    assert _edge_blocks(d, t.mask) == ([0b11], [0b11])
 
 
 def test_components_partial():
+    # e1 with f1 and e3 with f2; e2 and e4 are in no block with edges
     d = Dims(4, 2)
     s = edges(d, (0, 0), (2, 1))
-    comps = set(components(s))
-    assert frozenset({0, 4}) in comps  # e1 with f1
-    assert frozenset({2, 5}) in comps  # e3 with f2
-    assert frozenset({1}) in comps and frozenset({3}) in comps
+    assert _edge_blocks(d, s.mask) == ([0b0001, 0b0100], [0b01, 0b10])
 
 
 def test_neighborhood_basic():
@@ -74,37 +66,21 @@ def test_shape_unmixed_and_matching():
     assert shape(matching) == frozenset()
 
 
-def test_circuit_of_square_cycle_normalisation():
-    d = Dims(2, 2)
-    X = circuit_of_cycle(d, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    assert X.minus == {(0, 0), (1, 1)}
-    assert X.plus == {(1, 0), (0, 1)}
-
-
 def test_circuit_of_six_cycle():
     d = Dims(3, 3)
-    X = circuit_of_cycle(d, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)])
-    assert X.minus == {(0, 0), (1, 1), (2, 2)}
-    assert X.plus == {(1, 0), (2, 1), (0, 2)}
+    X = Circuit.from_edges(d, [(0, 0), (1, 1), (2, 2)], [(1, 0), (2, 1), (0, 2)])
     rows, cols = X.cycle_sequence()
     assert rows == (0, 1, 2) and cols == (0, 1, 2)
 
 
 def test_circuit_rejects_non_cycles():
     d = Dims(3, 3)
+    with pytest.raises(NotACycle):  # three edges at one row
+        Circuit.from_edges(d, [(0, 0), (0, 2)], [(0, 1)])
     with pytest.raises(NotACycle):
-        circuit_of_cycle(d, [(0, 0), (0, 1), (0, 2)])  # three edges at one row
-    with pytest.raises(NotACycle):
-        circuit_of_cycle(d, [(0, 0), (1, 1)])
+        Circuit.from_edges(d, [(0, 0)], [(1, 1)])
     with pytest.raises(NotACycle):
         Circuit.from_edges(d, [(0, 0), (1, 1)], [(1, 0), (2, 2)])
-
-
-def test_circuit_rebuild_is_stable():
-    d = Dims(3, 3)
-    X = circuit_of_cycle(d, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)])
-    again = circuit_of_cycle(d, list(X.minus | X.plus))
-    assert again == X
 
 
 def test_alternating_path_parity():
@@ -178,7 +154,7 @@ def random_forest(draw):
 @given(random_forest())
 def test_forest_identity(simplex):
     m, n = simplex.dims
-    assert len(simplex) + len(components(simplex)) == m + n
+    assert len(simplex) + len(reference.components(simplex)) == m + n
 
 
 @given(random_forest())

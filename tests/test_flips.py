@@ -3,15 +3,15 @@ from math import comb
 
 import pytest
 
-from prodtri.core import Circuit, Dims, Simplex, circuit_of_cycle, col_neighbors
+from prodtri.core import Circuit, Dims, Simplex, col_neighbors
 from prodtri.flips import (
     FlipCertificate,
     NotMaximal,
     Obstruction,
     StaleCertificate,
+    _faces,
     all_circuits,
     apply_flip,
-    circuit_triangulations,
     enumerate_flips,
     order_effect,
     psi,
@@ -20,6 +20,7 @@ from prodtri.flips import (
 from prodtri.orders import restriction_order
 from prodtri.phases import staircase
 from prodtri.triangulation import Triangulation, validate
+import reference
 
 
 def square_circuit(d, minus_diag=True):
@@ -29,23 +30,23 @@ def square_circuit(d, minus_diag=True):
 
 
 def test_circuit_triangulations_square():
+    # the plus side drops one plus edge each, the minus side one minus edge
     d = Dims(2, 2)
     X = square_circuit(d)
-    plus_side, minus_side = circuit_triangulations(X)
-    assert set(plus_side) == {
-        Simplex.from_edges(d, [(0, 0), (1, 1), (1, 0)]),
-        Simplex.from_edges(d, [(0, 0), (1, 1), (0, 1)]),
-    }
-    assert len(plus_side) == len(minus_side) == 2
+    full = X.minus_mask | X.plus_mask
+    plus_side, minus_side = _faces(full, X.plus_mask), _faces(full, X.minus_mask)
+    lower = Simplex.from_edges(d, [(0, 0), (1, 1), (1, 0)]).mask
+    upper = Simplex.from_edges(d, [(0, 0), (1, 1), (0, 1)]).mask
+    assert plus_side == tuple(sorted((lower, upper)))
+    assert len(minus_side) == 2
 
 
 def test_circuit_triangulations_six_cycle():
     d = Dims(3, 3)
-    X = circuit_of_cycle(d, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)])
-    plus_side, _ = circuit_triangulations(X)
+    X = Circuit.from_edges(d, [(0, 0), (1, 1), (2, 2)], [(1, 0), (2, 1), (0, 2)])
+    plus_side = _faces(X.minus_mask | X.plus_mask, X.plus_mask)
     assert len(plus_side) == 3
-    for sigma in plus_side:
-        assert Simplex(d, X.minus_mask).issubset(sigma)
+    assert all(x & X.minus_mask == X.minus_mask for x in plus_side)
 
 
 def test_supports_flip_square(square):
@@ -117,7 +118,7 @@ def test_obstruction_witness_matches_flip_proposition(corpus43):
                 if isinstance(res, Obstruction):
                     assert bin(res.witness.mask & full).count("1") <= len(X) - 2
                     plus_faces_present = any(
-                        T.contains(s) for s in circuit_triangulations(X)[0]
+                        T.contains(s) for s in reference.circuit_triangulations(X)[0]
                     )
                     if plus_faces_present:
                         exact = [
@@ -274,10 +275,11 @@ def test_all_circuits_count():
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (4, 3), (3, 4), (4, 4)])
 def test_all_circuits_match_signed_cycles(dims):
     """The circuits built from the two alternating masks are those
-    ``circuit_of_cycle`` signs from the cycle's edges, with their reverses."""
+    ``reference.circuit_of_cycle`` signs from the cycle's edges, with their
+    reverses."""
     out = []
     for X in all_circuits(dims):
         if X.minus_mask < X.plus_mask:
-            signed = circuit_of_cycle(dims, X.minus | X.plus)
+            signed = Circuit(Dims(*dims), *reference.circuit_of_cycle(dims, X.minus | X.plus))
             out += [signed, signed.reverse()]
     assert tuple(sorted(out)) == all_circuits(dims)

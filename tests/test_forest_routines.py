@@ -1,9 +1,8 @@
 """Cross-check of the row-slice forest routines of ``prodtri.core`` against
-the depth-first references in ``reference.py``: components and the forest
-tests on every edge mask of 4x3 and 3x4 and on the trees of the 4x8 walk,
-tree paths between every pair of vertices of each forest, the verdict and
-message of ``Circuit`` on every split of a 3x3 edge set and on seeded 4x4
-splits, and the signing of every 3x3 edge set as a cycle."""
+the depth-first references in ``reference.py``: the blocks of an edge mask
+and the forest tests on every edge mask of 4x3 and 3x4 and on the trees of the 4x8 walk, tree paths
+between every pair of vertices of each forest, and the verdict and message
+of ``Circuit`` on every split of a 3x3 edge set and on seeded 4x4 splits."""
 
 import json
 import os
@@ -17,8 +16,8 @@ from prodtri.core import (
     Dims,
     NotACycle,
     Simplex,
-    circuit_of_cycle,
-    components,
+    _bits,
+    _edge_blocks,
     is_forest,
     is_spanning_tree,
     tree_path,
@@ -48,7 +47,10 @@ def _check_forest_routines(simplices) -> int:
     """Compare every routine on the simplices; returns how many are forests."""
     forests = 0
     for s in simplices:
-        assert components(s) == reference.components(s), s
+        m = s.dims.m
+        rows_of, cols_of = _edge_blocks(s.dims, s.mask)
+        blocks = [_bits(r) | {m + j for j in _bits(c)} for r, c in zip(rows_of, cols_of)]
+        assert sorted(blocks, key=min) == [c for c in reference.components(s) if len(c) > 1], s
         assert is_forest(s) == reference.is_forest(s), s
         assert is_spanning_tree(s) == reference.is_spanning_tree(s), s
         if not is_forest(s):
@@ -128,20 +130,3 @@ def test_circuit_verdicts_on_seeded_4x4_splits():
         assert _verdict(Circuit, dims, minus, plus) == want, (minus, plus)
         verdicts.add(want)
     assert len(verdicts) == 4
-
-
-def test_circuit_of_cycle_on_every_3x3_edge_set():
-    dims = Dims(3, 3)
-    signed = 0
-    for mask in range(1 << 9):
-        edges = Simplex(dims, mask).edges
-        try:
-            want = reference.circuit_of_cycle(dims, edges)
-        except NotACycle as exc:
-            with pytest.raises(NotACycle, match=f"^{exc}$"):
-                circuit_of_cycle(dims, edges)
-            continue
-        X = circuit_of_cycle(dims, edges)
-        assert (X.minus_mask, X.plus_mask) == want, edges
-        signed += 1
-    assert signed == 15  # 9 squares and 6 hexagons

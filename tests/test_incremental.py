@@ -22,7 +22,6 @@ from prodtri.orders import (
     _Adjacency,
     _move_masks,
     build_precedence,
-    classify_adjacency,
     select_extremal,
     toward_row,
     toward_row_free,
@@ -54,12 +53,12 @@ from prodtri.triangulation import (
     validate,
 )
 from reference import (
+    adjacency_move,
     all_pairs_moves,
     all_pairs_precedence,
     facet_pairs,
     is_spanning_tree,
     reachability,
-    row_mask,
     split_circuit,
     swap_edges,
 )
@@ -528,6 +527,29 @@ def test_facet_index_matches_all_pairs_on_walk_states(walk48):
         tri = apply_flip(tri, supports_flip(tri, step.circuit))
 
 
+def _tree_sized_sets(rng: random.Random, dims: Dims, count: int) -> list:
+    """count collections of 30 random edge sets of m + n - 1 edges each,
+    trees or not."""
+    m, n = dims
+    out = []
+    for _ in range(count):
+        masks = set()
+        while len(masks) < 30:
+            masks.add(sum(1 << e for e in rng.sample(range(m * n), m + n - 1)))
+        out.append(Triangulation(dims, [Simplex(dims, x) for x in masks]))
+    return out
+
+
+def test_facet_index_matches_all_pairs_on_tree_sized_sets(trees43):
+    """Collections that are no triangulation: random spanning trees, some
+    pairs of which do not meet properly, and tree-sized edge sets, some of
+    which hold a cycle."""
+    rng = random.Random(4)
+    collections = [Triangulation(Dims(4, 3), rng.sample(trees43, 30)) for _ in range(10)]
+    for tri in collections + _tree_sized_sets(rng, Dims(4, 3), 10):
+        _same_arcs(tri, _filters(4))
+
+
 def test_build_precedence_refuses_members_that_are_not_tree_sized():
     d = Dims(2, 2)
     base = Simplex.from_edges(d, [(0, 0)])
@@ -692,30 +714,26 @@ def _record_digraphs(monkeypatch) -> list:
     return calls
 
 
-def test_move_masks_match_classify_adjacency(corpus43, trees43, walk48, monkeypatch):
-    """The mask core against the public move's row and column sets, on
-    every pair sharing a facet of 40 corpus members, of every state,
-    swapped ones included, that connect builds a digraph on, and of 20
-    random sets of spanning trees, where some pairs do not meet properly."""
+def test_move_masks_match_adjacency_move(corpus43, trees43, walk48, monkeypatch):
+    """The mask core against the reference move, on every pair sharing a
+    facet of 40 corpus members, of every state, swapped ones included, that
+    connect builds a digraph on, of 20 random sets of spanning trees, where
+    some pairs do not meet properly, and of 20 random sets of tree-sized
+    edge sets, where some members hold a cycle."""
     calls = _record_digraphs(monkeypatch)
     connect(walk48, check=False)
     assert any(adjacency is not calls[0][1] for _, adjacency, _, _ in calls)  # mirrored
     rng = random.Random(13)
     collections = rng.sample(corpus43.triangulations, 40) + [tri for tri, *_ in calls]
     collections += [Triangulation(Dims(4, 3), rng.sample(trees43, 30)) for _ in range(20)]
+    collections += _tree_sized_sets(rng, Dims(4, 3), 20)
     checked = adjacent = 0
     for tri in collections:
         for a, b in facet_pairs(tri):
             for x, y in ((a, b), (b, a)):
-                core = _move_masks(tri.dims, x, y)
-                move = classify_adjacency(Simplex(tri.dims, x), Simplex(tri.dims, y))
-                assert (core is None) == (move is None)
-                if move is not None:
-                    I1, I2, J1, J2, leaving, entering = core
-                    assert (I1, I2) == (row_mask(move.I1), row_mask(move.I2))
-                    assert (J1, J2) == (row_mask(move.J1), row_mask(move.J2))
-                    assert (leaving, entering) == (move.leaving, move.entering)
-                    adjacent += 1
+                move = adjacency_move(Simplex(tri.dims, x), Simplex(tri.dims, y))
+                assert _move_masks(tri.dims, x, y) == (move and move.masks())
+                adjacent += move is not None
                 checked += 1
     assert adjacent > 0 and checked > adjacent
 

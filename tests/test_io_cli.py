@@ -186,7 +186,7 @@ def test_deep_nesting_gives_parse_error(tmp_path, capsys):
     assert json.loads(err)["error"] == "ParseError"
 
 
-@pytest.mark.parametrize("m", [float("inf"), float("nan"), 0, [4]])
+@pytest.mark.parametrize("m", [float("inf"), float("nan"), 0, [4], 4.7, "4", True])
 def test_malformed_dimensions_give_parse_error(m):
     with pytest.raises(pio.ParseError, match="bad dimensions"):
         pio.triangulation_from_dict({"m": m, "n": 3, "maximal_simplices": []})
@@ -209,7 +209,17 @@ def test_the_largest_declared_dimensions_are_read():
 
 @pytest.mark.parametrize(
     "simplices",
-    [5, [[[9, 1]]], [[[0, 1]]], [[[1, 1], ["x", 2]]], [[[1, 1], [2, float("inf")]]]],
+    [
+        5,
+        [[[9, 1]]],
+        [[[0, 1]]],
+        [[[1, 1], ["x", 2]]],
+        [[[1, 1], [2, float("inf")]]],
+        [[[1.5, 1]]],
+        [[["1", "1"]]],
+        [["11"]],
+        [[[True, 1]]],
+    ],
 )
 def test_malformed_maximal_simplices_give_parse_error(simplices):
     with pytest.raises(pio.ParseError):
@@ -222,6 +232,9 @@ def test_malformed_maximal_simplices_give_parse_error(simplices):
         {"minus": [[1, 1], [2, 2]], "plus": [[1, 2], [2, 3]]},  # no cycle
         {"minus": [[1, 1], [1, 2]], "plus": [[2, 1], [2, 2]]},  # does not alternate
         {"minus": [[1, 1], [5, 2]], "plus": [[1, 2], [5, 1]]},  # row out of range
+        {"minus": [[1, 1], [2.0, 2]], "plus": [[1, 2], [2, 1]]},  # a float
+        {"minus": [[1, 1], ["2", "2"]], "plus": [[1, 2], [2, 1]]},  # strings
+        {"minus": [[True, 1], [2, 2]], "plus": [[1, 2], [2, 1]]},  # a bool
     ],
 )
 def test_malformed_circuit_gives_parse_error(doc):
@@ -270,10 +283,25 @@ def test_repeated_circuit_edge_gives_parse_error(tmp_path, capsys):
     _assert_cli_parse_error(capsys, "apply", str(f), "--circuit", json.dumps(doc))
 
 
-@pytest.mark.parametrize("measures", [[1, 2], {"star_X": float("inf")}, {"star_X": "two"}])
+@pytest.mark.parametrize(
+    "measures",
+    [[1, 2], {"star_X": float("inf")}, {"star_X": "two"}, {"star_X": "2"}, {"star_X": 2.5},
+     {"star_X": True}],
+)
 def test_malformed_measures_give_parse_error(measures):
     seq = pio.sequence_to_dict(connect(staircase(2)))
     seq["steps"] = [{"minus": [[1, 1], [2, 2]], "plus": [[1, 2], [2, 1]], "measures": measures}]
+    with pytest.raises(pio.ParseError, match="bad sequence"):
+        pio.sequence_from_dict(seq)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("start", 5), ("end", None), ("start", ["a"]), ("phase", 3)]
+)
+def test_non_string_fields_give_parse_error(field, value):
+    seq = pio.sequence_to_dict(connect(staircase(2)))
+    seq["steps"] = [{"minus": [[1, 1], [2, 2]], "plus": [[1, 2], [2, 1]]}]
+    (seq["steps"][0] if field == "phase" else seq)[field] = value
     with pytest.raises(pio.ParseError, match="bad sequence"):
         pio.sequence_from_dict(seq)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from prodtri.core import Dims, Simplex
+from prodtri.core import Dims, Simplex, _bits
 from prodtri.orders import (
     EQUIVALENT,
     GREATER,
@@ -10,8 +10,8 @@ from prodtri.orders import (
     EmptyInput,
     MalformedLocal,
     NoMinimal,
+    _move_masks,
     build_precedence,
-    classify_adjacency,
     compare_columns,
     free_equivalent,
     restriction_order,
@@ -23,6 +23,7 @@ from prodtri.orders import (
 )
 from prodtri.phases import staircase
 from prodtri.triangulation import LocalTriangulation, Triangulation, star
+import reference
 
 
 def edges(d, *pairs):
@@ -134,24 +135,14 @@ def test_compare_columns_equivalent_in_local_star(corpus43):
     assert found
 
 
-def test_classify_adjacency_square(square):
-    lower = edges(square.dims, (0, 0), (1, 0), (1, 1))
-    upper = edges(square.dims, (0, 0), (0, 1), (1, 1))
-    move = classify_adjacency(upper, lower)
-    assert move.I1 == {0} and move.I2 == {1}
-    assert move.leaving == (0, 1) and move.entering == (1, 0)
-    assert classify_adjacency(lower, lower) is None
-    far = edges(square.dims, (0, 1), (1, 0), (1, 1))
-    assert classify_adjacency(upper, far) is None or len(
-        upper.intersection(far)
-    ) == 2
-
-
-def test_classify_adjacency_nonadjacent():
-    d = Dims(2, 3)
-    a = edges(d, (0, 0), (0, 1), (0, 2), (1, 0))
-    b = edges(d, (0, 2), (1, 0), (1, 1), (1, 2))
-    assert classify_adjacency(a, b) is None
+def test_move_masks_square(square):
+    d = square.dims
+    lower = edges(d, (0, 0), (1, 0), (1, 1))
+    upper = edges(d, (0, 0), (0, 1), (1, 1))
+    # sides {row 0, column 0} and {row 1, column 1}, crossed by (0, 1) and (1, 0)
+    assert _move_masks(d, upper.mask, lower.mask) == (0b01, 0b10, 0b01, 0b10, (0, 1), (1, 0))
+    far = edges(d, (0, 1), (1, 0), (1, 1))  # the shared facet misses column 0
+    assert _move_masks(d, upper.mask, far.mask) is None
 
 
 def test_precedence_square(square):
@@ -179,7 +170,7 @@ def test_filter_runs_once_per_split(corpus43):
     assert all(I1 & I2 == 0 and I1 | I2 == 0b1111 and I1 and I2 for I1, I2 in seen)
     assert {(I2, I1) for I1, I2 in seen} == set(seen)
     adjacent = sum(
-        classify_adjacency(a, b) is not None
+        reference.adjacency_move(a, b) is not None
         for k, a in enumerate(T.maximal)
         for b in T.maximal[k + 1 :]
     )
@@ -217,10 +208,12 @@ def test_monotone_neighborhoods_along_arcs(corpus43):
         nodes = T.maximal
         for a in nodes:
             for b in nodes:
-                move = classify_adjacency(a, b)
+                if (a.mask & b.mask).bit_count() != len(a) - 1:
+                    continue
+                move = _move_masks(T.dims, a.mask, b.mask)
                 if move is None:
                     continue
-                for i in move.I2:
+                for i in _bits(move[1]):
                     assert row_neighbors(a, i) <= row_neighbors(b, i)
                     for j in row_neighbors(a, i):
                         assert col_neighbors(a, j) >= col_neighbors(b, j)

@@ -144,10 +144,18 @@ def test_connect_sample_43(corpus43):
 
 
 def test_connect_pair_via_reversal(corpus43):
+    """Any two triangulations are joined: a's run to the staircase, then
+    b's run reversed, replayed with every flip checked, on 20 seeded 4x3
+    pairs and on the committed 4x8 walk against a seeded 40-step walk."""
     rng = random.Random(41)
-    a, b = rng.sample(corpus43.triangulations, 2)
-    walk = connect(a) + connect(b).reversed_()
-    assert apply_sequence(a, walk, check=False) == b
+    pairs = [rng.sample(corpus43.triangulations, 2) for _ in range(20)]
+    b = staircase(8)
+    for _ in range(40):
+        b = apply_flip(b, rng.choice(enumerate_flips(b)))
+    pairs.append((_walk_4x8(), b))
+    for a, b in pairs:
+        walk = connect(a) + connect(b).reversed_()
+        assert apply_sequence(a, walk) == b
 
 
 def test_sequence_concat_mismatch(corpus42):

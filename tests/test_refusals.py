@@ -11,7 +11,6 @@ from prodtri.core import (
     NotACycle,
     Simplex,
     alternating_path,
-    circuit_of_cycle,
     connecting_edges,
     noncrossing,
 )
@@ -28,12 +27,7 @@ from prodtri.orders import (
     segment_decompose,
 )
 from prodtri.phases import GoodnessContext, goodness, staircase
-from prodtri.triangulation import (
-    LocalTriangulation,
-    NotInComplex,
-    Triangulation,
-    contract,
-)
+from prodtri.triangulation import LocalTriangulation, Triangulation
 
 D22, D23, D24, D33, D44 = Dims(2, 2), Dims(2, 3), Dims(2, 4), Dims(3, 3), Dims(4, 4)
 
@@ -131,12 +125,11 @@ REFUSALS = [
     ),
     (
         "two disjoint cycles signed as one",
-        lambda: circuit_of_cycle(
-            D44,
-            [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)],
+        lambda: Circuit.from_edges(
+            D44, [(0, 0), (1, 1), (2, 2), (3, 3)], [(0, 1), (1, 0), (2, 3), (3, 2)]
         ),
         NotACycle,
-        "^edges are not a single connected cycle$",
+        "^edges do not form a single simple cycle$",
     ),
     (
         "alternation step other than 1 or 2",
@@ -173,12 +166,6 @@ REFUSALS = [
         lambda: local(D22, [(0, 0)], ((0, 1), (1, 1))),
         ValueError,
         "^some maximal simplex does not contain the base$",
-    ),
-    (
-        "contraction at a face outside the triangulation",
-        lambda: contract(staircase(2), edges(Dims(4, 2), (0, 0), (0, 1), (1, 0), (1, 1))),
-        NotInComplex,
-        "not in triangulation$",
     ),
     # geometry
     (
