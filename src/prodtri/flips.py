@@ -27,7 +27,7 @@ from operator import itemgetter
 from typing import Optional, Union
 
 from .core import Circuit, Dims, Simplex
-from .triangulation import Triangulation
+from .triangulation import Triangulation, _merged
 
 
 class StaleCertificate(RuntimeError):
@@ -125,11 +125,15 @@ def supports_flip(
 
 
 def apply_flip(tri: Triangulation, cert: FlipCertificate) -> Triangulation:
+    """tri with the certificate's removed trees replaced by its added ones,
+    each tree once."""
     removed = {s.mask for s in cert.removed}
     kept = [t for t in tri.maximal if t.mask not in removed]
     if len(kept) + len(removed) != len(tri.maximal):
         raise StaleCertificate("certificate's removed simplices are not all present")
-    return Triangulation(tri.dims, kept + list(cert.added))
+    if any(t.dims != tri.dims for t in cert.added):
+        raise ValueError("simplex dims disagree with triangulation dims")
+    return Triangulation._trusted(tri.dims, _merged(kept, cert.added))
 
 
 @lru_cache(maxsize=None)

@@ -155,8 +155,9 @@ def enumerate_triangulations(dims: Dims) -> Corpus:
         chosen.append(a)
         extend(compat[a] & ~((2 << a) - 1), facets[a], target - 1)
         chosen.pop()
+    # picks ascend and the trees are in mask order, so members need no sort
     tris = tuple(
-        Triangulation(dims, [trees[p] for p in picks]) for picks in sorted(found)
+        Triangulation._trusted(dims, tuple(trees[p] for p in picks)) for picks in sorted(found)
     )
     return Corpus(dims=dims, triangulations=tris)
 

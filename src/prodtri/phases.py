@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .core import Circuit, Dims, Simplex, _shape_cols, connecting_edges, tree_path
+from .core import Circuit, Dims, Simplex, _shape_cols, _swap01, connecting_edges, tree_path
 from .flips import FlipCertificate, apply_flip, supports_flip
 from .orders import (
     _Adjacency,
@@ -33,7 +33,7 @@ from .orders import (
     toward_row_free,
     unique_minimal,
 )
-from .triangulation import Triangulation, _validated_slots, star
+from .triangulation import Triangulation, _merged, _validated_slots, star
 
 
 class WrongDims(ValueError):
@@ -230,8 +230,10 @@ class _Driver:
     alone or in sequence.
 
     ``TI`` and ``TII`` are the strong and weak defect sets of the working
-    triangulation, computed once per state, on entry and in ``apply``; the
-    step measures, the phase loops and the reductions read them.
+    triangulation, in mask order; the step measures, the phase loops and
+    the reductions read them.  They are computed in full once, on entry:
+    ``apply`` drops the flip's removed trees and tests only its added ones,
+    and ``swap`` maps them with the rest of the state.
 
     ``adjacency`` is the run state (``orders._Adjacency``) that every
     ``build_precedence`` call of the run reuses.  ``connect`` runs one
@@ -242,20 +244,25 @@ class _Driver:
     for it, raising ``ProofGap`` when the circuit is unsupported.
     ``swap`` exchanges rows 0 and 1 of the whole working state in place for
     a mirrored case, and a second swap undoes it: the triangulation, the
-    slots' edge bitsets, the defect sets and the run state.  The driver
-    keeps one run state per orientation, each with its own facet index and
-    moves: a swap changes nearly every tree, so one facet index would be
-    rebuilt twice per mirrored case.  While ``mirrored``, ``apply`` records
-    each circuit swapped back.
+    slots' edge bitsets, the defect sets and the run state.  It maps tree
+    masks as ints and builds the swapped triangulation with the trusted
+    constructor; a tree unchanged since the orientation was last left is
+    taken from ``_left``, the trees that swap left behind, by mask.  The
+    driver keeps one run state per orientation, each with its own facet
+    index and moves: a swap changes nearly every tree, so one facet index
+    would be rebuilt twice per mirrored case.  Each state reads the other's
+    moves as its ``mirror``, so a pair met in one orientation is classified
+    once.  While ``mirrored``, ``apply`` records each circuit swapped back.
     """
 
     def __init__(self, tri: Triangulation, check: bool = True):
         _require_m4(tri)
         self.T = tri
         self.steps: list[FlipStep] = []
-        self.adjacency = _Adjacency(tri.dims)
-        self._twin = _Adjacency(tri.dims)
+        self.adjacency, self._twin = _Adjacency(tri.dims), _Adjacency(tri.dims)
+        self.adjacency.mirror, self._twin.mirror = self._twin.moves, self.adjacency.moves
         self.mirrored = False
+        self._left: dict[int, Simplex] = {}
         self.slots = None
         if check:
             self.slots, report = _validated_slots(tri)
@@ -279,18 +286,29 @@ class _Driver:
         if self.slots is not None and not self.slots.flip(new, cert.added, self.T).ok:
             raise ProofGap("flip produced an invalid triangulation", circuit=cert.circuit)
         self.T = new
-        self.TI, self.TII = compute_TI(new), compute_TII(new)
+        # a kept tree keeps its verdict, so only the added trees are tested
+        removed = {t.mask for t in cert.removed}
+        n = new.dims.n
+        full = (1 << n) - 1
+
+        def carried(defects, test):
+            kept = [t for t in defects if t.mask not in removed]
+            return _merged(kept, [t for t in cert.added if test(t.mask, n, full)])
+
+        self.TI, self.TII = carried(self.TI, _strong_defect), carried(self.TII, _weak_defect)
         measures = {"tI": len(self.TI), "tII": len(self.TII)}
         measures.update(inner)
         X = _swapped(cert.circuit) if self.mirrored else cert.circuit
         self.steps.append(FlipStep(X, phase, tuple(sorted(measures.items()))))
 
     def swap(self) -> None:
-        self.T = Triangulation(self.T.dims, map(_swapped, self.T.maximal))
+        dims = self.T.dims
+        held, self._left = self._left, {t.mask: t for t in self.T.maximal}
+        self.T = Triangulation._trusted(dims, _swapped_trees(dims, self.T.maximal, held))
         if self.slots is not None:
             self.slots.swap(0, 1)
-        self.TI = tuple(sorted(map(_swapped, self.TI)))
-        self.TII = tuple(sorted(map(_swapped, self.TII)))
+        self.TI = _swapped_trees(dims, self.TI, held)
+        self.TII = _swapped_trees(dims, self.TII, held)
         self.adjacency, self._twin = self._twin, self.adjacency
         self.mirrored = not self.mirrored
 
@@ -300,13 +318,19 @@ def _swapped(x):
     it is.  The swap maps spanning trees to spanning trees and circuits to
     circuits, so it maps a valid triangulation to a valid one."""
     if isinstance(x, Simplex):
-        n, y = x.dims.n, x.mask
-        d = (y ^ y >> n) & ((1 << n) - 1)  # where row 0 differs from row 1
-        return Simplex(x.dims, y ^ d ^ d << n)
+        return Simplex(x.dims, _swap01(x.mask, x.dims.n))
     if isinstance(x, Circuit):
-        minus, plus = (_swapped(Simplex(x.dims, y)).mask for y in (x.minus_mask, x.plus_mask))
-        return Circuit(x.dims, minus, plus)
+        n = x.dims.n
+        return Circuit(x.dims, _swap01(x.minus_mask, n), _swap01(x.plus_mask, n))
     return x
+
+
+def _swapped_trees(dims: Dims, trees, held: dict[int, Simplex]) -> tuple[Simplex, ...]:
+    """The trees with rows 0 and 1 exchanged, in mask order, each taken
+    from ``held`` when it maps the tree's mask."""
+    n = dims.n
+    masks = sorted(_swap01(t.mask, n) for t in trees)
+    return tuple(held[x] if x in held else Simplex(dims, x) for x in masks)
 
 
 def _ensure(cond: bool, message: str, **context):

@@ -11,6 +11,7 @@ three combinatorial conditions; the geometric counterpart lives in
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 from operator import attrgetter
@@ -144,6 +145,17 @@ class Triangulation:
         object.__setattr__(self, "maximal", tuple(trees))
         object.__setattr__(self, "_digest", None)
 
+    @classmethod
+    def _trusted(cls, dims: Dims, maximal: tuple[Simplex, ...]) -> Triangulation:
+        """``Triangulation(dims, maximal)`` for checked ``dims`` and distinct
+        trees of those dims already in mask order, without the set, the
+        dims check and the sort that ``__init__`` spends on any input."""
+        tri = object.__new__(cls)
+        object.__setattr__(tri, "dims", dims)
+        object.__setattr__(tri, "maximal", maximal)
+        object.__setattr__(tri, "_digest", None)
+        return tri
+
     def __setattr__(self, *a):
         raise AttributeError("Triangulation is immutable")
 
@@ -178,6 +190,16 @@ class Triangulation:
 
     def __repr__(self):
         return f"Triangulation({self.dims.m}x{self.dims.n}, {len(self.maximal)} trees)"
+
+
+def _merged(trees: list[Simplex], added: Iterable[Simplex]) -> tuple[Simplex, ...]:
+    """The distinct trees ``trees``, in mask order, with ``added`` inserted
+    into the list in place: each mask once, in mask order."""
+    for t in added:
+        p = bisect_left(trees, t.mask, key=_by_mask)
+        if p == len(trees) or trees[p].mask != t.mask:
+            trees.insert(p, t)
+    return tuple(trees)
 
 
 class LocalTriangulation:

@@ -4,10 +4,12 @@ precedence digraph, with and without a shared adjacency run state, against
 the all-pairs scan, and the digraph's on-demand reachability against a full
 closure."""
 
+import gc
 import json
 import os
 import random
 import sys
+import weakref
 from collections import Counter
 from math import comb
 
@@ -627,9 +629,10 @@ def test_table_never_answers_for_other_dims(corpus43):
 
 def test_driver_run_owns_its_table(walk48):
     """A driver owns one run state per orientation, each with moves of its
-    own.  A mirrored dispatch swaps the driver itself in place: the
-    case sees the swapped state and the twin run state, the same one on
-    every dispatch, and the driver is unswapped afterwards."""
+    own that the other reads as its mirror.  A mirrored dispatch swaps the
+    driver itself in place: the case sees the swapped state and the twin
+    run state, the same one on every dispatch, and the driver is unswapped
+    afterwards."""
     drv = _Driver(walk48, check=True)
     home = drv.adjacency
     assert isinstance(home, _Adjacency) and not home.moves and not drv.mirrored
@@ -646,6 +649,7 @@ def test_driver_run_owns_its_table(walk48):
     (twin, m0, T0), (twin1, m1, T1), (same, m2, T2) = seen
     assert twin is twin1 and twin is not home and same is home
     assert twin.moves is not home.moves and twin.dims == home.dims
+    assert home.mirror is twin.moves and twin.mirror is home.moves
     assert m0 and m1 and not m2
     assert T0 == T1 == _swap01(walk48) and T2 == walk48
     assert not drv.mirrored and drv.adjacency is home and drv.T == walk48
@@ -698,6 +702,80 @@ def test_swapped_driver_matches_a_fresh_state(walk48, monkeypatch):
         _assert_carried(drv.slots, drv.T)
         mirrored_runs += bool(swaps)
     assert mirrored_runs >= 2
+
+
+def test_driver_defect_sets_match_a_full_computation(walk48, corpus43, monkeypatch):
+    """After every ``apply`` and every ``swap`` of a run's driver, on the
+    committed walk, the eight golden branch witnesses and 50 corpus
+    members, checked and unchecked, the defect sets the driver carries
+    equal those of a full pass over the working triangulation.  The full
+    pass runs once per run, at the driver's entry."""
+    full_TI, full_TII = compute_TI, compute_TII
+    entries = Counter()
+
+    def counting(name, real):
+        def count(tri):
+            entries[name] += 1
+            return real(tri)
+
+        return count
+
+    for name in ("compute_TI", "compute_TII"):
+        monkeypatch.setattr(phases, name, counting(name, getattr(phases, name)))
+    events = Counter()
+    real_apply, real_swap = _Driver.apply, _Driver.swap
+
+    def cross_check(drv, event):
+        events[event] += 1
+        assert drv.TI == full_TI(drv.T) and drv.TII == full_TII(drv.T)
+
+    def apply(drv, cert, phase, **inner):
+        real_apply(drv, cert, phase, **inner)
+        cross_check(drv, "apply")
+
+    def swap(drv):
+        real_swap(drv)
+        cross_check(drv, "swap")
+
+    monkeypatch.setattr(_Driver, "apply", apply)
+    monkeypatch.setattr(_Driver, "swap", swap)
+    rng = random.Random(54)
+    inputs = [walk48] + _golden_witnesses() + rng.sample(corpus43.triangulations, 50)
+    swaps = 0
+    for tri in inputs:
+        for check in (False, True):
+            entries.clear()
+            events.clear()
+            seq = connect(tri, check=check)
+            assert entries == Counter(compute_TI=1, compute_TII=1), (tri, check)
+            assert events["apply"] == len(seq)
+            swaps += events["swap"]
+    assert swaps
+
+
+def test_trusted_constructor_matches_init(corpus43, walk48):
+    """The trusted constructor against ``__init__`` on every 4x3 member,
+    which the enumeration builds with it, and on every state of a connect
+    of the committed walk, as ``apply_flip`` builds it and as the driver's
+    swap builds its rows-0/1 image: the same dims, trees, digest and
+    hash."""
+
+    def same(tri, fresh):
+        assert type(tri.dims) is Dims and tri.dims == fresh.dims
+        assert tri == fresh and hash(tri) == hash(fresh) and tri.digest() == fresh.digest()
+
+    assert len(corpus43.triangulations) == 4488
+    for tri in corpus43.triangulations:
+        same(tri, Triangulation(tri.dims, reversed(tri.maximal)))
+    seq = connect(walk48, check=False)
+    tri = walk48
+    for k in range(len(seq) + 1):
+        if k:
+            tri = apply_flip(tri, supports_flip(tri, seq.steps[k - 1].circuit))
+            same(tri, Triangulation(tri.dims, reversed(tri.maximal)))
+        drv = _Driver(tri, check=False)
+        drv.swap()
+        same(drv.T, _swap01(tri))
 
 
 def _record_digraphs(monkeypatch) -> list:
@@ -784,18 +862,29 @@ def test_connect_classifies_each_pair_once(walk48, monkeypatch):
     assert sum(counts.values()) > shared
 
 
-def test_each_run_state_classifies_a_pair_at_most_once(walk48, monkeypatch):
+def test_run_states_classify_a_pair_at_most_once_up_to_the_swap(walk48, monkeypatch):
     """On the committed walk and the eight golden branch witnesses, an
-    unchecked connect classifies exactly the distinct (run state, pair)
-    lookups of its digraphs: a state that meets a pair again reads its
-    stored classification, whichever orientation it serves."""
-    classified = []
+    unchecked connect classifies each of its digraphs' pairs once up to the
+    rows-0/1 swap, across the run states of both orientations: a state that
+    meets a pair reads its own stored classification or, across the swap,
+    the other state's.  Each classification read across the swap, in either
+    order of the swapped pair, equals ``_move_masks`` on the pair."""
+    classified, across = [], []
+    real_classify = _Adjacency.classify
 
     def counting(dims, a, b):
         classified.append((a, b))
         return _move_masks(dims, a, b)
 
+    def classify(state, a, b):
+        before = len(classified)
+        I2 = real_classify(state, a, b)
+        if len(classified) == before:
+            across.append((state.dims, a, b, I2))
+        return I2
+
     monkeypatch.setattr(orders, "_move_masks", counting)
+    monkeypatch.setattr(_Adjacency, "classify", classify)
     calls = _record_digraphs(monkeypatch)
     witnesses = _golden_witnesses()
     assert len(witnesses) == 8
@@ -803,9 +892,21 @@ def test_each_run_state_classifies_a_pair_at_most_once(walk48, monkeypatch):
         classified.clear()
         calls.clear()
         connect(tri, check=False)
-        lookups = {(adjacency, pair) for _, adjacency, pairs, _ in calls for pair in pairs}
+
+        def up_to_swap(pair):
+            a, b = (swap_edges(Simplex(tri.dims, x), 0, 1).mask for x in pair)
+            return min(pair, (a, b) if a < b else (b, a))
+
+        lookups = {up_to_swap(pair) for _, _, pairs, _ in calls for pair in pairs}
         assert len({adjacency for _, adjacency, _, _ in calls}) <= 2
         assert len(classified) == len(lookups) > 0, tri
+    orders_met = Counter()
+    for dims, a, b, I2 in across:
+        move = _move_masks(dims, a, b)
+        assert I2 == (0 if move is None else move[1])
+        sa, sb = (swap_edges(Simplex(dims, x), 0, 1).mask for x in (a, b))
+        orders_met[sa < sb] += 1
+    assert orders_met[True] and orders_met[False]
 
 
 def _module_containers() -> dict:
@@ -824,6 +925,31 @@ def test_connect_leaves_no_module_level_state(walk48):
     connect(walk48, check=False)
     build_precedence(staircase(9), toward_row(2))  # a plain call: a fresh state
     assert _module_containers() == before
+
+
+def test_connect_leaves_no_run_state_alive(walk48, monkeypatch):
+    """With the cyclic collector off, no run state outlives its connect,
+    checked or unchecked: the two orientations' states hold each other's
+    moves, not each other, so reference counting frees them with the run.
+    A cycle would keep every run's states until the collector ran."""
+    alive = []
+
+    class Tracked(_Adjacency):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            alive.append(weakref.ref(self))
+
+    monkeypatch.setattr(phases, "_Adjacency", Tracked)
+    gc.disable()
+    try:
+        for check in (False, True):
+            alive.clear()
+            connect(walk48, check=check)
+            assert len(alive) == 2 and all(ref() is None for ref in alive), check
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------ reachability

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import os
 import random
-from collections import Counter
 from math import comb
 
 import pytest
@@ -30,7 +29,6 @@ from prodtri.phases import (
     staircase,
 )
 from prodtri.triangulation import Triangulation, validate
-from reference import swap_edges
 
 
 def test_defect_sets_need_four_rows(seg_staircase):
@@ -355,50 +353,6 @@ def test_phase_three_reads_each_order_once(corpus43, monkeypatch):
         macros_seen += macros
         squares_seen += squares
     assert macros_seen and squares_seen
-
-
-def test_each_state_defect_sets_are_computed_once(corpus43, monkeypatch):
-    """The driver computes the strong and weak defect sets of a state once
-    per visit, for the step measures or on the first read, and the phase
-    loops, the reductions and the case-3 claim read those; mirrored cases
-    take them across the rows-0/1 swap.  A state is keyed by its tree
-    masks, and a run may pass a state twice (a phase-three macro can return
-    to a state of phase two), so each key is bounded by the visits to the
-    state in either orientation, and each set by one per flip and one for
-    the input."""
-    counts = Counter()
-
-    def counting(name, real):
-        def count(tri):
-            counts[name, tuple(t.mask for t in tri.maximal)] += 1
-            return real(tri)
-
-        return count
-
-    for name in ("compute_TI", "compute_TII"):
-        monkeypatch.setattr(phases, name, counting(name, getattr(phases, name)))
-    rng = random.Random(54)
-    inputs = [_walk_4x8()] + rng.sample(corpus43.triangulations, 50)
-    revisits = 0
-    for T in inputs:
-        for check in (False, True):
-            counts.clear()
-            seq = connect(Triangulation(T.dims, T.maximal), check=check)
-            visits = Counter()
-            state = T
-            for k in range(len(seq) + 1):
-                if k:
-                    state = apply_flip(state, supports_flip(state, seq.steps[k - 1].circuit))
-                swapped = Triangulation(T.dims, [swap_edges(t, 0, 1) for t in state.maximal])
-                for view in (state, swapped):
-                    visits[tuple(t.mask for t in view.maximal)] += 1
-            for (name, key), c in counts.items():
-                assert c <= visits[key], (T, check, name)
-            for name in ("compute_TI", "compute_TII"):
-                total = sum(c for (fn, _), c in counts.items() if fn == name)
-                assert 0 < total <= len(seq) + 1, (T, check, name)
-            revisits += max(counts.values()) > 1
-    assert revisits  # the bound above is per visit for a reason
 
 
 def test_phase_three_refuses_a_square_flip_that_did_not_happen(monkeypatch):

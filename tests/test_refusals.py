@@ -14,7 +14,7 @@ from prodtri.core import (
     connecting_edges,
     noncrossing,
 )
-from prodtri.flips import FlipCertificate, psi
+from prodtri.flips import FlipCertificate, apply_flip, psi
 from prodtri.geometry import det_bareiss, improper_geometric
 from prodtri.oracle import Corpus, FlipGraph, geometric_validate, is_connected
 from prodtri.orders import (
@@ -46,6 +46,17 @@ SQUARE4 = Circuit.from_edges(Dims(4, 2), [(0, 0), (1, 1)], [(1, 0), (0, 1)])
 # a 2x3 tree holding the square's minus side and neither of its plus edges
 OFF_SQUARE = edges(D23, (0, 0), (1, 1), (0, 2), (1, 2))
 SQUARE23 = Circuit.from_edges(D23, [(0, 0), (1, 1)], [(1, 0), (0, 1)])
+SQUARE_EDGES = ((0, 0), (0, 1), (1, 0), (1, 1))
+# the square's four spanning trees, each keyed by the edge it misses
+SQ = {e: edges(D22, *(f for f in SQUARE_EDGES if f != e)) for e in SQUARE_EDGES}
+SQUARE22 = Circuit.from_edges(D22, [(0, 0), (1, 1)], [(1, 0), (0, 1)])
+
+
+def square_flip(removed, added):
+    """apply_flip on the square triangulation {SQ[0,1], SQ[1,0]}."""
+    tri = Triangulation(D22, [SQ[0, 1], SQ[1, 0]])
+    return apply_flip(tri, FlipCertificate(SQUARE22, (), tuple(removed), tuple(added)))
+
 
 REFUSALS = [
     # orders
@@ -154,6 +165,12 @@ REFUSALS = [
         ValueError,
         "^flip certificate inconsistent with triangulation$",
     ),
+    (
+        "flip adding a tree of other dims",
+        lambda: square_flip([SQ[0, 1]], [edges(D23, (0, 0), (0, 1), (1, 0), (1, 2))]),
+        ValueError,
+        "^simplex dims disagree with triangulation dims$",
+    ),
     # triangulation
     (
         "triangulation given a simplex of other dims",
@@ -193,6 +210,16 @@ REFUSALS = [
 ]
 
 EDGE_VALUES = [
+    (
+        "flip adding one tree twice",
+        lambda: square_flip([SQ[0, 1], SQ[1, 0]], [SQ[1, 1], SQ[0, 0], SQ[1, 1]]),
+        Triangulation(D22, [SQ[0, 0], SQ[1, 1]]),
+    ),
+    (
+        "flip adding a tree it keeps",
+        lambda: square_flip([SQ[0, 1]], [SQ[1, 0], SQ[0, 0]]),
+        Triangulation(D22, [SQ[1, 0], SQ[0, 0]]),
+    ),
     (
         "free equivalence with one other row",
         lambda: free_equivalent(
