@@ -147,13 +147,6 @@ def _bits(x: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _swap01(x: int, w: int) -> int:
-    """x with its bit blocks [0, w) and [w, 2w) exchanged: rows 0 and 1 of
-    an edge mask when w = n, bits 0 and 1 of a row mask when w = 1."""
-    d = (x ^ x >> w) & ((1 << w) - 1)  # where the two blocks differ
-    return x ^ d ^ d << w
-
-
 def _edge_blocks(dims, mask: int) -> tuple[list[int], list[int]]:
     """The connected components of an edge mask that have edges, as a list
     of row bits and the matching list of column bits, read off the row

@@ -136,7 +136,12 @@ def apply_flip(tri: Triangulation, cert: FlipCertificate) -> Triangulation:
     return Triangulation._trusted(tri.dims, _merged(kept, cert.added))
 
 
-@lru_cache(maxsize=None)
+# The per-dims tables live for the process, so each keeps the dims met last:
+# a process that meets more recomputes those it met least recently.
+_TABLE_DIMS = 8
+
+
+@lru_cache(maxsize=_TABLE_DIMS)
 def all_circuits(dims: Dims) -> tuple[Circuit, ...]:
     """Every signed simple cycle of the bipartite graph, both orientations."""
     dims = Dims(*dims).check()
@@ -162,7 +167,7 @@ def all_circuits(dims: Dims) -> tuple[Circuit, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_DIMS)
 def _cycle_table(dims: Dims) -> tuple[tuple, tuple[int, ...], dict[int, tuple]]:
     """The cycles of ``all_circuits``, each once, for the flip scan.
 

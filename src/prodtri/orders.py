@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import Dims, Simplex, _bits, _edge_blocks, _swap01, alternating_path, row_neighbors
+from .core import Dims, Simplex, _bits, _edge_blocks, alternating_path, row_neighbors
 from .triangulation import LocalTriangulation, _maximal_members
 
 LESS, EQUIVALENT, GREATER = -1, 0, 1
@@ -289,16 +289,12 @@ class _Adjacency:
     facet of a member of the last collection, the tree minus one edge, to
     the masks of the members holding it, and ``pairs`` holds the pairs
     a < b of members that share one; ``update`` carries both over to a new
-    collection by its members that left and those that came in.
-
-    ``mirror``, None until set, is the moves of the run state that serves
-    the same run with rows 0 and 1 exchanged.  ``classify`` reads a pair it
-    has not met from there before it classifies it, since the swap maps
-    crossings to crossings.  A state holds the other's moves, never the
-    other state, so the two make no reference cycle and go with their run.
+    collection by its members that left and those that came in.  A run
+    keeps one state: its mirrored cases name their rows and work on the same
+    collection.
     """
 
-    __slots__ = ("dims", "members", "facets", "pairs", "moves", "mirror")
+    __slots__ = ("dims", "members", "facets", "pairs", "moves")
 
     def __init__(self, dims):
         self.dims = dims
@@ -306,29 +302,6 @@ class _Adjacency:
         self.facets: dict[int, list[int]] = {}
         self.pairs: set[tuple[int, int]] = set()
         self.moves: dict[tuple[int, int], int] = {}
-        self.mirror: Optional[dict[tuple[int, int], int]] = None
-
-    def classify(self, a: int, b: int) -> int:
-        """Store and return the entering side I2 of the crossing from a to
-        b, a < b, or 0 when the two do not meet properly.
-
-        With rows 0 and 1 exchanged the pair is (a', b'), which ``mirror``
-        may hold.  If a' > b', the entry is the crossing from b' to a',
-        whose entering side is the other rows; a 0 stays 0.  Exchanging
-        bits 0 and 1 of the entering side of a' to b' gives that of a to
-        b."""
-        m, n = self.dims
-        I2 = None
-        if self.mirror is not None:
-            sa, sb = _swap01(a, n), _swap01(b, n)
-            I2 = self.mirror.get((sa, sb) if sa < sb else (sb, sa))
-            if I2:
-                I2 = _swap01(I2 if sa < sb else ((1 << m) - 1) ^ I2, 1)
-        if I2 is None:
-            move = _move_masks(self.dims, a, b)
-            I2 = 0 if move is None else move[1]
-        self.moves[a, b] = I2
-        return I2
 
     def update(self, dims, masks: set[int]) -> None:
         if dims != self.dims:
@@ -371,11 +344,10 @@ def build_precedence(
     included.
 
     ``adjacency`` is the state of a run on the collection's dims (each
-    ``connect`` keeps one per orientation): its facet index follows the
-    collection from the previous call, and only pairs not yet in its moves
-    are classified, or read across the rows-0/1 swap from its ``mirror``.
-    All of these depend on nothing but the masks, so the arcs are those a
-    fresh state gives; without one, a fresh state is used.
+    ``connect`` keeps one): its facet index follows the collection from the
+    previous call, and only pairs not yet in its moves are classified.  Both
+    depend on nothing but the masks, so the arcs are those a fresh state
+    gives; without one, a fresh state is used.
     """
     nodes = tri.maximal
     dims = tri.dims
@@ -393,7 +365,8 @@ def build_precedence(
     for pair in run.pairs:
         I2 = moves.get(pair)
         if I2 is None:
-            I2 = run.classify(*pair)
+            move = _move_masks(dims, *pair)
+            I2 = moves[pair] = 0 if move is None else move[1]
         if not I2:
             continue
         I1 = full ^ I2

@@ -11,8 +11,10 @@ flips and a five-flip transposition macro.
 Every step the underlying argument asserts is checked at runtime and a
 failure raises ProofGap with a context snapshot, so a completed run is a
 machine check of the whole case analysis on that input.  Mirrored cases
-(the usual "without loss of generality" on rows 0/1) run the canonical
-branch with the driver's rows swapped and swap the emitted circuits back.
+(the usual "without loss of generality" on rows 0/1) run on the run's own
+state with the two rows named: a case takes the rows that play 0 and 1 as
+``r0, r1`` and builds its circuits, faces, move filters, path ends and
+path-form tests from them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .core import Circuit, Dims, Simplex, _shape_cols, _swap01, connecting_edges, tree_path
+from .core import Circuit, Dims, Simplex, _shape_cols, connecting_edges, tree_path
 from .flips import FlipCertificate, apply_flip, supports_flip
 from .orders import (
     _Adjacency,
@@ -143,7 +145,10 @@ def compute_TII(tri: Triangulation) -> tuple[Simplex, ...]:
 
 @dataclass(frozen=True)
 class GoodnessContext:
-    """Anchors of one reduction round and the star the predicate ranges over."""
+    """Anchors of one reduction round and the star the predicate ranges over.
+
+    ``rows`` names the rows that play 0 and 1 in a mirrored case; only the
+    ``tau0`` kind reads it, the other kinds being symmetric in the two."""
 
     kind: str  # "tauI" | "tauII" | "tau0"
     anchor: Simplex
@@ -151,6 +156,7 @@ class GoodnessContext:
     circuit: Circuit
     second: Optional[Circuit] = None
     cols: tuple[int, int] = (0, 1)
+    rows: tuple[int, int] = (0, 1)
 
 
 def goodness(tri: Triangulation, ctx: GoodnessContext) -> bool:
@@ -181,7 +187,8 @@ def goodness(tri: Triangulation, ctx: GoodnessContext) -> bool:
     if ctx.kind == "tau0":
         ym = ctx.second.minus_mask
         c1, _ = ctx.cols
-        row1_c1, row0_c1 = 1 << (n + c1), 1 << c1
+        r0, r1 = ctx.rows
+        row1_c1, row0_c1 = 1 << (r1 * n + c1), 1 << (r0 * n + c1)
         for t in tri.maximal:
             x = t.mask
             if ym & ~x:
@@ -232,37 +239,23 @@ class _Driver:
     ``TI`` and ``TII`` are the strong and weak defect sets of the working
     triangulation, in mask order; the step measures, the phase loops and
     the reductions read them.  They are computed in full once, on entry:
-    ``apply`` drops the flip's removed trees and tests only its added ones,
-    and ``swap`` maps them with the rest of the state.
+    ``apply`` drops the flip's removed trees and tests only its added ones.
 
     ``adjacency`` is the run state (``orders._Adjacency``) that every
     ``build_precedence`` call of the run reuses.  ``connect`` runs one
-    driver through the three phases.
+    driver through the three phases, mirrored cases included: a mirrored
+    case names its rows and works on the same state.
 
     ``apply`` flips a certificate of the working triangulation, checks the
     result and records the step.  ``flip`` certifies an asserted circuit
     for it, raising ``ProofGap`` when the circuit is unsupported.
-    ``swap`` exchanges rows 0 and 1 of the whole working state in place for
-    a mirrored case, and a second swap undoes it: the triangulation, the
-    slots' edge bitsets, the defect sets and the run state.  It maps tree
-    masks as ints and builds the swapped triangulation with the trusted
-    constructor; a tree unchanged since the orientation was last left is
-    taken from ``_left``, the trees that swap left behind, by mask.  The
-    driver keeps one run state per orientation, each with its own facet
-    index and moves: a swap changes nearly every tree, so one facet index
-    would be rebuilt twice per mirrored case.  Each state reads the other's
-    moves as its ``mirror``, so a pair met in one orientation is classified
-    once.  While ``mirrored``, ``apply`` records each circuit swapped back.
     """
 
     def __init__(self, tri: Triangulation, check: bool = True):
         _require_m4(tri)
         self.T = tri
         self.steps: list[FlipStep] = []
-        self.adjacency, self._twin = _Adjacency(tri.dims), _Adjacency(tri.dims)
-        self.adjacency.mirror, self._twin.mirror = self._twin.moves, self.adjacency.moves
-        self.mirrored = False
-        self._left: dict[int, Simplex] = {}
+        self.adjacency = _Adjacency(tri.dims)
         self.slots = None
         if check:
             self.slots, report = _validated_slots(tri)
@@ -298,39 +291,7 @@ class _Driver:
         self.TI, self.TII = carried(self.TI, _strong_defect), carried(self.TII, _weak_defect)
         measures = {"tI": len(self.TI), "tII": len(self.TII)}
         measures.update(inner)
-        X = _swapped(cert.circuit) if self.mirrored else cert.circuit
-        self.steps.append(FlipStep(X, phase, tuple(sorted(measures.items()))))
-
-    def swap(self) -> None:
-        dims = self.T.dims
-        held, self._left = self._left, {t.mask: t for t in self.T.maximal}
-        self.T = Triangulation._trusted(dims, _swapped_trees(dims, self.T.maximal, held))
-        if self.slots is not None:
-            self.slots.swap(0, 1)
-        self.TI = _swapped_trees(dims, self.TI, held)
-        self.TII = _swapped_trees(dims, self.TII, held)
-        self.adjacency, self._twin = self._twin, self.adjacency
-        self.mirrored = not self.mirrored
-
-
-def _swapped(x):
-    """A simplex or circuit with rows 0 and 1 exchanged; anything else as
-    it is.  The swap maps spanning trees to spanning trees and circuits to
-    circuits, so it maps a valid triangulation to a valid one."""
-    if isinstance(x, Simplex):
-        return Simplex(x.dims, _swap01(x.mask, x.dims.n))
-    if isinstance(x, Circuit):
-        n = x.dims.n
-        return Circuit(x.dims, _swap01(x.minus_mask, n), _swap01(x.plus_mask, n))
-    return x
-
-
-def _swapped_trees(dims: Dims, trees, held: dict[int, Simplex]) -> tuple[Simplex, ...]:
-    """The trees with rows 0 and 1 exchanged, in mask order, each taken
-    from ``held`` when it maps the tree's mask."""
-    n = dims.n
-    masks = sorted(_swap01(t.mask, n) for t in trees)
-    return tuple(held[x] if x in held else Simplex(dims, x) for x in masks)
+        self.steps.append(FlipStep(cert.circuit, phase, tuple(sorted(measures.items()))))
 
 
 def _ensure(cond: bool, message: str, **context):
@@ -382,8 +343,8 @@ def phase_one(
             None,
         )
         if case1_col is not None:
-            mirrored = not {0, 3} <= blocks[case1_col]
-            _dispatch_mirrorable(drv, mirrored, _case_one, tau_I, c1, case1_col)
+            r0, r1 = (0, 1) if {0, 3} <= blocks[case1_col] else (1, 0)
+            _case_one(drv, tau_I, c1, case1_col, r0=r0, r1=r1)
         elif blocks[c1] == frozenset((0, 1)):
             c2 = next((j for j, nb in blocks.items() if nb == frozenset((2, 3))), None)
             _ensure(c2 is not None, "no shape case matches the anchor", anchor=tau_I)
@@ -396,8 +357,8 @@ def phase_one(
                 None,
             )
             _ensure(c3 is not None, "no shape case matches the anchor", anchor=tau_I)
-            mirrored = blocks[c3] == frozenset((1, 2))
-            _dispatch_mirrorable(drv, mirrored, _case_two, tau_I, c1, c2, c3)
+            r0, r1 = (1, 0) if blocks[c3] == frozenset((1, 2)) else (0, 1)
+            _case_two(drv, tau_I, c1, c2, c3, r0=r0, r1=r1)
         else:
             _ensure(
                 blocks[c1] == frozenset((0, 1, 2)),
@@ -418,18 +379,6 @@ def phase_one(
         )
     seq = FlipSequence(tri.dims, tri.digest(), drv.T.digest(), tuple(drv.steps[first:]))
     return seq, drv.T
-
-
-def _dispatch_mirrorable(drv: _Driver, mirrored: bool, fn, *args) -> None:
-    """Run a canonical case, with the driver's rows 0 and 1 swapped while
-    it runs when mirrored; every simplex and circuit among the arguments is
-    swapped with it."""
-    if not mirrored:
-        fn(drv, *args)
-        return
-    drv.swap()
-    fn(drv, *map(_swapped, args))
-    drv.swap()
 
 
 def _anchor_minimal(drv, xminus: Simplex, row: int, label: str) -> Simplex:
@@ -506,12 +455,14 @@ def _reduce(
             _ensure(measure(drv) <= prev, message)
 
 
-def _case_one(drv: _Driver, tau_sel: Simplex, c1: int, c2: int) -> None:
-    """Anchor shape has a column joined to {0,1} (not 3) and one to {0,3}."""
+def _case_one(
+    drv: _Driver, tau_sel: Simplex, c1: int, c2: int, *, r0: int = 0, r1: int = 1
+) -> None:
+    """Anchor shape has a column joined to {r0,r1} (not 3) and one to {r0,3}."""
     dims = drv.T.dims
-    X = Circuit.from_edges(dims, [(0, c1), (3, c2)], [(3, c1), (0, c2)])
+    X = Circuit.from_edges(dims, [(r0, c1), (3, c2)], [(3, c1), (r0, c2)])
     xminus = Simplex(dims, X.minus_mask)
-    sigma_I = Simplex.from_edges(dims, [(0, c1), (1, c1), (0, c2), (3, c2)])
+    sigma_I = Simplex.from_edges(dims, [(r0, c1), (r1, c1), (r0, c2), (3, c2)])
     _ensure(sigma_I.issubset(tau_sel), "case 1: selected anchor misses its connector")
     tau_I = _anchor_minimal(drv, xminus, 3, "case 1")
     _ensure(sigma_I.issubset(tau_I), "case 1: anchor lost its connector", tau=tau_I)
@@ -521,18 +472,18 @@ def _case_one(drv: _Driver, tau_sel: Simplex, c1: int, c2: int) -> None:
     )
     ctx = GoodnessContext("tauI", tau_I, sigma_I, X, cols=(c1, c2))
     _ensure(goodness(drv.T, ctx), "case 1: star is not anchor-good")
-    _reduce_case_one(drv, X, tau_I, ctx, c2, mid_row=2, end_row=3, phase="I")
+    _reduce_case_one(drv, X, tau_I, ctx, c2, mid_row=2, end_row=3, phase="I", r0=r0, r1=r1)
 
 
 def _reduce_case_one(
     drv, X: Circuit, tau_anchor: Simplex, ctx: GoodnessContext, c2: int,
-    *, mid_row: int, end_row: int, phase: str,
+    *, mid_row: int, end_row: int, phase: str, r0: int, r1: int,
 ) -> None:
     """The reduction of phase-one case 1 and of its phase-two mirror.
 
-    The circuit runs 0 x c1 .. end_row x c2; obstructing trees are cleared
-    by flips on circuits read off their row-0-to-end_row path, which must
-    pass mid_row first and may pass the free row 1 next.
+    The circuit runs r0 x c1 .. end_row x c2; obstructing trees are cleared
+    by flips on circuits read off their row-r0-to-end_row path, which must
+    pass mid_row first and may pass the free row r1 next.
     """
     dims = drv.T.dims
     xminus = Simplex(dims, X.minus_mask)
@@ -549,35 +500,35 @@ def _reduce_case_one(
         if len(rows) == 3:
             g1, g2 = cols
             _ensure(g2 != c2, "inner: short path ends in the anchor column")
-            yminus = [(0, g1), (mid_row, g2), (end_row, c2)]
-            yplus = [(mid_row, g1), (end_row, g2), (0, c2)]
+            yminus = [(r0, g1), (mid_row, g2), (end_row, c2)]
+            yplus = [(mid_row, g1), (end_row, g2), (r0, c2)]
             xi = xminus.union(
-                Simplex.from_edges(dims, [(0, g1), (mid_row, g1), (mid_row, g2), (end_row, g2)])
+                Simplex.from_edges(dims, [(r0, g1), (mid_row, g1), (mid_row, g2), (end_row, g2)])
             )
-            tau_star = _anchor_minimal(drv, xi, 0, "inner")
+            tau_star = _anchor_minimal(drv, xi, r0, "inner")
             _ensure(
-                (1, g2) in tau_star,
+                (r1, g2) in tau_star,
                 "inner: minimal tree misses the predicted free-row edge",
                 tau=tau_star,
             )
             Y = Circuit.from_edges(dims, yminus, yplus)
             _ensure(
-                tau_star == _anchor_minimal(drv, Simplex(dims, Y.minus_mask), 0, "inner"),
+                tau_star == _anchor_minimal(drv, Simplex(dims, Y.minus_mask), r0, "inner"),
                 "inner: minimal trees of the two stars disagree",
             )
             _ensure(
-                free_equivalent(tau, tau_star, 1),
+                free_equivalent(tau, tau_star, r1),
                 "inner: replacement is not equivalent to the extremal tree",
             )
         else:
-            _ensure(len(rows) == 4 and rows[2] == 1, "inner: unexpected path form", rows=rows)
+            _ensure(len(rows) == 4 and rows[2] == r1, "inner: unexpected path form", rows=rows)
             g1, g2, g3 = cols
             _ensure(g3 != c2 and g2 != c2, "inner: long path touches the anchor column")
-            yminus = [(0, g1), (mid_row, g2), (1, g3), (end_row, c2)]
-            yplus = [(mid_row, g1), (1, g2), (end_row, g3), (0, c2)]
+            yminus = [(r0, g1), (mid_row, g2), (r1, g3), (end_row, c2)]
+            yplus = [(mid_row, g1), (r1, g2), (end_row, g3), (r0, c2)]
             Y = Circuit.from_edges(dims, yminus, yplus)
             _ensure(
-                tau == _anchor_minimal(drv, Simplex(dims, Y.minus_mask), 0, "inner"),
+                tau == _anchor_minimal(drv, Simplex(dims, Y.minus_mask), r0, "inner"),
                 "inner: obstructing tree is not the minimal tree of its star",
             )
         return Y
@@ -588,8 +539,8 @@ def _reduce_case_one(
         phase,
         "inner",
         filters=((lambda x: not x & xp, "inner: no obstructing tree although flip unsupported"),),
-        move=toward_row_free(1, 0),
-        ends=(0, end_row),
+        move=toward_row_free(r1, r0),
+        ends=(r0, end_row),
         replacement=replacement,
         stars={"star_X": xminus},
         outer=True,
@@ -600,15 +551,17 @@ def _reduce_case_one(
     )
 
 
-def _case_two(drv: _Driver, tau_sel: Simplex, c1: int, c2: int, c3: int) -> None:
-    """Anchor shape {0,1}, {2,3}, {0,2} on columns c1, c2, c3."""
+def _case_two(
+    drv: _Driver, tau_sel: Simplex, c1: int, c2: int, c3: int, *, r0: int = 0, r1: int = 1
+) -> None:
+    """Anchor shape {r0,r1}, {2,3}, {r0,2} on columns c1, c2, c3."""
     dims = drv.T.dims
     X = Circuit.from_edges(
-        dims, [(0, c1), (3, c2), (2, c3)], [(3, c1), (2, c2), (0, c3)]
+        dims, [(r0, c1), (3, c2), (2, c3)], [(3, c1), (2, c2), (r0, c3)]
     )
     xminus = Simplex(dims, X.minus_mask)
     sigma_I = Simplex.from_edges(
-        dims, [(0, c1), (1, c1), (3, c2), (2, c2), (2, c3), (0, c3)]
+        dims, [(r0, c1), (r1, c1), (3, c2), (2, c2), (2, c3), (r0, c3)]
     )
     tau_I = _anchor_minimal(drv, xminus, 3, "case 2")
     _ensure(tau_I == tau_sel, "case 2: selected anchor is not the minimal tree")
@@ -627,30 +580,30 @@ def _case_two(drv: _Driver, tau_sel: Simplex, c1: int, c2: int, c3: int) -> None
         if len(rows) == 3:
             g2 = cols[1]
             _ensure(g2 not in (c1, c2), "case 2: short path reuses an anchor column")
-            yminus = [(0, c1), (3, g2), (2, c3)]
-            yplus = [(3, c1), (2, g2), (0, c3)]
+            yminus = [(r0, c1), (3, g2), (2, c3)]
+            yplus = [(3, c1), (2, g2), (r0, c3)]
             xi = xminus.union(
-                Simplex.from_edges(dims, [(0, c3), (2, c3), (2, g2), (3, g2)])
+                Simplex.from_edges(dims, [(r0, c3), (2, c3), (2, g2), (3, g2)])
             )
             tau_star = _anchor_minimal(drv, xi, 3, "case 2")
-            _ensure((1, g2) in tau_star, "case 2: minimal tree misses the row-1 edge")
+            _ensure((r1, g2) in tau_star, "case 2: minimal tree misses the row-1 edge")
             Y = Circuit.from_edges(dims, yminus, yplus)
             _ensure(
                 tau_star == _anchor_minimal(drv, Simplex(dims, Y.minus_mask), 3, "case 2"),
                 "case 2: minimal trees of the two stars disagree",
             )
             _ensure(
-                free_equivalent(tau, tau_star, 1),
+                free_equivalent(tau, tau_star, r1),
                 "case 2: replacement is not equivalent to the extremal tree",
             )
         else:
-            _ensure(len(rows) == 4 and rows[2] == 1, "case 2: unexpected path form", rows=rows)
+            _ensure(len(rows) == 4 and rows[2] == r1, "case 2: unexpected path form", rows=rows)
             g2, g3 = cols[1], cols[2]
             _ensure(
                 g3 not in (c1, c2) and g2 not in (c1, c2), "case 2: path reuses an anchor column"
             )
-            yminus = [(0, c1), (3, g3), (1, g2), (2, c3)]
-            yplus = [(3, c1), (1, g3), (2, g2), (0, c3)]
+            yminus = [(r0, c1), (3, g3), (r1, g2), (2, c3)]
+            yplus = [(3, c1), (r1, g3), (2, g2), (r0, c3)]
             Y = Circuit.from_edges(dims, yminus, yplus)
             _ensure(
                 tau == _anchor_minimal(drv, Simplex(dims, Y.minus_mask), 3, "case 2"),
@@ -669,8 +622,8 @@ def _case_two(drv: _Driver, tau_sel: Simplex, c1: int, c2: int, c3: int) -> None
                 "case 2: no obstructing tree although flip unsupported",
             ),
         ),
-        move=toward_row_free(1, 3),
-        ends=(0, 3),
+        move=toward_row_free(r1, 3),
+        ends=(r0, 3),
         replacement=replacement,
         stars={"star_X": xminus},
         outer=True,
@@ -699,18 +652,18 @@ def _case_three(drv: _Driver, tau_sel: Simplex, c1: int, c2: int) -> None:
         if isinstance(res, FlipCertificate):
             drv.apply(res, "I", star_X=_star_count(drv.T, xminus), outer=1)
             return
-        side1 = _case_three_side(drv.T, X, c1, swapped=False)
-        side2 = _case_three_side(drv.T, X, c1, swapped=True)
+        side1 = _case_three_side(drv.T, X, c1, 0, 1)
+        side2 = _case_three_side(drv.T, X, c1, 1, 0)
         _ensure(side1 or side2, "case 3: both side sets empty but flip unsupported")
-        _dispatch_mirrorable(drv, not side1, _case_three_claim, X, tau_I, sigma_I, c1, c2)
+        r0, r1 = (0, 1) if side1 else (1, 0)
+        _case_three_claim(drv, X, tau_I, sigma_I, c1, c2, r0=r0, r1=r1)
 
 
-def _case_three_side(tri, X: Circuit, c1: int, swapped: bool) -> list[Simplex]:
-    """Obstructing trees carrying row 1 x c1 (or row 0 x c1 when swapped)."""
-    a, b = (1, 0) if not swapped else (0, 1)
+def _case_three_side(tri, X: Circuit, c1: int, r0: int, r1: int) -> list[Simplex]:
+    """Obstructing trees carrying row r1 x c1 but not row r0 x c1."""
     n = tri.dims.n
     xm, xp = X.minus_mask, X.plus_mask
-    has, lacks = 1 << (a * n + c1), 1 << (b * n + c1)
+    has, lacks = 1 << (r1 * n + c1), 1 << (r0 * n + c1)
     return [
         t
         for t in tri.maximal
@@ -718,18 +671,21 @@ def _case_three_side(tri, X: Circuit, c1: int, swapped: bool) -> list[Simplex]:
     ]
 
 
-def _case_three_claim(drv, X: Circuit, tau_I: Simplex, sigma_I: Simplex, c1: int, c2: int) -> None:
+def _case_three_claim(
+    drv, X: Circuit, tau_I: Simplex, sigma_I: Simplex, c1: int, c2: int,
+    *, r0: int = 0, r1: int = 1,
+) -> None:
     """Clear one extremal member of the side set: reduce the star of the
     circuit read off its path, then flip that circuit."""
     dims = drv.T.dims
     xminus = Simplex(dims, X.minus_mask)
     ctx = GoodnessContext("tauI", tau_I, sigma_I, X, cols=(c1, c2))
     entry_star = _star_count(drv.T, xminus)
-    entry_side2 = len(_case_three_side(drv.T, X, c1, swapped=True))
+    entry_side2 = len(_case_three_side(drv.T, X, c1, r1, r0))
     entry_defect = len(drv.TI)
-    side1 = _case_three_side(drv.T, X, c1, swapped=False)
+    side1 = _case_three_side(drv.T, X, c1, r0, r1)
     _ensure(side1, "case 3 claim: side set emptied unexpectedly")
-    tau0, rows, cols = _extremal_path(drv, side1, toward_row_free(0, 3), (2, 3), "case 3")
+    tau0, rows, cols = _extremal_path(drv, side1, toward_row_free(r0, 3), (2, 3), "case 3")
     if len(rows) == 2:
         two_step = False
         g1 = cols[0]
@@ -739,53 +695,53 @@ def _case_three_claim(drv, X: Circuit, tau_I: Simplex, sigma_I: Simplex, c1: int
         g2 = None
     else:
         _ensure(
-            len(rows) == 3 and rows[1] == 0,
+            len(rows) == 3 and rows[1] == r0,
             "case 3: side path must pass row 0",
             rows=rows,
         )
         two_step = True
         g2, g1 = cols  # column at row 2 first, column at row 3 second
         _ensure(g2 != c1 and g1 != c2, "case 3: side path reuses an anchor column")
-        yminus = [(2, c1), (3, g1), (0, g2)]
-        yplus = [(3, c1), (0, g1), (2, g2)]
+        yminus = [(2, c1), (3, g1), (r0, g2)]
+        yplus = [(3, c1), (r0, g1), (2, g2)]
     Y = Circuit.from_edges(dims, yminus, yplus)
     yminus_s = Simplex(dims, Y.minus_mask)
-    sigma_0 = connecting_edges(tau0, [1, 2, 3])
+    sigma_0 = connecting_edges(tau0, [r1, 2, 3])
     rho = Simplex(dims, (Y.minus_mask | Y.plus_mask)).without_edge(3, c1)
     _ensure(
-        sigma_0 == rho.with_edge(1, c1),
+        sigma_0 == rho.with_edge(r1, c1),
         "case 3: connector disagrees with the predicted face",
         sigma_0=sigma_0,
     )
     _ensure(sigma_0.with_edge(3, c2).issubset(tau0), "case 3: connector not inside the side tree")
     if not two_step:
         tau_star = _anchor_minimal(drv, sigma_0.with_edge(3, c2), 3, "case 3")
-        _ensure((0, g1) in tau_star, "case 3: minimal tree misses the row-0 edge")
+        _ensure((r0, g1) in tau_star, "case 3: minimal tree misses the row-0 edge")
         _ensure(
-            tau_star in _case_three_side(drv.T, X, c1, swapped=False),
+            tau_star in _case_three_side(drv.T, X, c1, r0, r1),
             "case 3: replacement left the side set",
         )
         _ensure(
             tau_star == _anchor_minimal(drv, yminus_s, 3, "case 3"),
             "case 3: minimal trees of the two stars disagree",
         )
-        _ensure(free_equivalent(tau0, tau_star, 0), "case 3: replacement not equivalent")
+        _ensure(free_equivalent(tau0, tau_star, r0), "case 3: replacement not equivalent")
         tau0 = tau_star
     else:
         _ensure(
             tau0 == _anchor_minimal(drv, yminus_s, 3, "case 3"),
             "case 3: side tree is not the minimal tree of its star",
         )
-    ctx0 = GoodnessContext("tau0", tau0, sigma_0, X, second=Y, cols=(c1, c2))
+    ctx0 = GoodnessContext("tau0", tau0, sigma_0, X, second=Y, cols=(c1, c2), rows=(r0, r1))
     _ensure(goodness(drv.T, ctx0), "case 3: side star is not side-anchor-good")
     ysize = len(Y)
     yall = Y.minus_mask | Y.plus_mask
-    row3_c1, row0_g1 = 1 << (3 * dims.n + c1), 1 << g1
+    row3_c1, row0_g1 = 1 << (3 * dims.n + c1), 1 << (r0 * dims.n + g1)
     banned = {c1, c2, g1} | ({g2} if two_step else set())
 
     def replacement(tau: Simplex, rows, cols) -> Circuit:
         _ensure(
-            rows[1] != 0,
+            rows[1] != r0,
             "case 3 inner: path through row 0 contradicts side goodness",
             rows=rows,
         )
@@ -795,22 +751,22 @@ def _case_three_claim(drv, X: Circuit, tau_I: Simplex, sigma_I: Simplex, c1: int
             zminus = [(2, h1), (3, g1)]
             zplus = [(3, h1), (2, g1)]
             if two_step:
-                zminus.append((0, g2))
-                zplus = [(3, h1), (0, g1), (2, g2)]
+                zminus.append((r0, g2))
+                zplus = [(3, h1), (r0, g1), (2, g2)]
             Z = Circuit.from_edges(dims, zminus, zplus)
             xi = xminus.union(yminus_s).union(
-                Simplex.from_edges(dims, [(2, h1), (3, h1), (0, g1)])
+                Simplex.from_edges(dims, [(2, h1), (3, h1), (r0, g1)])
             )
             tau_star = _anchor_minimal(drv, xi, 2, "case 3 inner")
-            _ensure((1, h1) in tau_star, "case 3 inner: minimal tree misses the row-1 edge")
+            _ensure((r1, h1) in tau_star, "case 3 inner: minimal tree misses the row-1 edge")
             _ensure(
                 tau_star == _anchor_minimal(drv, Simplex(dims, Z.minus_mask), 2, "case 3 inner"),
                 "case 3 inner: minimal trees of the two stars disagree",
             )
-            _ensure(free_equivalent(tau, tau_star, 1), "case 3 inner: replacement not equivalent")
+            _ensure(free_equivalent(tau, tau_star, r1), "case 3 inner: replacement not equivalent")
         else:
             _ensure(
-                len(rows) == 3 and rows[1] == 1,
+                len(rows) == 3 and rows[1] == r1,
                 "case 3 inner: unexpected path form",
                 rows=rows,
             )
@@ -819,11 +775,11 @@ def _case_three_claim(drv, X: Circuit, tau_I: Simplex, sigma_I: Simplex, c1: int
                 h1 not in banned and h2 not in banned and h1 != c1 and h2 != c2,
                 "case 3 inner: path reuses a protected column",
             )
-            zminus = [(2, h1), (1, h2), (3, g1)]
-            zplus = [(1, h1), (3, h2), (2, g1)]
+            zminus = [(2, h1), (r1, h2), (3, g1)]
+            zplus = [(r1, h1), (3, h2), (2, g1)]
             if two_step:
-                zminus.append((0, g2))
-                zplus = [(1, h1), (3, h2), (0, g1), (2, g2)]
+                zminus.append((r0, g2))
+                zplus = [(r1, h1), (3, h2), (r0, g1), (2, g2)]
             Z = Circuit.from_edges(dims, zminus, zplus)
             _ensure(
                 tau == _anchor_minimal(drv, Simplex(dims, Z.minus_mask), 2, "case 3 inner"),
@@ -843,7 +799,7 @@ def _case_three_claim(drv, X: Circuit, tau_I: Simplex, sigma_I: Simplex, c1: int
             ),
             (lambda x: x & row0_g1, "case 3 inner: no obstructing tree keeps the row-0 edge"),
         ),
-        move=toward_row_free(1, 2),
+        move=toward_row_free(r1, 2),
         ends=(2, 3),
         replacement=replacement,
         stars={"star_X": xminus, "star_Y": yminus_s},
@@ -862,7 +818,7 @@ def _case_three_claim(drv, X: Circuit, tau_I: Simplex, sigma_I: Simplex, c1: int
         bounded=(
             (lambda d: _star_count(d.T, xminus), "case 3 inner: main star grew"),
             (
-                lambda d: len(_case_three_side(d.T, X, c1, swapped=True)),
+                lambda d: len(_case_three_side(d.T, X, c1, r1, r0)),
                 "case 3 inner: opposite side set grew",
             ),
             (lambda d: len(d.TI), "case 3 inner: defect set grew"),
@@ -872,7 +828,7 @@ def _case_three_claim(drv, X: Circuit, tau_I: Simplex, sigma_I: Simplex, c1: int
     _ensure(goodness(drv.T, ctx), "case 3 claim: goodness lost")
     _ensure(_star_count(drv.T, xminus) < entry_star, "case 3 claim: star did not shrink")
     _ensure(
-        len(_case_three_side(drv.T, X, c1, swapped=True)) <= entry_side2,
+        len(_case_three_side(drv.T, X, c1, r1, r0)) <= entry_side2,
         "case 3 claim: opposite side set grew",
     )
     _ensure(len(drv.TI) <= entry_defect, "case 3 claim: defect set grew")
@@ -909,8 +865,8 @@ def phase_two(
             "phase two: anchor shape outside the two allowed shapes",
             shape=shapes,
         )
-        mirrored = frozenset((1, 2)) in shapes
-        _dispatch_mirrorable(drv, mirrored, _phase_two_case, tau_II)
+        r0, r1 = (1, 0) if frozenset((1, 2)) in shapes else (0, 1)
+        _phase_two_case(drv, tau_II, r0=r0, r1=r1)
         defect = drv.TII
         _ensure(
             len(defect) < before,
@@ -921,29 +877,30 @@ def phase_two(
     return seq, drv.T
 
 
-def _phase_two_case(drv: _Driver, tau_sel: Simplex) -> None:
+def _phase_two_case(drv: _Driver, tau_sel: Simplex, *, r0: int = 0, r1: int = 1) -> None:
+    """Anchor shape {0,1,3} on c1 and {r0,2} on c2."""
     dims = drv.T.dims
     blocks = _shape_cols(tau_sel)
     c1 = next((j for j, nb in blocks.items() if nb == frozenset((0, 1, 3))), None)
-    c2 = next((j for j, nb in blocks.items() if nb == frozenset((0, 2))), None)
+    c2 = next((j for j, nb in blocks.items() if nb == frozenset((r0, 2))), None)
     _ensure(
         c1 is not None and c2 is not None,
         "phase two: anchor shape outside the two allowed shapes",
         shape=frozenset(blocks.values()),
     )
-    X = Circuit.from_edges(dims, [(0, c1), (2, c2)], [(2, c1), (0, c2)])
+    X = Circuit.from_edges(dims, [(r0, c1), (2, c2)], [(2, c1), (r0, c2)])
     xminus = Simplex(dims, X.minus_mask)
     tau_II = _anchor_minimal(drv, xminus, 2, "phase two")
     _ensure(tau_II == tau_sel, "phase two: selected anchor is not the minimal tree")
     _ensure(
-        Simplex.from_edges(dims, [(0, c1), (1, c1), (3, c1), (0, c2), (2, c2)]).issubset(
+        Simplex.from_edges(dims, [(r0, c1), (r1, c1), (3, c1), (r0, c2), (2, c2)]).issubset(
             tau_II
         ),
         "phase two: anchor lost its connector",
     )
     ctx = GoodnessContext("tauII", tau_II, None, X, cols=(c1, c2))
     _ensure(goodness(drv.T, ctx), "phase two: star is not anchor-good")
-    _reduce_case_one(drv, X, tau_II, ctx, c2, mid_row=3, end_row=2, phase="II")
+    _reduce_case_one(drv, X, tau_II, ctx, c2, mid_row=3, end_row=2, phase="II", r0=r0, r1=r1)
 
 
 # -------------------------------------------------------------- phase three

@@ -272,8 +272,7 @@ class _TreeSlots:
     ``members[i*n + j]`` that of the slots whose tree holds edge (i, j), as
     ``_edge_members`` builds it over a list of masks.  ``flip`` frees the
     slots of the trees a flip removed, gives each added tree the lowest free
-    slot and checks the result; ``swap`` exchanges two rows of every held
-    tree in place.
+    slot and checks the result.
     """
 
     __slots__ = ("dims", "members", "live")
@@ -282,13 +281,6 @@ class _TreeSlots:
         self.dims = tri.dims
         self.members = _edge_members(tri.dims, [t.mask for t in tri.maximal])
         self.live = (1 << len(tri.maximal)) - 1
-
-    def swap(self, a: int, b: int) -> None:
-        """Exchange the edge bitsets of rows a and b in place: each slot then
-        holds its tree with the two rows exchanged."""
-        n, members = self.dims.n, self.members
-        ra, rb = slice(a * n, a * n + n), slice(b * n, b * n + n)
-        members[ra], members[rb] = members[rb], members[ra]
 
     def slot(self, x: int) -> int:
         """The slot bit of the tree with edge mask x, or 0 if none holds it."""

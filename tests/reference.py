@@ -328,13 +328,14 @@ def goodness(tri, ctx) -> bool:
     if not contains(tri, yminus):
         return True
     c1, _ = ctx.cols
+    r0, r1 = ctx.rows
     for t in tri.maximal:
         if not yminus.issubset(t):
             continue
         in_x1 = (
             xminus.issubset(t)
-            and (1, c1) in t
-            and (0, c1) not in t
+            and (r1, c1) in t
+            and (r0, c1) not in t
             and t.mask & X.plus_mask == 0
         )
         if in_x1 and not ctx.sigma.issubset(t):

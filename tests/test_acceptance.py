@@ -6,12 +6,15 @@ so this module keeps them in a module-level cache.  Every criterion is
 marked ``slow``, so `pytest -m "not slow"` leaves the suite out.
 """
 
+import hashlib
+import json
 import random
 import time
 from math import comb
 
 import pytest
 
+from prodtri import io
 from prodtri.core import Dims, Simplex, col_neighbors
 from prodtri.flips import (
     FlipCertificate,
@@ -55,6 +58,17 @@ from prodtri.triangulation import (
 pytestmark = pytest.mark.slow
 
 _traces: dict[int, list] = {}
+
+# connect on all 4488 members of 4x3, in corpus order: the total flip count,
+# and the sha256 of the concatenated hex digests of the sequences, each
+# digested as test_golden_digests does
+CORPUS43_FLIPS = 69120
+CORPUS43_DIGEST = "05022c3fa6f081388b260767d8ae625447dd4fcc6490c1a72d5a1844bc0294a0"
+
+
+def _sequence_digest(seq) -> str:
+    doc = io.sequence_to_dict(seq)
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def _all_moves(tri):
@@ -103,6 +117,10 @@ def test_criterion_1_connectivity_desk_scale(corpus42, corpus43):
         elapsed = time.time() - t0
         assert elapsed < budget, f"n={n} took {elapsed:.1f}s > {budget}s"
         _traces[n] = traces
+        if n == 3:
+            assert sum(len(seq) for seq in traces) == CORPUS43_FLIPS
+            digests = "".join(_sequence_digest(seq) for seq in traces)
+            assert hashlib.sha256(digests.encode()).hexdigest() == CORPUS43_DIGEST
         print(
             f"ACCEPTANCE 1 PASS (n={n}): {len(corpus)} triangulations -> "
             f"staircase in {elapsed:.1f}s (budget {budget:.0f}s)"

@@ -82,7 +82,8 @@ def _random_contexts(rng: random.Random, tri, count: int):
         sigma = Simplex(tri.dims, anchor.mask & rng.getrandbits(tri.dims.m * n))
         cols = tuple(rng.sample(range(n), 2))
         second = rng.choice(circuits) if kind == "tau0" else None
-        yield GoodnessContext(kind, anchor, sigma, X, second=second, cols=cols)
+        rows = rng.choice(((0, 1), (1, 0)))
+        yield GoodnessContext(kind, anchor, sigma, X, second=second, cols=cols, rows=rows)
 
 
 def _check_goodness(rng: random.Random, tri, count: int) -> set:

@@ -10,6 +10,7 @@ import pytest
 import reference
 from prodtri.core import Dims, Simplex
 from prodtri.flips import (
+    _TABLE_DIMS,
     FlipCertificate,
     _cycle_table,
     all_circuits,
@@ -154,6 +155,24 @@ def test_cycle_table(m, n):
         )
     for e, bits in enumerate(through):
         assert bits == sum(1 << c for c, (full, _) in enumerate(cycles) if full >> e & 1)
+
+
+def test_per_dims_tables_keep_at_most_their_bound():
+    """``all_circuits`` and the flip scan's cycle table live for the
+    process, so each is bounded: past the bound, each keeps the dims it
+    met last, and only those."""
+    bound = _TABLE_DIMS
+    dims = [Dims(2, n) for n in range(2, bound + 5)]
+    for d in dims:
+        _cycle_table(d)  # builds all_circuits(d) too
+    for memo in (all_circuits, _cycle_table):
+        info = memo.cache_info()
+        assert (info.maxsize, info.currsize) == (bound, bound)
+        for d in dims[-bound:]:
+            memo(d)
+        assert memo.cache_info().misses == info.misses  # the last met are kept
+        memo(dims[0])
+        assert memo.cache_info().misses == info.misses + 1  # the first is not
 
 
 @pytest.mark.parametrize("source", ["staircase(8)", "staircase(10)", "walk_4x8"])
