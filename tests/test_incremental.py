@@ -298,6 +298,36 @@ def _swap01(tri: Triangulation) -> Triangulation:
     return Triangulation(tri.dims, [swap_edges(t, 0, 1) for t in tri.maximal])
 
 
+def test_swapped_exchanges_rows_0_and_1(walk48):
+    """The rows-0/1 exchange that the mirrored-case cross-checks rest on,
+    against the edge sets.  On every state a connect of the committed walk
+    visits, each tree's image holds edge (r, j) exactly where the tree
+    holds it with rows 0 and 1 exchanged, and the image of the state is a
+    valid triangulation; both parts of every circuit of the sequence map
+    the same way.  Applied twice the exchange is the identity."""
+    other = {0: 1, 1: 0}
+
+    def exchanged(s: Simplex) -> set:
+        return {(other.get(i, i), j) for i, j in s}
+
+    seq = connect(walk48, check=False)
+    states = _states(walk48, seq)
+    assert seq.steps and any(_swap01(tri) != tri for tri in states)
+    for tri in states:
+        swapped = _swap01(tri)
+        assert validate(swapped).ok
+        assert _swap01(swapped) == tri
+        for t in tri.maximal:
+            image = swap_edges(t, 0, 1)
+            assert set(image) == exchanged(t)
+            assert swap_edges(image, 0, 1) == t
+    for step in seq.steps:
+        X = step.circuit
+        for mask in (X.minus_mask, X.plus_mask):
+            part = Simplex(X.dims, mask)
+            assert set(swap_edges(part, 0, 1)) == exchanged(part)
+
+
 def _forge(T: Triangulation, removed, added) -> FlipCertificate:
     genuine = enumerate_flips(T)[0]
     return FlipCertificate(genuine.circuit, genuine.link, tuple(removed), tuple(added))
@@ -664,6 +694,43 @@ def _states(tri: Triangulation, seq: FlipSequence) -> list:
     for step in seq.steps:
         states.append(apply_flip(states[-1], supports_flip(states[-1], step.circuit)))
     return states
+
+
+def test_swapped_driver_matches_a_fresh_state(walk48, monkeypatch):
+    """After every flip a mirrored case applies in a checked run, on the
+    committed walk and the eight golden branch witnesses, the defect sets
+    are those of the working triangulation and the slots hold its trees in
+    fresh bitsets; every run keeps its one run state to the end."""
+    drivers, mirrored_flips = [], []
+    cases = _Cases(monkeypatch)
+    real_init, real_apply = _Driver.__init__, _Driver.apply
+
+    def init(drv, *args, **kwargs):
+        real_init(drv, *args, **kwargs)
+        drivers.append((drv, drv.adjacency))
+
+    def apply(drv, cert, phase, **inner):
+        real_apply(drv, cert, phase, **inner)
+        if cases.mirrored():
+            mirrored_flips.append(phase)
+            assert drv.TI == compute_TI(drv.T) and drv.TII == compute_TII(drv.T)
+            _assert_carried(drv.slots, drv.T)
+
+    monkeypatch.setattr(_Driver, "__init__", init)
+    monkeypatch.setattr(_Driver, "apply", apply)
+    witnesses = _golden_witnesses()
+    assert len(witnesses) == 8
+    mirrored_runs = 0
+    for tri in [walk48] + witnesses:
+        drivers.clear()
+        mirrored_flips.clear()
+        seq = connect(tri, check=True)
+        ((drv, home),) = drivers
+        assert drv.adjacency is home
+        assert drv.T == staircase(tri.dims.n) and len(drv.steps) == len(seq)
+        _assert_carried(drv.slots, drv.T)
+        mirrored_runs += bool(mirrored_flips)
+    assert mirrored_runs >= 2
 
 
 def test_a_gap_in_a_mirrored_case_names_a_state_the_run_visits(walk48, monkeypatch):
