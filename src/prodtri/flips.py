@@ -136,15 +136,54 @@ def apply_flip(tri: Triangulation, cert: FlipCertificate) -> Triangulation:
     return Triangulation._trusted(tri.dims, _merged(kept, cert.added))
 
 
-# The per-dims tables live for the process, so each keeps the dims met last:
-# a process that meets more recomputes those it met least recently.
+# The per-dims tables live for the process, so the cache keeps the dims met
+# last: a process that meets more recomputes those it met least recently.
+# The circuits and the cycle table share one entry, so they leave together
+# and the table's circuits are always those ``all_circuits`` gives.
 _TABLE_DIMS = 8
 
 
-@lru_cache(maxsize=_TABLE_DIMS)
 def all_circuits(dims: Dims) -> tuple[Circuit, ...]:
     """Every signed simple cycle of the bipartite graph, both orientations."""
-    dims = Dims(*dims).check()
+    return _tables(Dims(*dims).check())[0]
+
+
+def _cycle_table(dims: Dims) -> tuple[tuple, tuple[int, ...], dict[int, tuple]]:
+    """The cycles of ``all_circuits``, each once, for the flip scan.
+
+    Returns the cycles in order of first appearance, each as its mask and the
+    masks of all its faces (the cycle minus one edge); for each edge, the
+    bitset of the cycles through it; and a map from the lowest plus face of
+    each circuit to the circuit's position in ``all_circuits``, the circuit
+    and its plus- and minus-face masks.  A face is a path, so it names its
+    cycle and its missing edge, and is the lowest plus face of at most one
+    circuit.  It is made the first time the dims' flips are scanned.
+    """
+    entry = _tables(dims)
+    if entry[1] is None:
+        m, n = dims
+        cycles: dict[int, tuple[int, ...]] = {}
+        first: dict[int, tuple] = {}
+        for pos, X in enumerate(entry[0]):
+            full = X.minus_mask | X.plus_mask
+            plus_faces = _faces(full, X.plus_mask)
+            minus_faces = _faces(full, X.minus_mask)
+            first[plus_faces[0]] = (pos, X, plus_faces, minus_faces)
+            cycles[full] = plus_faces + minus_faces
+        through = [0] * (m * n)
+        for c, full in enumerate(cycles):
+            while full:
+                low = full & -full
+                through[low.bit_length() - 1] |= 1 << c
+                full ^= low
+        entry[1] = (tuple(cycles.items()), tuple(through), first)
+    return entry[1]
+
+
+@lru_cache(maxsize=_TABLE_DIMS)
+def _tables(dims: Dims) -> list:
+    """The dims' cache entry: ``all_circuits``, and ``_cycle_table`` once
+    made (None before)."""
     m, n = dims
     seen: set[int] = set()
     out: list[Circuit] = []
@@ -164,37 +203,7 @@ def all_circuits(dims: Dims) -> tuple[Circuit, ...]:
                         out.append(Circuit(dims, minus, plus))
                         out.append(Circuit(dims, plus, minus))
     out.sort()
-    return tuple(out)
-
-
-@lru_cache(maxsize=_TABLE_DIMS)
-def _cycle_table(dims: Dims) -> tuple[tuple, tuple[int, ...], dict[int, tuple]]:
-    """The cycles of ``all_circuits``, each once, for the flip scan.
-
-    Returns the cycles in order of first appearance, each as its mask and the
-    masks of all its faces (the cycle minus one edge); for each edge, the
-    bitset of the cycles through it; and a map from the lowest plus face of
-    each circuit to the circuit's position in ``all_circuits``, the circuit
-    and its plus- and minus-face masks.  A face is a path, so it names its
-    cycle and its missing edge, and is the lowest plus face of at most one
-    circuit.
-    """
-    m, n = dims
-    cycles: dict[int, tuple[int, ...]] = {}
-    first: dict[int, tuple] = {}
-    for pos, X in enumerate(all_circuits(dims)):
-        full = X.minus_mask | X.plus_mask
-        plus_faces = _faces(full, X.plus_mask)
-        minus_faces = _faces(full, X.minus_mask)
-        first[plus_faces[0]] = (pos, X, plus_faces, minus_faces)
-        cycles[full] = plus_faces + minus_faces
-    through = [0] * (m * n)
-    for c, full in enumerate(cycles):
-        while full:
-            low = full & -full
-            through[low.bit_length() - 1] |= 1 << c
-            full ^= low
-    return tuple(cycles.items()), tuple(through), first
+    return [tuple(out), None]
 
 
 def _held_faces(table, t: int) -> tuple[tuple[int, int, Optional[tuple]], ...]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import Dims, Simplex, _bits, _edge_blocks, alternating_path, row_neighbors
+from .core import Dims, Simplex, _bits, _edge_blocks, row_neighbors
 from .triangulation import LocalTriangulation, _maximal_members
 
 LESS, EQUIVALENT, GREATER = -1, 0, 1
@@ -228,33 +228,82 @@ class PrecedenceDigraph:
 
     Its quasiorder is reachability: tau lies below-or-equivalent-to tau2
     when a chain of arcs leads from tau to tau2, and the two are equivalent
-    when chains lead both ways.  The positions a node reaches are searched
-    the first time a query asks about it and kept on the digraph, so
-    ``select_extremal`` searches from its few candidates alone, not from
-    every tree.
+    when chains lead both ways.  A node's successor bitset is made the
+    first time a reach search expands the node, and the positions a node
+    reaches the first time a query asks about it; both are kept on the
+    digraph.  ``PrecedenceDigraph(nodes, arcs)`` takes its arcs as given;
+    ``build_precedence`` gives a digraph whose successors come from a run
+    state's neighbour lists, so ``select_extremal`` expands only the trees
+    its candidates reach.  ``node_index`` and ``arcs`` are made on first
+    read, and reading ``arcs`` expands every node.
     """
 
-    __slots__ = ("nodes", "node_index", "arcs", "_succ", "_reach")
+    __slots__ = ("nodes", "_position", "_succ", "_expand", "_reach", "_node_index", "_arcs")
 
     def __init__(self, nodes: Sequence[Simplex], arcs: Iterable[tuple[int, int]]):
-        self.nodes = tuple(nodes)
-        self.node_index = {t: p for p, t in enumerate(self.nodes)}
-        self.arcs = frozenset(arcs)
-        self._succ = [0] * len(self.nodes)
-        for a, b in self.arcs:
-            self._succ[a] |= 1 << b
+        nodes = tuple(nodes)
+        arcs = frozenset(arcs)
+        succ: list[Optional[int]] = [0] * len(nodes)
+        for a, b in arcs:
+            succ[a] |= 1 << b
+        self._start(nodes, {t.mask: p for p, t in enumerate(nodes)}, succ, None)
+        self._arcs = arcs
+
+    @classmethod
+    def _lazy(
+        cls, nodes: tuple, position: dict[int, int], expand: Callable[[int], int]
+    ) -> "PrecedenceDigraph":
+        """The digraph whose node at each position gets its successor
+        bitset from ``expand`` when first expanded; ``position`` maps each
+        node's mask to its position."""
+        dg = cls.__new__(cls)
+        dg._start(nodes, position, [None] * len(nodes), expand)
+        return dg
+
+    def _start(self, nodes, position, succ, expand) -> None:
+        self.nodes = nodes
+        self._position = position
+        self._succ = succ
+        self._expand = expand
         self._reach: dict[int, int] = {}
+        self._node_index = self._arcs = None
+
+    @property
+    def node_index(self) -> dict[Simplex, int]:
+        if self._node_index is None:
+            self._node_index = {t: p for p, t in enumerate(self.nodes)}
+        return self._node_index
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The position pairs (a, b) of the arcs a -> b."""
+        if self._arcs is None:
+            succ, arcs = self._succ, []
+            for a in range(len(self.nodes)):
+                if succ[a] is None:
+                    succ[a] = self._expand(a)
+                rest = succ[a]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    arcs.append((a, low.bit_length() - 1))
+            self._arcs = frozenset(arcs)
+        return self._arcs
 
     def _reach_of(self, p: int) -> int:
         """Bitset of the positions reachable from position p, p included."""
         reach = self._reach.get(p)
         if reach is None:
-            succ = self._succ
+            succ, expand = self._succ, self._expand
             reach = todo = 1 << p
             while todo:
                 low = todo & -todo
                 todo ^= low
-                new = succ[low.bit_length() - 1] & ~reach
+                q = low.bit_length() - 1
+                out = succ[q]
+                if out is None:
+                    out = succ[q] = expand(q)
+                new = out & ~reach
                 reach |= new
                 todo |= new
             self._reach[p] = reach
@@ -280,53 +329,87 @@ class PrecedenceDigraph:
 class _Adjacency:
     """What the precedence digraphs of one run share, for one dims.
 
-    ``moves`` maps each adjacent pair of tree masks a < b met so far to the
-    entering-side row mask I2 of the crossing from a to b, or to 0 when the
-    two do not meet properly (an entering side is never empty); the leaving
-    side is the other rows.  A classification depends only on the two masks
-    and the dims, so entries of trees that have left stay valid, and
-    ``update`` refuses collections of other dims.  ``facets`` maps each
-    facet of a member of the last collection, the tree minus one edge, to
-    the masks of the members holding it, and ``pairs`` holds the pairs
-    a < b of members that share one; ``update`` carries both over to a new
-    collection by its members that left and those that came in.  A run
-    keeps one state: its mirrored cases name their rows and work on the same
+    ``members`` holds the tree masks of the last collection.  ``facets``
+    maps each facet of a member, the tree minus one edge, to the masks of
+    the members holding it.  ``moves`` maps each pair of tree masks a < b
+    that have shared a facet so far to the entering-side row mask I2 of the
+    crossing from a to b, or to 0 when the two do not meet properly (an
+    entering side is never empty); the leaving side is the other rows.  A
+    classification depends only on the two masks and the dims, so entries
+    of trees that have left stay valid, and ``update`` refuses collections
+    of other dims.  ``links`` maps each member to its neighbour list: each
+    member that meets it properly, mapped to the entering-side row mask of
+    the crossing from it to that member.  A list is replaced, never
+    changed, so a digraph keeps the lists of the collection it was built
+    on.
+
+    ``update`` carries all of it over to a new collection by the members
+    that left and those that came in.  It checks that each arriving member
+    is tree-sized (m+n-1 edges), ValueError otherwise, and classifies a
+    pair through ``moves`` when the two first share a facet.  A run keeps
+    one state: its mirrored cases name their rows and work on the same
     collection.
     """
 
-    __slots__ = ("dims", "members", "facets", "pairs", "moves")
+    __slots__ = ("dims", "members", "facets", "moves", "links")
 
     def __init__(self, dims):
         self.dims = dims
         self.members: set[int] = set()
         self.facets: dict[int, list[int]] = {}
-        self.pairs: set[tuple[int, int]] = set()
         self.moves: dict[tuple[int, int], int] = {}
+        self.links: dict[int, dict[int, int]] = {}
 
     def update(self, dims, masks: set[int]) -> None:
         if dims != self.dims:
             raise ValueError(f"run state of {self.dims} given a collection of {dims}")
-        facets, pairs = self.facets, self.pairs
-        for x in self.members - masks:
+        arriving = masks - self.members
+        size = dims.m + dims.n - 1
+        for x in arriving:
+            if x.bit_count() != size:
+                tau = Simplex(dims, x)
+                raise ValueError(f"{tau!r} is not tree-sized: {size} edges expected")
+        facets, moves, links = self.facets, self.moves, self.links
+        leaving = self.members - masks
+        for x in leaving:
+            for y in links.pop(x):
+                if y not in leaving:
+                    kept = links[y].copy()
+                    del kept[x]
+                    links[y] = kept
             rest = x
             while rest:
                 low = rest & -rest
                 rest ^= low
                 holders = facets[x ^ low]
-                holders.remove(x)
-                for y in holders:
-                    pairs.discard((x, y) if x < y else (y, x))
-                if not holders:
+                if len(holders) == 1:
                     del facets[x ^ low]
-        for x in masks - self.members:
+                else:
+                    holders.remove(x)
+        full = (1 << dims.m) - 1
+        for x in arriving:
+            mine = {}
             rest = x
             while rest:
                 low = rest & -rest
                 rest ^= low
-                holders = facets.setdefault(x ^ low, [])
+                holders = facets.get(x ^ low)
+                if holders is None:
+                    facets[x ^ low] = [x]
+                    continue
                 for y in holders:
-                    pairs.add((x, y) if x < y else (y, x))
+                    pair = (x, y) if x < y else (y, x)
+                    I2 = moves.get(pair)
+                    if I2 is None:
+                        move = _move_masks(dims, *pair)
+                        I2 = moves[pair] = 0 if move is None else move[1]
+                    if I2:
+                        entering = mine[y] = I2 if x < y else full ^ I2
+                        grown = links[y].copy()
+                        grown[x] = full ^ entering
+                        links[y] = grown
                 holders.append(x)
+            links[x] = mine
         self.members = masks
 
 
@@ -335,67 +418,88 @@ def build_precedence(
 ) -> PrecedenceDigraph:
     """Digraph over the collection's maximal simplices with the accepted moves.
 
-    The members must be tree-sized (m+n-1 edges each); ValueError otherwise.
-    Two such trees are adjacent only if they share a facet, the tree minus
-    one edge, so a facet index hands ``_move_masks`` just the pairs that
-    share one: O(T(m+n)) instead of O(T^2), with the same arcs.
-    ``move_filter`` is called once per call for each distinct row split
-    (I1, I2) among the crossings, both directions of every adjacent pair
-    included.
+    The members must be tree-sized (m+n-1 edges each); the run state
+    raises ValueError when one that is not arrives.  Two such trees are adjacent only if they share a facet, the tree minus
+    one edge, so the run state's facet index hands ``_move_masks`` just the
+    pairs that share one: O(T(m+n)) instead of O(T^2).  The digraph makes a
+    node's successors from its neighbour list when a reach search first
+    expands it, so a call costs O(T) until its digraph is queried.
+    ``move_filter`` is called at most once per call for each distinct row
+    split (I1, I2) among the crossings; reading ``arcs`` expands every
+    node, which hands it all of them, both directions of every adjacent
+    pair included.
 
     ``adjacency`` is the state of a run on the collection's dims (each
-    ``connect`` keeps one): its facet index follows the collection from the
-    previous call, and only pairs not yet in its moves are classified.  Both
-    depend on nothing but the masks, so the arcs are those a fresh state
-    gives; without one, a fresh state is used.
+    ``connect`` keeps one): its facet index and neighbour lists follow the
+    collection from the previous call, and only pairs not yet in its moves
+    are classified.  All of it depends on nothing but the masks, so the
+    arcs are those a fresh state gives; without one, a fresh state is used.
     """
     nodes = tri.maximal
     dims = tri.dims
-    size = dims.m + dims.n - 1
-    for t in nodes:
-        if t.mask.bit_count() != size:
-            raise ValueError(f"{t!r} is not tree-sized: {size} edges expected")
+    masks = [t.mask for t in nodes]
     run = _Adjacency(dims) if adjacency is None else adjacency
-    run.update(dims, {t.mask for t in nodes})
-    position = {t.mask: p for p, t in enumerate(nodes)}
-    moves = run.moves
+    run.update(dims, set(masks))
+    position = dict(zip(masks, range(len(masks))))
+    links = run.links
+    neighbours = [links[x] for x in masks]
     full = (1 << dims.m) - 1
     accepts: dict[int, bool] = {}  # the filter's verdict by entering side
-    arcs = []
-    for pair in run.pairs:
-        I2 = moves.get(pair)
-        if I2 is None:
-            move = _move_masks(dims, *pair)
-            I2 = moves[pair] = 0 if move is None else move[1]
-        if not I2:
-            continue
-        I1 = full ^ I2
-        forward = accepts.get(I2)
-        if forward is None:
-            forward = accepts[I2] = move_filter(I1, I2)
-        backward = accepts.get(I1)
-        if backward is None:
-            backward = accepts[I1] = move_filter(I2, I1)
-        a, b = position[pair[0]], position[pair[1]]
-        if forward:
-            arcs.append((a, b))
-        if backward:
-            arcs.append((b, a))
-    return PrecedenceDigraph(nodes, arcs)
+
+    def expand(p: int) -> int:
+        succ = 0
+        for y, entering in neighbours[p].items():
+            accept = accepts.get(entering)
+            if accept is None:
+                accept = accepts[entering] = move_filter(full ^ entering, entering)
+            if accept:
+                succ |= 1 << position[y]
+        return succ
+
+    return PrecedenceDigraph._lazy(tuple(nodes), position, expand)
+
+
+def _alternating_from(dims, mask: int, base: int, i0: int) -> bool:
+    """Whether the tree paths of the tree mask from row i0 to every row
+    are 1-alternating with respect to the base mask: their first, third,
+    ... edges, each from a row to a column, lie in the base.
+
+    One search from row i0 reaches every row.  A row-to-column edge is an
+    odd edge of the path to each row that its column leads on to, so it
+    must lie in the base exactly when the column has a row beyond it; a
+    leaf column lies on no row-to-row path.  The search meets rows and
+    columns in the order ``tree_path`` does, so each row's path is the one
+    ``alternating_path`` tests."""
+    m, n = dims
+    full = (1 << n) - 1
+    slices = [(mask >> (i * n)) & full for i in range(m)]
+    rows = 1 << i0
+    cols = 0
+    todo = [i0]
+    for r in todo:
+        fresh = slices[r] & ~cols
+        cols |= fresh
+        based = (base >> (r * n)) & full
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            for i in range(m):
+                if slices[i] & low and not rows >> i & 1:
+                    if not based & low:
+                        return False
+                    rows |= 1 << i
+                    todo.append(i)
+    return rows == (1 << m) - 1
 
 
 def unique_minimal(local: LocalTriangulation, i0: int) -> Simplex:
     """The one maximal simplex whose tree paths from row i0 to every row are
-    1-alternating with respect to the base."""
+    1-alternating with respect to the base, found by one search from row
+    i0 per tree (``_alternating_from``)."""
     if not any(i == i0 for i, _ in local.base):
         raise ValueError(f"base has no edge in row {i0}")
-    hits = []
-    for tau in local.maximal:
-        if all(
-            alternating_path(tau, local.base, i0, i, 1) is not None
-            for i in range(local.dims.m)
-        ):
-            hits.append(tau)
+    dims, base = local.dims, local.base.mask
+    hits = [tau for tau in local.maximal if _alternating_from(dims, tau.mask, base, i0)]
     if len(hits) != 1:
         raise NoMinimal(
             f"{len(hits)} minimal candidates at base {local.base!r} (expected 1)"
@@ -416,11 +520,25 @@ def select_extremal(candidates: Iterable[Simplex], digraph: PrecedenceDigraph) -
     """Canonical maximal member of the candidates in the digraph's
     quasiorder: the first in canonical simplex order that lies strictly
     below no other candidate, which breaks ties inside or across
-    incomparable classes."""
+    incomparable classes.
+
+    Candidates are tried in that order, each by bit operations over the
+    candidates' positions: one reach search from the candidate, and one
+    from each other candidate it reaches, to see whether that one reaches
+    it back.  So only the trees those searches reach are expanded."""
     cands = sorted(set(candidates))
     if not cands:
         raise EmptyInput("no candidates")
-    for tau in cands:
-        if not any(digraph.strictly_below(tau, other) for other in cands if other != tau):
+    position = digraph._position
+    spots = [position[t.mask] for t in cands]
+    among = sum(1 << p for p in spots)
+    for tau, p in zip(cands, spots):
+        above = digraph._reach_of(p) & among & ~(1 << p)
+        while above:
+            low = above & -above
+            above ^= low
+            if not digraph._reach_of(low.bit_length() - 1) >> p & 1:
+                break  # tau lies strictly below that candidate
+        else:
             return tau
     raise RuntimeError("quasiorder has no extremal element")  # pragma: no cover

@@ -17,7 +17,7 @@ from math import comb
 from operator import attrgetter
 from typing import Iterable
 
-from .core import Dims, Simplex, _bits, is_spanning_tree
+from .core import Dims, Simplex, is_spanning_tree
 
 # sort key giving the canonical simplex order without Simplex.__lt__ calls
 _by_mask = attrgetter("mask")
@@ -268,26 +268,22 @@ class _TreeSlots:
     """The edge bitsets of the proper test, carried from flip to flip.
 
     Each tree of a run's working triangulation holds a slot, a bit position
-    it keeps while it stays: ``live`` is the bitset of the held slots, and
+    it keeps while it stays: ``live`` is the bitset of the held slots,
     ``members[i*n + j]`` that of the slots whose tree holds edge (i, j), as
-    ``_edge_members`` builds it over a list of masks.  ``flip`` frees the
-    slots of the trees a flip removed, gives each added tree the lowest free
-    slot and checks the result.
+    ``_edge_members`` builds it over a list of masks, and ``slot_of`` maps
+    each held tree's mask to its slot bit.  ``flip`` frees the slots of the
+    trees a flip removed, gives each added tree the lowest free slot and
+    checks the result.
     """
 
-    __slots__ = ("dims", "members", "live")
+    __slots__ = ("dims", "members", "live", "slot_of")
 
     def __init__(self, tri: Triangulation):
+        masks = [t.mask for t in tri.maximal]
         self.dims = tri.dims
-        self.members = _edge_members(tri.dims, [t.mask for t in tri.maximal])
-        self.live = (1 << len(tri.maximal)) - 1
-
-    def slot(self, x: int) -> int:
-        """The slot bit of the tree with edge mask x, or 0 if none holds it."""
-        bit = self.live
-        for e, held in enumerate(self.members):
-            bit &= held if x >> e & 1 else ~held
-        return bit
+        self.members = _edge_members(tri.dims, masks)
+        self.live = (1 << len(masks)) - 1
+        self.slot_of = {x: 1 << p for p, x in enumerate(masks)}
 
     def mask(self, bit: int) -> int:
         """The edge mask of the tree in the slot bit."""
@@ -308,18 +304,26 @@ class _TreeSlots:
         kept = {t.mask for t in before.maximal}
         if not trees.difference(t.mask for t in added) <= kept:
             raise ValueError("a tree outside added is not in before")
-        members = self.members
+        members, slot_of = self.members, self.slot_of
+        live = self.live
         for x in kept - trees:
-            keep = ~self.slot(x)
-            self.live &= keep
-            for e in _bits(x):
-                members[e] &= keep
+            keep = ~slot_of.pop(x)
+            live &= keep
+            while x:
+                low = x & -x
+                x ^= low
+                members[low.bit_length() - 1] &= keep
         for t in added:
-            if t.mask not in kept:  # else its slot stays
-                bit = ~self.live & (self.live + 1)  # the lowest free slot
-                self.live |= bit
-                for e in _bits(t.mask):
-                    members[e] |= bit
+            x = t.mask
+            if x not in kept:  # else its slot stays
+                bit = ~live & (live + 1)  # the lowest free slot
+                live |= bit
+                slot_of[x] = bit
+                while x:
+                    low = x & -x
+                    x ^= low
+                    members[low.bit_length() - 1] |= bit
+        self.live = live
         return _check(tri, self, added)
 
 

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they
-complete.  Criterion 5 consumes the flip traces produced by criterion 1,
-so this module keeps them in a module-level cache.  Every criterion is
-marked ``slow``, so `pytest -m "not slow"` leaves the suite out.
+complete.  Criteria 1 and 5 read the flip traces of one connect run over
+the 4x2 and 4x3 corpora, made by a module-scoped fixture, so either runs
+alone.  Every criterion is marked ``slow``, so `pytest -m "not slow"`
+leaves the suite out.
 """
 
 import hashlib
@@ -57,8 +58,6 @@ from prodtri.triangulation import (
 
 pytestmark = pytest.mark.slow
 
-_traces: dict[int, list] = {}
-
 # connect on all 4488 members of 4x3, in corpus order: the total flip count,
 # and the sha256 of the concatenated hex digests of the sequences, each
 # digested as test_golden_digests does
@@ -103,9 +102,13 @@ def _flip_events(corpora, count, seed):
     return events
 
 
-def test_criterion_1_connectivity_desk_scale(corpus42, corpus43):
-    budgets = {2: (corpus42, 10.0), 3: (corpus43, 1800.0)}
-    for n, (corpus, budget) in budgets.items():
+@pytest.fixture(scope="module")
+def corpus_traces(corpus42, corpus43):
+    """connect on every member of the 4x2 and the 4x3 corpus, in corpus
+    order, each sequence replayed to the staircase: for each n, the
+    sequences and the seconds the run took."""
+    runs = {}
+    for n, corpus in ((2, corpus42), (3, corpus43)):
         target = staircase(n)
         t0 = time.time()
         traces = []
@@ -114,9 +117,15 @@ def test_criterion_1_connectivity_desk_scale(corpus42, corpus43):
             final = apply_sequence(T, seq, check=False)
             assert final == target, "endpoint is not the staircase"
             traces.append(seq)
-        elapsed = time.time() - t0
+        runs[n] = (traces, time.time() - t0)
+    return runs
+
+
+def test_criterion_1_connectivity_desk_scale(corpus_traces, corpus42, corpus43):
+    budgets = {2: (corpus42, 10.0), 3: (corpus43, 1800.0)}
+    for n, (corpus, budget) in budgets.items():
+        traces, elapsed = corpus_traces[n]
         assert elapsed < budget, f"n={n} took {elapsed:.1f}s > {budget}s"
-        _traces[n] = traces
         if n == 3:
             assert sum(len(seq) for seq in traces) == CORPUS43_FLIPS
             digests = "".join(_sequence_digest(seq) for seq in traces)
@@ -313,10 +322,9 @@ def test_criterion_4_proposition_suite(corpus42, corpus43):
     print("ACCEPTANCE 4h PASS: order deltas match recomputed orders")
 
 
-def test_criterion_5_phase_monotonicity():
-    assert _traces, "criterion 1 must run first in this module"
+def test_criterion_5_phase_monotonicity(corpus_traces):
     outer_flips = 0
-    for n, traces in _traces.items():
+    for n, (traces, _) in corpus_traces.items():
         for seq in traces:
             ti = None
             tii = None

@@ -13,6 +13,7 @@ from prodtri.flips import (
     _TABLE_DIMS,
     FlipCertificate,
     _cycle_table,
+    _tables,
     all_circuits,
     apply_flip,
     enumerate_flips,
@@ -159,20 +160,37 @@ def test_cycle_table(m, n):
 
 def test_per_dims_tables_keep_at_most_their_bound():
     """``all_circuits`` and the flip scan's cycle table live for the
-    process, so each is bounded: past the bound, each keeps the dims it
-    met last, and only those."""
+    process in one cache entry per dims, so the cache is bounded: past the
+    bound it keeps the dims it met last, and only those."""
     bound = _TABLE_DIMS
     dims = [Dims(2, n) for n in range(2, bound + 5)]
     for d in dims:
-        _cycle_table(d)  # builds all_circuits(d) too
-    for memo in (all_circuits, _cycle_table):
-        info = memo.cache_info()
-        assert (info.maxsize, info.currsize) == (bound, bound)
-        for d in dims[-bound:]:
-            memo(d)
-        assert memo.cache_info().misses == info.misses  # the last met are kept
-        memo(dims[0])
-        assert memo.cache_info().misses == info.misses + 1  # the first is not
+        _cycle_table(d)
+    info = _tables.cache_info()
+    assert (info.maxsize, info.currsize) == (bound, bound)
+    for d in dims[-bound:]:
+        all_circuits(d)
+        _cycle_table(d)
+    assert _tables.cache_info().misses == info.misses  # the last met are kept
+    all_circuits(dims[0])
+    _cycle_table(dims[0])
+    assert _tables.cache_info().misses == info.misses + 1  # the first is not
+
+
+def test_cycle_table_survives_eviction_of_its_circuits():
+    """The cycle table names the circuits of ``all_circuits`` themselves.
+    A process that meets more dims than the bound through ``all_circuits``
+    alone evicts both tables of a dims together, so the two never come from
+    different makings."""
+    d = Dims(2, 2)
+    _cycle_table(d)
+    for n in range(3, 12):
+        all_circuits(Dims(2, n))
+    _, _, first = _cycle_table(d)
+    circuits = all_circuits(d)
+    assert first
+    for pos, X, _, _ in first.values():
+        assert circuits[pos] is X
 
 
 @pytest.mark.parametrize("source", ["staircase(8)", "staircase(10)", "walk_4x8"])

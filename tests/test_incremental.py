@@ -16,12 +16,13 @@ from math import comb
 import pytest
 
 from prodtri import orders, phases, triangulation
-from prodtri.core import Dims, Simplex
+from prodtri.core import Dims, Simplex, alternating_path, col_neighbors
 from prodtri.flips import FlipCertificate, apply_flip, enumerate_flips, supports_flip
 from prodtri.oracle import spanning_trees
 from prodtri.orders import (
     PrecedenceDigraph,
     _Adjacency,
+    _alternating_from,
     _move_masks,
     build_precedence,
     select_extremal,
@@ -83,13 +84,15 @@ def _assert_carried(slots: _TreeSlots, tri: Triangulation) -> None:
     """The carried edge bitsets are ``_edge_members`` of the masks in their
     slots, a free slot holding none, and the live slots hold tri's trees.
     A flip keeps the tree count, so the added trees fill exactly the slots
-    the removed ones freed."""
+    the removed ones freed.  The slot map names the same slot for each
+    tree."""
     width = slots.live.bit_length()
     masks = [slots.mask(1 << p) if slots.live >> p & 1 else 0 for p in range(width)]
     assert slots.dims == tri.dims
     assert slots.live == (1 << len(tri.maximal)) - 1
     assert sorted(x for x in masks if x) == [t.mask for t in tri.maximal]
     assert slots.members == _edge_members(tri.dims, masks)
+    assert slots.slot_of == {x: 1 << p for p, x in enumerate(masks) if x}
 
 
 class _Cases:
@@ -594,6 +597,27 @@ def test_build_precedence_refuses_members_that_are_not_tree_sized():
         build_precedence(local, toward_row(0))
 
 
+def test_run_state_refuses_an_arriving_member_that_is_not_tree_sized(corpus43):
+    """A run state checks the members that arrive: after accepting valid
+    collections, it refuses one whose single new member is not tree-sized,
+    with the message a fresh state gives, and stays as it was."""
+    rng = random.Random(10)
+    tri, other = rng.sample(corpus43.triangulations, 2)
+    adjacency = _Adjacency(tri.dims)
+    build_precedence(other, toward_row(0), adjacency)
+    build_precedence(tri, toward_row(0), adjacency)
+    kept = (set(adjacency.members), dict(adjacency.links), dict(adjacency.moves))
+    short = tri.maximal[0].without_edge(*tri.maximal[0].edges[0])
+    bad = LocalTriangulation(tri.dims, Simplex(tri.dims), [*tri.maximal[1:], short])
+    with pytest.raises(ValueError, match="tree-sized") as err:
+        build_precedence(bad, toward_row(0), adjacency)
+    with pytest.raises(ValueError) as fresh:
+        build_precedence(bad, toward_row(0))
+    assert str(err.value) == str(fresh.value)
+    assert (adjacency.members, adjacency.links, adjacency.moves) == kept
+    _same_arcs(tri, _filters(4), adjacency)
+
+
 # ------------------------------------------------------------ run state
 
 
@@ -652,11 +676,11 @@ def test_table_never_answers_for_other_dims(corpus43):
     for tri in rng.sample(corpus43.triangulations, 20):
         build_precedence(tri, toward_row(0), adjacency)
         assert adjacency.dims == tri.dims and adjacency.moves
-        moves, pairs = dict(adjacency.moves), set(adjacency.pairs)
+        moves, links = dict(adjacency.moves), dict(adjacency.links)
         reread = Triangulation(other, [Simplex(other, t.mask) for t in tri.maximal])
         with pytest.raises(ValueError, match="run state of"):
             build_precedence(reread, toward_row(0), adjacency)
-        assert adjacency.moves == moves and adjacency.pairs == pairs
+        assert adjacency.moves == moves and adjacency.links == links
         _same_arcs(reread, _filters(3), _Adjacency(other))
 
 
@@ -874,14 +898,20 @@ def test_trusted_constructor_matches_init(corpus43, walk48):
         same(tri, Triangulation(tri.dims, reversed(tri.maximal)))
 
 
+def _sorted_links(adjacency: _Adjacency) -> dict:
+    return {x: sorted(links.items()) for x, links in adjacency.links.items()}
+
+
 def _record_digraphs(monkeypatch) -> list:
-    """(collection, run state) of every build_precedence call of phases."""
+    """(collection, run state, its neighbour lists, its facet index) of
+    every build_precedence call of phases, the lists and the index as the
+    call left them."""
     calls = []
 
     def recording(tri, move_filter, adjacency=None):
         digraph = build_precedence(tri, move_filter, adjacency)
         facets = {f: sorted(h) for f, h in adjacency.facets.items()}
-        calls.append((tri, adjacency, set(adjacency.pairs), facets))
+        calls.append((tri, adjacency, _sorted_links(adjacency), facets))
         return digraph
 
     monkeypatch.setattr(phases, "build_precedence", recording)
@@ -911,30 +941,47 @@ def test_move_masks_match_adjacency_move(corpus43, trees43, walk48, monkeypatch)
     assert adjacent > 0 and checked > adjacent
 
 
+def _assert_fresh(tri, links, facets):
+    """The facet index and neighbour lists a run state carries for tri
+    against a fresh state's, and against the all-pairs scan: the members
+    sharing a facet are the pairs that compare as such, and each member's
+    list holds the partners that meet it properly, each with the entering
+    side of the crossing toward it."""
+    fresh = _Adjacency(tri.dims)
+    fresh.update(tri.dims, {t.mask for t in tri.maximal})
+    assert {f: sorted(h) for f, h in facets.items()} == {
+        f: sorted(h) for f, h in fresh.facets.items()
+    }
+    sharing = {(a, b) for h in facets.values() for a in h for b in h if a < b}
+    assert sharing == facet_pairs(tri)
+    assert links == _sorted_links(fresh)
+    want = {t.mask: [] for t in tri.maximal}
+    for a, b in sharing:
+        for x, y in ((a, b), (b, a)):
+            move = _move_masks(tri.dims, x, y)
+            if move is not None:
+                want[x].append((y, move[1]))
+    assert links == {x: sorted(found) for x, found in want.items()}
+
+
 def test_run_state_index_matches_a_fresh_one_after_every_flip(walk48, monkeypatch):
-    """The facet index a run carries across flips, and across the rows-0/1
-    swap, against the all-pairs scan and a fresh index."""
-
-    def assert_fresh(tri, adjacency, pairs, facets):
-        fresh = _Adjacency(tri.dims)
-        fresh.update(tri.dims, {t.mask for t in tri.maximal})
-        assert pairs == facet_pairs(tri) == fresh.pairs
-        assert {f: sorted(h) for f, h in facets.items()} == {
-            f: sorted(h) for f, h in fresh.facets.items()
-        }
-
+    """The facet index and neighbour lists a run carries, at every digraph
+    of a connect of the committed walk, and after every flip of the walk
+    and of the eight golden branch witnesses, across the rows-0/1 swap too,
+    against a fresh state's and the all-pairs scan."""
     calls = _record_digraphs(monkeypatch)
     seq = connect(walk48, check=False)
     assert len(calls) > 10
-    for call in calls:
-        assert_fresh(*call)
-    adjacency = _Adjacency(walk48.dims)
-    tri = walk48
-    for step in seq.steps:
-        tri = apply_flip(tri, supports_flip(tri, step.circuit))
-        for state in (tri, _swap01(tri), tri):
-            adjacency.update(state.dims, {t.mask for t in state.maximal})
-            assert_fresh(state, adjacency, adjacency.pairs, adjacency.facets)
+    for tri, _, links, facets in calls:
+        _assert_fresh(tri, links, facets)
+    witnesses = _golden_witnesses()
+    assert len(witnesses) == 8
+    for start in [walk48] + witnesses:
+        adjacency = _Adjacency(start.dims)
+        for tri in _states(start, connect(start, check=False)):
+            for state in (tri, _swap01(tri), tri):
+                adjacency.update(state.dims, {t.mask for t in state.maximal})
+                _assert_fresh(state, _sorted_links(adjacency), adjacency.facets)
 
 
 def test_connect_classifies_each_pair_once(walk48, monkeypatch):
@@ -976,7 +1023,7 @@ def test_run_state_classifies_each_met_pair_once(walk48, monkeypatch):
         classified.clear()
         calls.clear()
         connect(tri, check=False)
-        met = {pair for _, _, pairs, _ in calls for pair in pairs}
+        met = {pair for tri, *_ in calls for pair in facet_pairs(tri)}
         assert len({id(adjacency) for _, adjacency, _, _ in calls}) == 1
         assert sorted(classified) == sorted(met) and met, tri
 
@@ -1087,3 +1134,69 @@ def test_reachability_matches_a_closure(corpus43, walk48, monkeypatch):
     assert select_extremal(t, dg) == t[4]
     assert select_extremal(t[:3], dg) == min(t[:3])
     assert PrecedenceDigraph(t, [(2, 3), (3, 4), (5, 0)]).is_acyclic()
+
+
+def test_selections_expand_only_what_their_candidates_reach(walk48, monkeypatch):
+    """On the committed walk, every digraph ``connect`` builds is first
+    expanded by its selection, and only at nodes some candidate reaches;
+    the selections together expand fewer nodes than their digraphs hold."""
+    expanded = total = 0
+
+    def recording(candidates, digraph):
+        candidates = list(candidates)
+        assert all(succ is None for succ in digraph._succ)
+        pick = select_extremal(candidates, digraph)
+        reached = 0
+        for t in candidates:
+            reached |= digraph._reach_of(digraph.node_index[t])
+        done = {p for p, succ in enumerate(digraph._succ) if succ is not None}
+        assert done <= {p for p in range(len(digraph.nodes)) if reached >> p & 1}
+        nonlocal expanded, total
+        expanded += len(done)
+        total += len(digraph.nodes)
+        return pick
+
+    monkeypatch.setattr(phases, "select_extremal", recording)
+    connect(walk48, check=False)
+    assert 0 < expanded < total
+
+
+def _literal_alternating(tau: Simplex, base: Simplex, i0: int) -> bool:
+    """The definition ``unique_minimal`` tests: the path from row i0 to
+    every row is 1-alternating with respect to the base."""
+    return all(alternating_path(tau, base, i0, i, 1) is not None for i in range(tau.dims.m))
+
+
+def test_anchor_search_matches_the_alternating_path_definition(walk48, monkeypatch):
+    """On every star a connect of the committed walk and of the eight golden
+    branch witnesses asks ``unique_minimal`` about, the one search from the
+    anchor row decides each tree as the literal definition does, leaf
+    columns off the base included, and the anchor is the one tree that
+    passes."""
+    asked = []
+    real = phases.unique_minimal
+
+    def recording(local, i0):
+        asked.append((local, i0))
+        return real(local, i0)
+
+    monkeypatch.setattr(phases, "unique_minimal", recording)
+    witnesses = _golden_witnesses()
+    assert len(witnesses) == 8
+    leaf_off_base = 0
+    for tri in [walk48] + witnesses:
+        connect(tri, check=False)
+    assert asked
+    for local, i0 in asked:
+        base = local.base
+        hits = []
+        for tau in local.maximal:
+            literal = _literal_alternating(tau, base, i0)
+            assert _alternating_from(local.dims, tau.mask, base.mask, i0) == literal
+            if literal:
+                hits.append(tau)
+                leaf_off_base += any(
+                    (i, j) not in base and len(col_neighbors(tau, j)) == 1 for i, j in tau
+                )
+        assert hits == [real(local, i0)]
+    assert leaf_off_base  # the leaves the search leaves unconstrained occur

@@ -196,8 +196,7 @@ def _state() -> dict:
         for attr, value in vars(sys.modules[name]).items()
         if not attr.startswith("__") and isinstance(value, (dict, list, set))
     }
-    for memo in (flips.all_circuits, flips._cycle_table):
-        state[memo.__name__] = memo.cache_info().currsize
+    state["_tables"] = flips._tables.cache_info().currsize
     return state
 
 
@@ -213,9 +212,8 @@ def test_flip_scan_leaves_no_module_level_state(corpus33):
     enumerate_flips(staircase(6))
     after = _state()
     grown = {key for key in before if after[key] != before[key]}
-    assert grown <= {"all_circuits", "_cycle_table"}
-    for memo in ("all_circuits", "_cycle_table"):
-        assert after[memo] - before[memo] <= 2  # 2x4 and 4x6, if new
+    assert grown <= {"_tables"}
+    assert after["_tables"] - before["_tables"] <= 2  # 2x4 and 4x6, if new
 
 
 def test_flip_leaving_the_corpus_raises(corpus33):

@@ -157,7 +157,9 @@ def test_precedence_square(square):
 
 def test_filter_runs_once_per_split(corpus43):
     """build_precedence hands the filter each distinct (I1, I2) split of
-    rows once, and its verdicts make the arcs of both directions."""
+    rows once, and its verdicts make the arcs of both directions.  The
+    digraph calls it as it expands nodes: none before a query, all of the
+    splits once ``arcs`` has expanded every node."""
     T = corpus43.triangulations[7]
     seen = []
 
@@ -166,6 +168,8 @@ def test_filter_runs_once_per_split(corpus43):
         return True
 
     dg = build_precedence(T, recording)
+    assert not seen
+    arcs = dg.arcs
     assert seen and len(seen) == len(set(seen))
     assert all(I1 & I2 == 0 and I1 | I2 == 0b1111 and I1 and I2 for I1, I2 in seen)
     assert {(I2, I1) for I1, I2 in seen} == set(seen)
@@ -174,7 +178,7 @@ def test_filter_runs_once_per_split(corpus43):
         for k, a in enumerate(T.maximal)
         for b in T.maximal[k + 1 :]
     )
-    assert len(dg.arcs) == 2 * adjacent > 0
+    assert len(arcs) == 2 * adjacent > 0
 
 
 def test_precedence_toward_row_acyclic(corpus43, corpus42):
