@@ -16,7 +16,7 @@ from . import io as pio
 from .flips import FlipCertificate, apply_flip, enumerate_flips, supports_flip
 from .oracle import build_flip_graph, enumerate_triangulations, is_connected
 from .orders import restriction_order
-from .phases import apply_sequence, connect, staircase
+from .phases import _staircase_masks, apply_sequence, connect, staircase
 from .triangulation import validate
 
 
@@ -72,9 +72,12 @@ def _cmd_connect(args):
         ms = " ".join(f"{k}={v}" for k, v in step.measures)
         print(f"  {pos:3d} [{step.phase:>3}] {step.circuit!r} {ms}")
     final = apply_sequence(tri, seq)
-    print(f"endpoint digest {final.digest()[:16]} == staircase({tri.dims.n})")
+    landed = tuple(t.mask for t in final.maximal) == _staircase_masks(tri.dims.n)
+    verdict = "==" if landed else "!="
+    print(f"endpoint digest {final.digest()[:16]} {verdict} staircase({tri.dims.n})")
     if args.emit_sequence:
         pio.write_sequence(args.emit_sequence, seq)
+    raise SystemExit(0 if landed else 1)
 
 
 def _cmd_staircase(args):

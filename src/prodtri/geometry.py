@@ -6,6 +6,9 @@ and column coordinates dropped so the product polytope is full-dimensional
 over the integer lattice.  Everything here is integer arithmetic:
 determinants by Bareiss elimination and feasibility by Edmonds' integer
 pivoting, both fraction-free with exact divisions; no floats anywhere.
+Before the feasibility search, ``improper_geometric`` eliminates the
+weights of the vertices two simplices share, which are free, one integer
+pivot each; on these points every such pivot is +1 or -1.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from math import lcm
 from numbers import Rational
 from typing import Sequence
 
-from .core import Dims, Simplex
+from .core import Dims, Simplex, _edges_of
 
 
 def point(dims: Dims, i: int, j: int) -> tuple[int, ...]:
@@ -139,6 +142,45 @@ _IMPROPER_CACHE_MAX = 1 << 15
 _improper_cache: dict[tuple[int, int, int], bool] = {}
 
 
+def _dependence_system(dims: Dims, a: int, b: int) -> tuple[list[list[int]], list[int]]:
+    """The rows ``(A, b)`` that ``improper_geometric`` hands the simplex.
+
+    The unknown of a column is a vertex's weight, and the column is the
+    vertex's homogenised point, negated for a vertex only ``b`` holds; the
+    last row puts total weight 1 on those vertices.  Each shared vertex
+    starts as a free column and is eliminated first: a row where it is
+    nonzero is pivoted into every other row and dropped with it.
+    """
+    m, n = dims
+    d = m + n - 2
+    free = list(_edges_of(n, a & b))
+    cols = [(v, 1) for v in free]
+    cols += [(v, 1) for v in _edges_of(n, a & ~b)]
+    cols += [(v, -1) for v in _edges_of(n, b & ~a)]
+    # coordinates of (i, j) with the homogenising 1: rows i, m - 1 + j and d
+    rows = [[0] * len(cols) for _ in range(d + 1)]
+    for c, ((i, j), sgn) in enumerate(cols):
+        rows[d][c] = sgn
+        if i < m - 1:
+            rows[i][c] = sgn
+        if j < n - 1:
+            rows[m - 1 + j][c] = sgn
+    for c in range(len(free)):
+        r = next((r for r, row in enumerate(rows) if row[c]), None)
+        if r is None:
+            continue  # zero in every row: the shared vertices hold a cycle
+        prow = rows.pop(r)
+        piv = prow[c]
+        for q, row in enumerate(rows):
+            f = row[c]
+            if f:
+                rows[q] = [x * piv - f * y for x, y in zip(row, prow)]
+    k = len(free)
+    A = [row[k:] for row in rows if any(row[k:])]
+    A.append([int(sgn < 0) for _, sgn in cols[k:]])
+    return A, [0] * (len(A) - 1) + [1]
+
+
 def improper_geometric(s1: Simplex, s2: Simplex) -> bool:
     """Exact test for a common point of the hulls outside the shared face.
 
@@ -146,29 +188,34 @@ def improper_geometric(s1: Simplex, s2: Simplex) -> bool:
     negative support in s2, normalised to put total weight -1 on the
     vertices only s2 has.  Feasibility of that system is exactly improper
     intersection.
+
+    A shared vertex's weight has no sign constraint.  Rather than split it
+    into two nonnegative columns, ``_dependence_system`` eliminates it: in
+    the row it pivots on, the free weight is fixed by the others, so putting
+    that value into every other row (``x * piv - f * prow``, an invertible
+    integer combination) and dropping the row leaves a system in the other
+    weights with the same solutions.  A column that is zero in every
+    remaining row constrains nothing and is skipped.  So the simplex sees
+    one nonnegative column per vertex only one simplex holds, and the verdict
+    is the split-column system's.
+
+    Every pivot is +1 or -1, so no entry grows.  The coordinate rows are the
+    incidence vectors of the row classes i < m - 1, the column classes
+    j < n - 1 and the whole vertex set: two laminar families (the row classes
+    with the whole set, and the column classes), whose incidence matrix is
+    totally unimodular, and column signs keep it so.  A pivot on a +-1 entry
+    of a totally unimodular matrix leaves one, with every entry in
+    {-1, 0, 1}.  The normalising row is 0 on the shared columns, so no
+    elimination pivots on it or changes it.
     """
     if s1.dims != s2.dims:
         raise ValueError("dimension mismatch")
     a, b = s1.mask, s2.mask
-    if a > b:
-        a, b = b, a
-    key = (s1.dims.n, a, b)
+    key = (s1.dims.n, a, b) if a < b else (s1.dims.n, b, a)
     hit = _improper_cache.get(key)
     if hit is not None:
         return hit
-    dims = s1.dims
-    e1, e2 = set(s1.edges), set(s2.edges)
-    only1, only2, common = sorted(e1 - e2), sorted(e2 - e1), sorted(e1 & e2)
-    # columns: lambda_v for only1, minus lambda_v for only2, split pair for common
-    cols = [(v, +1) for v in only1] + [(v, -1) for v in only2]
-    for v in common:
-        cols += [(v, +1), (v, -1)]
-    pts = {v: point(dims, *v) + (1,) for v in e1 | e2}
-    rows = dims.m + dims.n - 1
-    A = [[sgn * pts[v][r] for v, sgn in cols] for r in range(rows)]
-    A.append([0] * len(only1) + [1] * len(only2) + [0] * (2 * len(common)))
-    bvec = [0] * rows + [1]
-    res = bool(only2) and feasible_eq_nonneg(A, bvec)
+    res = bool(b & ~a) and feasible_eq_nonneg(*_dependence_system(s1.dims, a, b))
     if len(_improper_cache) >= _IMPROPER_CACHE_MAX:
         _improper_cache.clear()
     _improper_cache[key] = res

@@ -26,6 +26,9 @@ pairwise-proper set of the unimodular cardinality.
 ``feasible_fraction`` is the phase-one simplex with Bland's rule on
 ``Fraction`` entries, dividing the pivot row by its pivot; the package
 pivots the same tableau on integers over one common denominator.
+``improper_split_columns`` builds the improper-intersection system with
+each shared vertex's free weight split into two nonnegative columns, where
+the package eliminates those weights before its simplex runs.
 The predicates ``connect`` evaluates per tree and per flip (``contains``,
 the defect sets, ``goodness``, ``shape_cols``, ``two_row_image``,
 ``restriction_order``, ``adjacency_move`` and ``free_equivalent``) are read
@@ -609,3 +612,25 @@ def feasible_fraction(A: list[list[Fraction]], b: list[Fraction]) -> bool:
         obj = [x - f * y for x, y in zip(obj, tab[leave])]
         basis[leave] = enter
     return obj[width - 1] == 0
+
+
+def improper_split_columns(s1: Simplex, s2: Simplex) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """The system ``Ax = b, x >= 0`` that is feasible exactly when the hulls
+    of ``s1`` and ``s2`` meet outside their shared face: an affine
+    dependence with weight on +point for each vertex only ``s1`` holds,
+    -point for each vertex only ``s2`` holds and a split pair (+point,
+    -point) for each shared vertex, whose last row puts total weight 1 on
+    the vertices only ``s2`` holds.  A point is the 0/1 vector of its row
+    and column with the last of each dropped, and a homogenising 1."""
+    m, n = s1.dims
+    e1, e2 = set(s1.edges), set(s2.edges)
+
+    def point(i: int, j: int) -> list[int]:
+        return [int(r == i) for r in range(m - 1)] + [int(c == j) for c in range(n - 1)] + [1]
+
+    cols = [(v, 1) for v in sorted(e1 - e2)] + [(v, -1) for v in sorted(e2 - e1)]
+    cols += [(v, sgn) for v in sorted(e1 & e2) for sgn in (1, -1)]
+    pts = [point(*v) for v, _ in cols]
+    A = [[Fraction(sgn * p[r]) for (_, sgn), p in zip(cols, pts)] for r in range(m + n - 1)]
+    A.append([Fraction(int(v not in e1)) for v, _ in cols])
+    return A, [Fraction(0)] * (m + n - 1) + [Fraction(1)]

@@ -75,6 +75,24 @@ def test_cli_staircase_validate_connect(tmp_path, capsys):
     assert code == 0 and out.startswith("0 flips")
 
 
+def test_cli_connect_exits_nonzero_off_the_staircase(tmp_path, capsys, monkeypatch, corpus42):
+    """The endpoint line compares the replayed end with the staircase; a
+    sequence that stops short of it exits nonzero."""
+    from prodtri import cli
+    from prodtri.phases import FlipSequence
+
+    T = next(t for t in corpus42.triangulations if t != staircase(2))
+    f = tmp_path / "t.json"
+    pio.write_triangulation(f, T)
+
+    def stop_short(tri):
+        return FlipSequence(tri.dims, tri.digest(), tri.digest(), ())
+
+    monkeypatch.setattr(cli, "connect", stop_short)
+    code, out, _ = run_cli(capsys, "connect", str(f))
+    assert code == 1 and f"{T.digest()[:16]} != staircase(2)" in out
+
+
 def test_cli_flip_roundtrip(tmp_path, capsys):
     f = tmp_path / "t.json"
     run_cli(capsys, "staircase", "--n", "2", "--out", str(f))

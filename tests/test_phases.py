@@ -386,6 +386,16 @@ def test_phase_three_refuses_a_macro_missing_its_fifth_flip(monkeypatch):
     assert len(calls) == 5
 
 
+def test_phase_three_refuses_an_end_that_is_not_the_staircase(monkeypatch):
+    """The final check compares the end's tree masks with the staircase's;
+    with one tree missing from those, the committed walk reaches sorted
+    orders that are not the staircase."""
+    masks = phases._staircase_masks
+    monkeypatch.setattr(phases, "_staircase_masks", lambda n: masks(n)[1:])
+    with pytest.raises(ProofGap, match="^phase three: sorted orders but not the staircase$"):
+        connect(_walk_4x8(), check=True)
+
+
 def test_phases_refuse_a_round_without_progress(corpus43, monkeypatch):
     T1 = next(T for T in corpus43.triangulations if compute_TI(T))
     T2 = next(t for t in (phase_one(T)[1] for T in corpus43.triangulations) if compute_TII(t))
