@@ -38,6 +38,16 @@ def _edge_bit(n: int, i: int, j: int) -> int:
     return 1 << (i * n + j)
 
 
+def _cycle_masks(n: int, rows, cols) -> tuple[int, int]:
+    """The minus and plus masks of ``Circuit.from_cycle(dims, rows, cols)``."""
+    k = len(rows)
+    minus = plus = 0
+    for r in range(k):
+        minus |= 1 << (rows[r] * n + cols[r])
+        plus |= 1 << (rows[(r + 1) % k] * n + cols[r])
+    return minus, plus
+
+
 def _edges_of(n: int, mask: int):
     while mask:
         low = mask & -mask
@@ -289,7 +299,9 @@ class Circuit:
     """A signed cycle of the bipartite graph: a minimal affine dependence.
 
     ``minus`` and ``plus`` partition the edges of one simple cycle so that
-    consecutive edges around the cycle fall on opposite sides.
+    consecutive edges around the cycle fall on opposite sides.  The case
+    analysis builds each circuit it flips with ``from_cycle``, from the rows
+    and columns the cycle visits in turn.
     """
 
     __slots__ = ("dims", "minus_mask", "plus_mask")
@@ -309,6 +321,19 @@ class Circuit:
         mm = Simplex.from_edges(dims, minus).mask
         pm = Simplex.from_edges(dims, plus).mask
         return cls(dims, mm, pm)
+
+    @classmethod
+    def from_cycle(cls, dims, rows, cols) -> "Circuit":
+        """The cycle row rows[0], column cols[0], row rows[1], ..., column
+        cols[-1], back to rows[0], with minus edges (rows[r], cols[r]) and
+        plus edges (rows[r+1 mod k], cols[r]); the inverse of
+        ``cycle_sequence``, from any starting row of the cycle."""
+        dims = Dims(*dims).check()
+        if len(rows) != len(cols):
+            raise ValueError(f"{len(rows)} rows but {len(cols)} columns")
+        if not (all(0 <= i < dims.m for i in rows) and all(0 <= j < dims.n for j in cols)):
+            raise ValueError(f"cycle {rows}, {cols} out of range for {dims}")
+        return cls(dims, *_cycle_masks(dims.n, rows, cols))
 
     def _validate(self):
         """One simple cycle whose edges alternate, read off the row slices:
@@ -352,7 +377,8 @@ class Circuit:
         """Rows (i_1..i_k) and columns (j_1..j_k) of the cycle, aligned so
         that minus edges are (i_r, j_r) and plus edges are (i_{r+1}, j_r).
 
-        Starts from the lexicographically smallest minus edge.
+        Starts from the lexicographically smallest minus edge;
+        ``from_cycle`` rebuilds the circuit from the two sequences.
         """
         minus = sorted(self.minus)
         plus_by_col = {j: i for i, j in self.plus}

@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Optional, Union
 
-from .core import Circuit, Dims, Simplex
+from .core import Circuit, Dims, Simplex, _cycle_masks
 from .triangulation import Triangulation, _merged
 
 
@@ -193,10 +193,7 @@ def _tables(dims: Dims) -> list:
                 for rperm in permutations(rows[1:]):
                     rseq = (rows[0],) + rperm
                     for cseq in permutations(cols):
-                        minus = plus = 0
-                        for r in range(k):
-                            minus |= 1 << (rseq[r] * n + cseq[r])
-                            plus |= 1 << (rseq[(r + 1) % k] * n + cseq[r])
+                        minus, plus = _cycle_masks(n, rseq, cseq)
                         if (minus | plus) in seen:
                             continue
                         seen.add(minus | plus)

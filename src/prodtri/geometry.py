@@ -13,8 +13,6 @@ pivot each; on these points every such pivot is +1 or -1.
 
 from __future__ import annotations
 
-from math import lcm
-from numbers import Rational
 from typing import Sequence
 
 from .core import Dims, Simplex, _edges_of
@@ -67,20 +65,19 @@ def simplex_volume(simplex: Simplex) -> int:
     return abs(det_bareiss(rows))
 
 
-def feasible_eq_nonneg(A: Sequence[Sequence[Rational]], b: Sequence[Rational]) -> bool:
+def feasible_eq_nonneg(A: Sequence[Sequence[int]], b: Sequence[int]) -> bool:
     """Is there x >= 0 with Ax = b?  Phase-one simplex with Bland's rule.
 
-    Each row (A_r, b_r) is scaled by the lcm of its entries' denominators,
-    so ``int`` and ``Fraction`` data are both accepted, and the tableau is
-    then pivoted on integers (Edmonds, *J. Res. NBS* 71B, 1967).  Every
-    entry, the objective row's included, is ``det`` times the entry of the
-    rational tableau, where ``det`` is the last pivot (1 at the start).  A
-    pivot on (leave, enter) keeps its row and maps each other row x to
+    The entries must be ``int`` (``TypeError`` otherwise; a rational system
+    is scaled to integers row by row first, which keeps its solutions), and
+    the tableau is pivoted on integers (Edmonds, *J. Res. NBS* 71B, 1967).
+    Every entry, the objective row's included, is ``det`` times the entry of
+    the rational tableau, where ``det`` is the last pivot (1 at the start).
+    A pivot on (leave, enter) keeps its row and maps each other row x to
     ``(x * piv - x[enter] * prow) // det``, then sets ``det = piv``.  The
     division is exact: each entry is, up to sign, a minor of the starting
     tableau, as in ``det_bareiss``.  Pivots are positive, so every sign and
-    ratio, and so every pivot, is that of the rational tableau on the scaled
-    rows.
+    ratio, and so every pivot, is that of the rational tableau.
     """
     m = len(A)
     if m == 0:
@@ -89,8 +86,8 @@ def feasible_eq_nonneg(A: Sequence[Sequence[Rational]], b: Sequence[Rational]) -
     tab = []
     for r in range(m):
         row = [*A[r], b[r]]
-        scale = lcm(*(x.denominator for x in row))
-        row = [x.numerator * (scale // x.denominator) for x in row]
+        if not all(isinstance(x, int) for x in row):
+            raise TypeError(f"row {r} of the system has an entry that is not an int")
         if row[-1] < 0:
             row = [-x for x in row]
         tab.append(row[:n] + [int(k == r) for k in range(m)] + row[n:])

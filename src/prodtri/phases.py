@@ -458,12 +458,10 @@ def _reduce(
             _ensure(measure(drv) <= prev, message)
 
 
-def _case_one(
-    drv: _Driver, tau_sel: Simplex, c1: int, c2: int, *, r0: int = 0, r1: int = 1
-) -> None:
+def _case_one(drv: _Driver, tau_sel: Simplex, c1: int, c2: int, *, r0: int, r1: int) -> None:
     """Anchor shape has a column joined to {r0,r1} (not 3) and one to {r0,3}."""
     dims = drv.T.dims
-    X = Circuit.from_edges(dims, [(r0, c1), (3, c2)], [(3, c1), (r0, c2)])
+    X = Circuit.from_cycle(dims, (r0, 3), (c1, c2))
     xminus = Simplex(dims, X.minus_mask)
     sigma_I = Simplex.from_edges(dims, [(r0, c1), (r1, c1), (r0, c2), (3, c2)])
     _ensure(sigma_I.issubset(tau_sel), "case 1: selected anchor misses its connector")
@@ -486,7 +484,8 @@ def _reduce_case_one(
 
     The circuit runs r0 x c1 .. end_row x c2; obstructing trees are cleared
     by flips on circuits read off their row-r0-to-end_row path, which must
-    pass mid_row first and may pass the free row r1 next.
+    pass mid_row first and may pass the free row r1 next: the path's rows
+    and columns, closed through the anchor column c2.
     """
     dims = drv.T.dims
     xminus = Simplex(dims, X.minus_mask)
@@ -503,8 +502,6 @@ def _reduce_case_one(
         if len(rows) == 3:
             g1, g2 = cols
             _ensure(g2 != c2, "inner: short path ends in the anchor column")
-            yminus = [(r0, g1), (mid_row, g2), (end_row, c2)]
-            yplus = [(mid_row, g1), (end_row, g2), (r0, c2)]
             xi = xminus.union(
                 Simplex.from_edges(dims, [(r0, g1), (mid_row, g1), (mid_row, g2), (end_row, g2)])
             )
@@ -514,7 +511,7 @@ def _reduce_case_one(
                 "inner: minimal tree misses the predicted free-row edge",
                 tau=tau_star,
             )
-            Y = Circuit.from_edges(dims, yminus, yplus)
+            Y = Circuit.from_cycle(dims, rows, (*cols, c2))
             _ensure(
                 tau_star == _anchor_minimal(drv, Simplex(dims, Y.minus_mask), r0, "inner"),
                 "inner: minimal trees of the two stars disagree",
@@ -527,9 +524,7 @@ def _reduce_case_one(
             _ensure(len(rows) == 4 and rows[2] == r1, "inner: unexpected path form", rows=rows)
             g1, g2, g3 = cols
             _ensure(g3 != c2 and g2 != c2, "inner: long path touches the anchor column")
-            yminus = [(r0, g1), (mid_row, g2), (r1, g3), (end_row, c2)]
-            yplus = [(mid_row, g1), (r1, g2), (end_row, g3), (r0, c2)]
-            Y = Circuit.from_edges(dims, yminus, yplus)
+            Y = Circuit.from_cycle(dims, rows, (*cols, c2))
             _ensure(
                 tau == _anchor_minimal(drv, Simplex(dims, Y.minus_mask), r0, "inner"),
                 "inner: obstructing tree is not the minimal tree of its star",
@@ -555,13 +550,11 @@ def _reduce_case_one(
 
 
 def _case_two(
-    drv: _Driver, tau_sel: Simplex, c1: int, c2: int, c3: int, *, r0: int = 0, r1: int = 1
+    drv: _Driver, tau_sel: Simplex, c1: int, c2: int, c3: int, *, r0: int, r1: int
 ) -> None:
     """Anchor shape {r0,r1}, {2,3}, {r0,2} on columns c1, c2, c3."""
     dims = drv.T.dims
-    X = Circuit.from_edges(
-        dims, [(r0, c1), (3, c2), (2, c3)], [(3, c1), (2, c2), (r0, c3)]
-    )
+    X = Circuit.from_cycle(dims, (r0, 3, 2), (c1, c2, c3))
     xminus = Simplex(dims, X.minus_mask)
     sigma_I = Simplex.from_edges(
         dims, [(r0, c1), (r1, c1), (3, c2), (2, c2), (2, c3), (r0, c3)]
@@ -583,14 +576,12 @@ def _case_two(
         if len(rows) == 3:
             g2 = cols[1]
             _ensure(g2 not in (c1, c2), "case 2: short path reuses an anchor column")
-            yminus = [(r0, c1), (3, g2), (2, c3)]
-            yplus = [(3, c1), (2, g2), (r0, c3)]
             xi = xminus.union(
                 Simplex.from_edges(dims, [(r0, c3), (2, c3), (2, g2), (3, g2)])
             )
             tau_star = _anchor_minimal(drv, xi, 3, "case 2")
             _ensure((r1, g2) in tau_star, "case 2: minimal tree misses the row-1 edge")
-            Y = Circuit.from_edges(dims, yminus, yplus)
+            Y = Circuit.from_cycle(dims, rows, (*cols, c1)).reverse()
             _ensure(
                 tau_star == _anchor_minimal(drv, Simplex(dims, Y.minus_mask), 3, "case 2"),
                 "case 2: minimal trees of the two stars disagree",
@@ -605,9 +596,7 @@ def _case_two(
             _ensure(
                 g3 not in (c1, c2) and g2 not in (c1, c2), "case 2: path reuses an anchor column"
             )
-            yminus = [(r0, c1), (3, g3), (r1, g2), (2, c3)]
-            yplus = [(3, c1), (r1, g3), (2, g2), (r0, c3)]
-            Y = Circuit.from_edges(dims, yminus, yplus)
+            Y = Circuit.from_cycle(dims, rows, (*cols, c1)).reverse()
             _ensure(
                 tau == _anchor_minimal(drv, Simplex(dims, Y.minus_mask), 3, "case 2"),
                 "case 2: obstructing tree is not the minimal tree of its star",
@@ -640,7 +629,7 @@ def _case_two(
 def _case_three(drv: _Driver, tau_sel: Simplex, c1: int, c2: int) -> None:
     """Anchor shape {0,1,2} on c1 and {2,3} on c2; needs the two-level loop."""
     dims = drv.T.dims
-    X = Circuit.from_edges(dims, [(2, c1), (3, c2)], [(3, c1), (2, c2)])
+    X = Circuit.from_cycle(dims, (2, 3), (c1, c2))
     xminus = Simplex(dims, X.minus_mask)
     sigma_I = Simplex.from_edges(
         dims, [(0, c1), (1, c1), (2, c1), (2, c2), (3, c2)]
@@ -676,10 +665,12 @@ def _case_three_side(tri, X: Circuit, c1: int, r0: int, r1: int) -> list[Simplex
 
 def _case_three_claim(
     drv, X: Circuit, tau_I: Simplex, sigma_I: Simplex, c1: int, c2: int,
-    *, r0: int = 0, r1: int = 1,
+    *, r0: int, r1: int,
 ) -> None:
     """Clear one extremal member of the side set: reduce the star of the
-    circuit read off its path, then flip that circuit."""
+    circuit read off its path, then flip that circuit.  A tree obstructing
+    it is cleared by the cycle of its own path from row 2 to row 3 followed
+    by the side path back."""
     dims = drv.T.dims
     xminus = Simplex(dims, X.minus_mask)
     ctx = GoodnessContext("tauI", tau_I, sigma_I, X, cols=(c1, c2))
@@ -688,26 +679,20 @@ def _case_three_claim(
     entry_defect = len(drv.TI)
     side1 = _case_three_side(drv.T, X, c1, r0, r1)
     _ensure(side1, "case 3 claim: side set emptied unexpectedly")
-    tau0, rows, cols = _extremal_path(drv, side1, toward_row_free(r0, 3), (2, 3), "case 3")
-    if len(rows) == 2:
-        two_step = False
-        g1 = cols[0]
+    tau0, side_rows, side_cols = _extremal_path(
+        drv, side1, toward_row_free(r0, 3), (2, 3), "case 3"
+    )
+    g1 = side_cols[-1]  # the side path's column at row 3
+    if len(side_rows) == 2:
         _ensure(g1 not in (c1, c2), "case 3: direct path reuses an anchor column")
-        yminus = [(2, c1), (3, g1)]
-        yplus = [(3, c1), (2, g1)]
-        g2 = None
     else:
         _ensure(
-            len(rows) == 3 and rows[1] == r0,
+            len(side_rows) == 3 and side_rows[1] == r0,
             "case 3: side path must pass row 0",
-            rows=rows,
+            rows=side_rows,
         )
-        two_step = True
-        g2, g1 = cols  # column at row 2 first, column at row 3 second
-        _ensure(g2 != c1 and g1 != c2, "case 3: side path reuses an anchor column")
-        yminus = [(2, c1), (3, g1), (r0, g2)]
-        yplus = [(3, c1), (r0, g1), (2, g2)]
-    Y = Circuit.from_edges(dims, yminus, yplus)
+        _ensure(side_cols[0] != c1 and g1 != c2, "case 3: side path reuses an anchor column")
+    Y = Circuit.from_cycle(dims, side_rows, (*side_cols, c1)).reverse()
     yminus_s = Simplex(dims, Y.minus_mask)
     sigma_0 = connecting_edges(tau0, [r1, 2, 3])
     rho = Simplex(dims, (Y.minus_mask | Y.plus_mask)).without_edge(3, c1)
@@ -717,7 +702,7 @@ def _case_three_claim(
         sigma_0=sigma_0,
     )
     _ensure(sigma_0.with_edge(3, c2).issubset(tau0), "case 3: connector not inside the side tree")
-    if not two_step:
+    if len(side_rows) == 2:
         tau_star = _anchor_minimal(drv, sigma_0.with_edge(3, c2), 3, "case 3")
         _ensure((r0, g1) in tau_star, "case 3: minimal tree misses the row-0 edge")
         _ensure(
@@ -740,7 +725,8 @@ def _case_three_claim(
     ysize = len(Y)
     yall = Y.minus_mask | Y.plus_mask
     row3_c1, row0_g1 = 1 << (3 * dims.n + c1), 1 << (r0 * dims.n + g1)
-    banned = {c1, c2, g1} | ({g2} if two_step else set())
+    banned = {c1, c2, *side_cols}
+    back_rows, back_cols = side_rows[-2:0:-1], side_cols[::-1]  # the side path from 3 to 2
 
     def replacement(tau: Simplex, rows, cols) -> Circuit:
         _ensure(
@@ -751,12 +737,7 @@ def _case_three_claim(
         if len(rows) == 2:
             h1 = cols[0]
             _ensure(h1 not in banned, "case 3 inner: path reuses a protected column")
-            zminus = [(2, h1), (3, g1)]
-            zplus = [(3, h1), (2, g1)]
-            if two_step:
-                zminus.append((r0, g2))
-                zplus = [(3, h1), (r0, g1), (2, g2)]
-            Z = Circuit.from_edges(dims, zminus, zplus)
+            Z = Circuit.from_cycle(dims, (*rows, *back_rows), (*cols, *back_cols))
             xi = xminus.union(yminus_s).union(
                 Simplex.from_edges(dims, [(2, h1), (3, h1), (r0, g1)])
             )
@@ -778,12 +759,7 @@ def _case_three_claim(
                 h1 not in banned and h2 not in banned and h1 != c1 and h2 != c2,
                 "case 3 inner: path reuses a protected column",
             )
-            zminus = [(2, h1), (r1, h2), (3, g1)]
-            zplus = [(r1, h1), (3, h2), (2, g1)]
-            if two_step:
-                zminus.append((r0, g2))
-                zplus = [(r1, h1), (3, h2), (r0, g1), (2, g2)]
-            Z = Circuit.from_edges(dims, zminus, zplus)
+            Z = Circuit.from_cycle(dims, (*rows, *back_rows), (*cols, *back_cols))
             _ensure(
                 tau == _anchor_minimal(drv, Simplex(dims, Z.minus_mask), 2, "case 3 inner"),
                 "case 3 inner: obstructing tree is not the minimal tree of its star",
@@ -880,7 +856,7 @@ def phase_two(
     return seq, drv.T
 
 
-def _phase_two_case(drv: _Driver, tau_sel: Simplex, *, r0: int = 0, r1: int = 1) -> None:
+def _phase_two_case(drv: _Driver, tau_sel: Simplex, *, r0: int, r1: int) -> None:
     """Anchor shape {0,1,3} on c1 and {r0,2} on c2."""
     dims = drv.T.dims
     blocks = _shape_cols(tau_sel)
@@ -891,7 +867,7 @@ def _phase_two_case(drv: _Driver, tau_sel: Simplex, *, r0: int = 0, r1: int = 1)
         "phase two: anchor shape outside the two allowed shapes",
         shape=frozenset(blocks.values()),
     )
-    X = Circuit.from_edges(dims, [(r0, c1), (2, c2)], [(2, c1), (r0, c2)])
+    X = Circuit.from_cycle(dims, (r0, 2), (c1, c2))
     xminus = Simplex(dims, X.minus_mask)
     tau_II = _anchor_minimal(drv, xminus, 2, "phase two")
     _ensure(tau_II == tau_sel, "phase two: selected anchor is not the minimal tree")
@@ -933,15 +909,12 @@ def phase_three(
     o34 = _total_order(drv.T, 2, 3)
     identity = tuple(range(tri.dims.n))
 
-    def square(a: int, b: int, j: int, j2: int) -> Circuit:
-        return Circuit.from_edges(tri.dims, [(a, j), (b, j2)], [(b, j), (a, j2)])
-
     while True:
         if o12 != o34:
             rank = {j: p for p, j in enumerate(o12)}
             p = next(q for q in range(len(o34) - 1) if rank[o34[q]] > rank[o34[q + 1]])
             j, j2 = o34[p], o34[p + 1]
-            drv.flip(square(3, 2, j, j2), "III")
+            drv.flip(Circuit.from_cycle(tri.dims, (3, 2), (j, j2)), "III")
             swapped = o34[:p] + (j2, j) + o34[p + 2 :]
             o34 = _total_order(drv.T, 2, 3)
             _ensure(o34 == swapped, "phase three: square flip did not swap the expected pair")
@@ -958,7 +931,7 @@ def phase_three(
         _ensure(o12 == o34, "phase three: macro requires synchronised orders")
         _ensure(p + 1 < len(o12) and o12[p + 1] == j2, "phase three: columns not consecutive")
         for a, b in ((2, 0), (1, 3), (1, 0), (1, 2), (3, 0)):
-            drv.flip(square(a, b, j, j2), "III")
+            drv.flip(Circuit.from_cycle(tri.dims, (a, b), (j, j2)), "III")
         swapped = o12[:p] + (j2, j) + o12[p + 2 :]
         o12 = _total_order(drv.T, 0, 1)
         _ensure(o12 == swapped, "phase three: macro did not swap the upper pair")

@@ -13,6 +13,9 @@ filter accepts, so it shares no code with the facet index and the mask core
 ``_move_masks`` of ``build_precedence``; ``Move`` is its own record of a
 crossing.  ``reachability`` closes a digraph's arcs over sets
 by Warshall's method, where the digraph searches from a node on demand.
+``all_circuits_from_edges`` keeps every edge set that ``circuit_of_cycle``
+walks as one cycle and signs it both ways with ``Circuit.from_edges``, where
+the package writes the masks of each row and column sequence.
 ``swap_edges`` exchanges two rows edge by edge, where the package exchanges
 row slices of the mask.  ``facet_pairs`` compares every pair of masks,
 where the package indexes members by their facets.
@@ -43,7 +46,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from prodtri.core import Dims, NotACycle, Simplex, col_neighbors, row_neighbors
+from prodtri.core import Circuit, Dims, NotACycle, Simplex, col_neighbors, row_neighbors
 from prodtri.flips import FlipCertificate, Obstruction, StaleCertificate, all_circuits
 from prodtri.oracle import Corpus, spanning_trees
 from prodtri.orders import ColumnQuasiorder, MalformedLocal, PrecedenceDigraph
@@ -163,6 +166,24 @@ def circuit_of_cycle(dims, edges) -> tuple[int, int]:
     for (i, j), s in side.items():
         masks[s] |= 1 << (i * n + j)
     return masks[0], masks[1]
+
+
+def all_circuits_from_edges(dims) -> list:
+    """Every signed simple cycle of the bipartite graph, both orientations,
+    sorted: each edge set of even size that ``circuit_of_cycle`` accepts,
+    with its two sides either way round."""
+    m, n = dims
+    out = []
+    for mask in range(1, 1 << (m * n)):
+        if mask.bit_count() % 2:
+            continue
+        try:
+            minus, plus = circuit_of_cycle(dims, Simplex(dims, mask).edges)
+        except NotACycle:
+            continue
+        sides = [Simplex(dims, minus).edges, Simplex(dims, plus).edges]
+        out += [Circuit.from_edges(dims, *sides), Circuit.from_edges(dims, *sides[::-1])]
+    return sorted(out)
 
 
 def split_circuit(dims, mask1: int, mask2: int) -> bool:

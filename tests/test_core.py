@@ -20,6 +20,7 @@ from prodtri.core import (
     shape,
     tree_path,
 )
+from prodtri.flips import all_circuits
 import reference
 
 
@@ -81,6 +82,39 @@ def test_circuit_rejects_non_cycles():
         Circuit.from_edges(d, [(0, 0)], [(1, 1)])
     with pytest.raises(NotACycle):
         Circuit.from_edges(d, [(0, 0), (1, 1)], [(1, 0), (2, 2)])
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (4, 3), (3, 4), (4, 4)])
+def test_from_cycle_inverts_cycle_sequence(m, n):
+    """Every circuit is the cycle through its row and column sequence,
+    started at any row of the cycle; and the enumeration, which writes the
+    masks of each sequence, gives the circuits that ``Circuit.from_edges``
+    makes of every edge set walked as one cycle, in the same order."""
+    d = Dims(m, n)
+    circuits = all_circuits(d)
+    assert list(circuits) == reference.all_circuits_from_edges(d)
+    for X in circuits:
+        rows, cols = X.cycle_sequence()
+        for s in range(len(rows)):
+            assert Circuit.from_cycle(d, rows[s:] + rows[:s], cols[s:] + cols[:s]) == X
+
+
+def test_from_cycle_refusals():
+    d = Dims(4, 4)
+    with pytest.raises(ValueError, match="^2 rows but 1 columns$"):
+        Circuit.from_cycle(d, (0, 1), (0,))
+    with pytest.raises(ValueError, match="out of range"):
+        Circuit.from_cycle(d, (0, 4), (0, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        Circuit.from_cycle(d, (-1, 0), (0, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        Circuit.from_cycle(d, (0, 1), (0, 4))
+    with pytest.raises(NotACycle):  # row 0 twice: four edges at it
+        Circuit.from_cycle(d, (0, 1, 0, 2), (0, 1, 2, 3))
+    with pytest.raises(NotACycle):  # column 0 twice
+        Circuit.from_cycle(d, (0, 1, 2, 3), (0, 1, 0, 2))
+    with pytest.raises(NotACycle):  # one edge, on both sides
+        Circuit.from_cycle(d, (0,), (0,))
 
 
 def test_alternating_path_parity():

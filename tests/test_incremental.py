@@ -16,7 +16,7 @@ from math import comb
 import pytest
 
 from prodtri import orders, phases, triangulation
-from prodtri.core import Dims, Simplex, alternating_path, col_neighbors
+from prodtri.core import Circuit, Dims, Simplex, alternating_path, col_neighbors
 from prodtri.flips import FlipCertificate, apply_flip, enumerate_flips, supports_flip
 from prodtri.oracle import spanning_trees
 from prodtri.orders import (
@@ -701,15 +701,20 @@ def test_driver_run_owns_its_table(walk48, monkeypatch):
     _assert_carried(drv.slots, drv.T)
 
 
-def _golden_witnesses() -> list:
+def _golden_inputs(prefix: str = "") -> list:
+    """The golden inputs whose names start with prefix, in file order."""
     with open(GOLDEN_PATH) as fh:
         entries = json.load(fh)["inputs"]
     out = []
     for e in entries:
-        if e["name"].startswith("witness:"):
+        if e["name"].startswith(prefix):
             dims = Dims(e["m"], e["n"])
             out.append(Triangulation(dims, [Simplex(dims, int(x, 16)) for x in e["trees"]]))
     return out
+
+
+def _golden_witnesses() -> list:
+    return _golden_inputs("witness:")
 
 
 def _states(tri: Triangulation, seq: FlipSequence) -> list:
@@ -837,6 +842,69 @@ def test_mirrored_cases_see_the_image_of_the_canonical_case(walk48, monkeypatch)
         mirror = build_precedence(_swap01(tri), toward_row_free(*MIRRORED_FILTERS[renamed]))
         canonical = select_extremal([swap_edges(t, 0, 1) for t in trees], mirror)
         assert swap_edges(canonical, 0, 1) == pick
+
+
+def _maximal_count(tri: Triangulation, trees, move) -> int:
+    """How many of the candidate trees are maximal in the move filter's
+    quasiorder on tri, read off the all-pairs digraph's closure."""
+    dg = all_pairs_precedence(tri, move, all_pairs_moves(tri))
+    reach = reachability(len(dg.nodes), dg.arcs)
+    spots = {dg.nodes.index(t) for t in trees}
+    return sum(all(p in reach[q] for q in reach[p] & spots) for p in spots)
+
+
+def _swapped_circuit(X: Circuit) -> Circuit:
+    d = X.dims
+    minus, plus = (swap_edges(Simplex(d, x), 0, 1).mask for x in (X.minus_mask, X.plus_mask))
+    return Circuit(d, minus, plus)
+
+
+def test_mirrored_case_three_claims_run_their_inner_reduction(monkeypatch):
+    """The inner reduction of a case-3 claim with rows 0 and 1 exchanged,
+    which no committed input reaches through ``connect``.  Every canonical
+    claim of the golden inputs that makes an inner pick is rerun, on the
+    rows-0/1 image of its entry state in a fresh checked driver, as the
+    mirrored claim (``r0, r1 = 1, 0``).  Each completes, makes an inner
+    pick, and flips the image of each canonical flip up to the first pick
+    that had more than one maximal candidate, after which the two runs may
+    choose differently."""
+    real_claim, real_path = phases._case_three_claim, phases._extremal_path
+    picks, claims = [], {}
+
+    def extremal_path(drv, trees, move, ends, label):
+        found = real_path(drv, trees, move, ends, label)
+        picks.append((label, len(drv.steps), drv.T, trees, move))
+        return found
+
+    def claim(drv, *args, r0, r1):
+        start, entry = len(drv.steps), drv.T
+        picks.clear()
+        real_claim(drv, *args, r0=r0, r1=r1)
+        if (r0, r1) == (0, 1) and any(label == "case 3 inner" for label, *_ in picks):
+            flips = [step.circuit for step in drv.steps[start:]]
+            ties = [at - start for _, at, *pick in picks if _maximal_count(*pick) > 1]
+            claims[entry.digest()] = (entry, args, flips, min(ties, default=len(flips)))
+
+    monkeypatch.setattr(phases, "_extremal_path", extremal_path)
+    monkeypatch.setattr(phases, "_case_three_claim", claim)
+    for tri in _golden_inputs():
+        connect(tri, check=False)
+    assert len(claims) == 4
+    compared = 0
+    for entry, (X, tau_I, sigma_I, c1, c2), flips, untied in claims.values():
+        drv = _Driver(_swap01(entry), check=True)
+        picks.clear()
+        real_claim(
+            drv, _swapped_circuit(X), swap_edges(tau_I, 0, 1), swap_edges(sigma_I, 0, 1),
+            c1, c2, r0=1, r1=0,
+        )
+        assert any(label == "case 3 inner" for label, *_ in picks)
+        mirrored = [step.circuit for step in drv.steps]
+        assert mirrored[:untied] == [_swapped_circuit(Y) for Y in flips[:untied]]
+        if untied == len(flips):
+            assert len(mirrored) == len(flips)
+        compared += untied
+    assert compared
 
 
 def test_driver_defect_sets_match_a_full_computation(walk48, corpus43, monkeypatch):

@@ -242,23 +242,48 @@ def test_connect_walks_along_flip_graph_edges(corpus42):
 
 
 def test_simplex_feasibility_edge_cases():
-    from fractions import Fraction as F
-
     assert feasible_eq_nonneg([], [])
-    assert feasible_eq_nonneg([[F(2), F(-1)]], [F(0)])
-    assert not feasible_eq_nonneg([[F(1), F(1)], [F(-1), F(-1)]], [F(1), F(1)])
+    assert feasible_eq_nonneg([[2, -1]], [0])
+    assert not feasible_eq_nonneg([[1, 1], [-1, -1]], [1, 1])
+    assert reference.feasible_fraction([[F(2), F(-1)]], [F(0)])
+    assert not reference.feasible_fraction([[F(1), F(1)], [F(-1), F(-1)]], [F(1), F(1)])
 
 
 def test_simplex_feasibility_clears_denominators():
-    """Rows with non-integer entries are scaled to integers first."""
-    assert feasible_eq_nonneg([[F(1, 2), F(1, 3)]], [F(1, 6)])
-    assert not feasible_eq_nonneg([[F(1, 2), F(1, 3)]], [F(-1, 6)])
-    # 2x/3 = y/2 and x/5 + y/7 = 12/35 at x = 36/41, y = 48/41
-    A = [[F(2, 3), F(-1, 2)], [F(1, 5), F(1, 7)]]
-    assert feasible_eq_nonneg(A, [0, F(12, 35)])
-    assert not feasible_eq_nonneg(A, [0, F(-12, 35)])
-    # mixed int and Fraction rows; the second forces y = -3/4
-    assert not feasible_eq_nonneg([[1, F(1, 2)], [0, F(4, 3)]], [F(1, 4), -1])
+    """A rational system is decided on its rows scaled to integers, since a
+    positive row scale keeps the solution set: each system below is given
+    with one scale per row, the kernel decides the scaled rows and the
+    ``Fraction`` reference the rational ones."""
+    systems = [
+        ([[F(1, 2), F(1, 3)]], [F(1, 6)], [6], True),
+        ([[F(1, 2), F(1, 3)]], [F(-1, 6)], [6], False),
+        # 2x/3 = y/2 and x/5 + y/7 = 12/35 at x = 36/41, y = 48/41
+        ([[F(2, 3), F(-1, 2)], [F(1, 5), F(1, 7)]], [0, F(12, 35)], [6, 35], True),
+        ([[F(2, 3), F(-1, 2)], [F(1, 5), F(1, 7)]], [0, F(-12, 35)], [6, 35], False),
+        # mixed int and Fraction rows; the second forces y = -3/4
+        ([[1, F(1, 2)], [0, F(4, 3)]], [F(1, 4), -1], [4, 3], False),
+    ]
+    for A, b, scales, want in systems:
+        rows = [[x * s for x in (*row, rhs)] for row, rhs, s in zip(A, b, scales)]
+        assert all(F(x).denominator == 1 for row in rows for x in row)
+        A_int = [[int(x) for x in row[:-1]] for row in rows]
+        b_int = [int(row[-1]) for row in rows]
+        assert feasible_eq_nonneg(A_int, b_int) == want, (A_int, b_int)
+        assert reference.feasible_fraction(
+            [[F(x) for x in row] for row in A], [F(x) for x in b]
+        ) == want
+
+
+def test_simplex_feasibility_refuses_entries_that_are_not_ints():
+    """The kernel takes integer rows only; a ``Fraction`` or a float, even
+    an integral one, in A or in b is refused rather than read."""
+    for A, b in (
+        ([[F(1, 2), 1]], [1]),
+        ([[1, 1]], [F(1)]),
+        ([[1, 0], [0, 1.0]], [1, 1]),
+    ):
+        with pytest.raises(TypeError):
+            feasible_eq_nonneg(A, b)
 
 
 def test_simplex_feasibility_matches_the_fraction_reference():

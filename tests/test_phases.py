@@ -279,7 +279,7 @@ def test_phase_two_case_rejects_an_anchor_of_wrong_shape():
     # the column on rows {0,1,3} that a phase-two anchor needs
     T = staircase(3)
     with pytest.raises(ProofGap, match="anchor shape outside the two allowed shapes"):
-        _phase_two_case(_Driver(T), T.maximal[0])
+        _phase_two_case(_Driver(T), T.maximal[0], r0=0, r1=1)
 
 
 def test_apply_sequence_refuses_tampered_sequences(corpus43):
