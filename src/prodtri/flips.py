@@ -9,13 +9,15 @@ a tree is returned as the obstruction witness.
 
 The hot paths work on ascending tree masks.  ``_common_link`` compares the
 links of the plus faces, and ``supports_flip`` wraps it for one circuit.
-``_flips`` scans every circuit of ``all_circuits`` tree by tree: a per-dims
-table gives each edge the bitset of the cycles through it, so one pass over
-the edges a tree misses finds the cycles it misses at most one edge of,
-which are exactly those it holds a face of; the faces of all trees are then
-gathered with their links.  ``enumerate_flips`` and
-``oracle.build_flip_graph`` both scan through ``_flips``; only the former
-builds certificate objects.
+``_flips`` scans every circuit of ``all_circuits`` for a batch of members,
+circuit by circuit: a per-dims table gives each edge the bitset of the
+cycles through it, so one pass over the edges a tree misses finds the
+cycles it misses at most one edge of, which are exactly those it holds a
+face of.  Each distinct tree of the batch is passed over once, and its
+faces carry the bitset of the members holding it, so one AND and one OR
+per link element decide a circuit for every member at once.
+``enumerate_flips`` scans a batch of one and ``oracle.build_flip_graph``
+the whole corpus; only the former builds certificate objects.
 """
 
 from __future__ import annotations
@@ -234,42 +236,62 @@ def _held_faces(table, t: int) -> tuple[tuple[int, int, Optional[tuple]], ...]:
     return tuple((f, t ^ f, first.get(f)) for f in faces)
 
 
-def _flips(dims: Dims, trees, held: dict) -> list[tuple]:
-    """(position, circuit, link, plus faces, minus faces) of every circuit of
-    ``all_circuits`` that flips the ascending tree masks, in that order.
+def _flips(dims: Dims, members) -> list[list[tuple]]:
+    """For each member, given as ascending tree masks: (position, circuit,
+    link, plus faces, minus faces) of every circuit of ``all_circuits`` that
+    flips it, in that order.
 
-    ``held`` maps a tree mask to its ``_held_faces``; the caller owns it and
-    may share it across collections of the same dims.  The trees' faces are
-    gathered once, each with the link elements of its holders in tree
-    order, and a circuit flips when every plus face has holders and all of
-    them have the same link.  Every circuit whose lowest plus face some tree
-    holds is tested, so the scan rests on no lemma about which circuits
-    flip.
+    Each distinct tree's faces are found once, so a face maps each link
+    element r to the bitset of the members holding ``r | f``.  Circuit by
+    circuit, the AND of those bitsets over the plus faces is the members
+    holding r at every plus face and the OR those holding it at some; a
+    member flips when some r is in the AND and none is in the OR alone, so
+    every plus face has the same nonempty link.  A member holding a whole
+    cycle holds each plus face with its own link element, so it never flips
+    the cycle.  Every circuit whose lowest plus face some tree holds is
+    tested against every distinct tree, so the scan rests on no lemma about
+    which circuits flip.
     """
     table = _cycle_table(dims)
-    links: dict[int, list[int]] = {}
+    holders: dict[int, int] = {}
+    for k, trees in enumerate(members):
+        bit = 1 << k
+        for t in trees:
+            holders[t] = holders.get(t, 0) | bit
+    links: dict[int, dict[int, int]] = {}
     sides = []
-    for t in trees:
-        faces = held.get(t)
-        if faces is None:
-            faces = held[t] = _held_faces(table, t)
-        for f, r, side in faces:
+    for t, bits in holders.items():
+        for f, r, side in _held_faces(table, t):
             link = links.get(f)
             if link is None:
-                links[f] = [r]
+                links[f] = {r: bits}
                 if side is not None:
                     sides.append(side)
             else:
-                link.append(r)
-    found = []
+                link[r] = bits
+    sides.sort(key=itemgetter(0))
+    found: list[list[tuple]] = [[] for _ in members]
     for pos, X, plus_faces, minus_faces in sides:
-        link = links[plus_faces[0]]
-        for g in plus_faces[1:]:
-            if links.get(g) != link:
-                break
-        else:
-            found.append((pos, X, link, plus_faces, minus_faces))
-    found.sort(key=itemgetter(0))
+        at = [links.get(g) for g in plus_faces]
+        if None in at:
+            continue
+        first, rest = at[0], at[1:]
+        flip = spoil = 0
+        for r in set(first).union(*rest):
+            every = some = first.get(r, 0)
+            for other in rest:
+                bits = other.get(r, 0)
+                every &= bits
+                some |= bits
+            flip |= every
+            spoil |= some & ~every
+        f = plus_faces[0]
+        flipped = bin(flip & ~spoil)[:1:-1]  # member k at index k
+        k = flipped.find("1")
+        while k >= 0:
+            link = [t ^ f for t in members[k] if t & f == f]
+            found[k].append((pos, X, link, plus_faces, minus_faces))
+            k = flipped.find("1", k + 1)
     return found
 
 
@@ -280,11 +302,10 @@ def enumerate_flips(tri: Triangulation) -> tuple[FlipCertificate, ...]:
     circuits can flip; ``all_circuits`` is sorted, and so is the result.
     """
     dims = tri.dims
+    (found,) = _flips(dims, [[t.mask for t in tri.maximal]])
     return tuple(
         _certificate(dims, X, link, plus_faces, minus_faces)
-        for _, X, link, plus_faces, minus_faces in _flips(
-            dims, [t.mask for t in tri.maximal], {}
-        )
+        for _, X, link, plus_faces, minus_faces in found
     )
 
 

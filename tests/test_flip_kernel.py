@@ -12,14 +12,16 @@ from prodtri.core import Dims, Simplex
 from prodtri.flips import (
     _TABLE_DIMS,
     FlipCertificate,
+    _certificate,
     _cycle_table,
+    _flips,
     _tables,
     all_circuits,
     apply_flip,
     enumerate_flips,
     supports_flip,
 )
-from prodtri.oracle import build_flip_graph
+from prodtri.oracle import build_flip_graph, spanning_trees
 from prodtri.phases import staircase
 from prodtri.triangulation import Triangulation
 
@@ -139,6 +141,38 @@ def test_arbitrary_masks():
         ("Obstruction", True),
         ("tuple", True),
     } <= kinds
+
+
+def test_batched_scan_is_the_scan_of_each_member():
+    """A batch scans each member as a batch of one does and as the
+    face-by-face reference does.  The members are seeded collections drawn
+    from one pool of spanning trees and arbitrary masks, so they share
+    trees, and some hold the whole cycle of a circuit that flips another
+    member of their batch."""
+    rng = random.Random(27)
+    shared = whole = 0
+    for dims in (Dims(2, 3), Dims(3, 3), Dims(3, 4)):
+        width = dims.m * dims.n
+        circuits = all_circuits(dims)
+        trees = [t.mask for t in spanning_trees(dims)]
+        for _ in range(20):
+            pool = rng.sample(trees, 8) + [rng.getrandbits(width) for _ in range(4)]
+            batch = [sorted(set(rng.sample(pool, rng.randint(1, 6)))) for _ in range(12)]
+            found = _flips(dims, batch)
+            assert len(found) == len(batch)
+            for masks, flips in zip(batch, found):
+                assert flips == _flips(dims, [masks])[0]
+                tri = Triangulation(dims, [Simplex(dims, t) for t in masks])
+                results = [_outcome(reference.supports_flip, tri, X) for X in circuits]
+                assert tuple(
+                    _certificate(dims, X, link, plus_faces, minus_faces)
+                    for _, X, link, plus_faces, minus_faces in flips
+                ) == reference.enumerate_flips(results)
+                for _, X, _, _, _ in flips:
+                    full = X.minus_mask | X.plus_mask
+                    whole += any(not full & ~t for other in batch for t in other)
+            shared += any(sum(t in masks for masks in batch) >= 2 for t in pool)
+    assert whole and shared
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 3), (4, 6)])

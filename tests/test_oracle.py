@@ -222,6 +222,44 @@ def test_flip_leaving_the_corpus_raises(corpus33):
         build_flip_graph(short)
 
 
+def test_flip_onto_a_kept_tree_leaves_the_corpus():
+    """The square's circuit flips {t1, t2, t3}: it removes t1 and t2 and
+    adds t3 and t4, but t3 is kept, so the flip gives no set of distinct
+    trees.  A bare union of kept and added trees would map it onto the
+    member {t3, t4} instead of refusing."""
+    d = Dims(2, 2)
+    cells = [(0, 0), (1, 1), (0, 1), (1, 0)]
+    t1, t2, t3, t4 = (Simplex.from_edges(d, set(cells) - {miss}) for miss in cells)
+    corpus = Corpus(
+        dims=d,
+        triangulations=tuple(
+            Triangulation(d, trees) for trees in ([t1, t2, t3], [t3, t4], [t1, t2])
+        ),
+    )
+    with pytest.raises(RuntimeError, match="flip left the enumerated corpus"):
+        build_flip_graph(corpus)
+
+
+def _transpose(tri: Triangulation) -> Triangulation:
+    """tri with each edge (i, j) carried to (j, i)."""
+    m, n = tri.dims
+    dims = Dims(n, m)
+    return Triangulation(
+        dims, [Simplex.from_edges(dims, [(j, i) for i, j in t.edges]) for t in tri.maximal]
+    )
+
+
+def test_flip_graph_of_3x4_is_4x3_transposed(corpus43):
+    """The 3x4 graph, whose trees lay their edges out in the other bit
+    order, is the 4x3 graph under transposition."""
+    corpus34 = enumerate_triangulations(Dims(3, 4))
+    position = {T: p for p, T in enumerate(corpus43.triangulations)}
+    image = [position[_transpose(T)] for T in corpus34.triangulations]
+    assert sorted(image) == list(range(len(corpus43)))
+    edges34 = {frozenset(image[p] for p in e) for e in build_flip_graph(corpus34).edges}
+    assert edges34 == build_flip_graph(corpus43).edges
+
+
 def test_connect_walks_along_flip_graph_edges(corpus42):
     # every flip a connect run applies is an edge of the exhaustive graph
     from prodtri.flips import FlipCertificate, apply_flip, supports_flip
