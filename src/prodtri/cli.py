@@ -105,6 +105,9 @@ def _cmd_flip_graph(args):
 def _cmd_orders(args):
     tri = pio.read_triangulation(args.file)
     i1, i2 = args.rows
+    m = tri.dims.m
+    if not (1 <= i1 <= m and 1 <= i2 <= m):
+        raise ValueError(f"rows {i1}, {i2} out of range for {m} rows")
     order = restriction_order(tri, i1 - 1, i2 - 1)
     text = " < ".join(
         "{" + ", ".join(f"f{j + 1}" for j in sorted(s)) + "}" for s in order.strata

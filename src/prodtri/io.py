@@ -79,9 +79,18 @@ def _dims_of(doc: dict) -> Dims:
     return dims
 
 
+def _edge_in(pair, dims: Dims) -> tuple[int, int]:
+    """The 0-based edge of a document's 1-based [row, col] pair, its range
+    checked in the document's terms."""
+    r, c = (_int(x) for x in pair)
+    if not (1 <= r <= dims.m and 1 <= c <= dims.n):
+        raise ValueError(f"edge ({r},{c}) out of range for {dims}")
+    return r - 1, c - 1
+
+
 def _edges_in(doc_edges, dims: Dims) -> Simplex:
     try:
-        pairs = [(_int(r) - 1, _int(c) - 1) for r, c in doc_edges]
+        pairs = [_edge_in(e, dims) for e in doc_edges]
         simplex = Simplex.from_edges(dims, pairs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad edge list: {exc}") from exc
@@ -146,8 +155,8 @@ def circuit_to_dict(X: Circuit) -> dict:
 
 def circuit_from_dict(doc: dict, dims: Dims) -> Circuit:
     try:
-        minus = [(_int(r) - 1, _int(c) - 1) for r, c in doc["minus"]]
-        plus = [(_int(r) - 1, _int(c) - 1) for r, c in doc["plus"]]
+        minus = [_edge_in(e, dims) for e in doc["minus"]]
+        plus = [_edge_in(e, dims) for e in doc["plus"]]
         X = Circuit.from_edges(dims, minus, plus)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # NotACycle too
         raise ParseError(f"bad circuit: {exc}") from exc

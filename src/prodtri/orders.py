@@ -329,54 +329,47 @@ class PrecedenceDigraph:
 class _Adjacency:
     """What the precedence digraphs of one run share, for one dims.
 
-    ``members`` holds the tree masks of the last collection.  ``facets``
-    maps each facet of a member, the tree minus one edge, to the masks of
-    the members holding it.  ``moves`` maps each pair of tree masks a < b
-    that have shared a facet so far to the entering-side row mask I2 of the
-    crossing from a to b, or to 0 when the two do not meet properly (an
-    entering side is never empty); the leaving side is the other rows.  A
-    classification depends only on the two masks and the dims, so entries
-    of trees that have left stay valid, and ``update`` refuses collections
-    of other dims.  ``links`` maps each member to its neighbour list: each
-    member that meets it properly, mapped to the entering-side row mask of
-    the crossing from it to that member.  A list is replaced, never
-    changed, so a digraph keeps the lists of the collection it was built
-    on.
+    ``links`` maps each member of the last collection, a tree mask, to its
+    neighbour list: each member that meets it properly, mapped to the
+    entering-side row mask of the crossing from it to that member; the
+    leaving side is the other rows.  ``facets`` maps each facet of a
+    member, the tree minus one edge, to the masks of the members holding
+    it.  Both depend only on the masks and the dims, so ``update`` refuses
+    collections of other dims.
 
-    ``update`` carries all of it over to a new collection by the members
-    that left and those that came in.  It checks that each arriving member
-    is tree-sized (m+n-1 edges), ValueError otherwise, and classifies a
-    pair through ``moves`` when the two first share a facet.  A run keeps
-    one state: its mirrored cases name their rows and work on the same
-    collection.
+    ``update`` carries both over to a new collection by the members that
+    left and those that came in, changing the neighbour lists in place: a
+    digraph built on the state is read before the state's next update.  It
+    checks that each arriving member is tree-sized (m+n-1 edges),
+    ValueError otherwise, and classifies a pair with ``_move_masks`` when
+    the two first share a facet in the collection.  Two trees share at most
+    one facet, so each pair is classified once while both stay.  A run
+    keeps one state: its mirrored cases name their rows and work on the
+    same collection.
     """
 
-    __slots__ = ("dims", "members", "facets", "moves", "links")
+    __slots__ = ("dims", "facets", "links")
 
     def __init__(self, dims):
         self.dims = dims
-        self.members: set[int] = set()
         self.facets: dict[int, list[int]] = {}
-        self.moves: dict[tuple[int, int], int] = {}
         self.links: dict[int, dict[int, int]] = {}
 
     def update(self, dims, masks: set[int]) -> None:
         if dims != self.dims:
             raise ValueError(f"run state of {self.dims} given a collection of {dims}")
-        arriving = masks - self.members
+        facets, links = self.facets, self.links
+        arriving = masks.difference(links)
         size = dims.m + dims.n - 1
         for x in arriving:
             if x.bit_count() != size:
                 tau = Simplex(dims, x)
                 raise ValueError(f"{tau!r} is not tree-sized: {size} edges expected")
-        facets, moves, links = self.facets, self.moves, self.links
-        leaving = self.members - masks
+        leaving = links.keys() - masks
         for x in leaving:
             for y in links.pop(x):
                 if y not in leaving:
-                    kept = links[y].copy()
-                    del kept[x]
-                    links[y] = kept
+                    del links[y][x]
             rest = x
             while rest:
                 low = rest & -rest
@@ -398,19 +391,12 @@ class _Adjacency:
                     facets[x ^ low] = [x]
                     continue
                 for y in holders:
-                    pair = (x, y) if x < y else (y, x)
-                    I2 = moves.get(pair)
-                    if I2 is None:
-                        move = _move_masks(dims, *pair)
-                        I2 = moves[pair] = 0 if move is None else move[1]
-                    if I2:
-                        entering = mine[y] = I2 if x < y else full ^ I2
-                        grown = links[y].copy()
-                        grown[x] = full ^ entering
-                        links[y] = grown
+                    move = _move_masks(dims, x, y) if x < y else _move_masks(dims, y, x)
+                    if move is not None:
+                        entering = mine[y] = move[1] if x < y else full ^ move[1]
+                        links[y][x] = full ^ entering
                 holders.append(x)
             links[x] = mine
-        self.members = masks
 
 
 def build_precedence(
@@ -431,9 +417,11 @@ def build_precedence(
 
     ``adjacency`` is the state of a run on the collection's dims (each
     ``connect`` keeps one): its facet index and neighbour lists follow the
-    collection from the previous call, and only pairs not yet in its moves
-    are classified.  All of it depends on nothing but the masks, so the
-    arcs are those a fresh state gives; without one, a fresh state is used.
+    collection from the previous call, and only pairs that come to share a
+    facet are classified.  All of it depends on nothing but the masks, so
+    the arcs are those a fresh state gives; without one, a fresh state is
+    used.  The digraph reads the state's neighbour lists, which the next
+    update changes in place, so it is read before the state's next update.
     """
     nodes = tri.maximal
     dims = tri.dims

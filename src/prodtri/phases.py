@@ -19,7 +19,7 @@ path-form tests from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -100,7 +100,7 @@ def apply_sequence(tri: Triangulation, seq: FlipSequence, check: bool = True) ->
         if not isinstance(res, FlipCertificate):
             raise ProofGap("replayed circuit is not a flip", circuit=step.circuit)
         new = apply_flip(tri, res)
-        if check and not slots.flip(new, res.added, tri).ok:
+        if check and not slots.flip(new, res.added).ok:
             raise ProofGap("replay produced an invalid triangulation")
         tri = new
     if tri.digest() != seq.end:
@@ -155,7 +155,8 @@ class GoodnessContext:
     sigma: Optional[Simplex]
     circuit: Circuit
     second: Optional[Circuit] = None
-    cols: tuple[int, int] = (0, 1)
+    _: KW_ONLY
+    cols: tuple[int, int]
     rows: tuple[int, int] = (0, 1)
 
 
@@ -279,7 +280,7 @@ class _Driver:
 
     def apply(self, cert: FlipCertificate, phase: str, **inner: int) -> None:
         new = apply_flip(self.T, cert)
-        if self.slots is not None and not self.slots.flip(new, cert.added, self.T).ok:
+        if self.slots is not None and not self.slots.flip(new, cert.added).ok:
             raise ProofGap("flip produced an invalid triangulation", circuit=cert.circuit)
         self.T = new
         # a kept tree keeps its verdict, so only the added trees are tested

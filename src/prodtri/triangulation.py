@@ -276,11 +276,10 @@ class _TreeSlots:
     checks the result.
     """
 
-    __slots__ = ("dims", "members", "live", "slot_of")
+    __slots__ = ("members", "live", "slot_of")
 
     def __init__(self, tri: Triangulation):
         masks = [t.mask for t in tri.maximal]
-        self.dims = tri.dims
         self.members = _edge_members(tri.dims, masks)
         self.live = (1 << len(masks)) - 1
         self.slot_of = {x: 1 << p for p, x in enumerate(masks)}
@@ -289,10 +288,8 @@ class _TreeSlots:
         """The edge mask of the tree in the slot bit."""
         return sum(1 << e for e, held in enumerate(self.members) if held & bit)
 
-    def flip(
-        self, tri: Triangulation, added: Iterable[Simplex], before: Triangulation
-    ) -> ValidityReport:
-        """``validate(tri)`` for tri made from the valid ``before``, whose
+    def flip(self, tri: Triangulation, added: Iterable[Simplex]) -> ValidityReport:
+        """``validate(tri)`` for tri made from the valid triangulation whose
         trees the slots hold, by a flip that added ``added`` and kept every
         other tree of tri; the slots then hold tri's trees.  The kept trees
         are spanning and pairwise proper, so the search runs from the added
@@ -301,12 +298,11 @@ class _TreeSlots:
         trees = {t.mask for t in tri.maximal}
         if any(t.dims != tri.dims or t.mask not in trees for t in added):
             raise ValueError("added simplices are not all maximal in the triangulation")
-        kept = {t.mask for t in before.maximal}
-        if not trees.difference(t.mask for t in added) <= kept:
-            raise ValueError("a tree outside added is not in before")
         members, slot_of = self.members, self.slot_of
+        if not trees.difference(t.mask for t in added) <= slot_of.keys():
+            raise ValueError("a tree outside added is not in before")
         live = self.live
-        for x in kept - trees:
+        for x in slot_of.keys() - trees:
             keep = ~slot_of.pop(x)
             live &= keep
             while x:
@@ -315,7 +311,7 @@ class _TreeSlots:
                 members[low.bit_length() - 1] &= keep
         for t in added:
             x = t.mask
-            if x not in kept:  # else its slot stays
+            if x not in slot_of:  # else its slot stays
                 bit = ~live & (live + 1)  # the lowest free slot
                 live |= bit
                 slot_of[x] = bit

@@ -66,6 +66,7 @@ from reference import (
 
 WALK_PATH = os.path.join(os.path.dirname(__file__), "data", "walk_4x8.json")
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_digests.json")
+BENCH_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "..", "perfbench", "golden.json")
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +89,6 @@ def _assert_carried(slots: _TreeSlots, tri: Triangulation) -> None:
     tree."""
     width = slots.live.bit_length()
     masks = [slots.mask(1 << p) if slots.live >> p & 1 else 0 for p in range(width)]
-    assert slots.dims == tri.dims
     assert slots.live == (1 << len(tri.maximal)) - 1
     assert sorted(x for x in masks if x) == [t.mask for t in tri.maximal]
     assert slots.members == _edge_members(tri.dims, masks)
@@ -143,8 +143,8 @@ class _CrossCheck:
     def install(self, monkeypatch):
         real = _TreeSlots.flip
 
-        def flip(slots, tri, added, before):
-            report = real(slots, tri, added, before)
+        def flip(slots, tri, added):
+            report = real(slots, tri, added)
             assert report.ok == validate(tri).ok
             _assert_carried(slots, tri)
             self.compared += 1
@@ -381,7 +381,7 @@ def test_forged_certificates_are_rejected_by_both_checks(kind, monkeypatch):
     else:
         forged = _forge(T, [T.maximal[0]], [])
     new = apply_flip(T, forged)
-    assert not _TreeSlots(T).flip(new, forged.added, T).ok
+    assert not _TreeSlots(T).flip(new, forged.added).ok
     full = validate(new)
     assert not full.ok and kind in {tag for tag, _ in full.violations}
     # and through the driver
@@ -428,7 +428,7 @@ def test_both_checks_report_violations_in_pairwise_order(n):
     tags = [tag for tag, _ in want]
     assert tags.count("improper_pair") >= 3 and tags.count("not_spanning") == 1
     assert "cardinality" in tags
-    assert _TreeSlots(T).flip(forged, added, T).violations == want
+    assert _TreeSlots(T).flip(forged, added).violations == want
     assert want == _reference_violations(forged, range(len(forged.maximal)))
     assert validate(forged).violations == want
 
@@ -454,7 +454,7 @@ def test_replay_validates_fully_on_entry(monkeypatch):
                 if validate(after).ok:
                     continue
                 # the flip's own check, from the added trees, would pass it
-                if not _TreeSlots(bad).flip(after, there.added, bad).ok:
+                if not _TreeSlots(bad).flip(after, there.added).ok:
                     continue
                 seq = FlipSequence(
                     T.dims, bad.digest(), after.digest(), (FlipStep(cert.circuit, "I", ()),)
@@ -505,7 +505,7 @@ def test_genuine_flips_pass_both_checks():
     assert validate(T).ok
     for cert in enumerate_flips(T):
         new = apply_flip(T, cert)
-        assert _TreeSlots(T).flip(new, cert.added, T).ok
+        assert _TreeSlots(T).flip(new, cert.added).ok
         assert validate(new).ok
 
 
@@ -514,10 +514,10 @@ def test_incremental_refuses_a_mismatched_flip():
     assert validate(T).ok
     stranger = next(u for u in spanning_trees(T.dims) if u not in T.maximal)
     with pytest.raises(ValueError, match="added"):
-        _TreeSlots(T).flip(T, [stranger], T)
+        _TreeSlots(T).flip(T, [stranger])
     other = apply_flip(T, enumerate_flips(T)[0])
     with pytest.raises(ValueError, match="not in before"):
-        _TreeSlots(T).flip(other, [], T)
+        _TreeSlots(T).flip(other, [])
 
 
 # ------------------------------------------------------------ facet index
@@ -606,7 +606,7 @@ def test_run_state_refuses_an_arriving_member_that_is_not_tree_sized(corpus43):
     adjacency = _Adjacency(tri.dims)
     build_precedence(other, toward_row(0), adjacency)
     build_precedence(tri, toward_row(0), adjacency)
-    kept = (set(adjacency.members), dict(adjacency.links), dict(adjacency.moves))
+    kept = _snapshot(adjacency)
     short = tri.maximal[0].without_edge(*tri.maximal[0].edges[0])
     bad = LocalTriangulation(tri.dims, Simplex(tri.dims), [*tri.maximal[1:], short])
     with pytest.raises(ValueError, match="tree-sized") as err:
@@ -614,7 +614,7 @@ def test_run_state_refuses_an_arriving_member_that_is_not_tree_sized(corpus43):
     with pytest.raises(ValueError) as fresh:
         build_precedence(bad, toward_row(0))
     assert str(err.value) == str(fresh.value)
-    assert (adjacency.members, adjacency.links, adjacency.moves) == kept
+    assert _snapshot(adjacency) == kept
     _same_arcs(tri, _filters(4), adjacency)
 
 
@@ -623,9 +623,8 @@ def test_run_state_refuses_an_arriving_member_that_is_not_tree_sized(corpus43):
 
 def test_shared_table_matches_all_pairs_on_walk_states(walk48):
     """One run state serves every state connect passes through and the
-    rows-0/1 swap of each, so its moves hold departed and swapped trees;
-    every state is compared with four of the filters in turn, so each
-    filter meets a quarter of the states."""
+    rows-0/1 swap of each; every state is compared with four of the
+    filters in turn, so each filter meets a quarter of the states."""
     states = [walk48]
     for step in connect(walk48, check=False).steps:
         states.append(apply_flip(states[-1], supports_flip(states[-1], step.circuit)))
@@ -635,11 +634,6 @@ def test_shared_table_matches_all_pairs_on_walk_states(walk48):
     for k, tri in enumerate(states):
         for state in (tri, _swap01(tri)):
             _same_arcs(state, [filters[(4 * k + r) % 16] for r in range(4)], adjacency)
-    one_state = _Adjacency(tri.dims)
-    build_precedence(tri, filters[0], one_state)
-    kept = {x for pair in adjacency.moves for x in pair}
-    assert len(adjacency.moves) > 2 * len(one_state.moves)
-    assert not kept <= {t.mask for t in tri.maximal}  # departed trees stay
 
 
 def test_shared_table_matches_all_pairs_on_corpus(corpus43):
@@ -648,10 +642,10 @@ def test_shared_table_matches_all_pairs_on_corpus(corpus43):
     adjacency = _Adjacency(corpus43.dims)
     for tri in sample[:20]:
         build_precedence(tri, toward_row(0), adjacency)
-    filled = len(adjacency.moves)
+    assert adjacency.links.keys() == {t.mask for t in sample[19].maximal}
+    assert any(adjacency.links.values())
     for tri in sample[20:]:
         _same_arcs(tri, _filters(4), adjacency)
-    assert 0 < filled < len(adjacency.moves)
 
 
 def test_shared_table_matches_all_pairs_on_stars(corpus43):
@@ -675,12 +669,12 @@ def test_table_never_answers_for_other_dims(corpus43):
     other = Dims(3, 4)
     for tri in rng.sample(corpus43.triangulations, 20):
         build_precedence(tri, toward_row(0), adjacency)
-        assert adjacency.dims == tri.dims and adjacency.moves
-        moves, links = dict(adjacency.moves), dict(adjacency.links)
+        assert adjacency.dims == tri.dims and adjacency.links
+        kept = _snapshot(adjacency)
         reread = Triangulation(other, [Simplex(other, t.mask) for t in tri.maximal])
         with pytest.raises(ValueError, match="run state of"):
             build_precedence(reread, toward_row(0), adjacency)
-        assert adjacency.moves == moves and adjacency.links == links
+        assert _snapshot(adjacency) == kept
         _same_arcs(reread, _filters(3), _Adjacency(other))
 
 
@@ -689,7 +683,7 @@ def test_driver_run_owns_its_table(walk48, monkeypatch):
     its run is built on it, mirrored cases included."""
     drv = _Driver(walk48, check=True)
     home = drv.adjacency
-    assert isinstance(home, _Adjacency) and not home.moves
+    assert isinstance(home, _Adjacency) and not home.links
     assert home is not _Driver(walk48).adjacency
     cases = _Cases(monkeypatch)
     calls = _record_digraphs(monkeypatch)
@@ -697,7 +691,7 @@ def test_driver_run_owns_its_table(walk48, monkeypatch):
     phase_two(start, _driver=drv)
     assert cases.mirrored_entries()
     assert calls and all(adjacency is home for _, adjacency, _, _ in calls)
-    assert drv.adjacency is home and home.moves
+    assert drv.adjacency is home and home.links
     _assert_carried(drv.slots, drv.T)
 
 
@@ -715,6 +709,41 @@ def _golden_inputs(prefix: str = "") -> list:
 
 def _golden_witnesses() -> list:
     return _golden_inputs("witness:")
+
+
+@pytest.fixture(scope="module")
+def golden_runs():
+    """One checked connect of each golden input, as (the ``_move_masks``
+    calls of each run, counted by pair; each case-3 claim of the runs as
+    (whether its other side set was empty on entry, the inner picks it
+    made))."""
+    real_moves = orders._move_masks
+    real_claim, real_path = phases._case_three_claim, phases._extremal_path
+    counts, labels, runs, claims = Counter(), [], [], []
+
+    def counting(dims, a, b):
+        counts[a, b] += 1
+        return real_moves(dims, a, b)
+
+    def extremal_path(drv, trees, move, ends, label):
+        labels.append(label)
+        return real_path(drv, trees, move, ends, label)
+
+    def claim(drv, X, tau_I, sigma_I, c1, c2, *, r0, r1):
+        other_empty = not phases._case_three_side(drv.T, X, c1, r1, r0)
+        start = len(labels)
+        real_claim(drv, X, tau_I, sigma_I, c1, c2, r0=r0, r1=r1)
+        claims.append((other_empty, labels[start:].count("case 3 inner")))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orders, "_move_masks", counting)
+        mp.setattr(phases, "_extremal_path", extremal_path)
+        mp.setattr(phases, "_case_three_claim", claim)
+        for tri in _golden_inputs():
+            counts.clear()
+            connect(tri, check=True)
+            runs.append(counts.copy())
+    return runs, claims
 
 
 def _states(tri: Triangulation, seq: FlipSequence) -> list:
@@ -907,6 +936,18 @@ def test_mirrored_case_three_claims_run_their_inner_reduction(monkeypatch):
     assert compared
 
 
+def test_case_three_claims_with_an_empty_other_side_make_no_inner_pick(golden_runs):
+    """A conjecture, tallied over the case-3 claims of the 213 golden
+    inputs, the eight branch witnesses included: a claim entered with its
+    other side set empty makes no inner pick (mirrored claims are all such,
+    as a claim mirrors only when the canonical side set is empty).  Some
+    claims entered with both side sets non-empty make one, so the tally is
+    not vacuous."""
+    _, claims = golden_runs
+    tally = Counter((other_empty, inner > 0) for other_empty, inner in claims)
+    assert tally == {(True, False): 18, (False, True): 4, (False, False): 2}
+
+
 def test_driver_defect_sets_match_a_full_computation(walk48, corpus43, monkeypatch):
     """After every ``apply`` of a run's driver, on the committed walk, the
     eight golden branch witnesses and 50 corpus members, checked and
@@ -970,6 +1011,12 @@ def _sorted_links(adjacency: _Adjacency) -> dict:
     return {x: sorted(links.items()) for x, links in adjacency.links.items()}
 
 
+def _snapshot(adjacency: _Adjacency) -> tuple:
+    """Copies of a run state's neighbour lists and facet index, which
+    its next update changes in place."""
+    return _sorted_links(adjacency), {f: sorted(h) for f, h in adjacency.facets.items()}
+
+
 def _record_digraphs(monkeypatch) -> list:
     """(collection, run state, its neighbour lists, its facet index) of
     every build_precedence call of phases, the lists and the index as the
@@ -978,8 +1025,7 @@ def _record_digraphs(monkeypatch) -> list:
 
     def recording(tri, move_filter, adjacency=None):
         digraph = build_precedence(tri, move_filter, adjacency)
-        facets = {f: sorted(h) for f, h in adjacency.facets.items()}
-        calls.append((tri, adjacency, _sorted_links(adjacency), facets))
+        calls.append((tri, adjacency, *_snapshot(adjacency)))
         return digraph
 
     monkeypatch.setattr(phases, "build_precedence", recording)
@@ -1096,6 +1142,38 @@ def test_run_state_classifies_each_met_pair_once(walk48, monkeypatch):
         assert sorted(classified) == sorted(met) and met, tri
 
 
+def test_connect_classification_counts_on_committed_inputs(golden_runs):
+    """Each pair is classified once while both trees stay: no checked
+    connect of a golden input classifies a pair twice, and the totals of
+    ``_move_masks`` calls are those of the committed inputs, 9,653 over the
+    213 golden inputs (checked) and 1,505 over the two committed 4x8 walks
+    (unchecked).  A count that grows means pairs classified again, or an
+    input that would need a memo of past classifications."""
+    runs, _ = golden_runs
+    assert len(runs) == 213
+    assert all(max(counts.values(), default=1) == 1 for counts in runs)
+    assert sum(sum(counts.values()) for counts in runs) == 9653
+    with open(BENCH_GOLDEN_PATH) as fh:
+        walks = json.load(fh)["walk_4x8"]
+    assert len(walks) == 2
+    calls = []
+
+    def counting(dims, a, b):
+        calls.append((a, b))
+        return _move_masks(dims, a, b)
+
+    d = Dims(4, 8)
+    total = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orders, "_move_masks", counting)
+        for walk in walks:
+            calls.clear()
+            connect(Triangulation(d, [Simplex(d, int(x, 16)) for x in walk["trees"]]), check=False)
+            assert len(set(calls)) == len(calls)
+            total += len(calls)
+    assert total == 1505
+
+
 def _module_containers() -> dict:
     return {
         (name, attr): len(value)
@@ -1171,8 +1249,8 @@ def _same_reachability(dg, candidate_sets):
 
 def test_reachability_matches_a_closure(corpus43, walk48, monkeypatch):
     """On 40 corpus members under every filter, on every digraph connect
-    builds, with the candidates it picks from, and on a 3-cycle with a
-    tail."""
+    builds, with the candidates it picks from, when it picks, before the
+    run state's next update, and on a 3-cycle with a tail."""
     rng = random.Random(8)
     cyclic = 0
     for tri in rng.sample(corpus43.triangulations, 40):
@@ -1181,18 +1259,18 @@ def test_reachability_matches_a_closure(corpus43, walk48, monkeypatch):
             subsets = [rng.sample(tri.maximal, rng.randint(1, len(tri.maximal))) for _ in range(3)]
             cyclic += _same_reachability(dg, [tri.maximal] + subsets)
     assert cyclic  # the free filters make some classes
-    picks = []
+    picked = []
 
     def recording(candidates, digraph):
         candidates = list(candidates)
-        picks.append((candidates, digraph))
-        return select_extremal(candidates, digraph)
+        pick = select_extremal(candidates, digraph)
+        _same_reachability(digraph, [candidates, digraph.nodes])
+        picked.append(len(candidates))
+        return pick
 
     monkeypatch.setattr(phases, "select_extremal", recording)
     connect(walk48, check=False)
-    assert len(picks) > 10 and max(len(c) for c, _ in picks) > 1
-    for candidates, dg in picks:
-        _same_reachability(dg, [candidates, dg.nodes])
+    assert len(picked) > 10 and max(picked) > 1
     d = Dims(2, 3)
     t = [Simplex(d, x) for x in range(1, 7)]
     # 0 -> 1 -> 2 -> 0, then 2 -> 3 -> 4, and 5 -> 0

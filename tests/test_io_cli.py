@@ -409,3 +409,28 @@ def test_fuzzed_sequence_documents(doc):
         pio.sequence_from_dict(doc)
     except pio.ParseError:
         pass
+
+
+def test_out_of_range_coordinates_are_named_1_based(tmp_path, capsys):
+    """Errors name a document's or the command line's coordinates as they
+    were given, 1-based, with the error types and exit codes unchanged."""
+    doc = {"m": 2, "n": 2, "maximal_simplices": [[[1, 1], [1, 2], [3, 2]]]}
+    with pytest.raises(pio.ParseError, match=r"edge \(3,2\) out of range"):
+        pio.triangulation_from_dict(doc, require_valid=False)
+    f = tmp_path / "t.json"
+    f.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "validate", str(f))
+    assert code == 1
+    assert json.loads(err)["error"] == "ParseError" and "edge (3,2)" in err
+    circuit = {"minus": [[0, 1], [3, 2]], "plus": [[0, 2], [3, 1]]}
+    with pytest.raises(pio.ParseError, match=r"edge \(0,1\) out of range"):
+        pio.circuit_from_dict(circuit, Dims(4, 2))
+    pio.write_triangulation(f, staircase(2))
+    code, _, err = run_cli(capsys, "apply", str(f), "--circuit", json.dumps(circuit))
+    assert code == 1
+    assert json.loads(err)["error"] == "ParseError" and "edge (0,1)" in err
+    code, _, err = run_cli(capsys, "orders", str(f), "--rows", "0", "1")
+    assert code == 1
+    assert json.loads(err) == {"error": "ValueError", "message": "rows 0, 1 out of range for 4 rows"}
+    code, _, err = run_cli(capsys, "orders", str(f), "--rows", "4", "5")
+    assert code == 1 and "rows 4, 5 out of range" in err

@@ -202,7 +202,8 @@ REFUSALS = [
     (
         "goodness of an unknown kind",
         lambda: goodness(
-            staircase(2), GoodnessContext("tauIII", Simplex(Dims(4, 2)), None, SQUARE4)
+            staircase(2),
+            GoodnessContext("tauIII", Simplex(Dims(4, 2)), None, SQUARE4, cols=(0, 1)),
         ),
         ValueError,
         "^unknown goodness kind 'tauIII'$",
