@@ -15,9 +15,9 @@ cycles through it, so one pass over the edges a tree misses finds the
 cycles it misses at most one edge of, which are exactly those it holds a
 face of.  Each distinct tree of the batch is passed over once, and its
 faces carry the bitset of the members holding it, so one AND and one OR
-per link element decide a circuit for every member at once.
-``enumerate_flips`` scans a batch of one and ``oracle.build_flip_graph``
-the whole corpus; only the former builds certificate objects.
+per link element decide a circuit for every member at once; each distinct
+flip comes back once, with the bitset of the members it flips.  Only
+``enumerate_flips``, a batch of one, builds certificate objects.
 """
 
 from __future__ import annotations
@@ -236,21 +236,22 @@ def _held_faces(table, t: int) -> tuple[tuple[int, int, Optional[tuple]], ...]:
     return tuple((f, t ^ f, first.get(f)) for f in faces)
 
 
-def _flips(dims: Dims, members) -> list[list[tuple]]:
-    """For each member, given as ascending tree masks: (position, circuit,
-    link, plus faces, minus faces) of every circuit of ``all_circuits`` that
-    flips it, in that order.
+def _flips(dims: Dims, members) -> list[tuple]:
+    """The distinct flips of the members (ascending distinct tree masks), in
+    ``all_circuits`` order: (position, circuit, ascending link, plus faces,
+    minus faces, the bitset of the members it flips).
 
     Each distinct tree's faces are found once, so a face maps each link
     element r to the bitset of the members holding ``r | f``.  Circuit by
     circuit, the AND of those bitsets over the plus faces is the members
     holding r at every plus face and the OR those holding it at some; a
     member flips when some r is in the AND and none is in the OR alone, so
-    every plus face has the same nonempty link.  A member holding a whole
-    cycle holds each plus face with its own link element, so it never flips
-    the cycle.  Every circuit whose lowest plus face some tree holds is
-    tested against every distinct tree, so the scan rests on no lemma about
-    which circuits flip.
+    every plus face has the same nonempty link, the r whose AND holds it.
+    Splitting the flipping members on those ANDs gives each link once.  A
+    member holding a whole cycle holds each plus face with its own link
+    element, so it never flips the cycle.  Every circuit whose lowest plus
+    face some tree holds is tested against every distinct tree, so the scan
+    rests on no lemma about which circuits flip.
     """
     table = _cycle_table(dims)
     holders: dict[int, int] = {}
@@ -270,28 +271,30 @@ def _flips(dims: Dims, members) -> list[list[tuple]]:
             else:
                 link[r] = bits
     sides.sort(key=itemgetter(0))
-    found: list[list[tuple]] = [[] for _ in members]
+    found: list[tuple] = []
     for pos, X, plus_faces, minus_faces in sides:
         at = [links.get(g) for g in plus_faces]
         if None in at:
             continue
         first, rest = at[0], at[1:]
         flip = spoil = 0
+        held = []
         for r in set(first).union(*rest):
             every = some = first.get(r, 0)
             for other in rest:
                 bits = other.get(r, 0)
                 every &= bits
                 some |= bits
+            if every:
+                held.append((r, every))
             flip |= every
             spoil |= some & ~every
-        f = plus_faces[0]
-        flipped = bin(flip & ~spoil)[:1:-1]  # member k at index k
-        k = flipped.find("1")
-        while k >= 0:
-            link = [t ^ f for t in members[k] if t & f == f]
-            found[k].append((pos, X, link, plus_faces, minus_faces))
-            k = flipped.find("1", k + 1)
+        flipped = flip & ~spoil
+        groups = [(flipped, ())] if flipped else []  # no record with an empty link
+        for r, every in sorted(held):
+            split = [((bits & every, link + (r,)), (bits & ~every, link)) for bits, link in groups]
+            groups = [group for pair in split for group in pair if group[0]]
+        found += [(pos, X, link, plus_faces, minus_faces, bits) for bits, link in groups]
     return found
 
 
@@ -302,10 +305,10 @@ def enumerate_flips(tri: Triangulation) -> tuple[FlipCertificate, ...]:
     circuits can flip; ``all_circuits`` is sorted, and so is the result.
     """
     dims = tri.dims
-    (found,) = _flips(dims, [[t.mask for t in tri.maximal]])
+    found = _flips(dims, [[t.mask for t in tri.maximal]])
     return tuple(
         _certificate(dims, X, link, plus_faces, minus_faces)
-        for _, X, link, plus_faces, minus_faces in found
+        for _, X, link, plus_faces, minus_faces, _ in found
     )
 
 

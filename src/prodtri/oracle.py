@@ -11,9 +11,9 @@ evidence.  The enumeration does share its compatibility test: one
 The enumeration and the flip graph run on tree masks: the search matches
 the open interior facets of the chosen trees against bitsets of properly
 meeting partners, and the graph keys each member by the bitset of its
-trees over the corpus's distinct trees and applies to it the flips that
-one batched circuit scan finds for all members, building no certificate or
-triangulation objects.
+trees over the corpus's distinct trees.  One batched circuit scan gives
+each distinct flip once with the members it flips, and the graph applies
+it to each of them, building no certificate or triangulation objects.
 """
 
 from __future__ import annotations
@@ -211,38 +211,34 @@ def build_flip_graph(corpus: Corpus) -> FlipGraph:
     """Edges between corpus members one flip apart; raises if a flip ever
     leaves the corpus (which would mean the enumeration missed something).
 
-    One batched scan of ``_flips`` finds the flips of every member, and each
-    is applied to the member's trees as bitsets over the distinct trees of
-    the corpus (432 at 4x3): the neighbour is the kept trees joined with the
-    added ones, looked up by its bitset.  A flip's removed and added trees
-    depend only on its circuit and link, so each distinct flip forms them
-    once per build: the 4x3 members have 28,368 flips, 1,584 distinct.
+    One batched scan of ``_flips`` finds each distinct flip once with the
+    bitset of the members it flips (the 4x3 members have 28,368 flips in
+    1,584 records).  A record's removed and added trees are formed once, as
+    bitsets over the distinct trees of the corpus (432 at 4x3), and applied
+    to each member it flips: the neighbour is the kept trees joined with the
+    added ones, looked up by its bitset.
     """
     dims = corpus.dims
     members = [[t.mask for t in tri.maximal] for tri in corpus.triangulations]
     index = {t: 1 << i for i, t in enumerate({t for trees in members for t in trees})}
     keys = [sum(map(index.__getitem__, trees)) for trees in members]
     position = {key: p for p, key in enumerate(keys)}
-    moves: dict[tuple, tuple[int, int]] = {}
     edges: set[frozenset[int]] = set()
-    for p, found in enumerate(_flips(dims, members)):
-        key = keys[p]
-        for pos, _, link, plus_faces, minus_faces in found:
-            move = moves.get((pos, *link))
-            if move is None:
-                move = moves[(pos, *link)] = (
-                    _tree_bits(index, link, plus_faces),
-                    _tree_bits(index, link, minus_faces),
-                )
-            removed, added = move
-            if not removed or removed & key != removed:
+    for _, _, link, plus_faces, minus_faces, flipped in _flips(dims, members):
+        removed = _tree_bits(index, link, plus_faces)
+        added = _tree_bits(index, link, minus_faces)
+        each = bin(flipped)[:1:-1]  # member p at index p
+        p = each.find("1")
+        while p >= 0:
+            if not removed or removed & keys[p] != removed:
                 raise StaleCertificate("certificate's removed simplices are not all present")
-            kept = key ^ removed
+            kept = keys[p] ^ removed
             q = None if not added or added & kept else position.get(kept | added)
             if q is None:
                 raise RuntimeError("flip left the enumerated corpus")
             if q != p:
                 edges.add(frozenset((p, q)))
+            p = each.find("1", p + 1)
     return FlipGraph(corpus=corpus, edges=frozenset(edges))
 
 

@@ -404,16 +404,16 @@ def build_precedence(
 ) -> PrecedenceDigraph:
     """Digraph over the collection's maximal simplices with the accepted moves.
 
-    The members must be tree-sized (m+n-1 edges each); the run state
-    raises ValueError when one that is not arrives.  Two such trees are adjacent only if they share a facet, the tree minus
-    one edge, so the run state's facet index hands ``_move_masks`` just the
-    pairs that share one: O(T(m+n)) instead of O(T^2).  The digraph makes a
-    node's successors from its neighbour list when a reach search first
-    expands it, so a call costs O(T) until its digraph is queried.
-    ``move_filter`` is called at most once per call for each distinct row
-    split (I1, I2) among the crossings; reading ``arcs`` expands every
-    node, which hands it all of them, both directions of every adjacent
-    pair included.
+    The members must be tree-sized (m+n-1 edges each); the run state raises
+    ValueError when one that is not arrives.  Two such trees are adjacent
+    only if they share a facet, the tree minus one edge, so the run state's
+    facet index hands ``_move_masks`` just the pairs that share one:
+    O(T(m+n)) instead of O(T^2).  The digraph makes a node's successors from
+    its neighbour list when a reach search first expands it, so a call costs
+    O(T) until its digraph is queried.  ``move_filter`` is called at most
+    once per call for each distinct row split (I1, I2) among the crossings;
+    reading ``arcs`` expands every node, which hands it all of them, both
+    directions of every adjacent pair included.
 
     ``adjacency`` is the state of a run on the collection's dims (each
     ``connect`` keeps one): its facet index and neighbour lists follow the

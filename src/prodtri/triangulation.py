@@ -300,7 +300,7 @@ class _TreeSlots:
             raise ValueError("added simplices are not all maximal in the triangulation")
         members, slot_of = self.members, self.slot_of
         if not trees.difference(t.mask for t in added) <= slot_of.keys():
-            raise ValueError("a tree outside added is not in before")
+            raise ValueError("a tree outside added is not held by the slots")
         live = self.live
         for x in slot_of.keys() - trees:
             keep = ~slot_of.pop(x)

@@ -12,6 +12,7 @@ from prodtri.core import Dims, Simplex
 from prodtri.flips import (
     _TABLE_DIMS,
     FlipCertificate,
+    Obstruction,
     _certificate,
     _cycle_table,
     _flips,
@@ -143,12 +144,24 @@ def test_arbitrary_masks():
     } <= kinds
 
 
+def _per_member(records, count: int) -> list[list[tuple]]:
+    """The (position, circuit, link, plus faces, minus faces) of each of
+    ``count`` members' flips, read off the records' member bitsets."""
+    out: list[list[tuple]] = [[] for _ in range(count)]
+    for *flip, flipped in records:
+        for k in range(count):
+            if flipped >> k & 1:
+                out[k].append(tuple(flip))
+    return out
+
+
 def test_batched_scan_is_the_scan_of_each_member():
     """A batch scans each member as a batch of one does and as the
-    face-by-face reference does.  The members are seeded collections drawn
-    from one pool of spanning trees and arbitrary masks, so they share
-    trees, and some hold the whole cycle of a circuit that flips another
-    member of their batch."""
+    face-by-face reference does, each distinct flip once: every record has
+    a nonempty link and flips some member, and no two share their circuit
+    and link.  The members are seeded collections drawn from one pool of
+    spanning trees and arbitrary masks, so they share trees, and some hold
+    the whole cycle of a circuit that flips another member of their batch."""
     rng = random.Random(27)
     shared = whole = 0
     for dims in (Dims(2, 3), Dims(3, 3), Dims(3, 4)):
@@ -158,10 +171,12 @@ def test_batched_scan_is_the_scan_of_each_member():
         for _ in range(20):
             pool = rng.sample(trees, 8) + [rng.getrandbits(width) for _ in range(4)]
             batch = [sorted(set(rng.sample(pool, rng.randint(1, 6)))) for _ in range(12)]
-            found = _flips(dims, batch)
-            assert len(found) == len(batch)
+            records = _flips(dims, batch)
+            assert all(link and flipped for _, _, link, _, _, flipped in records)
+            assert len({(pos, link) for pos, _, link, _, _, _ in records}) == len(records)
+            found = _per_member(records, len(batch))
             for masks, flips in zip(batch, found):
-                assert flips == _flips(dims, [masks])[0]
+                assert flips == _per_member(_flips(dims, [masks]), 1)[0]
                 tri = Triangulation(dims, [Simplex(dims, t) for t in masks])
                 results = [_outcome(reference.supports_flip, tri, X) for X in circuits]
                 assert tuple(
@@ -173,6 +188,25 @@ def test_batched_scan_is_the_scan_of_each_member():
                     whole += any(not full & ~t for other in batch for t in other)
             shared += any(sum(t in masks for masks in batch) >= 2 for t in pool)
     assert whole and shared
+
+
+def test_an_obstructed_circuit_gets_no_record(corpus33):
+    """A member whose plus faces are all present but whose links differ
+    flips nothing, even when no link element is shared by every plus face,
+    so the split of its flipping members starts from none: no record is
+    made at that circuit, empty or not."""
+    circuits = all_circuits(Dims(3, 3))
+    disjoint = 0
+    for T in corpus33.triangulations:
+        masks = [t.mask for t in T.maximal]
+        at = {pos for pos, *_ in _flips(T.dims, [masks])}
+        for pos, X in enumerate(circuits):
+            if isinstance(supports_flip(T, X), Obstruction):
+                assert pos not in at, (T, X)
+                plus_faces = [s.mask for s in reference.circuit_triangulations(X)[0]]
+                links = [{t ^ f for t in masks if t & f == f} for f in plus_faces]
+                disjoint += not set.intersection(*links)
+    assert disjoint
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 3), (4, 6)])

@@ -516,7 +516,7 @@ def test_incremental_refuses_a_mismatched_flip():
     with pytest.raises(ValueError, match="added"):
         _TreeSlots(T).flip(T, [stranger])
     other = apply_flip(T, enumerate_flips(T)[0])
-    with pytest.raises(ValueError, match="not in before"):
+    with pytest.raises(ValueError, match="not held by the slots"):
         _TreeSlots(T).flip(other, [])
 
 

@@ -180,11 +180,17 @@ def test_flip_graph_matches_the_reference(m, n):
 
 
 def test_flip_graph_of_4x3(corpus43):
-    """The edge count the benchmark checks, on every test run."""
+    """The edge count the benchmark checks, on every test run, and the
+    scan behind it: each distinct flip once, with the members it flips,
+    which name every edge from both ends."""
     g = build_flip_graph(corpus43)
     assert len(corpus43) == 4488
     assert len(g.edges) == 14184
     assert is_connected(g)
+    members = [[t.mask for t in T.maximal] for T in corpus43.triangulations]
+    records = flips._flips(corpus43.dims, members)
+    assert len(records) == 1584
+    assert sum(flipped.bit_count() for *_, flipped in records) == 28368 == 2 * len(g.edges)
 
 
 def _state() -> dict:
