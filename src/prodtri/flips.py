@@ -16,8 +16,9 @@ cycles it misses at most one edge of, which are exactly those it holds a
 face of.  Each distinct tree of the batch is passed over once, and its
 faces carry the bitset of the members holding it, so one AND and one OR
 per link element decide a circuit for every member at once; each distinct
-flip comes back once, with the bitset of the members it flips.  Only
-``enumerate_flips``, a batch of one, builds certificate objects.
+flip comes back once, with the bitset of the members it flips, split only
+by the link elements that meet them.  Only ``enumerate_flips``, a batch of
+one, builds certificate objects.
 """
 
 from __future__ import annotations
@@ -247,7 +248,9 @@ def _flips(dims: Dims, members) -> list[tuple]:
     holding r at every plus face and the OR those holding it at some; a
     member flips when some r is in the AND and none is in the OR alone, so
     every plus face has the same nonempty link, the r whose AND holds it.
-    Splitting the flipping members on those ANDs gives each link once.  A
+    Splitting the flipping members on those ANDs gives each link once; an
+    AND that meets no flipping member splits nothing, and one that does
+    splits only the groups it meets.  A
     member holding a whole cycle holds each plus face with its own link
     element, so it never flips the cycle.  Every circuit whose lowest plus
     face some tree holds is tested against every distinct tree, so the scan
@@ -290,10 +293,23 @@ def _flips(dims: Dims, members) -> list[tuple]:
             flip |= every
             spoil |= some & ~every
         flipped = flip & ~spoil
-        groups = [(flipped, ())] if flipped else []  # no record with an empty link
+        if not flipped:  # no record with an empty link
+            continue
+        groups = [(flipped, ())]
         for r, every in sorted(held):
-            split = [((bits & every, link + (r,)), (bits & ~every, link)) for bits, link in groups]
-            groups = [group for pair in split for group in pair if group[0]]
+            every &= flipped
+            if not every:
+                continue
+            split = []
+            for bits, link in groups:
+                inside = bits & every
+                if not inside:
+                    split.append((bits, link))
+                    continue
+                split.append((inside, link + (r,)))
+                if inside != bits:
+                    split.append((bits ^ inside, link))
+            groups = split
         found += [(pos, X, link, plus_faces, minus_faces, bits) for bits, link in groups]
     return found
 

@@ -12,8 +12,10 @@ The enumeration and the flip graph run on tree masks: the search matches
 the open interior facets of the chosen trees against bitsets of properly
 meeting partners, and the graph keys each member by the bitset of its
 trees over the corpus's distinct trees.  One batched circuit scan gives
-each distinct flip once with the members it flips, and the graph applies
-it to each of them, building no certificate or triangulation objects.
+each distinct flip once with the members it flips.  A flip and its inverse
+join the same members, so the graph applies the flips of one orientation to
+each member they flip and checks that the members reached are those the
+inverse flips, building no certificate or triangulation objects.
 """
 
 from __future__ import annotations
@@ -209,24 +211,42 @@ def _tree_bits(index: dict[int, int], link, faces) -> int:
 
 def build_flip_graph(corpus: Corpus) -> FlipGraph:
     """Edges between corpus members one flip apart; raises if a flip ever
-    leaves the corpus (which would mean the enumeration missed something).
+    leaves the corpus (which would mean the enumeration missed something)
+    and refuses a corpus that repeats a member.
 
     One batched scan of ``_flips`` finds each distinct flip once with the
     bitset of the members it flips (the 4x3 members have 28,368 flips in
-    1,584 records).  A record's removed and added trees are formed once, as
-    bitsets over the distinct trees of the corpus (432 at 4x3), and applied
-    to each member it flips: the neighbour is the kept trees joined with the
-    added ones, looked up by its bitset.
+    1,584 records).  The flip (X, link) is undone by (-X, link), so only the
+    records of one orientation form edges, each edge once (14,184 lookups at
+    4x3).  A record's removed and added trees are formed once, as bitsets
+    over the distinct trees of the corpus (432 at 4x3), and applied to each
+    member it flips: the neighbour is the kept trees joined with the added
+    ones, looked up by its bitset.  The neighbours reached must be exactly
+    the members of the inverse record, which checks the records that form
+    no edge.
     """
     dims = corpus.dims
     members = [[t.mask for t in tri.maximal] for tri in corpus.triangulations]
     index = {t: 1 << i for i, t in enumerate({t for trees in members for t in trees})}
     keys = [sum(map(index.__getitem__, trees)) for trees in members]
-    position = {key: p for p, key in enumerate(keys)}
+    position: dict[int, int] = {}
+    for p, key in enumerate(keys):
+        if position.setdefault(key, p) != p:
+            raise ValueError(f"corpus member {p} repeats member {position[key]}")
+    records = _flips(dims, members)
+    # the records that form no edge, keyed as their inverse names them
+    inverse = {
+        (minus_faces, link): flipped
+        for _, X, link, _, minus_faces, flipped in records
+        if X.minus_mask > X.plus_mask
+    }
     edges: set[frozenset[int]] = set()
-    for _, _, link, plus_faces, minus_faces, flipped in _flips(dims, members):
+    for _, X, link, plus_faces, minus_faces, flipped in records:
+        if X.minus_mask > X.plus_mask:
+            continue
         removed = _tree_bits(index, link, plus_faces)
         added = _tree_bits(index, link, minus_faces)
+        targets = 0
         each = bin(flipped)[:1:-1]  # member p at index p
         p = each.find("1")
         while p >= 0:
@@ -236,9 +256,16 @@ def build_flip_graph(corpus: Corpus) -> FlipGraph:
             q = None if not added or added & kept else position.get(kept | added)
             if q is None:
                 raise RuntimeError("flip left the enumerated corpus")
-            if q != p:
-                edges.add(frozenset((p, q)))
+            targets |= 1 << q
+            edges.add(frozenset((p, q)))  # q != p: no added tree is kept or removed
             p = each.find("1", p + 1)
+        if inverse.pop((plus_faces, link), 0) != targets:
+            raise RuntimeError(
+                f"flip left the enumerated corpus: {X!r} at link {link} reaches "
+                f"other members than {X.reverse()!r} flips"
+            )
+    if inverse:
+        raise RuntimeError(f"flip left the enumerated corpus: {len(inverse)} flips undo no flip")
     return FlipGraph(corpus=corpus, edges=frozenset(edges))
 
 

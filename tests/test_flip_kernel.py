@@ -161,9 +161,13 @@ def test_batched_scan_is_the_scan_of_each_member():
     a nonempty link and flips some member, and no two share their circuit
     and link.  The members are seeded collections drawn from one pool of
     spanning trees and arbitrary masks, so they share trees, and some hold
-    the whole cycle of a circuit that flips another member of their batch."""
+    the whole cycle of a circuit that flips another member of their batch.
+    The split on link elements is exercised both ways: some element held at
+    every plus face of a flipping circuit only by members that do not flip
+    it meets none of the flipping members, and some element lies in two
+    different links of one circuit, so it splits a group only in part."""
     rng = random.Random(27)
-    shared = whole = 0
+    shared = whole = skipped = partial = 0
     for dims in (Dims(2, 3), Dims(3, 3), Dims(3, 4)):
         width = dims.m * dims.n
         circuits = all_circuits(dims)
@@ -174,6 +178,16 @@ def test_batched_scan_is_the_scan_of_each_member():
             records = _flips(dims, batch)
             assert all(link and flipped for _, _, link, _, _, flipped in records)
             assert len({(pos, link) for pos, _, link, _, _, _ in records}) == len(records)
+            links: dict[tuple, list[set]] = {}
+            for _, _, link, plus_faces, _, _ in records:
+                links.setdefault(plus_faces, []).append(set(link))
+            for plus_faces, at in links.items():
+                partial += any(a != b and a & b for a in at for b in at)
+                flipping = set().union(*at)
+                for masks in batch:
+                    held = [{t ^ f for t in masks if t & f == f} for f in plus_faces]
+                    every = set.intersection(*held)
+                    skipped += every != set.union(*held) and bool(every - flipping)
             found = _per_member(records, len(batch))
             for masks, flips in zip(batch, found):
                 assert flips == _per_member(_flips(dims, [masks]), 1)[0]
@@ -187,7 +201,7 @@ def test_batched_scan_is_the_scan_of_each_member():
                     full = X.minus_mask | X.plus_mask
                     whole += any(not full & ~t for other in batch for t in other)
             shared += any(sum(t in masks for masks in batch) >= 2 for t in pool)
-    assert whole and shared
+    assert whole and shared and skipped and partial
 
 
 def test_an_obstructed_circuit_gets_no_record(corpus33):

@@ -246,6 +246,44 @@ def test_flip_onto_a_kept_tree_leaves_the_corpus():
         build_flip_graph(corpus)
 
 
+def test_flip_graph_refuses_a_repeated_member(corpus33):
+    """A repeated member would add the edges of its copy; it is refused
+    before the scan, by name."""
+    repeated = Corpus(
+        dims=corpus33.dims,
+        triangulations=corpus33.triangulations + (corpus33.triangulations[5],),
+    )
+    with pytest.raises(ValueError, match="corpus member 108 repeats member 5"):
+        build_flip_graph(repeated)
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (3, 4), (4, 3)])
+def test_every_flip_record_has_one_inverse(m, n, corpus43):
+    """The premise of forming each edge once: over a whole corpus, the flip
+    (X, link) of some members is undone by the one record (-X, link), which
+    flips as many members."""
+    corpus = corpus43 if (m, n) == (4, 3) else enumerate_triangulations(Dims(m, n))
+    members = [[t.mask for t in T.maximal] for T in corpus.triangulations]
+    records = flips._flips(corpus.dims, members)
+    count = {(X, link): flipped.bit_count() for _, X, link, _, _, flipped in records}
+    assert len(count) == len(records)
+    for (X, link), flipped in count.items():
+        assert count.get((X.reverse(), link)) == flipped, (X, link)
+
+
+def test_dropping_any_member_is_refused(corpus33):
+    """Without any one of its members the 3x3 corpus is refused, by the
+    flip that reaches the missing member or, when only the inverse of such a
+    flip forms edges, by the inverse's members."""
+    messages = set()
+    for p in range(len(corpus33)):
+        short = corpus33.triangulations[:p] + corpus33.triangulations[p + 1 :]
+        with pytest.raises(RuntimeError, match="flip left the enumerated corpus") as refused:
+            build_flip_graph(Corpus(dims=corpus33.dims, triangulations=short))
+        messages.add("other members" in str(refused.value))
+    assert messages == {False, True}
+
+
 def _transpose(tri: Triangulation) -> Triangulation:
     """tri with each edge (i, j) carried to (j, i)."""
     m, n = tri.dims
