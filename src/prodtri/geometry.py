@@ -130,15 +130,6 @@ def feasible_eq_nonneg(A: Sequence[Sequence[int]], b: Sequence[int]) -> bool:
     return obj[-1] == 0
 
 
-# Verdicts of improper_geometric, shared by every call in the process: the
-# oracle checks the same simplex pairs over and over across corpus members.
-# The cache is emptied when it reaches the bound, which lies above the
-# 13,152 pairs that the oracle-agreement acceptance test leaves: every
-# corpus member up to 4x3 and 10,000 small random collections.
-_IMPROPER_CACHE_MAX = 1 << 15
-_improper_cache: dict[tuple[int, int, int], bool] = {}
-
-
 def _dependence_system(dims: Dims, a: int, b: int) -> tuple[list[list[int]], list[int]]:
     """The rows ``(A, b)`` that ``improper_geometric`` hands the simplex.
 
@@ -208,12 +199,4 @@ def improper_geometric(s1: Simplex, s2: Simplex) -> bool:
     if s1.dims != s2.dims:
         raise ValueError("dimension mismatch")
     a, b = s1.mask, s2.mask
-    key = (s1.dims.n, a, b) if a < b else (s1.dims.n, b, a)
-    hit = _improper_cache.get(key)
-    if hit is not None:
-        return hit
-    res = bool(b & ~a) and feasible_eq_nonneg(*_dependence_system(s1.dims, a, b))
-    if len(_improper_cache) >= _IMPROPER_CACHE_MAX:
-        _improper_cache.clear()
-    _improper_cache[key] = res
-    return res
+    return bool(b & ~a) and feasible_eq_nonneg(*_dependence_system(s1.dims, a, b))

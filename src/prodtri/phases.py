@@ -236,9 +236,9 @@ class _Driver:
     ``ProofGap`` if the start is invalid, and keeps that check's tree slots
     and edge bitsets (``triangulation._TreeSlots``) as ``slots``, which it
     carries from flip to flip: each flip's result is checked by a search
-    from its added trees.  An unchecked driver has no slots.  So ``connect``
-    and each phase validate their start exactly once, whether they run
-    alone or in sequence.
+    from its added trees.  An unchecked driver has no slots.  ``connect``
+    and each public phase make one driver, so each validates its start
+    exactly once.
 
     ``TI`` and ``TII`` are the strong and weak defect sets of the working
     triangulation, in mask order; the step measures, the phase loops and
@@ -321,12 +321,12 @@ def _path_rows_cols(path):
 # ---------------------------------------------------------------- phase one
 
 
-def phase_one(
-    tri: Triangulation, check: bool = True, *, _driver=None
-) -> tuple[FlipSequence, Triangulation]:
+def phase_one(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Triangulation]:
     """Empty the strong defect set, one anchor tree at a time."""
-    drv = _Driver(tri, check) if _driver is None else _driver
-    first = len(drv.steps)
+    return _run(tri, check, _phase_one)
+
+
+def _phase_one(drv: _Driver) -> None:
     defect = drv.TI
     while defect:
         before = len(defect)
@@ -381,8 +381,6 @@ def phase_one(
             before=before,
             after=len(defect),
         )
-    seq = FlipSequence(tri.dims, tri.digest(), drv.T.digest(), tuple(drv.steps[first:]))
-    return seq, drv.T
 
 
 def _anchor_minimal(drv, xminus: Simplex, row: int, label: str) -> Simplex:
@@ -817,13 +815,13 @@ def _case_three_claim(
 # ---------------------------------------------------------------- phase two
 
 
-def phase_two(
-    tri: Triangulation, check: bool = True, *, _driver=None
-) -> tuple[FlipSequence, Triangulation]:
+def phase_two(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Triangulation]:
     """Empty the weak defect set; the reduction mirrors case 1 with the
     roles of rows 2 and 3 reversed."""
-    drv = _Driver(tri, check) if _driver is None else _driver
-    first = len(drv.steps)
+    return _run(tri, check, _phase_two)
+
+
+def _phase_two(drv: _Driver) -> None:
     _ensure(not drv.TI, "phase two requires an empty strong defect set")
     defect = drv.TII
     while defect:
@@ -853,8 +851,6 @@ def phase_two(
             "phase two made no progress",
             before=before,
         )
-    seq = FlipSequence(tri.dims, tri.digest(), drv.T.digest(), tuple(drv.steps[first:]))
-    return seq, drv.T
 
 
 def _phase_two_case(drv: _Driver, tau_sel: Simplex, *, r0: int, r1: int) -> None:
@@ -890,15 +886,16 @@ def _total_order(tri: Triangulation, i1: int, i2: int) -> tuple[int, ...]:
     return restriction_order(tri, i1, i2).as_total()
 
 
-def phase_three(
-    tri: Triangulation, check: bool = True, *, _driver=None
-) -> tuple[FlipSequence, Triangulation]:
+def phase_three(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Triangulation]:
     """Sort both column orders to the identity and land on the staircase.
 
     One loop carries o12 and o34, the orders of rows {0,1} and {2,3}, and
     reads both once more after each square flip or five-flip macro."""
-    drv = _Driver(tri, check) if _driver is None else _driver
-    first = len(drv.steps)
+    return _run(tri, check, _phase_three)
+
+
+def _phase_three(drv: _Driver) -> None:
+    dims = drv.T.dims
     _ensure(not drv.TII, "phase three requires an empty weak defect set")
     o12 = _total_order(drv.T, 0, 1)
     for i1, i2 in ((0, 2), (0, 3), (2, 1), (3, 1)):
@@ -908,14 +905,14 @@ def phase_three(
             pair=(i1, i2),
         )
     o34 = _total_order(drv.T, 2, 3)
-    identity = tuple(range(tri.dims.n))
+    identity = tuple(range(dims.n))
 
     while True:
         if o12 != o34:
             rank = {j: p for p, j in enumerate(o12)}
             p = next(q for q in range(len(o34) - 1) if rank[o34[q]] > rank[o34[q + 1]])
             j, j2 = o34[p], o34[p + 1]
-            drv.flip(Circuit.from_cycle(tri.dims, (3, 2), (j, j2)), "III")
+            drv.flip(Circuit.from_cycle(dims, (3, 2), (j, j2)), "III")
             swapped = o34[:p] + (j2, j) + o34[p + 2 :]
             o34 = _total_order(drv.T, 2, 3)
             _ensure(o34 == swapped, "phase three: square flip did not swap the expected pair")
@@ -932,7 +929,7 @@ def phase_three(
         _ensure(o12 == o34, "phase three: macro requires synchronised orders")
         _ensure(p + 1 < len(o12) and o12[p + 1] == j2, "phase three: columns not consecutive")
         for a, b in ((2, 0), (1, 3), (1, 0), (1, 2), (3, 0)):
-            drv.flip(Circuit.from_cycle(tri.dims, (a, b), (j, j2)), "III")
+            drv.flip(Circuit.from_cycle(dims, (a, b), (j, j2)), "III")
         swapped = o12[:p] + (j2, j) + o12[p + 2 :]
         o12 = _total_order(drv.T, 0, 1)
         _ensure(o12 == swapped, "phase three: macro did not swap the upper pair")
@@ -942,22 +939,26 @@ def phase_three(
         )
         _ensure(not drv.TII, "phase three: defect set reappeared after macro")
     _ensure(
-        tuple(t.mask for t in drv.T.maximal) == _staircase_masks(tri.dims.n),
+        tuple(t.mask for t in drv.T.maximal) == _staircase_masks(dims.n),
         "phase three: sorted orders but not the staircase",
     )
-    seq = FlipSequence(tri.dims, tri.digest(), drv.T.digest(), tuple(drv.steps[first:]))
-    return seq, drv.T
+
+
+def _run(tri: Triangulation, check: bool, *steps) -> tuple[FlipSequence, Triangulation]:
+    """Run the phase steps in turn on one driver of ``tri``: their flips as
+    one sequence, and the triangulation it ends at."""
+    drv = _Driver(tri, check)
+    for step in steps:
+        step(drv)
+    return FlipSequence(tri.dims, tri.digest(), drv.T.digest(), tuple(drv.steps)), drv.T
 
 
 def connect(tri: Triangulation, check: bool = True) -> FlipSequence:
     """Flip sequence from the given triangulation to the staircase.
 
-    Concatenates the three phases; to connect two arbitrary triangulations,
-    chain one sequence with the reversal of the other.  One driver carries
-    the run's state through the three phases: the adjacency run state, the
-    check's tree slots and the defect sets of the working triangulation."""
-    drv = _Driver(tri, check)
-    seq1, t1 = phase_one(tri, check, _driver=drv)
-    seq2, t2 = phase_two(t1, check, _driver=drv)
-    seq3, _ = phase_three(t2, check, _driver=drv)
-    return seq1 + seq2 + seq3
+    Runs the three phases on one driver and emits its steps as one
+    sequence; to connect two arbitrary triangulations, chain one sequence
+    with the reversal of the other.  The driver carries the run's state
+    through the three phases: the adjacency run state, the check's tree
+    slots and the defect sets of the working triangulation."""
+    return _run(tri, check, _phase_one, _phase_two, _phase_three)[0]

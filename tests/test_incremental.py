@@ -687,8 +687,8 @@ def test_driver_run_owns_its_table(walk48, monkeypatch):
     assert home is not _Driver(walk48).adjacency
     cases = _Cases(monkeypatch)
     calls = _record_digraphs(monkeypatch)
-    _, start = phase_one(walk48, _driver=drv)
-    phase_two(start, _driver=drv)
+    phases._phase_one(drv)
+    phases._phase_two(drv)
     assert cases.mirrored_entries()
     assert calls and all(adjacency is home for _, adjacency, _, _ in calls)
     assert drv.adjacency is home and home.links
@@ -1180,13 +1180,14 @@ def _module_containers() -> dict:
         for name, mod in list(sys.modules.items())
         if name == "prodtri" or name.startswith("prodtri.")
         for attr, value in vars(mod).items()
-        if not attr.startswith("__") and isinstance(value, (dict, list, set))
+        if (attr == "__all__" or not attr.startswith("__"))
+        and isinstance(value, (dict, list, set))
     }
 
 
 def test_connect_leaves_no_module_level_state(walk48):
     before = _module_containers()
-    assert before  # e.g. prodtri.__all__
+    assert set(before) == {("prodtri", "__all__")}  # no module keeps another
     connect(walk48, check=False)
     build_precedence(staircase(9), toward_row(2))  # a plain call: a fresh state
     assert _module_containers() == before

@@ -7,7 +7,7 @@ import pytest
 
 import reference
 from prodtri.core import Dims, Simplex
-from prodtri import flips, geometry, oracle
+from prodtri import flips, oracle
 from prodtri.flips import enumerate_flips
 from prodtri.geometry import det_bareiss, feasible_eq_nonneg, improper_geometric, simplex_volume
 from prodtri.oracle import (
@@ -124,26 +124,16 @@ def test_geometric_agreement_randomized(corpus33):
         assert validate(T).ok == geometric_validate(T)
 
 
-def test_improper_cache_stays_bounded(monkeypatch):
-    """The process-wide verdict cache is emptied when it reaches its bound,
-    and verdicts after a clear equal those before it."""
-    bound = 64
-    monkeypatch.setattr(geometry, "_IMPROPER_CACHE_MAX", bound)
-    monkeypatch.setattr(geometry, "_improper_cache", {})
+def test_improper_geometric_is_symmetric():
+    """Both orders of each seeded 3x3 tree pair, each computed: the verdict
+    does not depend on which simplex comes first."""
     rng = random.Random(31)
     trees = spanning_trees(Dims(3, 3))
     pairs = [tuple(rng.sample(trees, 2)) for _ in range(300)]
-    verdicts = []
-    sizes = []
-    for s1, s2 in pairs:
-        verdicts.append(improper_geometric(s1, s2))
-        sizes.append(len(geometry._improper_cache))
-    assert max(sizes) == bound
-    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it was cleared
+    verdicts = [improper_geometric(s1, s2) for s1, s2 in pairs]
     assert True in verdicts and False in verdicts
     for (s1, s2), want in zip(pairs, verdicts):
-        geometry._improper_cache.clear()
-        assert improper_geometric(s1, s2) == want == improper_geometric(s2, s1)
+        assert improper_geometric(s2, s1) == want
 
 
 def test_flip_graph_square(corpus22):
@@ -244,6 +234,26 @@ def test_flip_onto_a_kept_tree_leaves_the_corpus():
     )
     with pytest.raises(RuntimeError, match="flip left the enumerated corpus"):
         build_flip_graph(corpus)
+
+
+@pytest.mark.parametrize("corpus", ["corpus33", "corpus42"])
+def test_flip_onto_an_unknown_tree_leaves_the_corpus(corpus, request, monkeypatch):
+    """A corpus of one member knows only its trees, so a flip of it adds
+    trees the corpus does not hold: their bitset is 0 and the flip is
+    refused."""
+    corpus = request.getfixturevalue(corpus)
+    bitsets = []
+    real = oracle._tree_bits
+
+    def tree_bits(index, link, faces):
+        bitsets.append(real(index, link, faces))
+        return bitsets[-1]
+
+    monkeypatch.setattr(oracle, "_tree_bits", tree_bits)
+    alone = Corpus(dims=corpus.dims, triangulations=corpus.triangulations[:1])
+    with pytest.raises(RuntimeError, match="^flip left the enumerated corpus$"):
+        build_flip_graph(alone)
+    assert bitsets[-2] and bitsets[-1] == 0  # removed trees known, added unknown
 
 
 def test_flip_graph_refuses_a_repeated_member(corpus33):
@@ -385,7 +395,7 @@ def test_simplex_feasibility_matches_the_fraction_reference():
     assert 100 < verdicts.count(False) < 900
 
 
-def test_improper_geometric_matches_the_split_column_reference(monkeypatch):
+def test_improper_geometric_matches_the_split_column_reference():
     """The kernel eliminates the shared vertices' free weights before its
     simplex; the reference splits each into two nonnegative columns and
     decides the system with ``Fraction`` pivots.  Both orders of each pair,
@@ -393,7 +403,6 @@ def test_improper_geometric_matches_the_split_column_reference(monkeypatch):
     not, at 3x3, 2x4 and 3x4.  Each edge is in a random set with probability
     3/4, so many pairs share a cycle, and a shared vertex's column on that
     cycle is zero by the time it would be eliminated."""
-    monkeypatch.setattr(geometry, "_improper_cache", {})
     rng = random.Random(1967)
     trees = spanning_trees(Dims(4, 3))
     pairs = [tuple(rng.sample(trees, 2)) for _ in range(200)]
@@ -407,7 +416,6 @@ def test_improper_geometric_matches_the_split_column_reference(monkeypatch):
     verdicts = []
     for s1, s2 in pairs:
         for x, y in ((s1, s2), (s2, s1)):
-            geometry._improper_cache.clear()
             want = reference.feasible_fraction(*reference.improper_split_columns(x, y))
             assert improper_geometric(x, y) == want, (x, y)
             verdicts.append(want)
@@ -419,9 +427,8 @@ def test_improper_geometric_matches_the_split_column_reference(monkeypatch):
 @pytest.mark.parametrize(
     "m,n", [(3, 3), (2, 4), (4, 2), pytest.param(4, 3, marks=pytest.mark.slow)]
 )
-def test_improper_geometric_agrees_with_proper_on_every_tree_pair(m, n, monkeypatch):
+def test_improper_geometric_agrees_with_proper_on_every_tree_pair(m, n):
     """Every pair of spanning trees, each decided by the kernel itself."""
-    monkeypatch.setattr(geometry, "_improper_cache", {})
     trees = spanning_trees(Dims(m, n))
     for a in range(len(trees)):
         for b in range(a + 1, len(trees)):
