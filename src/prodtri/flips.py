@@ -7,8 +7,9 @@ that link.  When the faces are present but the links disagree, some tree
 of T contains the minus part and misses at least two elements of X; such
 a tree is returned as the obstruction witness.
 
-The hot paths work on ascending tree masks.  ``_common_link`` compares the
-links of the plus faces, and ``supports_flip`` wraps it for one circuit.
+``supports_flip`` decides one circuit by asking the triangulation's face
+index (``triangulation._holders``) which trees hold each plus face, so a
+circuit with an unheld plus face is rejected without walking the trees.
 ``_flips`` scans every circuit of ``all_circuits`` for a batch of members,
 circuit by circuit: a per-dims table gives each edge the bitset of the
 cycles through it, so one pass over the edges a tree misses finds the
@@ -30,7 +31,7 @@ from operator import itemgetter
 from typing import Optional, Union
 
 from .core import Circuit, Dims, Simplex, _cycle_masks
-from .triangulation import Triangulation, _merged
+from .triangulation import Triangulation, _holders, _merged, _trees_of
 
 
 class StaleCertificate(RuntimeError):
@@ -70,17 +71,6 @@ def _simplices(dims: Dims, masks) -> tuple[Simplex, ...]:
     return tuple(Simplex(dims, x) for x in masks)
 
 
-def _common_link(trees, plus_faces: tuple[int, ...]) -> Optional[list[int]]:
-    """The link shared by every plus face among the ascending tree masks, as
-    ascending masks, or None when two links differ."""
-    f = plus_faces[0]
-    link = [t ^ f for t in trees if t & f == f]
-    for f in plus_faces[1:]:
-        if [t ^ f for t in trees if t & f == f] != link:
-            return None
-    return link
-
-
 def _star(link: list[int], faces: tuple[int, ...]) -> list[int]:
     """The joins of the link with the faces, ascending."""
     return sorted(r | f for r in link for f in faces)
@@ -103,27 +93,29 @@ def supports_flip(
     """Certificate if X flips tri, an Obstruction if only the links fail,
     None when the plus-side faces are not all present.
 
-    A tree contains a face of X exactly when its intersection with X is that
-    face or, if it is no forest, the whole cycle; so one set of
-    intersections rejects X before any link is built.
+    Each face is one query of tri's face index (``_holders``), which tri
+    keeps once made: the presence test stops at the first plus face no tree
+    holds, and only when every plus face is held are the holders listed.
+    The link of a face f is ``t ^ f`` over its holders t, ascending as they
+    are; the witness is the first holder of X- that misses two edges of X.
     """
-    trees = [t.mask for t in tri.maximal]
     full = X.minus_mask | X.plus_mask
     plus_faces = _faces(full, X.plus_mask)
-    held = {t & full for t in trees}
-    if full not in held and not held.issuperset(plus_faces):
-        return None
-    link = _common_link(trees, plus_faces)
-    if link is not None:
-        return _certificate(tri.dims, X, link, plus_faces, _faces(full, X.minus_mask))
+    held = []
+    for f in plus_faces:
+        bits = _holders(tri, f)
+        if not bits:
+            return None
+        held.append(bits)
+    links = [[t.mask ^ f for t in _trees_of(tri, bits)] for f, bits in zip(plus_faces, held)]
+    if links.count(links[0]) == len(links):
+        return _certificate(tri.dims, X, links[0], plus_faces, _faces(full, X.minus_mask))
     # links differ: produce the witness promised for the minus-side star
-    xminus = X.minus_mask
     size = len(X)
-    for t in trees:
-        if not xminus & ~t:
-            inter = (t & full).bit_count()
-            if inter <= size - 2:
-                return Obstruction(witness=Simplex(tri.dims, t), deficiency=size - inter)
+    for t in _trees_of(tri, _holders(tri, X.minus_mask)):
+        inter = (t.mask & full).bit_count()
+        if inter <= size - 2:
+            return Obstruction(witness=t, deficiency=size - inter)
     raise ValueError("links differ but no obstruction witness: invalid input")
 
 

@@ -35,7 +35,7 @@ from .orders import (
     toward_row_free,
     unique_minimal,
 )
-from .triangulation import Triangulation, _merged, _validated_slots, star
+from .triangulation import Triangulation, _holders, _merged, _trees_of, _validated_slots, star
 
 
 class WrongDims(ValueError):
@@ -168,7 +168,7 @@ def goodness(tri: Triangulation, ctx: GoodnessContext) -> bool:
     X = ctx.circuit
     xm = X.minus_mask
     if ctx.kind in ("tauI", "tauII"):
-        members = [t.mask for t in tri.maximal if not xm & ~t.mask]
+        members = [t.mask for t in _trees_of(tri, _holders(tri, xm))]
         c1, c2 = ctx.cols
         others = full & ~(1 << c1) & ~(1 << c2)
         for x in members:
@@ -190,12 +190,10 @@ def goodness(tri: Triangulation, ctx: GoodnessContext) -> bool:
         c1, _ = ctx.cols
         r0, r1 = ctx.rows
         row1_c1, row0_c1 = 1 << (r1 * n + c1), 1 << (r0 * n + c1)
-        for t in tri.maximal:
-            x = t.mask
-            if ym & ~x:
-                continue
-            in_x1 = not xm & ~x and x & row1_c1 and not x & row0_c1 and not x & X.plus_mask
-            if in_x1 and ctx.sigma.mask & ~x:
+        # the trees holding Y-, X- and (r1, c1) but neither (r0, c1) nor X+
+        lacks = row0_c1 | X.plus_mask
+        for t in _trees_of(tri, _holders(tri, ym | xm | row1_c1)):
+            if not t.mask & lacks and ctx.sigma.mask & ~t.mask:
                 return False
         return True
     raise ValueError(f"unknown goodness kind {ctx.kind!r}")
@@ -304,8 +302,7 @@ def _ensure(cond: bool, message: str, **context):
 
 
 def _star_count(tri: Triangulation, xminus: Simplex) -> int:
-    x = xminus.mask
-    return sum(1 for t in tri.maximal if not x & ~t.mask)
+    return _holders(tri, xminus.mask).bit_count()
 
 
 def _path_rows_cols(path):
@@ -441,7 +438,7 @@ def _reduce(
             return
         shrink_from = [measure(drv) for measure, _ in shrinks]
         bound_by = [measure(drv) for measure, _ in bounded]
-        S = [t for t in drv.T.maximal if not xm & ~t.mask]
+        S = _trees_of(drv.T, _holders(drv.T, xm))
         for keep, message in filters:
             S = [t for t in S if keep(t.mask)]
             _ensure(S, message)
@@ -653,13 +650,8 @@ def _case_three(drv: _Driver, tau_sel: Simplex, c1: int, c2: int) -> None:
 def _case_three_side(tri, X: Circuit, c1: int, r0: int, r1: int) -> list[Simplex]:
     """Obstructing trees carrying row r1 x c1 but not row r0 x c1."""
     n = tri.dims.n
-    xm, xp = X.minus_mask, X.plus_mask
-    has, lacks = 1 << (r1 * n + c1), 1 << (r0 * n + c1)
-    return [
-        t
-        for t in tri.maximal
-        if not xm & ~t.mask and t.mask & has and not t.mask & lacks and not t.mask & xp
-    ]
+    has, lacks = 1 << (r1 * n + c1), 1 << (r0 * n + c1) | X.plus_mask
+    return [t for t in _trees_of(tri, _holders(tri, X.minus_mask | has)) if not t.mask & lacks]
 
 
 def _case_three_claim(

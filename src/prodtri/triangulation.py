@@ -132,9 +132,14 @@ class ValidityReport:
 class Triangulation:
     """Canonically ordered set of maximal simplices.  It carries no record
     of having been checked: a checked run validates its start and carries
-    that check's ``_TreeSlots`` from flip to flip."""
+    that check's ``_TreeSlots`` from flip to flip.
 
-    __slots__ = ("dims", "maximal", "_digest")
+    Besides its trees it keeps two values derived from them, each made on
+    first use: the ``digest`` and the face index that ``_holders`` reads.
+    Neither takes part in equality or hashing, and a flip's result starts
+    without them."""
+
+    __slots__ = ("dims", "maximal", "_digest", "_index")
 
     def __init__(self, dims: Dims, maximal: Iterable[Simplex]):
         dims = Dims(*dims).check()
@@ -144,6 +149,7 @@ class Triangulation:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "maximal", tuple(trees))
         object.__setattr__(self, "_digest", None)
+        object.__setattr__(self, "_index", None)
 
     @classmethod
     def _trusted(cls, dims: Dims, maximal: tuple[Simplex, ...]) -> Triangulation:
@@ -154,6 +160,7 @@ class Triangulation:
         object.__setattr__(tri, "dims", dims)
         object.__setattr__(tri, "maximal", maximal)
         object.__setattr__(tri, "_digest", None)
+        object.__setattr__(tri, "_index", None)
         return tri
 
     def __setattr__(self, *a):
@@ -180,13 +187,9 @@ class Triangulation:
         return self._digest
 
     def contains(self, sigma: Simplex) -> bool:
+        """Some tree holds every edge of sigma; the empty face always."""
         x = sigma.mask
-        if x == 0:
-            return True
-        for t in self.maximal:
-            if not x & ~t.mask:
-                return True
-        return False
+        return not x or bool(_holders(self, x))
 
     def __repr__(self):
         return f"Triangulation({self.dims.m}x{self.dims.n}, {len(self.maximal)} trees)"
@@ -203,9 +206,11 @@ def _merged(trees: list[Simplex], added: Iterable[Simplex]) -> tuple[Simplex, ..
 
 
 class LocalTriangulation:
-    """Simplices of a triangulation that all contain a fixed base simplex."""
+    """Simplices of a triangulation that all contain a fixed base simplex.
+    Like a ``Triangulation`` it keeps the face index of its trees, made on
+    first use."""
 
-    __slots__ = ("dims", "base", "maximal")
+    __slots__ = ("dims", "base", "maximal", "_index")
 
     def __init__(self, dims: Dims, base: Simplex, maximal: Iterable[Simplex]):
         dims = Dims(*dims).check()
@@ -215,6 +220,7 @@ class LocalTriangulation:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "maximal", tuple(trees))
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LocalTriangulation is immutable")
@@ -234,7 +240,8 @@ class LocalTriangulation:
         return len(self.maximal)
 
     def contains(self, sigma: Simplex) -> bool:
-        return any(sigma.issubset(t) for t in self.maximal)
+        """Some tree holds every edge of sigma."""
+        return bool(_holders(self, sigma.mask))
 
     def __repr__(self):
         return (
@@ -244,12 +251,61 @@ class LocalTriangulation:
 
 
 def star(tri, xi: Simplex):
-    if not tri.contains(xi):
+    trees = _trees_of(tri, _holders(tri, xi.mask))
+    if not trees and not tri.contains(xi):
         raise NotInComplex(f"{xi!r} not in triangulation")
     base = xi if isinstance(tri, Triangulation) else tri.base.union(xi)
-    return LocalTriangulation(
-        tri.dims, base, [t for t in tri.maximal if xi.issubset(t)]
-    )
+    return LocalTriangulation(tri.dims, base, trees)
+
+
+def _holders(tri, x: int) -> int:
+    """The trees of tri (a ``Triangulation`` or ``LocalTriangulation``) that
+    hold every edge of the mask x, as a bitset: tree p of ``tri.maximal``
+    is the top bit of block p, bit s*p + s - 1.  ``_trees_of`` lists them.
+
+    The face index is tri's tree masks packed into one int z, tree p in
+    block p of s bits, s a multiple of 8 wider than m*n and every mask, so
+    the top bit of each block is spare; ``unit`` has bit 0 of each block
+    set and ``hi`` the top bit.  ``x * unit`` copies x into every block, and
+    a block of ``(x * unit) & ~z`` is x & ~t for its tree t.  Adding
+    2**(s-1) - 1 to a block carries into its top bit, and never out of the
+    block, exactly when the block is nonzero, so one sum tests every tree
+    at once (Lamport's broadword zero test, CACM 18(8), 1975).  The index
+    is made on first use and kept on tri.
+    """
+    index = tri._index
+    if index is None:
+        index = _face_index(tri)
+    unit, not_z, fill, hi, s = index
+    if x >> (s - 1):  # a bit no tree holds, which would spill into the next block
+        return 0
+    return hi & ~(((x * unit) & not_z) + fill)
+
+
+def _face_index(tri) -> tuple[int, int, int, int, int]:
+    """Make and keep tri's face index for ``_holders``: unit, ~z,
+    hi - unit, hi and the block width s."""
+    trees = tri.maximal
+    nb = tri.dims.m * tri.dims.n // 8 + 1  # bytes per block
+    if trees and trees[-1].mask >> (8 * nb - 1):  # the widest tree is the last
+        nb = trees[-1].mask.bit_length() // 8 + 1
+    z = int.from_bytes(b"".join([t.mask.to_bytes(nb, "little") for t in trees]), "little")
+    unit = int.from_bytes(b"\x01".ljust(nb, b"\x00") * len(trees), "little")
+    hi = unit << (8 * nb - 1)
+    index = (unit, ~z, hi - unit, hi, 8 * nb)
+    object.__setattr__(tri, "_index", index)
+    return index
+
+
+def _trees_of(tri, held: int) -> list[Simplex]:
+    """The trees of a ``_holders(tri, x)`` bitset, in mask order."""
+    trees, s = tri.maximal, tri._index[4]
+    out = []
+    while held:
+        low = held & -held
+        out.append(trees[low.bit_length() // s - 1])
+        held ^= low
+    return out
 
 
 def validate(tri: Triangulation) -> ValidityReport:

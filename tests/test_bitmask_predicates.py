@@ -20,7 +20,7 @@ from prodtri.phases import (
     connect,
     goodness,
 )
-from prodtri.triangulation import LocalTriangulation, Triangulation, star
+from prodtri.triangulation import LocalTriangulation, Triangulation, _holders, _trees_of, star
 import reference
 from reference import components, facet_pairs, split_circuit
 
@@ -287,6 +287,65 @@ def test_move_masks_of_cyclic_members(m, n):
                 for other in (near, tree, face.with_edge(*_edge_outside(rng, dims, cyclic.mask))):
                     seen["inner edge"] |= {_pair_outcome(cyclic, other), _pair_outcome(other, cyclic)}
     assert seen == {"cyclic face": {None}, "inner edge": {None}}
+
+
+def test_face_index_matches_the_scan(corpus43, walk_states):
+    """``_holders``, listed by ``_trees_of``, gives the trees that a scan
+    finds holding the mask: on sampled faces and arbitrary masks of every
+    4x3 member, of every state of the committed 4x8 walk and of stars of
+    them; on collections of no tree and of one; on the empty mask; and on
+    arbitrary collections of up to 40 masks at m*n = 8, 15, 16, 32 and 64,
+    the widths where the index's blocks grow a byte, top edge included.  A
+    tree or a query with a bit past the width is answered by the scan too."""
+    rng = random.Random("face index")
+
+    def check(tri, x):
+        assert _trees_of(tri, _holders(tri, x)) == [
+            t for t in tri.maximal if not x & ~t.mask
+        ], (tri, x)
+
+    def sampled(tri, count):
+        width = tri.dims.m * tri.dims.n
+        for _ in range(count):
+            yield rng.choice(tri.maximal).mask & rng.getrandbits(width)
+            yield rng.getrandbits(width)
+        yield 0
+
+    stars = []
+    for tri in [*corpus43.triangulations, *walk_states]:
+        for x in sampled(tri, 3):
+            check(tri, x)
+        if rng.random() < 0.1 or tri.dims.n == 8:
+            tau = rng.choice(tri.maximal).mask
+            stars.append(star(tri, Simplex(tri.dims, tau & rng.getrandbits(tau.bit_length()))))
+    assert len(stars) > 400
+    for loc in stars:
+        for x in sampled(loc, 3):
+            check(loc, x)
+        again = LocalTriangulation(loc.dims, loc.base, reversed(loc.maximal))
+        assert loc == again and hash(loc) == hash(again)  # only loc has an index
+    for m, n in ((2, 4), (3, 5), (4, 4), (4, 8), (8, 8)):
+        dims, w = Dims(m, n), m * n
+        top = 1 << (w - 1)
+        for count in [0, 1] * 5 + list(range(41)):
+            masks = [rng.getrandbits(w) | (top if rng.random() < 0.3 else 0) for _ in range(count)]
+            tri = Triangulation(dims, [Simplex(dims, x) for x in masks])
+            for x in (0, top, top | 1, (1 << w) - 1, *(rng.getrandbits(w) for _ in range(3))):
+                check(tri, x)
+            for x in masks[:3]:
+                check(tri, x)
+                check(tri, x & rng.getrandbits(w))
+        empty, one = Triangulation(dims, []), Triangulation(dims, [Simplex(dims, top | 1)])
+        assert empty.contains(Simplex(dims, 0)) and not empty.contains(Simplex(dims, 1))
+        assert one.contains(Simplex(dims, 0)) and one.contains(Simplex(dims, top))
+        base, lone = Simplex(dims, 1), Simplex(dims, top | 1)
+        assert not LocalTriangulation(dims, base, []).contains(Simplex(dims, 0))
+        assert LocalTriangulation(dims, base, [lone]).contains(Simplex(dims, 0))
+        # past the width: the blocks widen for a tree, and a query misses every tree
+        past = Triangulation(dims, [lone, Simplex(dims, 1 << (w + 9) | 1)])
+        for x in (1, top, 1 << (w + 9), 1 << (8 * (w + 10)), 1 << (8 * (w // 8 + 1) - 1)):
+            check(past, x)
+            check(one, x)
 
 
 def test_contains_matches_the_edge_index(walk_states, trees43):

@@ -15,6 +15,7 @@ from prodtri.flips import (
     Obstruction,
     _certificate,
     _cycle_table,
+    _faces,
     _flips,
     _tables,
     all_circuits,
@@ -118,7 +119,14 @@ def test_arbitrary_masks():
     and link reasoning of a triangulation does not hold: the same outcome,
     error included; and ``enumerate_flips`` gives exactly the certificates
     of ``supports_flip``, so a member holding a whole cycle, which holds
-    every face of it, stops the cycle's flips."""
+    every face of it, stops the cycle's flips.
+
+    At 2x4, 4x4 and 4x8 (8, 16 and 32 edges, so face index blocks of 16,
+    24 and 40 bits) uniform masks seldom hold a face of a long circuit, so
+    most members there are drawn over the circuit's plus faces: each a
+    face joined to one shared link element, or to arbitrary edges, which
+    may complete the cycle.  A certificate, None, an obstruction from a
+    member holding the whole cycle and the error occur at each of them."""
     rng = random.Random(5)
     kinds = set()
     for dims in (Dims(2, 3), Dims(3, 3), Dims(3, 4)):
@@ -142,6 +150,28 @@ def test_arbitrary_masks():
         ("Obstruction", True),
         ("tuple", True),
     } <= kinds
+    for dims in (Dims(2, 4), Dims(4, 4), Dims(4, 8)):
+        width = dims.m * dims.n
+        circuits = all_circuits(dims)
+        wide = set()
+        for _ in range(300):
+            X = rng.choice(circuits)
+            full = X.minus_mask | X.plus_mask
+            shared = rng.getrandbits(width) & rng.getrandbits(width) & ~full
+            masks = [rng.getrandbits(width) for _ in range(rng.randint(0, 2))]
+            for f in _faces(full, X.plus_mask):
+                if rng.random() < 0.9:
+                    masks.append(f | (shared if rng.random() < 0.7 else rng.getrandbits(width)))
+            tri = Triangulation(dims, [Simplex(dims, x) for x in masks])
+            res = _outcome(supports_flip, tri, X)
+            assert res == _outcome(reference.supports_flip, tri, X)
+            wide.add((_kind(res), any(not full & ~t.mask for t in tri.maximal)))
+        assert {
+            ("FlipCertificate", False),
+            ("NoneType", False),
+            ("Obstruction", True),
+            ("tuple", True),
+        } <= wide, (dims, wide)
 
 
 def _per_member(records, count: int) -> list[list[tuple]]:

@@ -47,6 +47,7 @@ from prodtri.triangulation import (
     LocalTriangulation,
     Triangulation,
     _edge_members,
+    _holders,
     _TreeSlots,
     _validated_slots,
     proper,
@@ -992,11 +993,15 @@ def test_trusted_constructor_matches_init(corpus43, walk48):
     """The trusted constructor against ``__init__`` on every 4x3 member,
     which the enumeration builds with it, and on every state of a connect
     of the committed walk, as ``apply_flip`` builds it: the same dims,
-    trees, digest and hash."""
+    trees, digest and hash, and the same face index.  The index is derived
+    data: made on one of the two only, it changes none of these."""
 
     def same(tri, fresh):
+        x = tri.maximal[0].mask & tri.maximal[-1].mask
+        assert fresh.contains(Simplex(fresh.dims, x))  # fresh has an index, tri none yet
         assert type(tri.dims) is Dims and tri.dims == fresh.dims
         assert tri == fresh and hash(tri) == hash(fresh) and tri.digest() == fresh.digest()
+        assert _holders(tri, x) == _holders(fresh, x) and tri._index == fresh._index
 
     assert len(corpus43.triangulations) == 4488
     for tri in corpus43.triangulations:
