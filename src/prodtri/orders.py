@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import Dims, Simplex, _bits, _edge_blocks, row_neighbors
-from .triangulation import LocalTriangulation, _maximal_members
+from .triangulation import LocalTriangulation, _holders, _maximal_members
 
 LESS, EQUIVALENT, GREATER = -1, 0, 1
 
@@ -152,6 +152,44 @@ def restriction_order(tri, i1: int, i2: int) -> ColumnQuasiorder:
     if sorted(j for s in strata for j in s) != list(range(n)):
         raise MalformedLocal("column classes do not partition the columns")
     return ColumnQuasiorder(tuple(strata))
+
+
+def _order_holds(tri, i1: int, i2: int, order: Sequence[int]) -> bool:
+    """Whether rows (i1, i2) of tri have the total order ``order``, a
+    permutation of the columns, decided by face queries (``_holders``)
+    with no pass over the trees: n + n(n-1)/2 of them.  It holds when
+
+    * each cell of the order's staircase is held: cell k has row i2 on
+      ``order[:k+1]`` and row i1 on ``order[k:]``; and
+    * no tree holds an inverted pair {(i1, a), (i2, b)}, a before b.
+
+    Lemma: when both hold, for any collection of trees,
+    ``restriction_order(tri, i1, i2).as_total() == order``, so a true
+    answer never differs from a read.  A two-row image with row-i1
+    columns A and row-i2 columns B holds no inverted pair, so every b of B
+    comes no later than every a of A, and the image lies in cell k for any
+    k between the last b and the first a (cell 0 or n-1 when B or A is
+    empty).  Each cell is held, so it is itself an image, and the cells,
+    all of n+1 edges, contain one another only when equal.  So the maximal
+    images are exactly the cells, and the segment walk of the cells labels
+    them ``order``.  On a triangulation the converse holds too: it
+    restricts to a triangulation of the two-row face, the staircase of one
+    column order (De Loera, Rambau and Santos, *Triangulations*, 2010).
+    On other collections a false answer says nothing, and the caller
+    reads."""
+    n = tri.dims.n
+    s1, s2 = i1 * n, i2 * n
+    low, high = 0, sum(1 << (s1 + j) for j in order)
+    for j in order:
+        low |= 1 << (s2 + j)
+        if not _holders(tri, low | high):
+            return False
+        high ^= 1 << (s1 + j)
+    for p, a in enumerate(order):
+        for b in order[p + 1 :]:
+            if _holders(tri, 1 << (s1 + a) | 1 << (s2 + b)):
+                return False
+    return True
 
 
 def compare_columns(tri, i1: int, i2: int, j: int, j2: int) -> int:

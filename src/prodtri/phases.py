@@ -20,13 +20,13 @@ path-form tests from them.
 from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass
-from itertools import combinations
 from typing import Optional
 
 from .core import Circuit, Dims, Simplex, _shape_cols, connecting_edges, tree_path
 from .flips import FlipCertificate, apply_flip, supports_flip
 from .orders import (
     _Adjacency,
+    _order_holds,
     build_precedence,
     free_equivalent,
     restriction_order,
@@ -202,20 +202,17 @@ def goodness(tri: Triangulation, ctx: GoodnessContext) -> bool:
 def _staircase_masks(n: int) -> tuple[int, ...]:
     """Ascending tree masks of ``staircase(n)``, one per monotone staircase
     path in the 4 x n display grid: display row p is row (0, 2, 3, 1)[p] and
-    display column q is column n - 1 - q."""
-    rowmap = (0, 2, 3, 1)
-    masks = []
-    for rowsteps in combinations(range(3 + n - 1), 3):
-        p = q = 0
-        mask = 1 << (n - 1)
-        for step in range(3 + n - 1):
-            if step in rowsteps:
-                p += 1
-            else:
-                q += 1
-            mask |= 1 << (rowmap[p] * n + n - 1 - q)
-        masks.append(mask)
-    return tuple(sorted(masks))
+    display column q is column n - 1 - q.
+
+    Built row by row over the grid: a cell's paths are those of the cell
+    above and of the cell to its left, each with the cell's edge added."""
+    above = [[0]] + [[] for _ in range(n - 1)]  # the start enters cell (0, 0)
+    for i in (0, 2, 3, 1):
+        left: list[int] = []
+        for q in range(n):
+            edge = 1 << (i * n + n - 1 - q)
+            left = above[q] = [x | edge for x in above[q] + left]
+    return tuple(sorted(above[-1]))
 
 
 def staircase(n: int) -> Triangulation:
@@ -878,11 +875,22 @@ def _total_order(tri: Triangulation, i1: int, i2: int) -> tuple[int, ...]:
     return restriction_order(tri, i1, i2).as_total()
 
 
+def _has_order(tri: Triangulation, i1: int, i2: int, order: tuple[int, ...]) -> bool:
+    """Rows (i1, i2) have the total order ``order``: the face queries of
+    ``orders._order_holds`` accept it, or else a full read gives it.  A
+    fast accept never differs from the read, so the verdict, and any
+    error the read raises, is the read's."""
+    return _order_holds(tri, i1, i2, order) or _total_order(tri, i1, i2) == order
+
+
 def phase_three(tri: Triangulation, check: bool = True) -> tuple[FlipSequence, Triangulation]:
     """Sort both column orders to the identity and land on the staircase.
 
-    One loop carries o12 and o34, the orders of rows {0,1} and {2,3}, and
-    reads both once more after each square flip or five-flip macro."""
+    One loop carries o12 and o34, the orders of rows {0,1} and {2,3}.  It
+    reads both at entry and then predicts them: each other order test,
+    the four upper orders at entry and both orders after each square flip
+    or five-flip macro, checks the predicted order by face queries and
+    reads the order only when that check fails."""
     return _run(tri, check, _phase_three)
 
 
@@ -892,7 +900,7 @@ def _phase_three(drv: _Driver) -> None:
     o12 = _total_order(drv.T, 0, 1)
     for i1, i2 in ((0, 2), (0, 3), (2, 1), (3, 1)):
         _ensure(
-            _total_order(drv.T, i1, i2) == o12,
+            _has_order(drv.T, i1, i2, o12),
             "phase three: the five upper orders disagree",
             pair=(i1, i2),
         )
@@ -905,11 +913,13 @@ def _phase_three(drv: _Driver) -> None:
             p = next(q for q in range(len(o34) - 1) if rank[o34[q]] > rank[o34[q + 1]])
             j, j2 = o34[p], o34[p + 1]
             drv.flip(Circuit.from_cycle(dims, (3, 2), (j, j2)), "III")
-            swapped = o34[:p] + (j2, j) + o34[p + 2 :]
-            o34 = _total_order(drv.T, 2, 3)
-            _ensure(o34 == swapped, "phase three: square flip did not swap the expected pair")
+            o34 = o34[:p] + (j2, j) + o34[p + 2 :]
             _ensure(
-                _total_order(drv.T, 0, 1) == o12,
+                _has_order(drv.T, 2, 3, o34),
+                "phase three: square flip did not swap the expected pair",
+            )
+            _ensure(
+                _has_order(drv.T, 0, 1, o12),
                 "phase three: square flip disturbed the upper order",
             )
             _ensure(not drv.TII, "phase three: defect set reappeared")
@@ -922,11 +932,10 @@ def _phase_three(drv: _Driver) -> None:
         _ensure(p + 1 < len(o12) and o12[p + 1] == j2, "phase three: columns not consecutive")
         for a, b in ((2, 0), (1, 3), (1, 0), (1, 2), (3, 0)):
             drv.flip(Circuit.from_cycle(dims, (a, b), (j, j2)), "III")
-        swapped = o12[:p] + (j2, j) + o12[p + 2 :]
-        o12 = _total_order(drv.T, 0, 1)
-        _ensure(o12 == swapped, "phase three: macro did not swap the upper pair")
+        o12 = o12[:p] + (j2, j) + o12[p + 2 :]
+        _ensure(_has_order(drv.T, 0, 1, o12), "phase three: macro did not swap the upper pair")
         _ensure(
-            _total_order(drv.T, 2, 3) == o34,
+            _has_order(drv.T, 2, 3, o34),
             "phase three: macro disturbed the lower order",
         )
         _ensure(not drv.TII, "phase three: defect set reappeared after macro")

@@ -222,6 +222,21 @@ class LocalTriangulation:
         object.__setattr__(self, "maximal", tuple(trees))
         object.__setattr__(self, "_index", None)
 
+    @classmethod
+    def _trusted(
+        cls, dims: Dims, base: Simplex, maximal: tuple[Simplex, ...]
+    ) -> LocalTriangulation:
+        """``LocalTriangulation(dims, base, maximal)`` for checked ``dims``
+        and distinct trees of those dims, each containing ``base``, already
+        in mask order, without the set, the sort and the base check that
+        ``__init__`` spends on any input."""
+        local = object.__new__(cls)
+        object.__setattr__(local, "dims", dims)
+        object.__setattr__(local, "base", base)
+        object.__setattr__(local, "maximal", maximal)
+        object.__setattr__(local, "_index", None)
+        return local
+
     def __setattr__(self, *a):
         raise AttributeError("LocalTriangulation is immutable")
 
@@ -255,7 +270,9 @@ def star(tri, xi: Simplex):
     if not trees and not tri.contains(xi):
         raise NotInComplex(f"{xi!r} not in triangulation")
     base = xi if isinstance(tri, Triangulation) else tri.base.union(xi)
-    return LocalTriangulation(tri.dims, base, trees)
+    # the trees are distinct, in mask order, and each holds base: tri's
+    # trees hold tri's base, and these hold xi too
+    return LocalTriangulation._trusted(tri.dims, base, tuple(trees))
 
 
 def _holders(tri, x: int) -> int:

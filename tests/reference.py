@@ -32,6 +32,9 @@ pivots the same tableau on integers over one common denominator.
 ``improper_split_columns`` builds the improper-intersection system with
 each shared vertex's free weight split into two nonnegative columns, where
 the package eliminates those weights before its simplex runs.
+``staircase_masks`` walks each monotone path of the display grid step by
+step, one choice of its three row steps at a time, where the package
+extends the paths of each grid cell from its neighbours.
 The predicates ``connect`` evaluates per tree and per flip (``contains``,
 the defect sets, ``goodness``, ``shape_cols``, ``two_row_image``,
 ``restriction_order``, ``adjacency_move`` and ``free_equivalent``) are read
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -420,6 +424,26 @@ def restriction_order(tri, i1: int, i2: int) -> ColumnQuasiorder:
     if sorted(j for s in strata for j in s) != list(range(tri.dims.n)):
         raise MalformedLocal("column classes do not partition the columns")
     return ColumnQuasiorder(tuple(strata))
+
+
+def staircase_masks(n: int) -> tuple[int, ...]:
+    """Ascending tree masks of ``staircase(n)``: one per choice of the three
+    row steps among the 3 + n - 1 steps of a monotone path in the 4 x n
+    display grid, display row p being row (0, 2, 3, 1)[p] and display
+    column q column n - 1 - q."""
+    rowmap = (0, 2, 3, 1)
+    masks = []
+    for rowsteps in combinations(range(3 + n - 1), 3):
+        p = q = 0
+        mask = 1 << (n - 1)
+        for step in range(3 + n - 1):
+            if step in rowsteps:
+                p += 1
+            else:
+                q += 1
+            mask |= 1 << (rowmap[p] * n + n - 1 - q)
+        masks.append(mask)
+    return tuple(sorted(masks))
 
 
 class Move(NamedTuple):

@@ -6,13 +6,20 @@ import json
 import os
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
 from prodtri.core import Dims, Simplex, _shape_cols
 from prodtri.flips import all_circuits, apply_flip, supports_flip
 from prodtri.oracle import spanning_trees
-from prodtri.orders import _move_masks, _two_row_images, free_equivalent, restriction_order
+from prodtri.orders import (
+    _move_masks,
+    _order_holds,
+    _two_row_images,
+    free_equivalent,
+    restriction_order,
+)
 from prodtri.phases import (
     GoodnessContext,
     compute_TI,
@@ -386,6 +393,60 @@ def test_two_row_collections_valid_or_malformed(n):
         "maximal simplices do not chain into a segment",
         "column classes do not partition the columns",
     }
+
+
+def _read_order(tri, i1: int, i2: int) -> tuple[int, ...]:
+    return restriction_order(tri, i1, i2).as_total()
+
+
+def test_order_holds_agrees_with_the_read(corpus43, walk_states):
+    """``_order_holds``, the face-query check of a column order, against
+    the full read, ``restriction_order``.  On a triangulation it decides:
+    on every ordered row pair of every 4x3 member and of every state of a
+    connect of the committed 4x8 walk, it accepts the order read and
+    refuses every other one tried.  On collections that are not
+    triangulations only one direction holds, an accept gives the order
+    read: a 4x3 member with one tree swapped for another spanning tree,
+    and random sets of spanning trees at 4x2, 4x3 and 3x4.  Enough of them
+    are accepted that the check is not vacuous, and some orders a read
+    gives are refused, the reason phase three falls back to the read."""
+    rng = random.Random("order holds")
+    for tri in [*corpus43.triangulations, *walk_states]:
+        n = tri.dims.n
+        for i1, i2 in permutations(range(4), 2):
+            read = _read_order(tri, i1, i2)
+            if n <= 3:
+                others = list(permutations(range(n)))
+            else:  # each adjacent swap of the read order, and three shuffles
+                others = [read[:p] + (read[p + 1], read[p]) + read[p + 2 :] for p in range(n - 1)]
+                others += [tuple(rng.sample(range(n), n)) for _ in range(3)]
+            assert _order_holds(tri, i1, i2, read), (tri, i1, i2)
+            assert not any(_order_holds(tri, i1, i2, o) for o in others if o != read)
+
+    def swapped(tri):
+        trees = list(tri.maximal)
+        k = rng.randrange(len(trees))
+        trees[k] = rng.choice([t for t in pool[tri.dims] if t not in tri.maximal])
+        return Triangulation(tri.dims, trees)
+
+    pool = {dims: spanning_trees(dims) for dims in (Dims(4, 2), Dims(4, 3), Dims(3, 4))}
+    collections = [swapped(tri) for tri in rng.sample(corpus43.triangulations, 300)]
+    for dims, trees in pool.items():
+        for _ in range(300):
+            size = rng.randint(1, comb(dims.m + dims.n - 2, dims.m - 1) + 2)
+            collections.append(Triangulation(dims, rng.sample(trees, size)))
+    accepted = refused = 0
+    for tri in collections:
+        m, n = tri.dims
+        for i1, i2 in permutations(range(m), 2):
+            read = _outcome(_read_order, tri, i1, i2)
+            for order in permutations(range(n)):
+                if _order_holds(tri, i1, i2, order):
+                    accepted += 1
+                    assert read == order, (tri.maximal, i1, i2, order)
+                else:
+                    refused += read == order
+    assert accepted > 1000 and refused > 300, (accepted, refused)
 
 
 def test_restriction_order_rejects_rows_out_of_range(walk_states):

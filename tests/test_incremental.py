@@ -990,26 +990,41 @@ def test_driver_defect_sets_match_a_full_computation(walk48, corpus43, monkeypat
 
 
 def test_trusted_constructor_matches_init(corpus43, walk48):
-    """The trusted constructor against ``__init__`` on every 4x3 member,
-    which the enumeration builds with it, and on every state of a connect
-    of the committed walk, as ``apply_flip`` builds it: the same dims,
-    trees, digest and hash, and the same face index.  The index is derived
-    data: made on one of the two only, it changes none of these."""
+    """The trusted constructors against ``__init__`` on every 4x3 member,
+    which the enumeration builds with ``Triangulation._trusted``, and on
+    every state of a connect of the committed walk, as ``apply_flip``
+    builds it; and on a star of each, and a star of that star, as ``star``
+    builds them with ``LocalTriangulation._trusted``: the same dims, base,
+    trees and hash, the same digest of a triangulation, and the same face
+    index.  The index is derived data: made on one of the two only, it
+    changes none of these."""
 
     def same(tri, fresh):
         x = tri.maximal[0].mask & tri.maximal[-1].mask
         assert fresh.contains(Simplex(fresh.dims, x))  # fresh has an index, tri none yet
         assert type(tri.dims) is Dims and tri.dims == fresh.dims
-        assert tri == fresh and hash(tri) == hash(fresh) and tri.digest() == fresh.digest()
+        assert tri == fresh and hash(tri) == hash(fresh)
         assert _holders(tri, x) == _holders(fresh, x) and tri._index == fresh._index
+
+    def check(tri):
+        fresh = Triangulation(tri.dims, reversed(tri.maximal))
+        same(tri, fresh)
+        assert tri.digest() == fresh.digest()
+        first = tri.maximal[0].mask & tri.maximal[-1].mask
+        loc = star(tri, Simplex(tri.dims, first))
+        rest = loc.maximal[-1].mask & ~first
+        inner = star(loc, Simplex(tri.dims, rest & -rest))
+        assert loc.base.mask == first and inner.base.mask == first | rest & -rest
+        for local in (loc, inner):
+            same(local, LocalTriangulation(local.dims, local.base, reversed(local.maximal)))
 
     assert len(corpus43.triangulations) == 4488
     for tri in corpus43.triangulations:
-        same(tri, Triangulation(tri.dims, reversed(tri.maximal)))
+        check(tri)
     tri = walk48
     for step in connect(walk48, check=False).steps:
         tri = apply_flip(tri, supports_flip(tri, step.circuit))
-        same(tri, Triangulation(tri.dims, reversed(tri.maximal)))
+        check(tri)
 
 
 def _sorted_links(adjacency: _Adjacency) -> dict:

@@ -2,9 +2,13 @@
 submodule."""
 
 import ast
+import re
 import types
+from pathlib import Path
 
 import prodtri
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _is_module(value) -> bool:
@@ -50,3 +54,19 @@ def test_star_import_binds_no_module():
     assert "connect" in ns and "Triangulation" in ns
     assert not [name for name, value in ns.items() if _is_module(value)]
     assert _is_module(prodtri.phases)  # still reachable as an attribute
+
+
+def test_sources_parse_at_the_declared_floor():
+    """Every Python file under src/, tests/, demos/ and perfbench/ parses
+    with the grammar of the oldest Python that pyproject.toml declares, so
+    a construct of a later version, such as ``except*`` before 3.11, fails
+    here without an interpreter of that version.  Only the grammar is
+    checked: a library call added in a later version parses."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M)
+    version = (int(floor[1]), int(floor[2]))
+    dirs = ("src", "tests", "demos", "perfbench")
+    files = sorted(path for d in dirs for path in (ROOT / d).rglob("*.py"))
+    assert len(files) > 30
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)

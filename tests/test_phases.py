@@ -10,7 +10,7 @@ from prodtri import phases
 from prodtri.core import Circuit, Dims, Simplex, noncrossing
 from prodtri.flips import FlipCertificate, all_circuits, apply_flip, enumerate_flips, supports_flip
 from prodtri.oracle import spanning_trees
-from prodtri.orders import restriction_order
+from prodtri.orders import MalformedLocal, restriction_order
 from prodtri.phases import (
     GoodnessContext,
     ProofGap,
@@ -29,6 +29,7 @@ from prodtri.phases import (
     staircase,
 )
 from prodtri.triangulation import Triangulation, validate
+import reference
 
 
 def test_defect_sets_need_four_rows(seg_staircase):
@@ -84,6 +85,11 @@ def test_staircase_is_the_noncrossing_family(n):
         if noncrossing(t, (0, 2, 3, 1), tuple(range(n)))
     )
     assert list(T.maximal) == expected
+
+
+def test_staircase_masks_match_the_path_walk():
+    for n in range(1, 13):
+        assert phases._staircase_masks(n) == reference.staircase_masks(n), n
 
 
 def test_phases_fixpoint_on_staircase():
@@ -325,14 +331,20 @@ def _rows(X: Circuit) -> set[int]:
 
 
 def test_phase_three_reads_each_order_once(corpus43, monkeypatch):
-    # six reads at entry (five upper orders and the {2,3} order), then the
-    # two carried orders once more after each square flip and each macro
-    reads = []
-    real = phases.restriction_order
+    # two reads at entry, of the {0,1} and {2,3} orders; every other order
+    # test is a face-query check of a predicted order that accepts it: the
+    # four other upper orders at entry, then both carried orders after each
+    # square flip and each macro
+    reads, holds = [], []
+    real_read, real_holds = phases.restriction_order, phases._order_holds
 
-    def counted(tri, i1, i2):
+    def counted_read(tri, i1, i2):
         reads.append((i1, i2))
-        return real(tri, i1, i2)
+        return real_read(tri, i1, i2)
+
+    def counted_holds(tri, i1, i2, order):
+        holds.append(real_holds(tri, i1, i2, order))
+        return holds[-1]
 
     rng = random.Random(53)
     inputs = [_walk_4x8(), _reversed_staircase_2()]
@@ -342,17 +354,64 @@ def test_phase_three_reads_each_order_once(corpus43, monkeypatch):
         _, t1 = phase_one(T, check=False)
         _, t2 = phase_two(t1, check=False)
         reads.clear()
+        holds.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(phases, "restriction_order", counted)
+            mp.setattr(phases, "restriction_order", counted_read)
+            mp.setattr(phases, "_order_holds", counted_holds)
             seq, _ = phase_three(t2, check=False)
         squares = sum(_rows(step.circuit) <= {2, 3} for step in seq.steps)
         others = len(seq) - squares
         assert others % 5 == 0
         macros = others // 5
-        assert len(reads) == 6 + 2 * (squares + macros), (T.dims, squares, macros)
+        assert reads == [(0, 1), (2, 3)], (T.dims, squares, macros)
+        assert len(holds) == 4 + 2 * (squares + macros) and all(holds), (T.dims, squares, macros)
         macros_seen += macros
         squares_seen += squares
     assert macros_seen and squares_seen
+
+
+def _phase_three_outcome(T: Triangulation):
+    """The steps and end of an unchecked phase three, or the type and
+    message of the exception it raised."""
+    try:
+        seq, end = phase_three(T, check=False)
+    except (ProofGap, MalformedLocal) as exc:
+        return type(exc), str(exc)
+    return seq.steps, end
+
+
+def test_phase_three_falls_back_to_the_read(monkeypatch):
+    """On collections that are not triangulations the face-query check may
+    refuse an order, and phase three then reads it, raising what the read
+    raises.  On the staircases of 2, 3 and 4 columns, the reversed one of 2
+    and the one of 3 with its lower pair switched, each less one tree, phase
+    three ends as it does when every order test reads, as it did before the
+    check: here always with an error, the same one."""
+    S = staircase(3)
+    T = Triangulation(S.dims, S.maximal[:1] + S.maximal[2:])
+    o12 = restriction_order(T, 0, 1).as_total()
+    assert not phases._order_holds(T, 0, 2, o12)
+    message = "^maximal simplices do not chain into a segment$"
+    with pytest.raises(MalformedLocal, match=message):
+        restriction_order(T, 0, 2)
+    with pytest.raises(MalformedLocal, match=message):
+        phase_three(T, check=False)
+
+    outcomes = set()
+    others = (_reversed_staircase_2(), _lower_pair_switched_staircase_3())
+    for full in (*map(staircase, (2, 3, 4)), *others):
+        for k in range(len(full)):
+            T = Triangulation(full.dims, full.maximal[:k] + full.maximal[k + 1 :])
+            got = _phase_three_outcome(T)
+            with monkeypatch.context() as mp:
+                mp.setattr(phases, "_order_holds", lambda *args: False)
+                assert _phase_three_outcome(T) == got, (full, k)
+            outcomes.add(got)
+    assert outcomes == {
+        (MalformedLocal, "maximal simplices do not chain into a segment"),
+        (ProofGap, "asserted flip is unsupported"),
+        (ProofGap, "phase three: sorted orders but not the staircase"),
+    }
 
 
 def test_phase_three_refuses_a_square_flip_that_did_not_happen(monkeypatch):
