@@ -88,8 +88,9 @@ def apply_sequence(tri: Triangulation, seq: FlipSequence, check: bool = True) ->
 
     With check, the replay validates its start, as a run's driver does, and
     carries that check's tree slots (``_TreeSlots``): each step's result is
-    checked by a search from its added trees, with the verdict of
-    ``validate``."""
+    checked by a search from its added trees, narrowed by the slots'
+    trees and the step's certificate, with the report of ``validate``.  A
+    failed check raises, so the slots never flip from an invalid state."""
     if tri.digest() != seq.start:
         raise ValueError("sequence does not start at this triangulation")
     if check:
@@ -100,7 +101,7 @@ def apply_sequence(tri: Triangulation, seq: FlipSequence, check: bool = True) ->
         if not isinstance(res, FlipCertificate):
             raise ProofGap("replayed circuit is not a flip", circuit=step.circuit)
         new = apply_flip(tri, res)
-        if check and not slots.flip(new, res.added).ok:
+        if check and not slots.flip(new, res).ok:
             raise ProofGap("replay produced an invalid triangulation")
         tri = new
     if tri.digest() != seq.end:
@@ -231,9 +232,11 @@ class _Driver:
     ``ProofGap`` if the start is invalid, and keeps that check's tree slots
     and edge bitsets (``triangulation._TreeSlots``) as ``slots``, which it
     carries from flip to flip: each flip's result is checked by a search
-    from its added trees.  An unchecked driver has no slots.  ``connect``
-    and each public phase make one driver, so each validates its start
-    exactly once.
+    from its added trees, narrowed by the slots' trees and the flip's
+    certificate (``_TreeSlots.flip``).  A failed check raises, so the slots
+    never flip from an invalid state.  An unchecked driver has no slots.
+    ``connect`` and each public phase make one driver, so each validates
+    its start exactly once.
 
     ``TI`` and ``TII`` are the strong and weak defect sets of the working
     triangulation, in mask order; the step measures, the phase loops and
@@ -275,7 +278,7 @@ class _Driver:
 
     def apply(self, cert: FlipCertificate, phase: str, **inner: int) -> None:
         new = apply_flip(self.T, cert)
-        if self.slots is not None and not self.slots.flip(new, cert.added).ok:
+        if self.slots is not None and not self.slots.flip(new, cert).ok:
             raise ProofGap("flip produced an invalid triangulation", circuit=cert.circuit)
         self.T = new
         # a kept tree keeps its verdict, so only the added trees are tested

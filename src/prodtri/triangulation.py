@@ -334,7 +334,7 @@ def _validated_slots(tri: Triangulation) -> tuple[_TreeSlots, ValidityReport]:
     """The slots of tri's trees and ``validate(tri)``, one search from every
     tree against them: a checked run's start, whose slots it then carries."""
     slots = _TreeSlots(tri)
-    return slots, _check(tri, slots, tri.maximal)
+    return slots, _check(tri, slots, tri.maximal, [t.mask for t in tri.maximal])
 
 
 class _TreeSlots:
@@ -346,7 +346,12 @@ class _TreeSlots:
     ``_edge_members`` builds it over a list of masks, and ``slot_of`` maps
     each held tree's mask to its slot bit.  ``flip`` frees the slots of the
     trees a flip removed, gives each added tree the lowest free slot and
-    checks the result.
+    checks the result from the added trees only.
+
+    Precondition of ``flip``: the slots hold a state whose last check
+    passed, so the trees they hold are pairwise proper spanning trees.  A
+    run never flips after a failed check: ``_Driver.apply`` and
+    ``apply_sequence`` raise ``ProofGap`` on it.
     """
 
     __slots__ = ("members", "live", "slot_of")
@@ -361,23 +366,61 @@ class _TreeSlots:
         """The edge mask of the tree in the slot bit."""
         return sum(1 << e for e, held in enumerate(self.members) if held & bit)
 
-    def flip(self, tri: Triangulation, added: Iterable[Simplex]) -> ValidityReport:
-        """``validate(tri)`` for tri made from the valid triangulation whose
-        trees the slots hold, by a flip that added ``added`` and kept every
-        other tree of tri; the slots then hold tri's trees.  The kept trees
-        are spanning and pairwise proper, so the search runs from the added
-        trees only."""
-        added = sorted(set(added), key=_by_mask)
-        trees = {t.mask for t in tri.maximal}
-        if any(t.dims != tri.dims or t.mask not in trees for t in added):
-            raise ValueError("added simplices are not all maximal in the triangulation")
-        members, slot_of = self.members, self.slot_of
-        if not trees.difference(t.mask for t in added) <= slot_of.keys():
-            raise ValueError("a tree outside added is not held by the slots")
+    def flip(self, tri: Triangulation, cert) -> ValidityReport:
+        """``validate(tri)`` for tri made from the state the slots hold by
+        the flip of the certificate ``cert`` (a ``flips.FlipCertificate``);
+        the slots then hold tri's trees.  ``ValueError`` if a removed tree
+        is not held, or if the slots then do not hold exactly tri's trees;
+        either leaves the slots unusable.
+
+        Call an edge x of an added tree a *old-held* when some tree the
+        slots held before the flip (an old tree) holds a - x.  Lemma: let Z
+        be a circuit with Z+ in a and Z- in a tree b of tri.  If b is old,
+        Z+ holds every old-held edge of a; if b is added too, Z+ holds every
+        old-held edge of a or Z- every old-held edge of b.  Proof: if Z+
+        misses an old-held edge x, then Z+ lies in a - x, so in an old tree
+        o.  If Z- also lies in an old tree o', then o != o' is an improper
+        old pair, and o = o' holds the cycle Z; the precondition excludes
+        both.
+
+        The plus edges of a circuit lie in distinct rows and columns.  So
+        the search runs from each added tree's narrowed mask: a core of
+        old-held edges, plus the edges of a that share no row and no column
+        with the core, and a itself when the core is empty.  Every improper
+        pair of tri is then found from at least one side.  The core needs no
+        trust in the certificate: a plus edge x of its circuit that a holds
+        is old-held when the slots held ``(a ^ x) | minus``, which holds
+        a - x.  Any subset of the old-held edges keeps the lemma, so a
+        forged circuit only widens the masks.  The core lies in that
+        circuit's plus side, so no two of its edges share a line.
+        """
+        n = tri.dims.n
+        line = (1 << n) - 1
+        ones = ((1 << tri.dims.m * n) - 1) // line  # bit 0 of each row
+        X = cert.circuit
+        minus, slot_of, members = X.minus_mask, self.slot_of, self.members
+        added = sorted(set(cert.added), key=_by_mask)
+        masks = []
+        for t in added:  # the narrowed masks, read before the slots change
+            a = t.mask
+            core = lines = 0  # lines: the rows and columns of the core
+            x = a & X.plus_mask
+            while x:
+                low = x & -x
+                x ^= low
+                if ((a ^ low) | minus) in slot_of:
+                    core |= low
+                    i, j = divmod(low.bit_length() - 1, n)
+                    lines |= line << (i * n) | ones << j
+            masks.append(core | a & ~lines)
         live = self.live
-        for x in slot_of.keys() - trees:
-            keep = ~slot_of.pop(x)
-            live &= keep
+        for t in cert.removed:
+            x = t.mask
+            bit = slot_of.pop(x, 0)
+            if not bit:
+                raise ValueError("a removed tree is not held by the slots")
+            live ^= bit
+            keep = ~bit
             while x:
                 low = x & -x
                 x ^= low
@@ -393,34 +436,37 @@ class _TreeSlots:
                     x ^= low
                     members[low.bit_length() - 1] |= bit
         self.live = live
-        return _check(tri, self, added)
+        if len(slot_of) != len(tri.maximal) or not all(t.mask in slot_of for t in tri.maximal):
+            raise ValueError("with the added trees the slots do not hold exactly tri's trees")
+        return _check(tri, self, added, masks)
 
 
-def _check(tri: Triangulation, slots: _TreeSlots, fresh) -> ValidityReport:
+def _check(tri: Triangulation, slots: _TreeSlots, fresh, masks: list[int]) -> ValidityReport:
     """The spanning test on the trees ``fresh`` (ascending) and the proper
     test on every pair of tri's trees holding one of them, then the count.
 
     A pair is improper when some circuit has its plus part in one tree and
-    its minus part in the other.  One circuit search finds the improper
-    partners of every fresh tree among the trees that ``slots`` holds;
-    pairs are reported in ascending (a, b) order.
+    its minus part in the other.  One circuit search runs from ``masks``
+    against the trees that ``slots`` holds: masks[k] is fresh[k] itself,
+    or after a flip its narrowed mask (``_TreeSlots.flip``), and every
+    improper pair of tri has a circuit whose plus part lies in the mask of
+    one of its trees.  Pairs are collected unordered, each once, and
+    reported in ascending (a, b) order.
     """
     dims = tri.dims
     violations: list[tuple[str, object]] = [
         ("not_spanning", t) for t in fresh if not is_spanning_tree(t)
     ]
-    found = _improper_partners(dims, [t.mask for t in fresh], slots.members, slots.live)
-    searched = set()
-    pairs = []
+    found = _improper_partners(dims, masks, slots.members, slots.live)
+    pairs = set()
     for t, bad in zip(fresh, found):
         x = t.mask
-        searched.add(x)
         while bad:
             low = bad & -bad
             bad ^= low
             y = slots.mask(low)
-            if y not in searched:  # else found from y's side, or x itself
-                pairs.append((x, y) if x < y else (y, x))
+            if y != x:  # a tree with a cycle finds itself
+                pairs.add((x, y) if x < y else (y, x))
     for x, y in sorted(pairs):
         violations.append(("improper_pair", (Simplex(dims, x), Simplex(dims, y))))
     expected = comb(dims.m + dims.n - 2, dims.m - 1)

@@ -10,7 +10,8 @@ stored as hex tree masks, so the test needs neither the enumeration nor a
 walk generator.  A sequence digest is the sha256 of
 ``io.sequence_to_dict(connect(tri, check=True))`` as compact JSON with sorted
 keys, the format the benchmark also digests.  Rerun only for a change that is
-meant to change the sequences ``connect`` emits.
+meant to change the sequences ``connect`` emits; a slow test asserts that
+``build()`` gives the committed file byte for byte.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def entry(name: str, tri: Triangulation) -> dict:
     }
 
 
-def main() -> None:
+def build() -> str:
+    """The text of ``golden_digests.json``, one input per line."""
     with open(os.path.join(HERE, "walk_4x8.json")) as fh:
         doc = json.load(fh)
     dims = Dims(doc["m"], doc["n"])
@@ -88,10 +90,14 @@ def main() -> None:
     for n, mult, seed in WITNESSES:
         inputs.append((seed, random_walk(random.Random(seed), n, mult * n)))
     entries = [entry(name, tri) for name, tri in inputs]
+    return '{"inputs": [\n' + ",\n".join(json.dumps(e) for e in entries) + "\n]}\n"
+
+
+def main() -> None:
+    text = build()
     with open(OUT, "w") as fh:
-        # one input per line
-        fh.write('{"inputs": [\n' + ",\n".join(json.dumps(e) for e in entries) + "\n]}\n")
-    print(f"wrote {len(entries)} digests to {OUT}")
+        fh.write(text)
+    print(f"wrote {len(json.loads(text)['inputs'])} digests to {OUT}")
 
 
 if __name__ == "__main__":

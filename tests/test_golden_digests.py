@@ -4,11 +4,13 @@
 seeded 4x3 triangulations, four seeded walks at n = 5 and n = 6 and eight
 branch witnesses (seeded walks that reach the case-2 loop, the case-3 side
 path and subclaim, and the long path of phase two), each with the sha256 of
-its ``connect`` sequence (``data/make_golden_digests.py`` writes it).  A change that should leave the flip walk alone must keep every
-digest, with and without the runtime checks.
+its ``connect`` sequence (``data/make_golden_digests.py`` writes it, and a
+slow test rebuilds it byte for byte).  A change that should leave the flip
+walk alone must keep every digest, with and without the runtime checks.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 
@@ -56,3 +58,16 @@ def test_connect_sequences_are_byte_identical(check):
         tri = Triangulation(dims, [Simplex(dims, int(x, 16)) for x in e["trees"]])
         assert tri.digest() == e["start"], e["name"]
         assert _digest(connect(tri, check=check)) == e["sequence_digest"], e["name"]
+
+
+@pytest.mark.slow
+def test_generator_reproduces_the_committed_file():
+    """``data/make_golden_digests.py`` rebuilds the committed file byte for
+    byte, so its inputs and the digests of checked ``connect`` cannot drift
+    apart from the generator."""
+    path = os.path.join(os.path.dirname(GOLDEN_PATH), "make_golden_digests.py")
+    spec = importlib.util.spec_from_file_location("make_golden_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with open(GOLDEN_PATH, newline="") as fh:
+        assert module.build() == fh.read()

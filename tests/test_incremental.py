@@ -16,8 +16,14 @@ from math import comb
 import pytest
 
 from prodtri import orders, phases, triangulation
-from prodtri.core import Circuit, Dims, Simplex, alternating_path, col_neighbors
-from prodtri.flips import FlipCertificate, apply_flip, enumerate_flips, supports_flip
+from prodtri.core import Circuit, Dims, Simplex, alternating_path, col_neighbors, tree_path
+from prodtri.flips import (
+    FlipCertificate,
+    all_circuits,
+    apply_flip,
+    enumerate_flips,
+    supports_flip,
+)
 from prodtri.oracle import spanning_trees
 from prodtri.orders import (
     PrecedenceDigraph,
@@ -131,10 +137,10 @@ class _CrossCheck:
     """Wraps the two checks of a checked run: ``_validated_slots``, the full
     check with which the driver and the replay validate their start and
     fill their slots, and ``_TreeSlots.flip`` on the carried slots after
-    every flip.  Every flip's verdict is compared with the full ``validate``
-    of the same triangulation, and the carried bitsets, the start's
-    included, with fresh ones.  Counts the full checks and keeps each
-    distinct slot state that flipped."""
+    every flip.  Every flip's report, violations and their order included,
+    is compared with the full ``validate`` of the same triangulation, and
+    the carried bitsets, the start's included, with fresh ones.  Counts the
+    full checks and keeps each distinct slot state that flipped."""
 
     def __init__(self):
         self.compared = 0
@@ -144,9 +150,9 @@ class _CrossCheck:
     def install(self, monkeypatch):
         real = _TreeSlots.flip
 
-        def flip(slots, tri, added):
-            report = real(slots, tri, added)
-            assert report.ok == validate(tri).ok
+        def flip(slots, tri, cert):
+            report = real(slots, tri, cert)
+            assert report == validate(tri)
             _assert_carried(slots, tri)
             self.compared += 1
             if not any(s is slots for s in self.carriers):
@@ -267,14 +273,22 @@ def test_carried_check_catches_an_improper_flip(corpus43, monkeypatch):
 def test_checked_connect_searches_once_per_flip(corpus43, walk48, monkeypatch):
     """One circuit search per flip plus the entry validation, and the edge
     bitsets built once per run, for the entry validation whose slots the
-    driver carries, however many flips; an unchecked run builds none."""
-    searches, builds = [], []
+    driver carries, however many flips; an unchecked run builds none.  On
+    the committed walk the flips' searches run from fewer edges than their
+    added trees hold."""
+    searches, builds, edges, added = [], [], [], []
     real_search = triangulation._improper_partners
     real_build = triangulation._edge_members
+    real_flip = _TreeSlots.flip
 
     def search(dims, ts, members, cand):
         searches.append(len(ts))
+        edges.append(sum(x.bit_count() for x in ts))
         return real_search(dims, ts, members, cand)
+
+    def flip(slots, tri, cert):
+        added.append(sum(t.mask.bit_count() for t in set(cert.added)))
+        return real_flip(slots, tri, cert)
 
     def build(dims, masks):
         builds.append(dims)
@@ -282,16 +296,22 @@ def test_checked_connect_searches_once_per_flip(corpus43, walk48, monkeypatch):
 
     monkeypatch.setattr(triangulation, "_improper_partners", search)
     monkeypatch.setattr(triangulation, "_edge_members", build)
+    monkeypatch.setattr(_TreeSlots, "flip", flip)
     inputs = [walk48] + random.Random(22).sample(corpus43.triangulations, 20)
     for tri in inputs:
         for check in (True, False):
             searches.clear()
             builds.clear()
+            edges.clear()
+            added.clear()
             seq = connect(tri, check=check)
             if check:
                 assert len(searches) == len(seq) + 1
                 assert searches[0] == len(tri.maximal)  # the entry validation
                 assert len(builds) == 1
+                if tri is walk48:
+                    assert len(added) == len(seq) > 0
+                    assert sum(edges[1:]) < sum(added)
             else:
                 assert searches == builds == []
     assert len(seq) > 0
@@ -382,7 +402,7 @@ def test_forged_certificates_are_rejected_by_both_checks(kind, monkeypatch):
     else:
         forged = _forge(T, [T.maximal[0]], [])
     new = apply_flip(T, forged)
-    assert not _TreeSlots(T).flip(new, forged.added).ok
+    assert not _TreeSlots(T).flip(new, forged).ok
     full = validate(new)
     assert not full.ok and kind in {tag for tag, _ in full.violations}
     # and through the driver
@@ -429,7 +449,8 @@ def test_both_checks_report_violations_in_pairwise_order(n):
     tags = [tag for tag, _ in want]
     assert tags.count("improper_pair") >= 3 and tags.count("not_spanning") == 1
     assert "cardinality" in tags
-    assert _TreeSlots(T).flip(forged, added).violations == want
+    cert = _forge(T, [t for t in T.maximal if t not in kept], added)
+    assert _TreeSlots(T).flip(forged, cert).violations == want
     assert want == _reference_violations(forged, range(len(forged.maximal)))
     assert validate(forged).violations == want
 
@@ -455,7 +476,7 @@ def test_replay_validates_fully_on_entry(monkeypatch):
                 if validate(after).ok:
                     continue
                 # the flip's own check, from the added trees, would pass it
-                if not _TreeSlots(bad).flip(after, there.added).ok:
+                if not _TreeSlots(bad).flip(after, there).ok:
                     continue
                 seq = FlipSequence(
                     T.dims, bad.digest(), after.digest(), (FlipStep(cert.circuit, "I", ()),)
@@ -506,7 +527,7 @@ def test_genuine_flips_pass_both_checks():
     assert validate(T).ok
     for cert in enumerate_flips(T):
         new = apply_flip(T, cert)
-        assert _TreeSlots(T).flip(new, cert.added).ok
+        assert _TreeSlots(T).flip(new, cert).ok
         assert validate(new).ok
 
 
@@ -515,10 +536,92 @@ def test_incremental_refuses_a_mismatched_flip():
     assert validate(T).ok
     stranger = next(u for u in spanning_trees(T.dims) if u not in T.maximal)
     with pytest.raises(ValueError, match="added"):
-        _TreeSlots(T).flip(T, [stranger])
-    other = apply_flip(T, enumerate_flips(T)[0])
+        _TreeSlots(T).flip(T, _forge(T, [], [stranger]))
     with pytest.raises(ValueError, match="not held by the slots"):
-        _TreeSlots(T).flip(other, [])
+        _TreeSlots(T).flip(T, _forge(T, [stranger], []))
+
+
+def _exchange(rng: random.Random, T: Triangulation) -> tuple[Simplex, Circuit]:
+    """A spanning tree u not in T, a tree t of T with an edge e added and a
+    minus edge of e's cycle dropped, and that cycle Y with e plus: Y- lies
+    in t, so e is old-held in u and the narrowed mask of u is smaller than
+    u, while Y itself makes u and t an improper pair."""
+    dims = T.dims
+    while True:
+        t = rng.choice(T.maximal)
+        i, j = rng.choice([(i, j) for i in range(dims.m) for j in range(dims.n) if (i, j) not in t])
+        path = tree_path(t, i, dims.m + j)
+        minus = path[0::2]
+        u = t.with_edge(i, j).without_edge(*rng.choice(minus))
+        if u not in T.maximal:
+            return u, Circuit.from_edges(dims, minus, [(i, j), *path[1::2]])
+
+
+def _forgeries(rng: random.Random, T: Triangulation, cert: FlipCertificate):
+    """cert, and cert with its added trees forged: one swapped for a tree
+    outside T, one such tree extra, and every one swapped, each with its
+    own circuit and with an unrelated circuit of T's dims; and one swapped
+    for an exchange with the exchange's circuit."""
+    added = list(cert.added)
+    k = rng.randrange(len(added))
+    circuits = all_circuits(T.dims)
+    for trees in (
+        added,
+        added[:k] + [_exchange(rng, T)[0]] + added[k + 1 :],
+        added + [_exchange(rng, T)[0]],
+        [_exchange(rng, T)[0] for _ in added],
+    ):
+        other = next(X for X in iter(lambda: rng.choice(circuits), None) if X != cert.circuit)
+        for X in (cert.circuit, other):
+            yield FlipCertificate(X, cert.link, cert.removed, tuple(trees))
+    u, Y = _exchange(rng, T)
+    yield FlipCertificate(Y, cert.link, cert.removed, tuple(added[:k] + [u] + added[k + 1 :]))
+
+
+def test_carried_check_matches_the_full_one_on_forged_flips(corpus43, walk48, monkeypatch):
+    """Certified flips of sampled 4x3 members and of states on the
+    committed 4x8 walk, with their added trees forged and their circuit
+    replaced: the carried report equals ``validate`` of the result.  The
+    narrowed masks drop edges, every reported pair is found from the
+    narrowed mask of an added tree it holds, and some pairs of two added
+    trees are found from one side only, so the pairs are collected from
+    both sides.  The exchanges' pairs with old trees are found only from
+    edges outside the core, so the masks must keep them."""
+    searched = []
+    real = triangulation._check
+
+    def check(tri, slots, fresh, masks):
+        searched.append({t.mask: x for t, x in zip(fresh, masks)})
+        return real(tri, slots, fresh, masks)
+
+    monkeypatch.setattr(triangulation, "_check", check)
+    rng = random.Random("forged flips")
+    certs = [(T, rng.choice(enumerate_flips(T))) for T in rng.sample(corpus43.triangulations, 40)]
+    seq = connect(walk48, check=False)
+    walk = [(T, supports_flip(T, s.circuit)) for T, s in zip(_states(walk48, seq), seq.steps)]
+    certs += rng.sample(walk, 6)
+    flips = improper = dropped = one_sided = 0
+    for T, cert in certs:
+        for forged in _forgeries(rng, T, cert):
+            tri = apply_flip(T, forged)
+            searched.clear()
+            report = _TreeSlots(T).flip(tri, forged)
+            (narrowed,) = searched
+            assert report == validate(tri)
+            flips += 1
+            dropped += any(x != a for a, x in narrowed.items())
+            pairs = [pair for tag, pair in report.violations if tag == "improper_pair"]
+            improper += bool(pairs)
+            for a, b in pairs:
+                sides = [
+                    split_circuit(T.dims, narrowed[x.mask], y.mask)
+                    for x, y in ((a, b), (b, a))
+                    if x.mask in narrowed
+                ]
+                assert any(sides)
+                one_sided += sides.count(True) == 1 < len(sides)
+    assert flips == 9 * len(certs)
+    assert improper >= 280 and dropped >= 180 and one_sided >= 38
 
 
 # ------------------------------------------------------------ facet index
