@@ -6,14 +6,23 @@ and column coordinates dropped so the product polytope is full-dimensional
 over the integer lattice.  Everything here is integer arithmetic:
 determinants by Bareiss elimination and feasibility by Edmonds' integer
 pivoting, both fraction-free with exact divisions; no floats anywhere.
-Before the feasibility search, ``improper_geometric`` eliminates the
-weights of the vertices two simplices share, which are free, one integer
-pivot each; on these points every such pivot is +1 or -1.
+
+``improper_geometric`` builds its system in closed form.  Kept whole, the
+coordinates of (i, j) are row node i and column node m + j, so an affine
+dependence is a weighting of the edges whose sums vanish at every node.
+The weights of the shared vertices are free, and solving for them leaves
+one condition per block of the shared edges over all m + n nodes: the
+left kernel of a connected bipartite block's incidence matrix is spanned
+by +1 on its rows and -1 on its columns.  ``feasible_eq_nonneg`` first
+drops the columns that a one-signed row with right-hand side 0 forces to
+0 (the LP presolve step), then runs a phase-one simplex on what is left,
+and returns a witness of its verdict that integer arithmetic rechecks.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain, repeat
+from typing import NamedTuple, Sequence, Union
 
 from .core import Dims, Simplex, _edges_of
 
@@ -65,107 +74,252 @@ def simplex_volume(simplex: Simplex) -> int:
     return abs(det_bareiss(rows))
 
 
-def feasible_eq_nonneg(A: Sequence[Sequence[int]], b: Sequence[int]) -> bool:
-    """Is there x >= 0 with Ax = b?  Phase-one simplex with Bland's rule.
+class Solution(NamedTuple):
+    """Witness that ``Ax = b`` has a solution ``x >= 0``: integers with
+    every ``x[c] >= 0`` and ``scale > 0`` such that ``Ax = scale * b``."""
+
+    x: tuple[int, ...]
+    scale: int
+
+
+class Farkas(NamedTuple):
+    """Witness that ``Ax = b`` has no solution ``x >= 0``: integers with
+    ``yA <= 0`` in every column and ``yb > 0``, since then every ``x >= 0``
+    has ``yAx <= 0 < yb`` (Farkas' lemma).  It is false, and a
+    ``Solution`` true, so a witness's truth value is its verdict."""
+
+    y: tuple[int, ...]
+
+    def __bool__(self):
+        return False
+
+
+def feasible_eq_nonneg(A: Sequence[Sequence[int]], b: Sequence[int]) -> Union[Solution, Farkas]:
+    """Is there x >= 0 with Ax = b?  A ``Solution`` if so, else a ``Farkas``.
 
     The entries must be ``int`` (``TypeError`` otherwise; a rational system
-    is scaled to integers row by row first, which keeps its solutions), and
-    the tableau is pivoted on integers (Edmonds, *J. Res. NBS* 71B, 1967).
-    Every entry, the objective row's included, is ``det`` times the entry of
-    the rational tableau, where ``det`` is the last pivot (1 at the start).
-    A pivot on (leave, enter) keeps its row and maps each other row x to
+    is scaled to integers row by row first, which keeps its solutions).
+
+    Presolve: a row with right-hand side 0 whose nonzero entries on the
+    remaining columns all have one sign forces those columns to 0, since
+    x >= 0.  Such a row and its columns are dropped, until no row
+    qualifies (Andersen and Andersen, *Math. Programming* 71, 1995).  A
+    dropped row is 0 on every column left after it, so the rows and
+    columns left decide the system.  With no row left, x = 0 solves it; a
+    row left with no column has right-hand side nonzero, or it would have
+    been dropped, so nothing solves it.
+
+    Otherwise a phase-one simplex with Bland's rule decides the rest, with
+    one artificial column per row left.  The tableau is pivoted on integers
+    (Edmonds, *J. Res. NBS* 71B, 1967): every entry, the objective row's
+    included, is ``det`` times the entry of the rational tableau, where
+    ``det`` is the last pivot (1 at the start).  A pivot on (leave, enter)
+    keeps its row and maps each other row x to
     ``(x * piv - x[enter] * prow) // det``, then sets ``det = piv``.  The
     division is exact: each entry is, up to sign, a minor of the starting
     tableau, as in ``det_bareiss``.  Pivots are positive, so every sign and
     ratio, and so every pivot, is that of the rational tableau.
+
+    Witnesses.  A solution reads x off the basic rows of the final tableau,
+    0 on every dropped column, with ``scale = det``.  For infeasibility the
+    simplex's optimal duals give y: with s_r the sign row r was multiplied
+    by on entry, y_r = s_r (obj[artificial of r] + det), for which the
+    objective row's signs are exactly yA <= 0 and yb > 0.  If the presolve
+    removed every column, y starts as the sign of b_r on a row r left.
+    Then the dropped rows are visited in reverse order, each given a
+    multiplier of the sign opposite to its entries, just large enough to
+    make yA <= 0 on its own columns.  Its right-hand side is 0, so yb does
+    not move, and it is 0 on the columns of every row dropped after it, so
+    no column fixed before is undone.
     """
     m = len(A)
-    if m == 0:
-        return True
-    n = len(A[0])
-    tab = []
-    for r in range(m):
-        row = [*A[r], b[r]]
-        if not all(isinstance(x, int) for x in row):
-            raise TypeError(f"row {r} of the system has an entry that is not an int")
-        if row[-1] < 0:
-            row = [-x for x in row]
-        tab.append(row[:n] + [int(k == r) for k in range(m)] + row[n:])
-    # reduced costs for min(sum of artificials): column sums minus the unit
-    # cost of the artificial columns, which leaves those columns 0
-    obj = [sum(col) for col in zip(*tab)]
-    obj[n : n + m] = [0] * m
-    basis = [n + r for r in range(m)]
-    det = 1
-    while True:
-        enter = next((c for c in range(n + m) if obj[c] > 0), None)
-        if enter is None:
+    n = len(A[0]) if m else 0
+    if not all(map(isinstance, chain(b, *A), repeat(int))):
+        r = next(r for r in range(m) if not all(isinstance(x, int) for x in (*A[r], b[r])))
+        raise TypeError(f"row {r} of the system has an entry that is not an int")
+    # the sign bitsets of the rows with right-hand side 0, the presolve's rows
+    zero = []
+    fixed = []  # the rows with right-hand side nonzero, which stay
+    for r, row in enumerate(A):
+        if b[r]:
+            fixed.append(r)
+            continue
+        p = q = 0
+        for c, x in enumerate(row):
+            if x:
+                if x > 0:
+                    p |= 1 << c
+                else:
+                    q |= 1 << c
+        zero.append((r, p, q))
+    live = (1 << n) - 1
+    dropped = []  # (row, the columns it forced to 0), in the order dropped
+    while zero:
+        rest = []
+        for r, p, q in zero:
+            p &= live
+            q &= live
+            if p and q:
+                rest.append((r, p, q))
+            else:
+                dropped.append((r, p | q))
+                live &= ~(p | q)
+        if len(rest) == len(zero):
             break
-        # least ratio rhs / entry, compared across rows by cross-multiplying
-        leave = None
-        for r in range(m):
-            a = tab[r][enter]
-            if a > 0:
-                if leave is None:
-                    leave = r
-                    continue
-                lhs = tab[r][-1] * tab[leave][enter]
-                rhs = tab[leave][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
-                    leave = r
-        if leave is None:
-            # phase-one objective is bounded; unbounded column means a bug
-            raise ArithmeticError("unbounded phase-one simplex")
-        prow = tab[leave]
-        piv = prow[enter]
-        for r in range(m):
-            f = tab[r][enter]
-            # a row with f = 0 only rescales by piv / det
-            if r != leave and (f or piv != det):
-                tab[r] = [(x * piv - f * y) // det for x, y in zip(tab[r], prow)]
-        f = obj[enter]
-        obj = [(x * piv - f * y) // det for x, y in zip(obj, prow)]
-        det = piv
-        basis[leave] = enter
-    return obj[-1] == 0
+        zero = rest
+    left = sorted(fixed + [r for r, _, _ in zero])
+    if not left:
+        return Solution((0,) * n, 1)
+    y = [0] * m
+    if not live:
+        r = left[0]
+        y[r] = 1 if b[r] > 0 else -1
+        ya = [y[r] * x for x in A[r]]
+    else:
+        cols = [c for c in range(n) if live >> c & 1]
+        w, k = len(cols), len(left)
+        tab = []
+        for q, r in enumerate(left):
+            row = A[r]
+            unit = [0] * k
+            unit[q] = 1
+            if b[r] < 0:
+                tab.append([-row[c] for c in cols] + unit + [-b[r]])
+            else:
+                tab.append([row[c] for c in cols] + unit + [b[r]])
+        # reduced costs for min(sum of artificials): column sums minus the
+        # unit cost of the artificial columns, which leaves those columns 0
+        obj = [sum(col) for col in zip(*tab)]
+        obj[w : w + k] = [0] * k
+        basis = [w + q for q in range(k)]
+        det = 1
+        while True:
+            enter = next((c for c in range(w + k) if obj[c] > 0), None)
+            if enter is None:
+                break
+            # least ratio rhs / entry, compared across rows by cross-multiplying
+            leave = None
+            for q in range(k):
+                a = tab[q][enter]
+                if a > 0:
+                    if leave is None:
+                        leave = q
+                        continue
+                    lhs = tab[q][-1] * tab[leave][enter]
+                    rhs = tab[leave][-1] * a
+                    if lhs < rhs or (lhs == rhs and basis[q] < basis[leave]):
+                        leave = q
+            if leave is None:
+                # phase-one objective is bounded; unbounded column means a bug
+                raise ArithmeticError("unbounded phase-one simplex")
+            prow = tab[leave]
+            piv = prow[enter]
+            for q in range(k):
+                f = tab[q][enter]
+                # a row with f = 0 only rescales by piv / det
+                if q != leave and (f or piv != det):
+                    tab[q] = [(x * piv - f * z) // det for x, z in zip(tab[q], prow)]
+            f = obj[enter]
+            obj = [(x * piv - f * z) // det for x, z in zip(obj, prow)]
+            det = piv
+            basis[leave] = enter
+        if obj[-1] == 0:
+            x = [0] * n
+            for q in range(k):
+                if basis[q] < w:
+                    x[cols[basis[q]]] = tab[q][-1]
+            return Solution(tuple(x), det)
+        ya = [0] * n
+        for q, r in enumerate(left):
+            y[r] = yr = (obj[w + q] + det) if b[r] >= 0 else -(obj[w + q] + det)
+            if yr:
+                ya = [u + yr * x for u, x in zip(ya, A[r])]
+    # ya = yA throughout; each dropped row makes it <= 0 on its own columns
+    for r, forced in reversed(dropped):
+        row = A[r]
+        need = 0
+        while forced:
+            low = forced & -forced
+            c = low.bit_length() - 1
+            if ya[c] > 0:
+                need = max(need, -(-ya[c] // abs(row[c])))
+            forced ^= low
+        if need:
+            # c is one of the row's own columns, so row[c] carries its sign
+            y[r] = yr = -need if row[c] > 0 else need
+            ya = [u + yr * x for u, x in zip(ya, row)]
+    return Farkas(tuple(y))
 
 
 def _dependence_system(dims: Dims, a: int, b: int) -> tuple[list[list[int]], list[int]]:
     """The rows ``(A, b)`` that ``improper_geometric`` hands the simplex.
 
-    The unknown of a column is a vertex's weight, and the column is the
-    vertex's homogenised point, negated for a vertex only ``b`` holds; the
-    last row puts total weight 1 on those vertices.  Each shared vertex
-    starts as a free column and is eliminated first: a row where it is
-    nonzero is pivoted into every other row and dropped with it.
+    The unknown of a column is the weight of a vertex only one simplex
+    holds, those only ``a`` holds first, and the last row puts total weight
+    1 on those only ``b`` holds.  The system is built in closed form.
+
+    Kept whole, the point of vertex (i, j) is e_i + f_j over the m row
+    nodes and n column nodes, so an affine dependence is a weighting of the
+    edges whose sums vanish at every node (the homogenising coordinate is
+    the sum of the row coordinates, and the dropped coordinates follow from
+    it).  The shared vertices' weights are free, so the other weights admit
+    them exactly when the node sums those weights leave lie in the column
+    space of the shared edges' incidence matrix, that is, are orthogonal to
+    its left kernel.  Take the blocks of the shared edges over all m + n
+    nodes, a node no shared edge meets being a block of its own.  A block K
+    is connected and bipartite, so a y with y_u + y_v = 0 on each of its
+    edges takes one value on K's rows and its negative on K's columns, and
+    the left kernel is spanned by one vector per block, +1 on K's rows and
+    -1 on K's columns.  A cycle among the shared edges changes nothing.  So
+    there is one row per block: a vertex (i, j) only ``a`` holds has column
+    e_K(i) - e_K(j), one only ``b`` holds the negated column, and a vertex
+    with both ends in one block is 0 on every block row.
+
+    Only the rows with a nonzero entry are made.  They sum to 0, so the last
+    one made is dropped.  For a shared forest of k edges there are m + n - k
+    blocks, so at most m + n - 1 - k rows come before the normalising one, as
+    many as eliminating the shared weights one pivot at a time left, with
+    the same solutions.  Every entry is -1, 0 or 1.
+
+    The blocks come from one pass over the row slices of the shared mask:
+    each row takes over the label of every column its slice meets, together
+    with every node that label named.
     """
     m, n = dims
-    d = m + n - 2
-    free = list(_edges_of(n, a & b))
-    cols = [(v, 1) for v in free]
-    cols += [(v, 1) for v in _edges_of(n, a & ~b)]
-    cols += [(v, -1) for v in _edges_of(n, b & ~a)]
-    # coordinates of (i, j) with the homogenising 1: rows i, m - 1 + j and d
-    rows = [[0] * len(cols) for _ in range(d + 1)]
-    for c, ((i, j), sgn) in enumerate(cols):
-        rows[d][c] = sgn
-        if i < m - 1:
-            rows[i][c] = sgn
-        if j < n - 1:
-            rows[m - 1 + j][c] = sgn
-    for c in range(len(free)):
-        r = next((r for r, row in enumerate(rows) if row[c]), None)
-        if r is None:
-            continue  # zero in every row: the shared vertices hold a cycle
-        prow = rows.pop(r)
-        piv = prow[c]
-        for q, row in enumerate(rows):
-            f = row[c]
-            if f:
-                rows[q] = [x * piv - f * y for x, y in zip(row, prow)]
-    k = len(free)
-    A = [row[k:] for row in rows if any(row[k:])]
-    A.append([int(sgn < 0) for _, sgn in cols[k:]])
+    shared = a & b
+    full = (1 << n) - 1
+    # label[i] names the block of row node i, label[m + j] of column node j
+    label = list(range(m + n))
+    for i in range(m):
+        s = (shared >> (i * n)) & full
+        while s:
+            low = s & -s
+            j = m + low.bit_length() - 1
+            old = label[j]
+            if old == j:
+                label[j] = i  # a column no row met yet
+            elif old != i:
+                label = [i if k == old else k for k in label]
+            s ^= low
+    only_a = a & ~b
+    vertices = [*_edges_of(n, only_a), *_edges_of(n, b & ~a)]
+    wa, w = only_a.bit_count(), len(vertices)
+    rows = {}  # block -> its row, made at its first nonzero entry
+    for c, (i, j) in enumerate(vertices):
+        ki, kj = label[i], label[m + j]
+        if ki != kj:
+            sgn = 1 if c < wa else -1
+            row = rows.get(ki)
+            if row is None:
+                row = rows[ki] = [0] * w
+            row[c] = sgn
+            row = rows.get(kj)
+            if row is None:
+                row = rows[kj] = [0] * w
+            row[c] = -sgn
+    # the block rows sum to 0, so the last one made is redundant
+    A = list(rows.values())[:-1]
+    A.append([0] * wa + [1] * (w - wa))
     return A, [0] * (len(A) - 1) + [1]
 
 
@@ -178,25 +332,25 @@ def improper_geometric(s1: Simplex, s2: Simplex) -> bool:
     intersection.
 
     A shared vertex's weight has no sign constraint.  Rather than split it
-    into two nonnegative columns, ``_dependence_system`` eliminates it: in
-    the row it pivots on, the free weight is fixed by the others, so putting
-    that value into every other row (``x * piv - f * prow``, an invertible
-    integer combination) and dropping the row leaves a system in the other
-    weights with the same solutions.  A column that is zero in every
-    remaining row constrains nothing and is skipped.  So the simplex sees
-    one nonnegative column per vertex only one simplex holds, and the verdict
-    is the split-column system's.
+    into two nonnegative columns, ``_dependence_system`` solves for the
+    shared weights in closed form: the other weights admit them exactly
+    when, for each block of the shared edges over the m + n row and column
+    nodes, the weights of the vertices only s1 holds with one end in the
+    block, counted +1 at a row end and -1 at a column end, balance those of
+    the vertices only s2 holds.  So the simplex sees one nonnegative column
+    per vertex only one simplex holds, every entry in {-1, 0, 1}, and the
+    verdict is the split-column system's.
 
-    Every pivot is +1 or -1, so no entry grows.  The coordinate rows are the
-    incidence vectors of the row classes i < m - 1, the column classes
-    j < n - 1 and the whole vertex set: two laminar families (the row classes
-    with the whole set, and the column classes), whose incidence matrix is
-    totally unimodular, and column signs keep it so.  A pivot on a +-1 entry
-    of a totally unimodular matrix leaves one, with every entry in
-    {-1, 0, 1}.  The normalising row is 0 on the shared columns, so no
-    elimination pivots on it or changes it.
+    ``feasible_eq_nonneg``'s presolve decides many proper pairs before any
+    pivot.  A block row is one-signed when, say, every vertex only s1 holds
+    with one end in the block has that end at a row, and every vertex only
+    s2 holds has it at a column.  Then all those weights are 0, and the
+    columns left may give another such row.  On every proper pair of
+    spanning trees at 3x3, 2x5, 4x3 and 3x4 this empties the system.
     """
     if s1.dims != s2.dims:
         raise ValueError("dimension mismatch")
     a, b = s1.mask, s2.mask
-    return bool(b & ~a) and feasible_eq_nonneg(*_dependence_system(s1.dims, a, b))
+    return bool(b & ~a) and isinstance(
+        feasible_eq_nonneg(*_dependence_system(s1.dims, a, b)), Solution
+    )

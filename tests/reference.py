@@ -31,7 +31,12 @@ pairwise-proper set of the unimodular cardinality.
 pivots the same tableau on integers over one common denominator.
 ``improper_split_columns`` builds the improper-intersection system with
 each shared vertex's free weight split into two nonnegative columns, where
-the package eliminates those weights before its simplex runs.
+the package solves for those weights in closed form before its simplex
+runs.  ``eliminated_system`` eliminates them one integer pivot at a time,
+as the package once did, and ``rank`` compares row spaces by ``Fraction``
+elimination.  ``presolve`` drops one-signed zero rows with sign lists,
+where the package keeps column bitsets, and ``witness_verdict`` rechecks a
+kernel witness by integer arithmetic alone.
 ``staircase_masks`` walks each monotone path of the display grid step by
 step, one choice of its three row steps at a time, where the package
 extends the paths of each grid cell from its neighbours.
@@ -52,6 +57,7 @@ from typing import NamedTuple
 
 from prodtri.core import Circuit, Dims, NotACycle, Simplex, col_neighbors, row_neighbors
 from prodtri.flips import FlipCertificate, Obstruction, StaleCertificate, all_circuits
+from prodtri.geometry import Farkas, Solution
 from prodtri.oracle import Corpus, spanning_trees
 from prodtri.orders import ColumnQuasiorder, MalformedLocal, PrecedenceDigraph
 from prodtri.triangulation import (
@@ -679,3 +685,96 @@ def improper_split_columns(s1: Simplex, s2: Simplex) -> tuple[list[list[Fraction
     A = [[Fraction(sgn * p[r]) for (_, sgn), p in zip(cols, pts)] for r in range(m + n - 1)]
     A.append([Fraction(int(v not in e1)) for v, _ in cols])
     return A, [Fraction(0)] * (m + n - 1) + [Fraction(1)]
+
+
+def eliminated_system(s1: Simplex, s2: Simplex) -> tuple[list[list[int]], list[int]]:
+    """The improper-intersection system with each shared vertex's free
+    weight eliminated by an integer pivot over every row, then dropped with
+    the pivot row; a free column already zero in every row (the shared
+    vertices hold a cycle) is skipped, and zero rows are dropped.  Its
+    columns are the vertices only ``s1`` holds and then those only ``s2``
+    holds, each in ascending order, and its last row puts total weight 1 on
+    the latter."""
+    m, n = s1.dims
+    d = m + n - 2
+    e1, e2 = set(s1.edges), set(s2.edges)
+    free = sorted(e1 & e2)
+    cols = [(v, 1) for v in free] + [(v, 1) for v in sorted(e1 - e2)]
+    cols += [(v, -1) for v in sorted(e2 - e1)]
+    # coordinates of (i, j) with the homogenising 1: rows i, m - 1 + j and d
+    rows = [[0] * len(cols) for _ in range(d + 1)]
+    for c, ((i, j), sgn) in enumerate(cols):
+        rows[d][c] = sgn
+        if i < m - 1:
+            rows[i][c] = sgn
+        if j < n - 1:
+            rows[m - 1 + j][c] = sgn
+    for c in range(len(free)):
+        r = next((r for r, row in enumerate(rows) if row[c]), None)
+        if r is None:
+            continue
+        prow = rows.pop(r)
+        piv = prow[c]
+        for q, row in enumerate(rows):
+            f = row[c]
+            if f:
+                rows[q] = [x * piv - f * y for x, y in zip(row, prow)]
+    k = len(free)
+    A = [row[k:] for row in rows if any(row[k:])]
+    A.append([int(sgn < 0) for _, sgn in cols[k:]])
+    return A, [0] * (len(A) - 1) + [1]
+
+
+def rank(rows) -> int:
+    """Rank of a list of rows, by ``Fraction`` Gaussian elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        p = next((q for q in range(r, len(a)) if a[q][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        for q in range(len(a)):
+            if q != r and a[q][c]:
+                f = a[q][c] / a[r][c]
+                a[q] = [x - f * y for x, y in zip(a[q], a[r])]
+        r += 1
+    return r
+
+
+def presolve(A, b) -> tuple[list[int], list[int]]:
+    """The rows and the columns that remain after dropping, until none is
+    left, every row with right-hand side 0 whose nonzero entries on the
+    remaining columns share one sign, with the columns where it is
+    nonzero: those are 0 in every solution x >= 0."""
+    rows = list(range(len(A)))
+    cols = list(range(len(A[0]) if A else 0))
+    while True:
+        for r in rows:
+            signs = {x > 0 for x in (A[r][c] for c in cols) if x}
+            if not b[r] and len(signs) < 2:
+                rows.remove(r)
+                cols = [c for c in cols if not A[r][c]]
+                break
+        else:
+            return rows, cols
+
+
+def witness_verdict(A, b, witness) -> bool:
+    """The verdict a witness of ``feasible_eq_nonneg`` certifies, after
+    checking it by integer arithmetic: True for x >= 0 and a scale D > 0
+    with Ax = Db, False for y with yA <= 0 and yb > 0.  Anything else fails
+    an assertion."""
+    cols = range(len(A[0]) if A else 0)
+    if isinstance(witness, Solution):
+        x, scale = witness
+        assert type(scale) is int and scale > 0, witness
+        assert len(x) == len(cols) and all(type(v) is int and v >= 0 for v in x), witness
+        assert all(sum(a * v for a, v in zip(row, x)) == scale * rhs for row, rhs in zip(A, b))
+        return True
+    assert isinstance(witness, Farkas), witness
+    (y,) = witness
+    assert len(y) == len(A) and all(type(v) is int for v in y), witness
+    assert all(sum(v * row[c] for v, row in zip(y, A)) <= 0 for c in cols), witness
+    assert sum(v * rhs for v, rhs in zip(y, b)) > 0, witness
+    return False

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 import sys
 from fractions import Fraction as F
@@ -6,10 +8,18 @@ from math import factorial
 import pytest
 
 import reference
-from prodtri.core import Dims, Simplex
+from prodtri.core import Dims, Simplex, is_spanning_tree
 from prodtri import flips, oracle
 from prodtri.flips import enumerate_flips
-from prodtri.geometry import det_bareiss, feasible_eq_nonneg, improper_geometric, simplex_volume
+from prodtri.geometry import (
+    Farkas,
+    Solution,
+    _dependence_system,
+    det_bareiss,
+    feasible_eq_nonneg,
+    improper_geometric,
+    simplex_volume,
+)
 from prodtri.oracle import (
     MAX_SPANNING_TREES,
     BudgetExceeded,
@@ -334,11 +344,33 @@ def test_connect_walks_along_flip_graph_edges(corpus42):
 
 
 def test_simplex_feasibility_edge_cases():
-    assert feasible_eq_nonneg([], [])
-    assert feasible_eq_nonneg([[2, -1]], [0])
-    assert not feasible_eq_nonneg([[1, 1], [-1, -1]], [1, 1])
-    assert reference.feasible_fraction([[F(2), F(-1)]], [F(0)])
-    assert not reference.feasible_fraction([[F(1), F(1)], [F(-1), F(-1)]], [F(1), F(1)])
+    """Each verdict comes with a witness that integer arithmetic checks,
+    and its truth value is the verdict.  From the fourth case on the
+    presolve drops columns: all of them, or all but one for the simplex."""
+    cases = [
+        ([], [], True),
+        ([[2, -1]], [0], True),
+        ([[1, 1], [-1, -1]], [1, 1], False),
+        # the zero row drops every column, and the row left asks for 1
+        ([[1, 1], [1, -1]], [0, 1], False),
+        # the zero row drops every row's columns: x = 0 solves it
+        ([[1, 1]], [0], True),
+        # row 1 drops column 2, then row 0 is one-signed and drops column 1;
+        # the simplex decides column 0 alone
+        ([[0, 1, -1], [0, 0, 1], [1, 1, 1]], [0, 0, 1], True),
+        ([[0, 1, -1], [0, 0, 1], [1, 1, 1]], [0, 0, -1], False),
+        # a negative zero row, then a row left with no column
+        ([[0, -2, -3], [1, 1, 1], [0, 1, 1]], [0, 0, 5], False),
+    ]
+    for A, b, want in cases:
+        witness = feasible_eq_nonneg(A, b)
+        assert reference.witness_verdict(A, b, witness) == want == bool(witness), (A, b, witness)
+        if A:
+            assert reference.feasible_fraction(
+                [[F(x) for x in row] for row in A], [F(x) for x in b]
+            ) == want
+    assert feasible_eq_nonneg([], []) == Solution((), 1)
+    assert feasible_eq_nonneg([[1, 1], [1, -1]], [0, 1]) == Farkas((-1, 1))
 
 
 def test_simplex_feasibility_clears_denominators():
@@ -360,7 +392,8 @@ def test_simplex_feasibility_clears_denominators():
         assert all(F(x).denominator == 1 for row in rows for x in row)
         A_int = [[int(x) for x in row[:-1]] for row in rows]
         b_int = [int(row[-1]) for row in rows]
-        assert feasible_eq_nonneg(A_int, b_int) == want, (A_int, b_int)
+        witness = feasible_eq_nonneg(A_int, b_int)
+        assert reference.witness_verdict(A_int, b_int, witness) == want, (A_int, b_int)
         assert reference.feasible_fraction(
             [[F(x) for x in row] for row in A], [F(x) for x in b]
         ) == want
@@ -368,11 +401,13 @@ def test_simplex_feasibility_clears_denominators():
 
 def test_simplex_feasibility_refuses_entries_that_are_not_ints():
     """The kernel takes integer rows only; a ``Fraction`` or a float, even
-    an integral one, in A or in b is refused rather than read."""
+    an integral one, in A or in b is refused rather than read, in a row the
+    presolve would drop as well."""
     for A, b in (
         ([[F(1, 2), 1]], [1]),
         ([[1, 1]], [F(1)]),
         ([[1, 0], [0, 1.0]], [1, 1]),
+        ([[1, 1.0], [1, 1]], [0, 1]),
     ):
         with pytest.raises(TypeError):
             feasible_eq_nonneg(A, b)
@@ -380,9 +415,12 @@ def test_simplex_feasibility_refuses_entries_that_are_not_ints():
 
 def test_simplex_feasibility_matches_the_fraction_reference():
     """Small dense systems with many zero right-hand sides, so ratio ties
-    and degenerate pivots occur, feasible and infeasible alike."""
+    and degenerate pivots occur, feasible and infeasible alike.  Every
+    witness is checked, and enough systems have columns the presolve drops,
+    all of them or some, for each path to run."""
     rng = random.Random(1967)
     verdicts = []
+    some, every = 0, 0
     for _ in range(1000):
         rows, cols = rng.randint(1, 6), rng.randint(1, 9)
         A = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
@@ -390,38 +428,101 @@ def test_simplex_feasibility_matches_the_fraction_reference():
         want = reference.feasible_fraction(
             [[F(x) for x in row] for row in A], [F(x) for x in b]
         )
-        assert feasible_eq_nonneg(A, b) == want, (A, b)
+        assert reference.witness_verdict(A, b, feasible_eq_nonneg(A, b)) == want, (A, b)
         verdicts.append(want)
+        left = len(reference.presolve(A, b)[1])
+        some += 0 < left < cols
+        every += left == 0
     assert 100 < verdicts.count(False) < 900
+    assert some > 40 and every > 150, (some, every)
+
+
+def test_dependence_system_has_the_eliminated_row_space():
+    """The closed-form system and the one that eliminates each shared weight
+    by a pivot (``reference.eliminated_system``) have the same columns in
+    the same order and the same row space, right-hand sides included:
+    equal ranks of each and of the two stacked.  Its entries are -1, 0 or
+    1, and a shared forest of k edges leaves at most d + 1 - k rows before
+    the normalising one.  On seeded 4x3 tree pairs and random edge sets,
+    forests or not, at 3x3, 2x4, 4x4 and 3x5."""
+    rng = random.Random(2010)
+    trees = spanning_trees(Dims(4, 3))
+    pairs = [tuple(rng.sample(trees, 2)) for _ in range(150)]
+    for m, n in ((3, 3), (2, 4), (4, 4), (3, 5)):
+        d = Dims(m, n)
+        pairs += [
+            (Simplex(d, rng.getrandbits(m * n) | rng.getrandbits(m * n)),
+             Simplex(d, rng.getrandbits(m * n)))
+            for _ in range(60)
+        ]
+    cycles = 0
+    for s1, s2 in pairs:
+        for x, y in ((s1, s2), (s2, s1)):
+            if not y.mask & ~x.mask:
+                continue
+            new = [[*row, rhs] for row, rhs in zip(*_dependence_system(x.dims, x.mask, y.mask))]
+            old = [[*row, rhs] for row, rhs in zip(*reference.eliminated_system(x, y))]
+            assert len(new[0]) == len(old[0])
+            rank = reference.rank(old)
+            assert reference.rank(new) == rank == reference.rank(old + new), (x, y)
+            assert all(v in (-1, 0, 1) for row in new for v in row)
+            shared = x.intersection(y)
+            if reference.is_forest(shared):
+                assert len(new) - 1 <= x.dims.m + x.dims.n - 1 - len(shared)
+            else:
+                cycles += 1
+    assert cycles > 50, cycles
 
 
 def test_improper_geometric_matches_the_split_column_reference():
-    """The kernel eliminates the shared vertices' free weights before its
+    """The kernel solves for the shared vertices' free weights before its
     simplex; the reference splits each into two nonnegative columns and
     decides the system with ``Fraction`` pivots.  Both orders of each pair,
     on a seeded sample of 4x3 tree pairs and on random edge sets, forests or
-    not, at 3x3, 2x4 and 3x4.  Each edge is in a random set with probability
-    3/4, so many pairs share a cycle, and a shared vertex's column on that
-    cycle is zero by the time it would be eliminated."""
+    not, at 3x3, 2x4, 3x4, 4x4 and 3x5, each witness checked on the
+    kernel's system.  Each edge is in a random set with probability 3/4, so
+    many pairs share a cycle.  Floors make every path run: proper pairs the
+    presolve decides alone, proper pairs that reach the simplex, and
+    improper pairs."""
     rng = random.Random(1967)
     trees = spanning_trees(Dims(4, 3))
     pairs = [tuple(rng.sample(trees, 2)) for _ in range(200)]
-    for m, n in ((3, 3), (2, 4), (3, 4)):
+    for m, n, count in ((3, 3, 100), (2, 4, 100), (3, 4, 100), (4, 4, 40), (3, 5, 40)):
         d = Dims(m, n)
 
         def edge_set():
             return Simplex(d, rng.getrandbits(m * n) | rng.getrandbits(m * n))
 
-        pairs += [(edge_set(), edge_set()) for _ in range(100)]
-    verdicts = []
+        pairs += [(edge_set(), edge_set()) for _ in range(count)]
+    presolved = simplex_proper = improper = 0
     for s1, s2 in pairs:
         for x, y in ((s1, s2), (s2, s1)):
             want = reference.feasible_fraction(*reference.improper_split_columns(x, y))
             assert improper_geometric(x, y) == want, (x, y)
-            verdicts.append(want)
+            if not y.mask & ~x.mask:
+                continue
+            A, b = _dependence_system(x.dims, x.mask, y.mask)
+            assert reference.witness_verdict(A, b, feasible_eq_nonneg(A, b)) == want, (x, y)
+            decided = not reference.presolve(A, b)[1]
+            improper += want
+            presolved += decided and not want
+            simplex_proper += not decided and not want
     shared_cycles = sum(not reference.is_forest(s1.intersection(s2)) for s1, s2 in pairs)
     assert shared_cycles > 50, shared_cycles
-    assert 0.1 < verdicts.count(True) / len(verdicts) < 0.9
+    assert presolved > 60 and simplex_proper > 10 and improper > 600, (
+        presolved, simplex_proper, improper
+    )
+
+
+def test_presolve_decides_the_proper_4x3_tree_pairs(trees43):
+    """On 2,000 seeded ordered pairs of 4x3 spanning trees the presolve
+    leaves no column exactly when the pair is proper: a proper pair needs
+    no pivot, and an improper one reaches the simplex."""
+    rng = random.Random(35)
+    for _ in range(2000):
+        s1, s2 = rng.sample(trees43, 2)
+        A, b = _dependence_system(s1.dims, s1.mask, s2.mask)
+        assert (not reference.presolve(A, b)[1]) == proper(s1, s2), (s1, s2)
 
 
 @pytest.mark.parametrize(
@@ -434,3 +535,33 @@ def test_improper_geometric_agrees_with_proper_on_every_tree_pair(m, n):
         for b in range(a + 1, len(trees)):
             s1, s2 = trees[a], trees[b]
             assert improper_geometric(s1, s2) == (not proper(s1, s2)), (s1, s2)
+
+
+def test_geometric_validate_agrees_with_validate_past_n3():
+    """The 13 golden inputs past n = 3 (the committed 4x8 walk, the seeded
+    walks at n = 5 and 6 and the branch witnesses) pass both the geometric
+    check and ``validate``.  A seeded forged copy of each, one tree swapped
+    for a spanning tree outside it by an edge exchange, holds an improper
+    pair for ``validate`` and fails the geometric check: the volumes still
+    sum to the binomial, so that check refuses it by an improper pair."""
+    path = os.path.join(os.path.dirname(__file__), "data", "golden_digests.json")
+    with open(path) as fh:
+        inputs = [e for e in json.load(fh)["inputs"] if e["n"] > 3]
+    assert len(inputs) == 13 and inputs[0]["name"] == "walk_4x8"
+    rng = random.Random(35)
+    for e in inputs:
+        dims = Dims(e["m"], e["n"])
+        tri = Triangulation(dims, [Simplex(dims, int(x, 16)) for x in e["trees"]])
+        assert validate(tri).ok and geometric_validate(tri), e["name"]
+        while True:
+            out = rng.choice(tri.maximal)
+            i, j = divmod(rng.randrange(dims.m * dims.n), dims.n)
+            if (i, j) in out:
+                continue
+            into = out.without_edge(*rng.choice(out.edges)).with_edge(i, j)
+            if is_spanning_tree(into) and into not in tri.maximal:
+                break
+        forged = Triangulation(dims, [t for t in tri.maximal if t != out] + [into])
+        report = validate(forged)
+        assert not report.ok and "improper_pair" in {kind for kind, _ in report.violations}
+        assert not geometric_validate(forged), e["name"]

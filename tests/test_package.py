@@ -70,3 +70,25 @@ def test_sources_parse_at_the_declared_floor():
     assert len(files) > 30
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)
+
+
+def test_geometry_shares_no_code_with_the_combinatorial_check():
+    """The oracle's geometric check is independent evidence only while it
+    shares no code with the spanning-tree test of proper intersection:
+    ``geometry`` takes from ``core`` only the dims, the simplex value and
+    its edge list, and nothing from any other package module."""
+    path = ROOT / "src" / "prodtri" / "geometry.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    taken: dict[str, set] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "prodtri"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:  # from .core or from . import x
+                module = node.module
+            elif node.module.split(".")[0] == "prodtri":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            taken.setdefault(module, set()).update(alias.name for alias in node.names)
+    assert taken == {"core": {"Dims", "Simplex", "_edges_of"}}, taken
