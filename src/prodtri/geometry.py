@@ -6,6 +6,7 @@ and column coordinates dropped so the product polytope is full-dimensional
 over the integer lattice.  Everything here is integer arithmetic:
 determinants by Bareiss elimination and feasibility by Edmonds' integer
 pivoting, both fraction-free with exact divisions; no floats anywhere.
+``simplex_volume`` writes each difference row straight from the edge bits.
 
 ``improper_geometric`` builds its system in closed form.  Kept whole, the
 coordinates of (i, j) are row node i and column node m + j, so an affine
@@ -13,10 +14,16 @@ dependence is a weighting of the edges whose sums vanish at every node.
 The weights of the shared vertices are free, and solving for them leaves
 one condition per block of the shared edges over all m + n nodes: the
 left kernel of a connected bipartite block's incidence matrix is spanned
-by +1 on its rows and -1 on its columns.  ``feasible_eq_nonneg`` first
-drops the columns that a one-signed row with right-hand side 0 forces to
-0 (the LP presolve step), then runs a phase-one simplex on what is left,
-and returns a witness of its verdict that integer arithmetic rechecks.
+by +1 on its rows and -1 on its columns.  Every entry is -1, 0 or 1, so
+``_sign_rows`` writes each row as a pair of column bitsets, its +1 and its
+-1 columns.  ``_presolve`` drops, on such rows, the columns that a
+one-signed row with right-hand side 0 forces to 0 (the LP presolve step).
+That alone decides every proper pair of spanning trees tried, and only a
+system it leaves undecided is written densely, for ``_simplex``: a
+phase-one simplex on what is left, which returns a witness of its verdict
+that integer arithmetic rechecks.  ``feasible_eq_nonneg``, the public
+kernel, reads a dense system into the same bitsets and runs the same two
+steps, so no system is presolved twice.
 """
 
 from __future__ import annotations
@@ -25,17 +32,6 @@ from itertools import chain, repeat
 from typing import NamedTuple, Sequence, Union
 
 from .core import Dims, Simplex, _edges_of
-
-
-def point(dims: Dims, i: int, j: int) -> tuple[int, ...]:
-    m, n = dims
-    row = [0] * (m - 1)
-    col = [0] * (n - 1)
-    if i < m - 1:
-        row[i] = 1
-    if j < n - 1:
-        col[j] = 1
-    return tuple(row + col)
 
 
 def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
@@ -64,13 +60,29 @@ def det_bareiss(rows: Sequence[Sequence[int]]) -> int:
 
 
 def simplex_volume(simplex: Simplex) -> int:
-    """Normalized lattice volume of the simplex; 0 if degenerate or small."""
-    dims = simplex.dims
-    d = dims.m + dims.n - 2
-    pts = [point(dims, i, j) for i, j in simplex]
-    if len(pts) != d + 1:
+    """Normalized lattice volume of the simplex; 0 if degenerate or small.
+
+    The point of (i, j) is 1 at coordinate i and at m - 1 + j, each where
+    it is kept, so the difference of (i, j) and the first vertex (i0, j0)
+    adds 1 at those coordinates of (i, j) to -1 at those of (i0, j0)."""
+    m, n = simplex.dims
+    d = m + n - 2
+    if simplex.mask.bit_count() != d + 1:
         return 0
-    rows = [[pts[r][c] - pts[0][c] for c in range(d)] for r in range(1, d + 1)]
+    (i0, j0), *rest = _edges_of(n, simplex.mask)
+    base = [0] * d
+    if i0 < m - 1:
+        base[i0] = -1
+    if j0 < n - 1:
+        base[m - 1 + j0] = -1
+    rows = []
+    for i, j in rest:
+        row = base.copy()
+        if i < m - 1:
+            row[i] += 1
+        if j < n - 1:
+            row[m - 1 + j] += 1
+        rows.append(row)
     return abs(det_bareiss(rows))
 
 
@@ -98,52 +110,31 @@ def feasible_eq_nonneg(A: Sequence[Sequence[int]], b: Sequence[int]) -> Union[So
     """Is there x >= 0 with Ax = b?  A ``Solution`` if so, else a ``Farkas``.
 
     The entries must be ``int`` (``TypeError`` otherwise; a rational system
-    is scaled to integers row by row first, which keeps its solutions).
+    is scaled to integers row by row first, which keeps its solutions), and
+    every row of A as long as the first, with one entry of b per row
+    (``ValueError`` naming the first row that breaks this otherwise).
 
-    Presolve: a row with right-hand side 0 whose nonzero entries on the
-    remaining columns all have one sign forces those columns to 0, since
-    x >= 0.  Such a row and its columns are dropped, until no row
-    qualifies (Andersen and Andersen, *Math. Programming* 71, 1995).  A
-    dropped row is 0 on every column left after it, so the rows and
-    columns left decide the system.  With no row left, x = 0 solves it; a
-    row left with no column has right-hand side nonzero, or it would have
-    been dropped, so nothing solves it.
-
-    Otherwise a phase-one simplex with Bland's rule decides the rest, with
-    one artificial column per row left.  The tableau is pivoted on integers
-    (Edmonds, *J. Res. NBS* 71B, 1967): every entry, the objective row's
-    included, is ``det`` times the entry of the rational tableau, where
-    ``det`` is the last pivot (1 at the start).  A pivot on (leave, enter)
-    keeps its row and maps each other row x to
-    ``(x * piv - x[enter] * prow) // det``, then sets ``det = piv``.  The
-    division is exact: each entry is, up to sign, a minor of the starting
-    tableau, as in ``det_bareiss``.  Pivots are positive, so every sign and
-    ratio, and so every pivot, is that of the rational tableau.
-
-    Witnesses.  A solution reads x off the basic rows of the final tableau,
-    0 on every dropped column, with ``scale = det``.  For infeasibility the
-    simplex's optimal duals give y: with s_r the sign row r was multiplied
-    by on entry, y_r = s_r (obj[artificial of r] + det), for which the
-    objective row's signs are exactly yA <= 0 and yb > 0.  If the presolve
-    removed every column, y starts as the sign of b_r on a row r left.
-    Then the dropped rows are visited in reverse order, each given a
-    multiplier of the sign opposite to its entries, just large enough to
-    make yA <= 0 on its own columns.  Its right-hand side is 0, so yb does
-    not move, and it is 0 on the columns of every row dropped after it, so
-    no column fixed before is undone.
+    Each row is read into the bitsets of its positive and its negative
+    columns for ``_presolve``.  With no row left x = 0 solves the system;
+    a row left with no column has right-hand side nonzero, or it would
+    have been dropped, so nothing solves it, and y starts as the sign of
+    b_r on the first such row r, which ``_farkas`` completes.  Otherwise
+    ``_simplex`` decides the rows and columns left.
     """
     m = len(A)
     n = len(A[0]) if m else 0
+    if len(b) != m or any(len(row) != n for row in A):
+        r = next((r for r in range(m) if len(A[r]) != n), min(m, len(b)))
+        if r == len(b):
+            raise ValueError(f"row {r} of the system has no right-hand side")
+        if r == m:
+            raise ValueError(f"row {r} of the system has a right-hand side and no entries")
+        raise ValueError(f"row {r} of the system is {len(A[r])} long, row 0 is {n}")
     if not all(map(isinstance, chain(b, *A), repeat(int))):
         r = next(r for r in range(m) if not all(isinstance(x, int) for x in (*A[r], b[r])))
         raise TypeError(f"row {r} of the system has an entry that is not an int")
-    # the sign bitsets of the rows with right-hand side 0, the presolve's rows
-    zero = []
-    fixed = []  # the rows with right-hand side nonzero, which stay
-    for r, row in enumerate(A):
-        if b[r]:
-            fixed.append(r)
-            continue
+    rows = []
+    for row in A:
         p = q = 0
         for c, x in enumerate(row):
             if x:
@@ -151,9 +142,45 @@ def feasible_eq_nonneg(A: Sequence[Sequence[int]], b: Sequence[int]) -> Union[So
                     p |= 1 << c
                 else:
                     q |= 1 << c
-        zero.append((r, p, q))
+        rows.append([p, q])
+    left, live, dropped = _presolve(rows, b, n)
+    if not left:
+        return Solution((0,) * n, 1)
+    if live:
+        return _simplex(A, b, left, live, dropped)
+    y = [0] * m
+    r = left[0]
+    y[r] = 1 if b[r] > 0 else -1
+    return _farkas(A, y, dropped)
+
+
+def _presolve(
+    rows: Sequence[Sequence[int]], b: Sequence[int], n: int
+) -> tuple[list[int], int, list]:
+    """The presolve of ``Ax = b, x >= 0`` on the sign bitsets of its rows.
+
+    ``rows[r]`` is the pair (plus, minus) of the bitsets of the columns
+    where row r of A is positive and negative, over n columns.  A row with
+    right-hand side 0 whose nonzero entries on the remaining columns all
+    have one sign forces those columns to 0, since x >= 0.  Such a row and
+    its columns are dropped, pass after pass over the rows with right-hand
+    side 0, until a pass drops none (Andersen and Andersen, *Math.
+    Programming* 71, 1995).  A dropped row is 0 on every column left after
+    it, so the rows and columns left decide the system.
+
+    Returns the rows left in ascending order, the bitset of the columns
+    left, and (row, the columns it forced to 0) for each dropped row in
+    the order dropped, which is what ``_simplex`` and ``_farkas`` take.
+    """
+    zero = []  # the rows with right-hand side 0, with their signs
+    left = []  # the rows with right-hand side nonzero, which stay
+    for r, (p, q) in enumerate(rows):
+        if b[r]:
+            left.append(r)
+        else:
+            zero.append((r, p, q))
     live = (1 << n) - 1
-    dropped = []  # (row, the columns it forced to 0), in the order dropped
+    dropped = []
     while zero:
         rest = []
         for r, p, q in zero:
@@ -167,74 +194,109 @@ def feasible_eq_nonneg(A: Sequence[Sequence[int]], b: Sequence[int]) -> Union[So
         if len(rest) == len(zero):
             break
         zero = rest
-    left = sorted(fixed + [r for r, _, _ in zero])
-    if not left:
-        return Solution((0,) * n, 1)
-    y = [0] * m
-    if not live:
-        r = left[0]
-        y[r] = 1 if b[r] > 0 else -1
-        ya = [y[r] * x for x in A[r]]
-    else:
-        cols = [c for c in range(n) if live >> c & 1]
-        w, k = len(cols), len(left)
-        tab = []
-        for q, r in enumerate(left):
-            row = A[r]
-            unit = [0] * k
-            unit[q] = 1
-            if b[r] < 0:
-                tab.append([-row[c] for c in cols] + unit + [-b[r]])
-            else:
-                tab.append([row[c] for c in cols] + unit + [b[r]])
-        # reduced costs for min(sum of artificials): column sums minus the
-        # unit cost of the artificial columns, which leaves those columns 0
-        obj = [sum(col) for col in zip(*tab)]
-        obj[w : w + k] = [0] * k
-        basis = [w + q for q in range(k)]
-        det = 1
-        while True:
-            enter = next((c for c in range(w + k) if obj[c] > 0), None)
-            if enter is None:
-                break
-            # least ratio rhs / entry, compared across rows by cross-multiplying
-            leave = None
-            for q in range(k):
-                a = tab[q][enter]
-                if a > 0:
-                    if leave is None:
-                        leave = q
-                        continue
-                    lhs = tab[q][-1] * tab[leave][enter]
-                    rhs = tab[leave][-1] * a
-                    if lhs < rhs or (lhs == rhs and basis[q] < basis[leave]):
-                        leave = q
-            if leave is None:
-                # phase-one objective is bounded; unbounded column means a bug
-                raise ArithmeticError("unbounded phase-one simplex")
-            prow = tab[leave]
-            piv = prow[enter]
-            for q in range(k):
-                f = tab[q][enter]
-                # a row with f = 0 only rescales by piv / det
-                if q != leave and (f or piv != det):
-                    tab[q] = [(x * piv - f * z) // det for x, z in zip(tab[q], prow)]
-            f = obj[enter]
-            obj = [(x * piv - f * z) // det for x, z in zip(obj, prow)]
-            det = piv
-            basis[leave] = enter
-        if obj[-1] == 0:
-            x = [0] * n
-            for q in range(k):
-                if basis[q] < w:
-                    x[cols[basis[q]]] = tab[q][-1]
-            return Solution(tuple(x), det)
-        ya = [0] * n
-        for q, r in enumerate(left):
-            y[r] = yr = (obj[w + q] + det) if b[r] >= 0 else -(obj[w + q] + det)
-            if yr:
-                ya = [u + yr * x for u, x in zip(ya, A[r])]
-    # ya = yA throughout; each dropped row makes it <= 0 on its own columns
+    left += [r for r, _, _ in zero]
+    left.sort()
+    return left, live, dropped
+
+
+def _simplex(
+    A: Sequence[Sequence[int]], b: Sequence[int], left: list[int], live: int, dropped: list
+) -> Union[Solution, Farkas]:
+    """The verdict and witness of ``Ax = b, x >= 0`` from the rows ``left``
+    and the columns ``live`` that ``_presolve`` left, both nonempty.
+
+    A phase-one simplex with Bland's rule, with one artificial column per
+    row left.  The tableau is pivoted on integers (Edmonds, *J. Res. NBS*
+    71B, 1967): every entry, the objective row's included, is ``det``
+    times the entry of the rational tableau, where ``det`` is the last
+    pivot (1 at the start).  A pivot on (leave, enter) keeps its row and
+    maps each other row x to ``(x * piv - x[enter] * prow) // det``, then
+    sets ``det = piv``.  The division is exact: each entry is, up to sign,
+    a minor of the starting tableau, as in ``det_bareiss``.  Pivots are
+    positive, so every sign and ratio, and so every pivot, is that of the
+    rational tableau.
+
+    A solution reads x off the basic rows of the final tableau, 0 on every
+    dropped column, with ``scale = det``.  For infeasibility the simplex's
+    optimal duals give y: with s_r the sign row r was multiplied by on
+    entry, y_r = s_r (obj[artificial of r] + det), for which the objective
+    row's signs are exactly yA <= 0 and yb > 0; ``_farkas`` completes it
+    on the dropped rows.
+    """
+    n = len(A[0])
+    cols = [c for c in range(n) if live >> c & 1]
+    w, k = len(cols), len(left)
+    tab = []
+    for q, r in enumerate(left):
+        row = A[r]
+        unit = [0] * k
+        unit[q] = 1
+        if b[r] < 0:
+            tab.append([-row[c] for c in cols] + unit + [-b[r]])
+        else:
+            tab.append([row[c] for c in cols] + unit + [b[r]])
+    # reduced costs for min(sum of artificials): column sums minus the
+    # unit cost of the artificial columns, which leaves those columns 0
+    obj = [sum(col) for col in zip(*tab)]
+    obj[w : w + k] = [0] * k
+    basis = [w + q for q in range(k)]
+    det = 1
+    while True:
+        enter = next((c for c in range(w + k) if obj[c] > 0), None)
+        if enter is None:
+            break
+        # least ratio rhs / entry, compared across rows by cross-multiplying
+        leave = None
+        for q in range(k):
+            a = tab[q][enter]
+            if a > 0:
+                if leave is None:
+                    leave = q
+                    continue
+                lhs = tab[q][-1] * tab[leave][enter]
+                rhs = tab[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[q] < basis[leave]):
+                    leave = q
+        if leave is None:
+            # phase-one objective is bounded; unbounded column means a bug
+            raise ArithmeticError("unbounded phase-one simplex")
+        prow = tab[leave]
+        piv = prow[enter]
+        for q in range(k):
+            f = tab[q][enter]
+            # a row with f = 0 only rescales by piv / det
+            if q != leave and (f or piv != det):
+                tab[q] = [(x * piv - f * z) // det for x, z in zip(tab[q], prow)]
+        f = obj[enter]
+        obj = [(x * piv - f * z) // det for x, z in zip(obj, prow)]
+        det = piv
+        basis[leave] = enter
+    if obj[-1] == 0:
+        x = [0] * n
+        for q in range(k):
+            if basis[q] < w:
+                x[cols[basis[q]]] = tab[q][-1]
+        return Solution(tuple(x), det)
+    y = [0] * len(A)
+    for q, r in enumerate(left):
+        y[r] = (obj[w + q] + det) if b[r] >= 0 else -(obj[w + q] + det)
+    return _farkas(A, y, dropped)
+
+
+def _farkas(A: Sequence[Sequence[int]], y: list[int], dropped: list) -> Farkas:
+    """The ``Farkas`` witness made from y, which has yA <= 0 on the columns
+    left and yb > 0, and is 0 on the dropped rows.
+
+    The dropped rows are visited in reverse order, each given a multiplier
+    of the sign opposite to its entries, just large enough to make yA <= 0
+    on its own columns.  Its right-hand side is 0, so yb does not move, and
+    it is 0 on the columns of every row dropped after it, so no column
+    fixed before is undone.
+    """
+    ya = [0] * len(A[0])
+    for yr, row in zip(y, A):
+        if yr:
+            ya = [u + yr * x for u, x in zip(ya, row)]
     for r, forced in reversed(dropped):
         row = A[r]
         need = 0
@@ -251,12 +313,14 @@ def feasible_eq_nonneg(A: Sequence[Sequence[int]], b: Sequence[int]) -> Union[So
     return Farkas(tuple(y))
 
 
-def _dependence_system(dims: Dims, a: int, b: int) -> tuple[list[list[int]], list[int]]:
-    """The rows ``(A, b)`` that ``improper_geometric`` hands the simplex.
+def _sign_rows(dims: Dims, a: int, b: int) -> tuple[list[list[int]], int]:
+    """The rows of the system ``improper_geometric`` decides, each as the
+    pair (plus, minus) of its +1 and its -1 column bitsets, and the number
+    of columns.  The last row has right-hand side 1, every other row 0.
 
     The unknown of a column is the weight of a vertex only one simplex
     holds, those only ``a`` holds first, and the last row puts total weight
-    1 on those only ``b`` holds.  The system is built in closed form.
+    1 on those only ``b`` holds.
 
     Kept whole, the point of vertex (i, j) is e_i + f_j over the m row
     nodes and n column nodes, so an affine dependence is a weighting of the
@@ -271,15 +335,17 @@ def _dependence_system(dims: Dims, a: int, b: int) -> tuple[list[list[int]], lis
     edges takes one value on K's rows and its negative on K's columns, and
     the left kernel is spanned by one vector per block, +1 on K's rows and
     -1 on K's columns.  A cycle among the shared edges changes nothing.  So
-    there is one row per block: a vertex (i, j) only ``a`` holds has column
-    e_K(i) - e_K(j), one only ``b`` holds the negated column, and a vertex
-    with both ends in one block is 0 on every block row.
+    there is one row per block: a vertex (i, j) only ``a`` holds is +1 on
+    the row of i's block and -1 on that of j's, one only ``b`` holds the
+    reverse, and a vertex with both ends in one block is 0 on every block
+    row.
 
-    Only the rows with a nonzero entry are made.  They sum to 0, so the last
-    one made is dropped.  For a shared forest of k edges there are m + n - k
-    blocks, so at most m + n - 1 - k rows come before the normalising one, as
-    many as eliminating the shared weights one pivot at a time left, with
-    the same solutions.  Every entry is -1, 0 or 1.
+    Only the rows with a nonzero entry are made, in the order of their
+    first one.  They sum to 0, so the last one made is dropped.  For a
+    shared forest of k edges there are m + n - k blocks, so at most
+    m + n - 1 - k rows come before the normalising one, as many as
+    eliminating the shared weights one pivot at a time left, with the same
+    solutions.
 
     The blocks come from one pass over the row slices of the shared mask:
     each row takes over the label of every column its slice meets, together
@@ -301,26 +367,41 @@ def _dependence_system(dims: Dims, a: int, b: int) -> tuple[list[list[int]], lis
             elif old != i:
                 label = [i if k == old else k for k in label]
             s ^= low
-    only_a = a & ~b
-    vertices = [*_edges_of(n, only_a), *_edges_of(n, b & ~a)]
-    wa, w = only_a.bit_count(), len(vertices)
-    rows = {}  # block -> its row, made at its first nonzero entry
-    for c, (i, j) in enumerate(vertices):
-        ki, kj = label[i], label[m + j]
-        if ki != kj:
-            sgn = 1 if c < wa else -1
-            row = rows.get(ki)
-            if row is None:
-                row = rows[ki] = [0] * w
-            row[c] = sgn
-            row = rows.get(kj)
-            if row is None:
-                row = rows[kj] = [0] * w
-            row[c] = -sgn
+    only_a, only_b = a & ~b, b & ~a
+    rows = {}  # block -> [plus, minus], made at its first nonzero entry
+    col = 1
+    # a vertex only a holds is +1 at its row's block, one only b holds -1
+    for mask, at_row in ((only_a, 0), (only_b, 1)):
+        for i, j in _edges_of(n, mask):
+            ki, kj = label[i], label[m + j]
+            if ki != kj:
+                row = rows.get(ki)
+                if row is None:
+                    row = rows[ki] = [0, 0]
+                row[at_row] |= col
+                row = rows.get(kj)
+                if row is None:
+                    row = rows[kj] = [0, 0]
+                row[1 - at_row] |= col
+            col <<= 1
     # the block rows sum to 0, so the last one made is redundant
-    A = list(rows.values())[:-1]
-    A.append([0] * wa + [1] * (w - wa))
-    return A, [0] * (len(A) - 1) + [1]
+    signs = list(rows.values())[:-1]
+    wa = only_a.bit_count()
+    w = wa + only_b.bit_count()
+    signs.append([(1 << w) - (1 << wa), 0])
+    return signs, w
+
+
+def _dense(rows: Sequence[Sequence[int]], w: int) -> list[list[int]]:
+    """The rows of A whose (plus, minus) column bitsets are ``rows``."""
+    return [[(p >> c & 1) - (q >> c & 1) for c in range(w)] for p, q in rows]
+
+
+def _dependence_system(dims: Dims, a: int, b: int) -> tuple[list[list[int]], list[int]]:
+    """The dense view ``(A, b)`` of ``_sign_rows``: the system that
+    ``improper_geometric`` decides, every entry -1, 0 or 1."""
+    rows, w = _sign_rows(dims, a, b)
+    return _dense(rows, w), [0] * (len(rows) - 1) + [1]
 
 
 def improper_geometric(s1: Simplex, s2: Simplex) -> bool:
@@ -332,25 +413,30 @@ def improper_geometric(s1: Simplex, s2: Simplex) -> bool:
     intersection.
 
     A shared vertex's weight has no sign constraint.  Rather than split it
-    into two nonnegative columns, ``_dependence_system`` solves for the
-    shared weights in closed form: the other weights admit them exactly
-    when, for each block of the shared edges over the m + n row and column
-    nodes, the weights of the vertices only s1 holds with one end in the
-    block, counted +1 at a row end and -1 at a column end, balance those of
-    the vertices only s2 holds.  So the simplex sees one nonnegative column
-    per vertex only one simplex holds, every entry in {-1, 0, 1}, and the
+    into two nonnegative columns, ``_sign_rows`` solves for the shared
+    weights in closed form: the other weights admit them exactly when, for
+    each block of the shared edges over the m + n row and column nodes, the
+    weights of the vertices only s1 holds with one end in the block,
+    counted +1 at a row end and -1 at a column end, balance those of the
+    vertices only s2 holds.  So the system has one nonnegative column per
+    vertex only one simplex holds, every entry in {-1, 0, 1}, and the
     verdict is the split-column system's.
 
-    ``feasible_eq_nonneg``'s presolve decides many proper pairs before any
-    pivot.  A block row is one-signed when, say, every vertex only s1 holds
-    with one end in the block has that end at a row, and every vertex only
-    s2 holds has it at a column.  Then all those weights are 0, and the
-    columns left may give another such row.  On every proper pair of
-    spanning trees at 3x3, 2x5, 4x3 and 3x4 this empties the system.
+    ``_presolve`` reads those rows as built.  A block row is one-signed
+    when, say, every vertex only s1 holds with one end in the block has
+    that end at a row, and every vertex only s2 holds has it at a column.
+    Then all those weights are 0, and the columns left may give another
+    such row.  On every proper pair of spanning trees at 3x3, 2x5, 4x3 and
+    3x4 this leaves no column, and the pair is proper, since the
+    normalising row is left.  Only a system with a column left is written
+    densely for ``_simplex``, with the presolve's result.
     """
     if s1.dims != s2.dims:
         raise ValueError("dimension mismatch")
     a, b = s1.mask, s2.mask
-    return bool(b & ~a) and isinstance(
-        feasible_eq_nonneg(*_dependence_system(s1.dims, a, b)), Solution
-    )
+    if not b & ~a:
+        return False
+    rows, w = _sign_rows(s1.dims, a, b)
+    rhs = [0] * (len(rows) - 1) + [1]
+    left, live, dropped = _presolve(rows, rhs, w)
+    return bool(live) and isinstance(_simplex(_dense(rows, w), rhs, left, live, dropped), Solution)

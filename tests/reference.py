@@ -34,9 +34,11 @@ each shared vertex's free weight split into two nonnegative columns, where
 the package solves for those weights in closed form before its simplex
 runs.  ``eliminated_system`` eliminates them one integer pivot at a time,
 as the package once did, and ``rank`` compares row spaces by ``Fraction``
-elimination.  ``presolve`` drops one-signed zero rows with sign lists,
-where the package keeps column bitsets, and ``witness_verdict`` rechecks a
-kernel witness by integer arithmetic alone.
+elimination.  ``dependence_system`` writes the closed-form system densely
+from the blocks ``components`` finds, where the package builds each row as
+sign bitsets from one labelling pass.  ``presolve`` drops one-signed zero
+rows with sign lists, where the package keeps column bitsets, and
+``witness_verdict`` rechecks a kernel witness by integer arithmetic alone.
 ``staircase_masks`` walks each monotone path of the display grid step by
 step, one choice of its three row steps at a time, where the package
 extends the paths of each grid cell from its neighbours.
@@ -722,6 +724,28 @@ def eliminated_system(s1: Simplex, s2: Simplex) -> tuple[list[list[int]], list[i
     k = len(free)
     A = [row[k:] for row in rows if any(row[k:])]
     A.append([int(sgn < 0) for _, sgn in cols[k:]])
+    return A, [0] * (len(A) - 1) + [1]
+
+
+def dependence_system(s1: Simplex, s2: Simplex) -> tuple[list[list[int]], list[int]]:
+    """The closed-form improper-intersection system, written densely: one
+    row per block of the shared edges (``components`` of their simplex),
+    +1 at the block of a vertex's row end and -1 at that of its column end
+    for a vertex only ``s1`` holds, the reverse for one only ``s2`` holds.
+    Only rows with a nonzero entry are kept, in the order of their first
+    one, the last of them is dropped, and the normalising row is appended.
+    The columns are ordered as in ``eliminated_system``."""
+    m, _ = s1.dims
+    block = {v: comp for comp in components(s1.intersection(s2)) for v in comp}
+    e1, e2 = set(s1.edges), set(s2.edges)
+    cols = [(v, 1) for v in sorted(e1 - e2)] + [(v, -1) for v in sorted(e2 - e1)]
+    rows: dict[frozenset, list[int]] = {}
+    for c, ((i, j), sgn) in enumerate(cols):
+        if block[i] != block[m + j]:
+            rows.setdefault(block[i], [0] * len(cols))[c] = sgn
+            rows.setdefault(block[m + j], [0] * len(cols))[c] = -sgn
+    A = list(rows.values())[:-1]
+    A.append([int(sgn < 0) for _, sgn in cols])
     return A, [0] * (len(A) - 1) + [1]
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction as F
 from math import factorial
@@ -9,12 +10,14 @@ import pytest
 
 import reference
 from prodtri.core import Dims, Simplex, is_spanning_tree
-from prodtri import flips, oracle
-from prodtri.flips import enumerate_flips
+from prodtri import flips, geometry, oracle
+from prodtri.flips import apply_flip, enumerate_flips, supports_flip
 from prodtri.geometry import (
     Farkas,
     Solution,
     _dependence_system,
+    _presolve,
+    _sign_rows,
     det_bareiss,
     feasible_eq_nonneg,
     improper_geometric,
@@ -30,7 +33,7 @@ from prodtri.oracle import (
     is_connected,
     spanning_trees,
 )
-from prodtri.phases import staircase
+from prodtri.phases import connect, staircase
 from prodtri.triangulation import Triangulation, proper, validate
 
 
@@ -326,8 +329,7 @@ def test_flip_graph_of_3x4_is_4x3_transposed(corpus43):
 
 def test_connect_walks_along_flip_graph_edges(corpus42):
     # every flip a connect run applies is an edge of the exhaustive graph
-    from prodtri.flips import FlipCertificate, apply_flip, supports_flip
-    from prodtri.phases import connect
+    from prodtri.flips import FlipCertificate
 
     graph = build_flip_graph(corpus42)
     position = {t.digest(): p for p, t in enumerate(corpus42.triangulations)}
@@ -413,6 +415,20 @@ def test_simplex_feasibility_refuses_entries_that_are_not_ints():
             feasible_eq_nonneg(A, b)
 
 
+def test_simplex_feasibility_refuses_mis_shaped_systems():
+    """A right-hand side with no row of A, a ragged row and a row with no
+    right-hand side are refused, naming the row, rather than ignored or
+    read past the end of a row."""
+    for A, b, message in (
+        ([[1]], [1, 5], "row 1 of the system has a right-hand side and no entries"),
+        ([[1, 2], [1]], [0, 1], "row 1 of the system is 1 long, row 0 is 2"),
+        ([[1], [1]], [1], "row 1 of the system has no right-hand side"),
+        ([], [0], "row 0 of the system has a right-hand side and no entries"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            feasible_eq_nonneg(A, b)
+
+
 def test_simplex_feasibility_matches_the_fraction_reference():
     """Small dense systems with many zero right-hand sides, so ratio ties
     and degenerate pivots occur, feasible and infeasible alike.  Every
@@ -474,16 +490,10 @@ def test_dependence_system_has_the_eliminated_row_space():
     assert cycles > 50, cycles
 
 
-def test_improper_geometric_matches_the_split_column_reference():
-    """The kernel solves for the shared vertices' free weights before its
-    simplex; the reference splits each into two nonnegative columns and
-    decides the system with ``Fraction`` pivots.  Both orders of each pair,
-    on a seeded sample of 4x3 tree pairs and on random edge sets, forests or
-    not, at 3x3, 2x4, 3x4, 4x4 and 3x5, each witness checked on the
-    kernel's system.  Each edge is in a random set with probability 3/4, so
-    many pairs share a cycle.  Floors make every path run: proper pairs the
-    presolve decides alone, proper pairs that reach the simplex, and
-    improper pairs."""
+def _sampled_pairs() -> list[tuple[Simplex, Simplex]]:
+    """A seeded sample of 4x3 tree pairs, then pairs of random edge sets,
+    forests or not, at 3x3, 2x4, 3x4, 4x4 and 3x5.  Each edge is in a random
+    set with probability 3/4, so many pairs share a cycle."""
     rng = random.Random(1967)
     trees = spanning_trees(Dims(4, 3))
     pairs = [tuple(rng.sample(trees, 2)) for _ in range(200)]
@@ -494,6 +504,17 @@ def test_improper_geometric_matches_the_split_column_reference():
             return Simplex(d, rng.getrandbits(m * n) | rng.getrandbits(m * n))
 
         pairs += [(edge_set(), edge_set()) for _ in range(count)]
+    return pairs
+
+
+def test_improper_geometric_matches_the_split_column_reference():
+    """The kernel solves for the shared vertices' free weights before its
+    simplex; the reference splits each into two nonnegative columns and
+    decides the system with ``Fraction`` pivots.  Both orders of each pair
+    of ``_sampled_pairs``, each witness checked on the kernel's system.
+    Floors make every path run: proper pairs the presolve decides alone,
+    proper pairs that reach the simplex, and improper pairs."""
+    pairs = _sampled_pairs()
     presolved = simplex_proper = improper = 0
     for s1, s2 in pairs:
         for x, y in ((s1, s2), (s2, s1)):
@@ -514,6 +535,37 @@ def test_improper_geometric_matches_the_split_column_reference():
     )
 
 
+def test_sign_rows_are_the_dense_system_and_presolve_as_the_reference():
+    """``_dependence_system``, the dense view of ``_sign_rows``, is the
+    system ``reference.dependence_system`` writes, row order included, and
+    the sign rows are its rows' positive and negative columns.  The
+    presolve on the sign rows leaves the rows and the columns that
+    ``reference.presolve`` leaves on the dense rows.  Both orders of each
+    pair of ``_sampled_pairs``, with floors on the pairs the presolve
+    decides and on those that reach the simplex."""
+    decided = undecided = 0
+    for s1, s2 in _sampled_pairs():
+        for x, y in ((s1, s2), (s2, s1)):
+            if not y.mask & ~x.mask:
+                continue
+            rows, w = _sign_rows(x.dims, x.mask, y.mask)
+            A, b = _dependence_system(x.dims, x.mask, y.mask)
+            assert (A, b) == reference.dependence_system(x, y), (x, y)
+            assert rows == [
+                [sum(1 << c for c, v in enumerate(row) if v * sign > 0) for sign in (1, -1)]
+                for row in A
+            ]
+            assert w == len(A[0])
+            left, live, _ = _presolve(rows, b, w)
+            ref_rows, ref_cols = reference.presolve(A, b)
+            assert (left, live) == (ref_rows, sum(1 << c for c in ref_cols)), (x, y)
+            if left and live:
+                undecided += 1
+            else:
+                decided += 1
+    assert decided > 60 and undecided > 600, (decided, undecided)
+
+
 def test_presolve_decides_the_proper_4x3_tree_pairs(trees43):
     """On 2,000 seeded ordered pairs of 4x3 spanning trees the presolve
     leaves no column exactly when the pair is proper: a proper pair needs
@@ -526,7 +578,9 @@ def test_presolve_decides_the_proper_4x3_tree_pairs(trees43):
 
 
 @pytest.mark.parametrize(
-    "m,n", [(3, 3), (2, 4), (4, 2), pytest.param(4, 3, marks=pytest.mark.slow)]
+    "m,n",
+    [(3, 3), (2, 4), (4, 2)]
+    + [pytest.param(m, n, marks=pytest.mark.slow) for m, n in ((4, 3), (3, 4))],
 )
 def test_improper_geometric_agrees_with_proper_on_every_tree_pair(m, n):
     """Every pair of spanning trees, each decided by the kernel itself."""
@@ -537,31 +591,136 @@ def test_improper_geometric_agrees_with_proper_on_every_tree_pair(m, n):
             assert improper_geometric(s1, s2) == (not proper(s1, s2)), (s1, s2)
 
 
-def test_geometric_validate_agrees_with_validate_past_n3():
-    """The 13 golden inputs past n = 3 (the committed 4x8 walk, the seeded
-    walks at n = 5 and 6 and the branch witnesses) pass both the geometric
-    check and ``validate``.  A seeded forged copy of each, one tree swapped
-    for a spanning tree outside it by an edge exchange, holds an improper
-    pair for ``validate`` and fails the geometric check: the volumes still
-    sum to the binomial, so that check refuses it by an improper pair."""
+def _golden(prefix: str) -> list[tuple[str, Triangulation]]:
+    """The golden inputs past n = 3 whose names start with ``prefix``."""
     path = os.path.join(os.path.dirname(__file__), "data", "golden_digests.json")
     with open(path) as fh:
         inputs = [e for e in json.load(fh)["inputs"] if e["n"] > 3]
     assert len(inputs) == 13 and inputs[0]["name"] == "walk_4x8"
-    rng = random.Random(35)
+    golden = []
     for e in inputs:
         dims = Dims(e["m"], e["n"])
-        tri = Triangulation(dims, [Simplex(dims, int(x, 16)) for x in e["trees"]])
-        assert validate(tri).ok and geometric_validate(tri), e["name"]
+        if e["name"].startswith(prefix):
+            trees = [Simplex(dims, int(x, 16)) for x in e["trees"]]
+            golden.append((e["name"], Triangulation(dims, trees)))
+    return golden
+
+
+def _forged_past_n3() -> list[tuple[str, Triangulation, Triangulation]]:
+    """Each of the 13 golden inputs past n = 3 (the committed 4x8 walk, the
+    seeded walks at n = 5 and 6 and the branch witnesses) with a seeded
+    forged copy: one tree swapped for a spanning tree outside it by an edge
+    exchange."""
+    rng = random.Random(35)
+    out = []
+    for name, tri in _golden(""):
+        dims = tri.dims
         while True:
-            out = rng.choice(tri.maximal)
+            old = rng.choice(tri.maximal)
             i, j = divmod(rng.randrange(dims.m * dims.n), dims.n)
-            if (i, j) in out:
+            if (i, j) in old:
                 continue
-            into = out.without_edge(*rng.choice(out.edges)).with_edge(i, j)
+            into = old.without_edge(*rng.choice(old.edges)).with_edge(i, j)
             if is_spanning_tree(into) and into not in tri.maximal:
                 break
-        forged = Triangulation(dims, [t for t in tri.maximal if t != out] + [into])
+        out.append((name, tri, Triangulation(dims, [t for t in tri.maximal if t != old] + [into])))
+    return out
+
+
+def test_geometric_validate_agrees_with_validate_past_n3():
+    """The inputs of ``_forged_past_n3`` pass both the geometric check and
+    ``validate``.  Each forged copy holds an improper pair for ``validate``
+    and fails the geometric check: the volumes still sum to the binomial,
+    so that check refuses it by an improper pair."""
+    for name, tri, forged in _forged_past_n3():
+        assert validate(tri).ok and geometric_validate(tri), name
         report = validate(forged)
         assert not report.ok and "improper_pair" in {kind for kind, _ in report.violations}
-        assert not geometric_validate(forged), e["name"]
+        assert not geometric_validate(forged), name
+
+
+def test_geometric_validate_pivots_only_on_an_improper_pair(corpus43, monkeypatch):
+    """The presolve decides every pair of a valid triangulation, so
+    ``geometric_validate`` enters the simplex on none of the 13 golden
+    inputs past n = 3 and on none of 200 seeded 4x3 members.  It enters it
+    on each forged copy of ``_forged_past_n3``, where the simplex finds the
+    improper pair."""
+    entries = []
+    real = geometry._simplex
+
+    def simplex(*args):
+        entries.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_simplex", simplex)
+    for name, tri, forged in _forged_past_n3():
+        assert geometric_validate(tri) and not entries, name
+        assert not geometric_validate(forged) and entries, name
+        entries.clear()
+    for tri in random.Random(36).sample(corpus43.triangulations, 200):
+        assert geometric_validate(tri)
+    assert not entries
+
+
+def _flip_states(tri: Triangulation):
+    """Each state ``connect`` passes through from tri, with the certificate
+    of the flip that made it."""
+    cur = tri
+    for step in connect(tri).steps:
+        cert = supports_flip(cur, step.circuit)
+        cur = apply_flip(cur, cert)
+        yield cur, cert
+
+
+def _improper_added(tri: Triangulation, added) -> list:
+    """The flip-local geometric check: the pairs of an added tree and
+    another tree of tri that ``improper_geometric`` finds improper."""
+    return [(u, t) for u in added for t in tri.maximal if t != u and improper_geometric(u, t)]
+
+
+def _check_flip_local(tri: Triangulation, rng: random.Random) -> int:
+    """Runs the flip-local check after every flip of ``connect`` from tri,
+    each added tree against every tree of the new state, and asserts that
+    it finds every pair proper and that the added trees' volumes sum to the
+    removed ones'.  Then it forges one seeded step: an added tree swapped
+    by an edge exchange for a spanning tree outside the state that
+    ``proper`` finds improper with another of its trees; the check must
+    find an improper pair.  Returns the number of flips."""
+    states = list(_flip_states(tri))
+    for after, cert in states:
+        added = set(cert.added)
+        assert not _improper_added(after, added)
+        assert sum(map(simplex_volume, added)) == sum(map(simplex_volume, set(cert.removed)))
+    after, cert = rng.choice(states)
+    old = cert.added[0]
+    dims = after.dims
+    while True:
+        i, j = divmod(rng.randrange(dims.m * dims.n), dims.n)
+        if (i, j) in old:
+            continue
+        into = old.without_edge(*rng.choice(old.edges)).with_edge(i, j)
+        others = [t for t in after.maximal if t != old]
+        if is_spanning_tree(into) and into not in others:
+            if not all(proper(into, t) for t in others):
+                break
+    forged = Triangulation(dims, [*others, into])
+    assert _improper_added(forged, {into} | set(cert.added) - {old})
+    return len(states)
+
+
+def test_flip_local_geometric_check_on_the_branch_witnesses():
+    """The flip-local check of ``_check_flip_local`` over every flip of
+    ``connect`` on the eight golden branch witnesses, and on one forged
+    step of each."""
+    rng = random.Random(36)
+    witnesses = _golden("witness:")
+    assert len(witnesses) == 8
+    assert all(_check_flip_local(tri, rng) > 0 for _, tri in witnesses)
+
+
+def test_flip_local_geometric_check_on_the_committed_walk():
+    """The same check on the committed 4x8 walk: 19 flips and about 29,000
+    ``improper_geometric`` calls, every pair proper, and one forged step
+    caught."""
+    ((_, walk),) = _golden("walk_4x8")
+    assert _check_flip_local(walk, random.Random(36)) == 19
